@@ -8,20 +8,24 @@ equations on the a-coordinates, one per monomial degree l:
 
     sum_{i+j=l} a_ij (j - i) prod_{q=0}^{k-2} (i - q)(j - q) = 0,
 
-for l between max(3, 2k-1) and 2g-3. Intersecting these level systems
-produces the strictly decreasing kernel chain.
+for l between max(3, 2k-1) and 2g-3. The kernel of mu_2k is cut out by
+the equations of levels 1..k together, and these nested kernels form the
+strictly decreasing kernel chain.
 
 Two independent routes compute each kernel:
 
 * ``kernel_via_equations`` assembles the closed-form level equations and
-  intersects incrementally, restricting each new system to the previous
-  kernel;
+  takes the kernel of the stacked rows of levels 1..k;
 * ``kernel_via_polynomial_oracle`` never uses the closed form: it imposes
   the raw derivative identities sum c_ab f_a^(h) f_b^(n) == 0 (as
   polynomials in x) for all h + n <= 2k+1, coefficient by coefficient.
 
-Both produce canonical (reduced row-echelon) bases, so agreement is
-literal tuple equality.
+Both systems are graded by weight: a level equation touches only the pairs
+with i + j = l, and an identity row of x-degree e and order h + n only the
+tensor slots with alpha + beta = e + h + n. The elimination in ``linalg``
+splits every matrix into such independent blocks. Both routes produce
+canonical (reduced row-echelon) bases, so agreement is literal tuple
+equality.
 
 Odd maps act on the exterior square of the canonical space and are
 handled by ``odd_kernel_and_rank`` (x-chart equations) and
@@ -38,7 +42,7 @@ from math import comb
 
 from .curve import Curve, canonical_derivatives
 from .errors import IndexOutOfRange, InvalidIndex, NotInKernel, NotInPreviousKernel
-from .linalg import RatMatrix, Vector, canonicalize_span, dot, kernel_basis, matrix_rank
+from .linalg import RatMatrix, Vector, kernel_basis, matrix_rank
 from .poly import Poly, falling
 from .quadrics import QuadricI2, quadric_space_dimension, sym_pairs, wedge_pairs
 from .rationals import rat_to_string
@@ -167,56 +171,46 @@ def kernel_via_equations(genus: int, k_max: int | None = None) -> KernelChain:
     if k_max is None:
         k_max = max_level(genus)
     dim = quadric_space_dimension(genus)
-    identity = tuple(
-        tuple(Fraction(1 if c == r else 0) for c in range(dim)) for r in range(dim)
-    )
-    domain_dim = genus * (genus + 1) // 2
-    levels = [KernelLevel(k=0, dimension=dim, rank=domain_dim - dim, basis=identity)]
-    basis: tuple[Vector, ...] = identity
-    for k in range(1, k_max + 1):
-        system = kernel_equations(genus, k)
-        restricted = RatMatrix.from_rows(
-            [[dot(row, b) for b in basis] for row in system.rows],
-            ncols=len(basis),
-        )
-        inner = kernel_basis(restricted)
-        lifted = [
-            tuple(
-                sum((y * b[c] for y, b in zip(vec, basis)), Fraction(0))
-                for c in range(dim)
-            )
-            for vec in inner
-        ]
-        new_basis = canonicalize_span(lifted, dim)
+    previous = genus * (genus + 1) // 2  # mu_0 is defined on Sym^2 of g sections
+    rows: list[Vector] = []
+    levels = []
+    for k in range(k_max + 1):
+        if k:
+            rows.extend(kernel_equations(genus, k).rows)
+        basis = kernel_basis(RatMatrix.from_rows(rows, ncols=dim))
         levels.append(
             KernelLevel(
-                k=k,
-                dimension=len(new_basis),
-                rank=len(basis) - len(new_basis),
-                basis=new_basis,
+                k=k, dimension=len(basis), rank=previous - len(basis), basis=basis
             )
         )
-        basis = new_basis
+        previous = len(basis)
     return KernelChain(genus=genus, method="equations", levels=tuple(levels))
 
 
 def _oracle_rows(genus: int, bound: int) -> list[Vector]:
     """Rows of the raw identity system: all (h, n) with h >= n, h+n <= bound,
-    every x-degree; entries are per-basis-quadric constraint coefficients."""
+    every x-degree; entries are per-basis-quadric constraint coefficients.
+
+    The row of x-degree e and order h+n reads only the tensor slots with
+    alpha + beta = e + h + n, so the slots are indexed by that weight once.
+    """
     pairs = sym_pairs(genus)
-    entries = [_c_entries(i, j) for (i, j) in pairs]
+    slots_by_weight: dict[int, list[tuple[int, int, int, Fraction]]] = {}
+    for col, (i, j) in enumerate(pairs):
+        for alpha, beta, weight in _c_entries(i, j):
+            slots_by_weight.setdefault(alpha + beta, []).append(
+                (col, alpha, beta, weight)
+            )
     rows: list[Vector] = []
     for total in range(bound + 1):
         for n in range(total // 2 + 1):
             h = total - n
             for e in range(0, 2 * genus - 1 - total):
-                row = []
-                for slots in entries:
-                    acc = Fraction(0)
-                    for alpha, beta, weight in slots:
-                        if alpha + beta == e + total:
-                            acc += weight * falling(alpha, h) * falling(beta, n)
-                    row.append(acc)
+                row = [Fraction(0)] * len(pairs)
+                for col, alpha, beta, weight in slots_by_weight.get(e + total, ()):
+                    t = falling(alpha, h) * falling(beta, n)
+                    if t:
+                        row[col] += weight * t
                 if any(row):
                     rows.append(tuple(row))
     return rows
@@ -228,11 +222,6 @@ def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Vector, ...]:
         raise IndexOutOfRange(f"level must be nonnegative, got {k}")
     dim = quadric_space_dimension(genus)
     rows = _oracle_rows(genus, 2 * k + 1)
-    if not rows:
-        return tuple(
-            tuple(Fraction(1 if c == r else 0) for c in range(dim))
-            for r in range(dim)
-        )
     return kernel_basis(RatMatrix.from_rows(rows, ncols=dim))
 
 

@@ -1,12 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Elimination is fraction-free in the style of Bareiss: each row is first
-scaled to integers, forward elimination uses the two-by-two determinant
-update with exact division by the previous pivot, and only the final
-back-substitution reintroduces fractions. Pivoting is deterministic
-(first nonzero entry in column order), so every derived object —
-echelon form, rank, kernel basis — is a pure function of the input
-matrix.
+Every matrix is first split into blocks: the connected components of the
+graph joining each row to the columns where it is nonzero. A matrix is the
+direct sum of its blocks, so its rank is the sum of theirs, and its reduced
+row-echelon form is the union of theirs, embedded back into full width and
+ordered by pivot column: each such row is zero outside its block and, inside
+it, zero at the block's other pivots. The Gaussian-map systems are graded by
+weight, so this turns one large elimination into many small ones.
+
+Each block is eliminated fraction-free in the style of Bareiss: each row is
+first scaled to integers, forward elimination uses the two-by-two
+determinant update with exact division by the previous pivot, and only the
+final back-substitution reintroduces fractions. Pivoting is deterministic
+(first nonzero entry in column order), so every derived object — echelon
+form, rank, kernel basis — is a pure function of the input matrix.
 
 Kernel bases are canonical: the kernel's spanning vectors are themselves
 reduced to row-echelon normal form, pivots normalized to 1. Two routes
@@ -33,7 +40,10 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols: int | None = None) -> "RatMatrix":
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        frozen = tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+            for row in rows
+        )
         if frozen:
             width = len(frozen[0])
             if any(len(r) != width for r in frozen):
@@ -97,17 +107,71 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
     return rows, pivots
 
 
+def _blocks(m: RatMatrix) -> list[tuple[list[int], RatMatrix]] | None:
+    """Connected components of the row-column support graph of ``m``.
+
+    Each block is its column indices (ascending) and the submatrix of its
+    rows on those columns. Zero rows, and columns no row touches, lie in no
+    block. Returns None when ``m`` is a single block with no zero row and no
+    untouched column, so that it must be eliminated as it is.
+    """
+    parent: dict[int, int] = {}
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    supports = []
+    for row in m.rows:
+        support = [c for c, x in enumerate(row) if x]
+        supports.append(support)
+        for c in support:
+            parent.setdefault(c, c)
+        if support:
+            root = find(support[0])
+            for c in support[1:]:
+                other = find(c)
+                if other != root:
+                    parent[other] = root
+    columns: dict[int, list[int]] = {}
+    for c in sorted(parent):
+        columns.setdefault(find(c), []).append(c)
+    if len(columns) == 1 and len(parent) == m.ncols and all(supports):
+        return None
+    rows: dict[int, list[Vector]] = {root: [] for root in columns}
+    for row, support in zip(m.rows, supports):
+        if support:
+            rows[find(support[0])].append(row)
+    return [
+        (cols, RatMatrix.from_rows([[row[c] for c in cols] for row in rows[root]]))
+        for root, cols in columns.items()
+    ]
+
+
 def matrix_rank(m: RatMatrix) -> int:
-    if not m.rows:
-        return 0
+    blocks = _blocks(m)
+    if blocks is not None:
+        return sum(matrix_rank(block) for _, block in blocks)
     _, pivots = _echelon(_integer_rows(m), m.ncols)
     return len(pivots)
 
 
 def rref(m: RatMatrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row-echelon form (nonzero rows only) and pivot columns."""
-    if not m.rows:
-        return (), ()
+    blocks = _blocks(m)
+    if blocks is not None:
+        placed: list[tuple[int, Vector]] = []
+        for cols, block in blocks:
+            block_rows, block_pivots = rref(block)
+            for row, p in zip(block_rows, block_pivots):
+                full = [Fraction(0)] * m.ncols
+                for c, x in zip(cols, row):
+                    full[c] = x
+                placed.append((cols[p], tuple(full)))
+        placed.sort(key=lambda item: item[0])
+        return tuple(row for _, row in placed), tuple(p for p, _ in placed)
     ech, pivots = _echelon(_integer_rows(m), m.ncols)
     rank = len(pivots)
     rows = [[Fraction(x) for x in ech[i]] for i in range(rank)]

@@ -40,7 +40,7 @@ from .errors import (
     ThresholdNotExtended,
 )
 from .gaussian import b_support_check, kernel_via_equations, mu_eval_polynomial
-from .linalg import RatMatrix, Vector, canonicalize_span, kernel_basis, matrix_rank
+from .linalg import RatMatrix, Vector, canonicalize_span, dot, kernel_basis, matrix_rank
 from .quadrics import QuadricI2, basis_quadric, quadric_from_vector, sym_pairs
 from .rationals import rat_to_string
 from .series import TruncatedSeries
@@ -681,14 +681,11 @@ def _restrict_to_functional_kernel(
     if not domain_vectors:
         return ()
     row = RatMatrix.from_rows([tuple(values)], ncols=len(values))
-    inner = kernel_basis(row)
-    lifted = []
-    for coeffs in inner:
-        vec = tuple(
-            sum((c * bv[col] for c, bv in zip(coeffs, domain_vectors)), ZERO)
-            for col in range(ncols)
-        )
-        lifted.append(vec)
+    columns = tuple(zip(*domain_vectors))
+    lifted = [
+        tuple(dot(coeffs, column) for column in columns)
+        for coeffs in kernel_basis(row)
+    ]
     return canonicalize_span(lifted, ncols)
 
 

@@ -1,7 +1,8 @@
 """Desk-scale acceptance runs: every shipped claim, exact arithmetic, zero tolerance.
 
 Each test recomputes one headline guarantee over its full advertised range:
-the rank/dimension laws and the two independent kernel routes to genus 12,
+the rank/dimension laws and the two independent kernel routes to genus 12
+(and through the API to genus 16, above the command line's default cap),
 the factorization/isotropy/witness/hyperplane statements to genus 9 on the
 default curve plus three seeded random curves per genus, the certificate
 scan for genus 4..9, cup ranks and the cross-chart comparison to genus 9,
@@ -19,6 +20,7 @@ from gaussmap.gaussian import (
     kernel_via_polynomial_oracle,
     max_level,
     odd_kernel_and_rank,
+    rank_formula,
     rank_table,
 )
 from gaussmap.reports import RunConfig, rank_table_csv
@@ -62,6 +64,17 @@ def test_equation_kernels_equal_oracle_kernels_to_genus_twelve():
     for genus in range(3, 13):
         chain = kernel_via_equations(genus)
         for lv in chain.levels:
+            assert lv.basis == kernel_via_polynomial_oracle(genus, lv.k), (
+                genus,
+                lv.k,
+            )
+
+
+def test_rank_law_and_kernel_routes_from_genus_thirteen_to_sixteen():
+    for genus in range(13, 17):
+        for lv in kernel_via_equations(genus).levels:
+            assert lv.rank == rank_formula(genus, lv.k), (genus, lv.k)
+            assert lv.dimension == kernel_dimension_formula(genus, lv.k)
             assert lv.basis == kernel_via_polynomial_oracle(genus, lv.k), (
                 genus,
                 lv.k,

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussmap.linalg import (
@@ -42,6 +42,73 @@ def naive_rank(rows, ncols):
                 work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+def naive_rref(rows, ncols):
+    """Plain fraction Gauss-Jordan reduction: nonzero rows and pivot columns."""
+    work = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next(
+            (i for i in range(r, len(work)) if work[i][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r][col]
+        work[r] = [x / pivot for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return tuple(tuple(row) for row in work[: len(pivots)]), tuple(pivots)
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """Rows and width of a block-diagonal matrix with shuffled rows and columns.
+
+    One to four blocks; a block with no rows leaves its columns untouched by
+    every row, and zero rows are mixed in. Block entries may themselves be
+    zero, so a drawn block can split further.
+    """
+    shapes = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=1, max_size=4
+        )
+    )
+    ncols = sum(width for _, width in shapes)
+    rows = []
+    start = 0
+    for height, width in shapes:
+        for _ in range(height):
+            row = [F(0)] * ncols
+            row[start : start + width] = draw(
+                st.lists(rationals, min_size=width, max_size=width)
+            )
+            rows.append(row)
+        start += width
+    rows += [[F(0)] * ncols for _ in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(ncols)))
+    rows = [[row[c] for c in order] for row in rows]
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_diagonal())
+@example(([], 3))
+def test_block_split_matches_plain_elimination(case):
+    rows, ncols = case
+    m = RatMatrix.from_rows(rows, ncols=ncols)
+    assert rref(m) == naive_rref(rows, ncols)
+    rank = matrix_rank(m)
+    assert rank == naive_rank(rows, ncols)
+    basis = kernel_basis(m)
+    assert rank + len(basis) == ncols
+    for vec in basis:
+        assert all(x == 0 for x in mat_vec(m, vec))
 
 
 def test_rank_of_identity_and_zero():
