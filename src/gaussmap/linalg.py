@@ -112,8 +112,8 @@ def _blocks(m: RatMatrix) -> list[tuple[list[int], RatMatrix]] | None:
 
     Each block is its column indices (ascending) and the submatrix of its
     rows on those columns. Zero rows, and columns no row touches, lie in no
-    block. Returns None when ``m`` is a single block with no zero row and no
-    untouched column, so that it must be eliminated as it is.
+    block. Returns None when ``m`` is already one block: connected, with no
+    zero row and no untouched column.
     """
     parent: dict[int, int] = {}
 
