@@ -1,19 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Every matrix is first split into blocks: the connected components of the
-graph joining each row to the columns where it is nonzero. A matrix is the
-direct sum of its blocks, so its rank is the sum of theirs, and its reduced
+``rref`` (and so every kernel and span) first splits a matrix into blocks:
+the connected components of the graph joining each row to the columns where
+it is nonzero. A matrix is the direct sum of its blocks, so its reduced
 row-echelon form is the union of theirs, embedded back into full width and
 ordered by pivot column: each such row is zero outside its block and, inside
 it, zero at the block's other pivots. The Gaussian-map systems are graded by
 weight, so this turns one large elimination into many small ones.
 
-Each block is eliminated fraction-free in the style of Bareiss: each row is
-first scaled to integers, forward elimination uses the two-by-two
-determinant update with exact division by the previous pivot, and only the
-final back-substitution reintroduces fractions. Pivoting is deterministic
-(first nonzero entry in column order), so every derived object — echelon
-form, rank, kernel basis — is a pure function of the input matrix.
+Each block, and each matrix given to ``matrix_rank``, is eliminated
+fraction-free in the style of Bareiss: each row is first scaled to
+integers, forward elimination uses the two-by-two determinant update with
+exact division by the previous pivot, and only the final back-substitution
+reintroduces fractions. Pivoting is deterministic (first nonzero entry in
+column order), so every derived object — echelon form, rank, kernel basis —
+is a pure function of the input matrix.
 
 Kernel bases are canonical: the kernel's spanning vectors are themselves
 reduced to row-echelon normal form, pivots normalized to 1. Two routes
@@ -151,9 +152,8 @@ def _blocks(m: RatMatrix) -> list[tuple[list[int], RatMatrix]] | None:
 
 
 def matrix_rank(m: RatMatrix) -> int:
-    blocks = _blocks(m)
-    if blocks is not None:
-        return sum(matrix_rank(block) for _, block in blocks)
+    if not m.rows:
+        return 0
     _, pivots = _echelon(_integer_rows(m), m.ncols)
     return len(pivots)
 
