@@ -1,10 +1,12 @@
-"""Golden outputs of the kernel layer, compared byte for byte.
+"""Golden outputs of the kernel and pairing layers, compared byte for byte.
 
 The files in ``tests/golden/`` pin the exact bytes of the rank table, the
-canonical kernel bases of both kernel routes at genus 9, and the odd-map
-ranks and kernel bases for genus 3..9. Reruns of one build are already
-checked to agree elsewhere; these files also catch a change that alters an
-answer the same way on every run.
+canonical kernel bases of both kernel routes at genus 9, the odd-map ranks
+and kernel bases for genus 3..9, the isotropy, witness and diagonal reports
+(T6.5, T6.6, T6.9) for genus 3..7, one seeded direction scan, and single
+``rho`` values: licensed zero and nonzero values and ``BeyondThreshold``
+payloads. Reruns of one build are already checked to agree elsewhere; these
+files also catch a change that alters an answer the same way on every run.
 
 Regenerate them only for an intended, documented output change (say what
 changed and why in CHANGES.md):
@@ -25,6 +27,21 @@ from gaussmap.rationals import rat_to_string
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 KERNEL_GENUS = 9
+THEOREMS = ("T6.5", "T6.6", "T6.9")
+THEOREM_GENERA = "3..7"
+SCAN = ("scan", "--g", "6", "--seed", "7")
+# (file tag, genus, quadric, pair): licensed nonzero and zero values, and
+# BeyondThreshold payloads, on default curves and on one explicit curve.
+RHO_CASES = (
+    ("g3_basis1-2_1-3", "3", "basis:1,2", ("1", "3")),
+    ("g3_basis1-2_3-3", "3", "basis:1,2", ("3", "3")),
+    ("g5_kernel1-0_3-5", "5", "kernel:1,0", ("3", "5")),
+    ("g5_kernel1-0_5-5", "5", "kernel:1,0", ("5", "5")),
+    ("g6_kernel1-1_1-5", "6", "kernel:1,1", ("1", "5")),
+    ("g7_kernel2-0_5-7", "7", "kernel:2,0", ("5", "7")),
+    ("g7_kernel2-0_7-7", "7", "kernel:2,0", ("7", "7")),
+)
+RHO_CURVE = ("g4_curve_basis1-3_1-3", "0,1/2,-3,2,5/3,7,-1,4,9,11", "basis:1,3", ("1", "3"))
 
 
 def cli_stdout(*argv):
@@ -58,6 +75,17 @@ def cases():
         argv = ("kernel", "--g", str(KERNEL_GENUS), "--k", str(k), "--method", "both")
         out[f"kernel_g{KERNEL_GENUS}_k{k}.json"] = lambda argv=argv: cli_stdout(*argv)
     out["odd_kernels_g3-9.json"] = odd_kernels_json
+    for theorem in THEOREMS:
+        argv = ("verify", "--theorem", theorem, "--g", THEOREM_GENERA)
+        tag = THEOREM_GENERA.replace("..", "-")
+        out[f"verify_{theorem}_g{tag}.json"] = lambda argv=argv: cli_stdout(*argv)
+    out["scan_g6_seed7.json"] = lambda: cli_stdout(*SCAN)
+    for tag, genus, quadric, pair in RHO_CASES:
+        argv = ("rho", "--g", genus, "--quadric", quadric, "--pair", *pair)
+        out[f"rho_{tag}.json"] = lambda argv=argv: cli_stdout(*argv)
+    tag, curve, quadric, pair = RHO_CURVE
+    argv = ("rho", "--curve", curve, "--quadric", quadric, "--pair", *pair)
+    out[f"rho_{tag}.json"] = lambda argv=argv: cli_stdout(*argv)
     return out
 
 
