@@ -24,8 +24,10 @@ from .curve import (
 from .errors import (
     BeyondThreshold,
     DuplicateBranchPoint,
+    Falsified,
     FirstBranchPointNotZero,
     GaussmapError,
+    IdentityFailed,
     IndexOutOfRange,
     InvalidIndex,
     NoWitnessFound,
@@ -90,6 +92,7 @@ from .rho import (  # noqa: E402
     HyperplaneResult,
     IsotropyResult,
     Mu2CrossCheck,
+    Pairing,
     RhoValue,
     SchifferIndex,
     ThresholdInfo,

@@ -16,7 +16,7 @@ import sys
 import time
 
 from .curve import Curve, curve_from_json, default_curve, new_curve
-from .errors import BeyondThreshold, GaussmapError
+from .errors import BeyondThreshold, Falsified, GaussmapError
 from .gaussian import (
     kernel_dimension_formula,
     kernel_via_equations,
@@ -415,6 +415,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"gaussmap: error: {exc}", file=sys.stderr)
         return 2
+    except Falsified as exc:
+        print(f"gaussmap: falsified: {exc}", file=sys.stderr)
+        return 1
     except GaussmapError as exc:
         print(f"gaussmap: error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,10 @@
 
 Every error that crosses the API boundary has a stable, machine-readable
 class name. CLI layers map these to structured payloads; library callers
-can catch :class:`GaussmapError` for anything raised on bad input, and the
-more specific classes for programmatic handling.
+can catch :class:`GaussmapError` for anything the library raises,
+:class:`Falsified` for a statement refuted by an exact computation (every
+other class means bad input), and the more specific classes for
+programmatic handling.
 """
 
 from __future__ import annotations
@@ -62,15 +64,25 @@ class BeyondThreshold(GaussmapError):
         }
 
 
-class ThresholdNotExtended(GaussmapError):
+class Falsified(GaussmapError):
+    """A statement under test was falsified by an exact computation. This
+    is a result, not bad input: suites turn it into a failing report item
+    and the command line exits with code 1."""
+
+
+class ThresholdNotExtended(Falsified):
     """A quadric in the coordinate hyperplane failed to gain the two extra
-    orders of vanishing that membership implies; this falsifies the
-    statement under test rather than indicating bad input."""
+    orders of vanishing that membership implies."""
 
 
-class NoWitnessFound(GaussmapError):
+class NoWitnessFound(Falsified):
     """No hyperplane basis element has a nonzero diagonal value, so no
     witness quadric certifies the requested non-degeneracy."""
+
+
+class IdentityFailed(Falsified):
+    """An exact identity failed: a rho value that must vanish is nonzero, or
+    the two endpoint sums of one rho evaluation disagree."""
 
 
 class InvalidIndex(GaussmapError):

@@ -187,10 +187,12 @@ def kernel_via_equations(genus: int, k_max: int | None = None) -> KernelChain:
     return KernelChain(genus=genus, method="equations", levels=tuple(levels))
 
 
-def _oracle_rows(genus: int, bound: int) -> list[Vector]:
+def _oracle_rows(genus: int, bound: int) -> tuple[list[Vector], list[int]]:
     """Rows of the raw identity system: all (h, n) with h >= n, h+n <= bound,
     every x-degree; entries are per-basis-quadric constraint coefficients.
 
+    Rows come in increasing order h+n, so the rows of any smaller bound are
+    a prefix; the second list holds, for each order, where its rows end.
     The row of x-degree e and order h+n reads only the tensor slots with
     alpha + beta = e + h + n, so the slots are indexed by that weight once.
     """
@@ -202,6 +204,7 @@ def _oracle_rows(genus: int, bound: int) -> list[Vector]:
                 (col, alpha, beta, weight)
             )
     rows: list[Vector] = []
+    ends: list[int] = []
     for total in range(bound + 1):
         for n in range(total // 2 + 1):
             h = total - n
@@ -213,16 +216,27 @@ def _oracle_rows(genus: int, bound: int) -> list[Vector]:
                         row[col] += weight * t
                 if any(row):
                     rows.append(tuple(row))
-    return rows
+        ends.append(len(rows))
+    return rows, ends
+
+
+@lru_cache(maxsize=None)
+def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Vector, ...], ...]:
+    """Oracle kernels of levels 0..k_max from one build of the identity rows:
+    level k is the kernel of the prefix of orders <= 2k+1."""
+    dim = quadric_space_dimension(genus)
+    rows, ends = _oracle_rows(genus, 2 * k_max + 1)
+    return tuple(
+        kernel_basis(RatMatrix.from_rows(rows[: ends[2 * k + 1]], ncols=dim))
+        for k in range(k_max + 1)
+    )
 
 
 def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Vector, ...]:
     """Canonical basis of Ker mu_2k computed from raw derivative identities."""
     if k < 0:
         raise IndexOutOfRange(f"level must be nonnegative, got {k}")
-    dim = quadric_space_dimension(genus)
-    rows = _oracle_rows(genus, 2 * k + 1)
-    return kernel_basis(RatMatrix.from_rows(rows, ncols=dim))
+    return _oracle_chain(genus, max(k, max_level(genus)))[k]
 
 
 def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, Poly]]:

@@ -225,9 +225,14 @@ def mat_vec(m: RatMatrix, v: Vector) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
+    """Exact inner product; products with a zero factor are skipped."""
     if len(u) != len(v):
         raise IndexOutOfRange("dimension mismatch in dot product")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    total = Fraction(0)
+    for a, b in zip(u, v):
+        if a and b:
+            total += a * b
+    return total
 
 
 def in_span(vector: Vector, basis: tuple[Vector, ...]) -> bool:

@@ -9,18 +9,33 @@ of odd Schiffer variations xi_p^n.  All values are rational multipliers of
 Conventions («z» is the local coordinate with z**2 = x * G(x)):
 
 * D(h, l) = sum_{a,b} c_{ab} g_a^(h)(0) g_b^(l)(0) over the symmetric
-  tensor of the quadric in the canonical dz-frame.
+  tensor of the quadric in the canonical dz-frame, i.e. the pairing
+  matrix D = T^t C T of the tensor C and the jet columns T_l.
 * The vanishing threshold of a quadric is the largest m with D(h, l) = 0
   for every h + l <= m; evaluating rho on xi^n (.) xi^r is licensed only
   when n + r <= threshold + 1, otherwise `BeyondThreshold` is raised.
 * W(a, b) is the antisymmetrised pairing of the omega-frame functions; it
   drives the closed-form coefficient vectors of the witness and diagonal
   functionals through the product rule for g_{alpha} = x * (omega part).
+
+One `Pairing` value per quadric and curve computes each entry of D once
+and serves every reader of it: the threshold scans, the pairing tables and
+the rho evaluations. The isotropy suite keeps one per kernel basis quadric,
+and `diagonal_functional` returns the pairings of the A_{k,0} basis so that
+the certificates evaluate their cross terms on the witness's own pairing.
+`derivative_sum`, `threshold_info`, `pairing_table` and `rho_pair` are
+one-call wrappers that build a fresh `Pairing`. The only module-level
+caches left are those of `witness_functional`, `witness_hyperplane` and
+`diagonal_functional`, keyed on genus, level and curve; none is keyed on
+a quadric.
+
+An exact identity that fails here (the two endpoint sums of a rho value,
+a value forced to zero) raises `IdentityFailed`, a `Falsified` error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -35,6 +50,7 @@ from .curve import (
 )
 from .errors import (
     BeyondThreshold,
+    IdentityFailed,
     InvalidIndex,
     NoWitnessFound,
     ThresholdNotExtended,
@@ -48,7 +64,7 @@ from .series import TruncatedSeries
 ZERO = Fraction(0)
 
 
-# -- Schiffer indices and derivative pairings ---------------------------------
+# -- Schiffer indices -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,9 @@ def _odd_order(n) -> int:
     return SchifferIndex(int(n)).n
 
 
-@lru_cache(maxsize=None)
+# -- the pairing matrix and licensed evaluation of rho ---------------------------
+
+
 def _sym_entries(q: QuadricI2) -> tuple[tuple[int, int, Fraction], ...]:
     tensor = q.sym_tensor()
     return tuple(
@@ -79,18 +97,6 @@ def _sym_entries(q: QuadricI2) -> tuple[tuple[int, int, Fraction], ...]:
         for b, value in enumerate(row)
         if value
     )
-
-
-@lru_cache(maxsize=None)
-def derivative_sum(q: QuadricI2, curve: Curve, h: int, l: int) -> Fraction:
-    """D(h, l): the (h, l) derivative pairing of the quadric at p."""
-    if h < 0 or l < 0:
-        raise InvalidIndex("derivative orders must be non-negative")
-    table = canonical_derivatives(curve, max(h, l))
-    total = ZERO
-    for a, b, coeff in _sym_entries(q):
-        total += coeff * table[a][h] * table[b][l]
-    return total
 
 
 @dataclass(frozen=True)
@@ -125,63 +131,6 @@ class DerivativePairing:
         }
 
 
-def threshold_info(q: QuadricI2, curve: Curve, cap: int) -> ThresholdInfo:
-    """Largest m <= cap with D(h, l) = 0 for all h + l <= m."""
-    if cap < 0:
-        raise InvalidIndex("threshold cap must be non-negative")
-    for total in range(cap + 1):
-        for h in range(total // 2, total + 1):
-            value = derivative_sum(q, curve, h, total - h)
-            if value:
-                return ThresholdInfo(
-                    threshold=total - 1,
-                    at_cap=False,
-                    first_nonzero=(h, total - h, value),
-                )
-    return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
-
-
-def vanishing_threshold(q: QuadricI2, curve: Curve, cap: int) -> int:
-    return threshold_info(q, curve, cap).threshold
-
-
-def threshold_with_policy(q: QuadricI2, curve: Curve, k: int) -> ThresholdInfo:
-    """Threshold scan with the default cap 4k+8, auto-raised once to 2*(4k+8)."""
-    cap = 4 * k + 8
-    info = threshold_info(q, curve, cap)
-    if info.at_cap:
-        info = threshold_info(q, curve, 2 * cap)
-    return info
-
-
-def pairing_table(q: QuadricI2, curve: Curve, bound: int) -> DerivativePairing:
-    entries = []
-    first = None
-    threshold = bound
-    at_cap = True
-    for total in range(bound + 1):
-        for h in range(total // 2, total + 1):
-            value = derivative_sum(q, curve, h, total - h)
-            if value:
-                entries.append((h, total - h, value))
-                if first is None:
-                    first = (h, total - h, value)
-                    threshold = total - 1
-                    at_cap = False
-    return DerivativePairing(
-        quadric=q.label(),
-        curve=curve.label(),
-        bound=bound,
-        entries=tuple(entries),
-        threshold=threshold,
-        at_cap=at_cap,
-        first_nonzero=first,
-    )
-
-
-# -- licensed evaluation of rho ------------------------------------------------
-
-
 @dataclass(frozen=True)
 class RhoValue:
     """Exact rho evaluation: the true value is `value * 2*pi*i`."""
@@ -207,53 +156,170 @@ class RhoValue:
         }
 
 
-def rho_pair(q: QuadricI2, curve: Curve, n, r) -> RhoValue:
-    """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i), licensed by the threshold.
+class Pairing:
+    """The pairing matrix D = T^t C T of one quadric on one curve.
 
-    The evaluation formula needs every pairing of total order below n + r
-    to vanish; if one does not, the formula is simply not available and
-    `BeyondThreshold` is raised (never silently extrapolated).  The sum is
-    computed from both endpoints and must agree.
+    C is the quadric's symmetric tensor and column T_l holds the l-th jets
+    of the canonical frame functions, so D(h, l) = T_h . V_l with
+    V_l = C T_l. Only the nonzero rows of C are kept, each V_l is built
+    once, each entry is computed once (D is symmetric), and the jet table
+    is fetched again only when a larger order is asked for.
     """
-    n = _odd_order(n)
-    r = _odd_order(r)
-    m1 = n + r
-    for total in range(m1):
-        for h in range(total // 2, total + 1):
-            value = derivative_sum(q, curve, h, total - h)
-            if value:
-                raise BeyondThreshold(
-                    f"pairing D({h},{total - h}) = {rat_to_string(value)} "
-                    f"blocks the (xi^{n}, xi^{r}) evaluation",
-                    h=h,
-                    l=total - h,
-                    value=rat_to_string(value),
-                )
 
-    def one_sided(a: int) -> Fraction:
-        acc = ZERO
-        for j in range(a):
-            d = derivative_sum(q, curve, m1 - j, j)
-            if d:
-                acc += d * Fraction(a - j, factorial(j) * factorial(m1 - j))
-        return acc
+    def __init__(self, q: QuadricI2, curve: Curve) -> None:
+        self.quadric = q
+        self.curve = curve
+        rows: dict[int, list[tuple[int, Fraction]]] = {}
+        for a, b, coeff in _sym_entries(q):
+            rows.setdefault(a, []).append((b, coeff))
+        self._rows = tuple(rows.items())
+        self._table: tuple[tuple[Fraction, ...], ...] = ()
+        self._order = -1
+        self._columns: dict[int, tuple[Fraction, ...]] = {}
+        self._entries: dict[tuple[int, int], Fraction] = {}
 
-    value = one_sided(n)
-    other = one_sided(r)
-    if value != other:
-        raise AssertionError(
-            f"rho symmetry failed for orders ({n},{r}): "
-            f"{rat_to_string(value)} != {rat_to_string(other)}"
+    def __call__(self, h: int, l: int) -> Fraction:
+        """D(h, l): the (h, l) derivative pairing of the quadric at p."""
+        if h < l:
+            h, l = l, h
+        value = self._entries.get((h, l))
+        if value is not None:
+            return value
+        if l < 0:
+            raise InvalidIndex("derivative orders must be non-negative")
+        if h > self._order:
+            self._table = canonical_derivatives(self.curve, h)
+            self._order = h
+        table = self._table
+        column = self._columns.get(l)
+        if column is None:
+            column = tuple(
+                sum((coeff * table[b][l] for b, coeff in row if table[b][l]), ZERO)
+                for _, row in self._rows
+            )
+            self._columns[l] = column
+        value = ZERO
+        for (a, _), v in zip(self._rows, column):
+            if v and table[a][h]:
+                value += table[a][h] * v
+        self._entries[(h, l)] = value
+        return value
+
+    def threshold(self, cap: int) -> ThresholdInfo:
+        """Largest m <= cap with D(h, l) = 0 for all h + l <= m."""
+        if cap < 0:
+            raise InvalidIndex("threshold cap must be non-negative")
+        for total in range(cap + 1):
+            for h in range(total // 2, total + 1):
+                value = self(h, total - h)
+                if value:
+                    return ThresholdInfo(
+                        threshold=total - 1,
+                        at_cap=False,
+                        first_nonzero=(h, total - h, value),
+                    )
+        return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
+
+    def threshold_with_policy(self, k: int) -> ThresholdInfo:
+        """Threshold scan with the default cap 4k+8, auto-raised once to 2*(4k+8)."""
+        cap = 4 * k + 8
+        info = self.threshold(cap)
+        if info.at_cap:
+            info = self.threshold(2 * cap)
+        return info
+
+    def table(self, bound: int) -> DerivativePairing:
+        entries = []
+        for total in range(bound + 1):
+            for h in range(total // 2, total + 1):
+                value = self(h, total - h)
+                if value:
+                    entries.append((h, total - h, value))
+        first = entries[0] if entries else None
+        return DerivativePairing(
+            quadric=self.quadric.label(),
+            curve=self.curve.label(),
+            bound=bound,
+            entries=tuple(entries),
+            threshold=bound if first is None else first[0] + first[1] - 1,
+            at_cap=first is None,
+            first_nonzero=first,
         )
-    saturated = all(
-        derivative_sum(q, curve, h, m1 - h) == 0 for h in range((m1 // 2) + 1)
-    )
-    if saturated and value != 0:
-        raise AssertionError(
-            "vanishing pairings at the pair total must force a zero value"
-        )
-    licensing = m1 if saturated else m1 - 1
-    return RhoValue(n=n, r=r, value=value, licensing_threshold=licensing)
+
+    def rho(self, n, r) -> RhoValue:
+        """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i), licensed by the threshold.
+
+        The evaluation formula needs every pairing of total order below
+        n + r to vanish; if one does not, the formula is simply not
+        available and `BeyondThreshold` is raised (never silently
+        extrapolated). The sum is computed from both endpoints and must
+        agree.
+        """
+        n = _odd_order(n)
+        r = _odd_order(r)
+        m1 = n + r
+        for total in range(m1):
+            for h in range(total // 2, total + 1):
+                value = self(h, total - h)
+                if value:
+                    raise BeyondThreshold(
+                        f"pairing D({h},{total - h}) = {rat_to_string(value)} "
+                        f"blocks the (xi^{n}, xi^{r}) evaluation",
+                        h=h,
+                        l=total - h,
+                        value=rat_to_string(value),
+                    )
+
+        def one_sided(a: int) -> Fraction:
+            acc = ZERO
+            for j in range(a):
+                d = self(m1 - j, j)
+                if d:
+                    acc += d * Fraction(a - j, factorial(j) * factorial(m1 - j))
+            return acc
+
+        value = one_sided(n)
+        other = one_sided(r)
+        if value != other:
+            raise IdentityFailed(
+                f"rho symmetry failed for orders ({n},{r}): "
+                f"{rat_to_string(value)} != {rat_to_string(other)}"
+            )
+        saturated = all(self(h, m1 - h) == 0 for h in range((m1 // 2) + 1))
+        if saturated and value != 0:
+            raise IdentityFailed(
+                "vanishing pairings at the pair total must force a zero value"
+            )
+        licensing = m1 if saturated else m1 - 1
+        return RhoValue(n=n, r=r, value=value, licensing_threshold=licensing)
+
+
+def derivative_sum(q: QuadricI2, curve: Curve, h: int, l: int) -> Fraction:
+    """D(h, l): the (h, l) derivative pairing of the quadric at p."""
+    return Pairing(q, curve)(h, l)
+
+
+def threshold_info(q: QuadricI2, curve: Curve, cap: int) -> ThresholdInfo:
+    """Largest m <= cap with D(h, l) = 0 for all h + l <= m."""
+    return Pairing(q, curve).threshold(cap)
+
+
+def vanishing_threshold(q: QuadricI2, curve: Curve, cap: int) -> int:
+    return threshold_info(q, curve, cap).threshold
+
+
+def threshold_with_policy(q: QuadricI2, curve: Curve, k: int) -> ThresholdInfo:
+    """Threshold scan with the default cap 4k+8, auto-raised once to 2*(4k+8)."""
+    return Pairing(q, curve).threshold_with_policy(k)
+
+
+def pairing_table(q: QuadricI2, curve: Curve, bound: int) -> DerivativePairing:
+    return Pairing(q, curve).table(bound)
+
+
+def rho_pair(q: QuadricI2, curve: Curve, n, r) -> RhoValue:
+    """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i); see `Pairing.rho`."""
+    return Pairing(q, curve).rho(n, r)
 
 
 # -- omega-frame pairings and the exact reduction of D(h, l) -------------------
@@ -383,20 +449,21 @@ def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
     """All licensed rho pairs with odd total <= 4k+3 vanish on Ker mu_2k."""
     _require_level(genus, k)
     quads = _kernel_quadrics(genus, k)
+    pairings = tuple(Pairing(q, curve) for q in quads)
     failures = []
     thresholds = []
-    for index, q in enumerate(quads):
-        info = threshold_with_policy(q, curve, k)
+    for index, pairing in enumerate(pairings):
+        info = pairing.threshold_with_policy(k)
         thresholds.append(info)
         if info.threshold < 4 * k + 3:
             failures.append(
                 f"basis[{index}] threshold {info.threshold} < {4 * k + 3}"
             )
     checks = []
-    for index, q in enumerate(quads):
+    for index, pairing in enumerate(pairings):
         for n in range(1, 4 * k + 4, 2):
             for r in range(n, 4 * k + 4 - n, 2):
-                value = rho_pair(q, curve, n, r).value
+                value = pairing.rho(n, r).value
                 checks.append((index, n, r, value))
                 if value:
                     failures.append(
@@ -727,6 +794,8 @@ class DiagonalResult:
     a00_vectors: tuple[Vector, ...]
     a00_dimension: int
     codimension: int
+    # one per hyperplane basis quadric, kept for later rho evaluations
+    pairings: tuple[Pairing, ...] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         pairs = sym_pairs(self.functional.genus)
@@ -756,9 +825,10 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
     """
     _require_level(genus, k)
     hyper = witness_hyperplane(genus, k, curve)
+    pairings = tuple(Pairing(q, curve) for q in hyper.basis)
     n = 2 * k + 3
-    for index, q in enumerate(hyper.basis):
-        info = threshold_info(q, curve, 4 * k + 5)
+    for index, pairing in enumerate(pairings):
+        info = pairing.threshold(4 * k + 5)
         if not info.at_cap:
             h, l, value = info.first_nonzero
             raise ThresholdNotExtended(
@@ -766,7 +836,7 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
                 f"{rat_to_string(value)}; the diagonal evaluation at "
                 f"order {2 * n} is not licensed"
             )
-    values = tuple(rho_pair(q, curve, n, n).value for q in hyper.basis)
+    values = tuple(pairing.rho(n, n).value for pairing in pairings)
 
     vec = rho_reduction_vector(curve, genus, n, n)
     support = _diagonal_support(genus, k)
@@ -808,6 +878,7 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
         a00_vectors=a00,
         a00_dimension=len(a00),
         codimension=hyper.dimension - len(a00),
+        pairings=pairings,
     )
 
 
@@ -888,7 +959,7 @@ def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
             value = rho_pair(basis_quadric(genus, i, j), curve, 1, 1).value
             checks.append(value)
         if any(checks):
-            raise AssertionError(
+            raise IdentityFailed(
                 "rho(Q)(xi^1 (.) xi^1) must vanish at a Weierstrass point"
             )
         return AsymptoticCertificate(
@@ -908,7 +979,9 @@ def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
     diag = diagonal_functional(genus, k - 1, curve)
     witness = None
     pair_value = None
-    for q, value in zip(diag.hyperplane.basis, diag.functional.values):
+    for q, pairing, value in zip(
+        diag.hyperplane.basis, diag.pairings, diag.functional.values
+    ):
         if value:
             witness = q
             pair_value = value
@@ -924,10 +997,10 @@ def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
         for j in present[pos:]:
             if (i, j) == (k, k):
                 continue
-            value = rho_pair(witness, curve, 2 * i + 1, 2 * j + 1).value
+            value = pairing.rho(2 * i + 1, 2 * j + 1).value
             cross.append((2 * i + 1, 2 * j + 1, value))
             if value:
-                raise AssertionError(
+                raise IdentityFailed(
                     f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
                     "must vanish below the witness threshold"
                 )

@@ -2,8 +2,9 @@
 
 Each suite recomputes the claims of one statement from scratch at the
 requested desk scale and emits one deterministic `VerificationReport`.
-Failures are reported as failing items (and the exceptional falsification
-signals are caught and converted to failing items), never masked.
+Failures are reported as failing items (and a `Falsified` signal raised by
+the diagonal or certificate computations is caught and converted to a
+failing item), never masked.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 import time
 
 from .curve import Curve, default_curve, random_curve
-from .errors import NoWitnessFound, ThresholdNotExtended
+from .errors import Falsified
 from .gaussian import (
     b_support_check,
     factorization_check,
@@ -304,7 +305,7 @@ def _suite_diagonal(
             label = f"g={genus} k={level_k} on {curve.label()}"
             try:
                 result = diagonal_functional(genus, level_k, curve)
-            except ThresholdNotExtended as exc:
+            except Falsified as exc:
                 items.append(
                     check(
                         f"{label}: diagonal evaluation licensed",
@@ -387,7 +388,7 @@ def _certify(
     )
     try:
         cert = asymptotic_classify(curve, direction)
-    except NoWitnessFound as exc:
+    except Falsified as exc:
         items.append(check(label, expected_verdict, str(exc), False))
         return
     ok = cert.verdict == expected_verdict
@@ -424,6 +425,18 @@ def _suite_certificates(
     for curve in curves:
         for direction, expected in corner:
             _certify(curve, direction, expected, items)
+    if length < 2:
+        # xi^1 spans the direction space, so no direction has top order 3
+        # or more, and rejection sampling for one would never end
+        items.append(
+            check(
+                f"g={genus} sampled directions of top order >= 3",
+                "none exist: xi^1 spans the direction space",
+                "0 sampled",
+                True,
+            )
+        )
+        samples = 0
     rng = random.Random(_mix_seed(seed, genus))
     sample_curve = curves[0]
     produced = 0

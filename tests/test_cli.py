@@ -1,10 +1,17 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import gaussmap.rho as rho
 from gaussmap.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -260,6 +267,72 @@ def test_scan_writes_deterministic_output_files(capsys, tmp_path):
     assert main(args) == 0
     capsys.readouterr()
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("scan", "--g", "3"), ("verify", "--theorem", "T6.12", "--g", "3")],
+)
+def test_genus_three_scan_ends_with_no_random_directions(argv):
+    # xi^1 spans the direction space at genus 3, so no direction of top
+    # order >= 3 exists to sample; the run must end, not search forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussmap.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True
+    (sampled,) = [c for c in report["checks"] if "sampled" in c["item"]]
+    assert sampled["got"] == "0 sampled"
+    assert any("direction (1)" in c["item"] for c in report["checks"])
+
+
+# -- falsifications are results, not crashes -----------------------------------------
+
+
+@pytest.fixture
+def faulty_jet(monkeypatch):
+    """Add 1/7 to the 0th jet of the first canonical frame function.
+
+    The cached rho results are cleared around the test, so no faulty value
+    outlives it and no earlier value hides the fault.
+    """
+    original = rho.canonical_derivatives
+
+    def patched(curve, order):
+        rows = [list(row) for row in original(curve, order)]
+        rows[0][0] += Fraction(1, 7)
+        return tuple(tuple(row) for row in rows)
+
+    cached = (rho.witness_functional, rho.witness_hyperplane, rho.diagonal_functional)
+    for function in cached:
+        function.cache_clear()
+    monkeypatch.setattr(rho, "canonical_derivatives", patched)
+    yield
+    monkeypatch.undo()
+    for function in cached:
+        function.cache_clear()
+
+
+def test_a_faulty_jet_gives_failing_scan_items_and_exit_one(capsys, faulty_jet):
+    code, out, err = run(capsys, "scan", "--g", "4", "--samples", "3")
+    assert code == 1
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["passed"] is False
+    failing = [c for c in report["checks"] if not c["ok"]]
+    assert failing
+    assert all("rho symmetry failed" in c["got"] for c in failing)
+    assert any("direction (1,0)" in c["item"] and c["ok"] for c in report["checks"])
+
+
+def test_a_falsification_outside_a_report_item_exits_one(capsys, faulty_jet):
+    code, out, err = run(capsys, "verify", "--theorem", "T6.6", "--g", "4", "--samples", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("gaussmap: falsified: rho symmetry failed")
 
 
 # -- argparse-level usage errors -----------------------------------------------------

@@ -195,6 +195,34 @@ def test_dot_is_bilinear_on_samples():
     assert dot(u, tuple(a + b for a, b in zip(v, w))) == dot(u, v) + dot(u, w)
 
 
+sparse_rationals = st.one_of(st.just(F(0)), rationals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.lists(sparse_rationals, min_size=n, max_size=n),
+            st.lists(sparse_rationals, min_size=n, max_size=n),
+        )
+    )
+)
+def test_dot_equals_the_plain_sum_on_sparse_vectors(pair):
+    u, v = (tuple(x) for x in pair)
+    expected = sum((a * b for a, b in zip(u, v)), F(0))
+    got = dot(u, v)
+    assert got == expected and isinstance(got, Fraction)
+
+
+def test_dot_rejects_a_length_mismatch():
+    from gaussmap.errors import IndexOutOfRange
+
+    with pytest.raises(IndexOutOfRange):
+        dot((F(0), F(1)), (F(0),))
+    with pytest.raises(IndexOutOfRange):
+        dot((), (F(0),))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

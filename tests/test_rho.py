@@ -7,6 +7,7 @@ value would depend on the chosen coordinate and BeyondThreshold is
 raised instead.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmap.curve import default_curve, random_curve
+from gaussmap.curve import canonical_derivatives, default_curve, random_curve
 from gaussmap.errors import BeyondThreshold, InvalidIndex
 from gaussmap.gaussian import kernel_dimension_formula, kernel_via_equations
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
 from gaussmap.rho import (
+    Pairing,
     RhoValue,
     SchifferIndex,
     asymptotic_classify,
@@ -39,6 +41,7 @@ from gaussmap.rho import (
     witness_functional,
     witness_hyperplane,
 )
+from gaussmap.rho import _sym_entries
 
 F = Fraction
 
@@ -72,6 +75,40 @@ def test_pairing_is_symmetric_and_even_supported():
             assert value == derivative_sum(q, c, l, h)
             if h % 2 or l % 2:
                 assert value == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(small_rats, min_size=6, max_size=6),
+    st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=12
+    ),
+)
+def test_pairing_matrix_equals_the_plain_double_sum(coords, requests):
+    # entries asked for in any order, repeated, and with the jet table
+    # growing between them, equal sum_ab c_ab g_a^(h)(0) g_b^(l)(0)
+    c = random_curve(5, random.Random(11))
+    q = quadric_from_vector(5, [F(x) for x in coords])
+    tensor = q.sym_tensor()
+    table = canonical_derivatives(c, 12)
+    pairing = Pairing(q, c)
+    for h, l in requests + requests[::-1]:
+        expected = sum(
+            (
+                tensor[a][b] * table[a][h] * table[b][l]
+                for a in range(5)
+                for b in range(5)
+            ),
+            F(0),
+        )
+        assert pairing(h, l) == expected == derivative_sum(q, c, l, h)
+
+
+def test_pairing_layer_keeps_no_module_cache_keyed_on_quadrics():
+    assert not hasattr(derivative_sum, "cache_info")
+    assert not hasattr(_sym_entries, "cache_info")
+    with pytest.raises(InvalidIndex):
+        Pairing(basis_quadric(4, 1, 3), default_curve(4))(-1, 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -261,6 +298,10 @@ def test_diagonal_functional_and_second_hyperplane():
     assert d.functional.closed_form_ok
     assert d.codimension == 1
     assert d.a00_dimension == 4
+    # the pairings ride along for later rho evaluations, outside eq and repr
+    assert [p.quadric for p in d.pairings] == list(d.hyperplane.basis)
+    assert "pairings" not in repr(d)
+    assert dataclasses.replace(d, pairings=()) == d
     empty = diagonal_functional(3, 0, default_curve(3))
     assert empty.functional.support == ()
     assert empty.codimension == 0
