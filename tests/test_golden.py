@@ -2,8 +2,8 @@
 
 The files in ``tests/golden/`` pin the exact bytes of the rank table, the
 canonical kernel bases of both kernel routes at genus 9, the odd-map ranks
-and kernel bases for genus 3..9, the isotropy, witness and diagonal reports
-(T6.5, T6.6, T6.9) for genus 3..7, one seeded direction scan, and single
+and kernel bases for genus 3..9, the report of every theorem suite for
+genus 3..7, one seeded direction scan, and single
 ``rho`` values: licensed zero and nonzero values and ``BeyondThreshold``
 payloads. Reruns of one build are already checked to agree elsewhere; these
 files also catch a change that alters an answer the same way on every run.
@@ -27,7 +27,7 @@ from gaussmap.rationals import rat_to_string
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 KERNEL_GENUS = 9
-THEOREMS = ("T6.5", "T6.6", "T6.9")
+THEOREMS = ("T3.1", "L3.4", "L6.2", "T6.5", "T6.6", "T6.9", "T6.12", "R4.1")
 THEOREM_GENERA = "3..7"
 SCAN = ("scan", "--g", "6", "--seed", "7")
 # (file tag, genus, quadric, pair): licensed nonzero and zero values, and
