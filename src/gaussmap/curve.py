@@ -14,27 +14,44 @@ Everything downstream consumes exact jet data at p:
   over x = infinity), for k = 1..g-1, written in the frame z^2 dz, give
   local functions  x^{g-k} x' / z^3  of order 2g-2k-2.
 
-Because x is even in z, all of these expansions are computed internally
-in the variable w = z^2 (halving series lengths) and re-expanded or read
-off as z-jets on demand. Tables of high-order derivatives at z = 0 are
-cached per curve; the cache only ever grows and is semantically invisible.
+Because x is even in z, all of these are expansions in w = z^2. Each curve
+owns one `Jets` value (``curve.jets``) that solves x * G(x) = w over the
+integers. Let E be the lcm of the denominators of G's coefficients,
+Ghat = E * G in Z[x] with coefficients gh_m, and gh_0 = Ghat(0). With
+s = lambda * w, lambda = E / gh_0^2 and x = gh_0 * s * Y(s), the equation
+becomes
+
+    Y * sum_{m >= 0} c_m (s Y)^m = 1,   c_m = gh_m * gh_0^(m-1)  (c_0 = 1),
+
+so Y in Z[[s]] and Y_n = -sum_{m=1}^{min(2g+1, n)} c_m [s^(n-m)] Y^(m+1)
+(Hensel lifting). The canonical row i has w-coefficient
+2 gh_0^(i+1) lambda^(n+1) [s^(n-i)] (Y^i (sY)') at w^n. `Jets` extends Y,
+its powers and these integer rows one coefficient at a time from stored
+state, so a larger order never restarts the solve; each new coefficient
+is also checked against x * G(x) = w through a Horner evaluation that
+does not use the power table. Only the coefficients handed out become
+Fractions, and each is made once per curve. The module-level readers
+below are thin views of ``curve.jets``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
+from operator import mul
 
 from .errors import (
     DuplicateBranchPoint,
     FirstBranchPointNotZero,
+    IdentityFailed,
     IndexOutOfRange,
     InvalidIndex,
     TooFewBranchPoints,
 )
-from .poly import Poly, poly_derivative
+from .poly import Poly
 from .rationals import rat_from_string, rat_to_string
 from .series import TruncatedSeries
 
@@ -44,7 +61,6 @@ class Curve:
     """Immutable hyperelliptic curve given by its branch points."""
 
     branch_points: tuple[Fraction, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def genus(self) -> int:
@@ -62,6 +78,11 @@ class Curve:
         for t in self.branch_points[1:]:
             acc *= -t
         return acc
+
+    @cached_property
+    def jets(self) -> "Jets":
+        """The exact local expansions at p, extended as they are asked for."""
+        return Jets(self)
 
     def label(self) -> str:
         return "[" + ", ".join(rat_to_string(t) for t in self.branch_points) + "]"
@@ -122,86 +143,153 @@ def curve_from_json(data) -> Curve:
     return new_curve(data["branch_points"])
 
 
+
+
 # -- local expansions -------------------------------------------------------
 
+ZERO = Fraction(0)
 
-def _x_series_w(curve: Curve, order_w: int) -> TruncatedSeries:
-    """Solve X(w) * G(X(w)) = w by Newton iteration, in the variable w = z^2.
 
-    The seed w/G(0) is correct through order 2 and Newton doubles the
-    number of correct coefficients each round; the residual is asserted
-    to vanish identically at the working order before returning.
+def _hensel_weights(ghat: tuple[int, ...]) -> tuple[int, ...]:
+    """c_m = gh_m * gh_0^(m-1) for m = 0..deg Ghat; c_0 = 1."""
+    g0 = ghat[0]
+    return (1,) + tuple(c * g0 ** (m - 1) for m, c in enumerate(ghat) if m)
+
+
+def _convolve(a: list[int], b: list[int], n: int) -> int:
+    """[s^n] of the product of two series known through s^n."""
+    return sum(map(mul, a[: n + 1], b[n::-1]))
+
+
+class Jets:
+    """Exact local expansions at p of one curve, extended on demand.
+
+    The integer state (Y, its powers Y^0..Y^(2g+2), the canonical rows
+    [s^m] Y^i (sY)' and the Horner stages of the residual check) grows one
+    coefficient at a time. The Fraction coefficients and jets handed out
+    are kept, so every table is a prefix of any later, larger one.
     """
-    cached = curve._cache.get("x_w")
-    if cached is not None and cached.truncation >= order_w:
-        return cached.truncate(order_w)
-    gpoly = curve.moduli_polynomial()
-    gprime = poly_derivative(gpoly)
-    g0 = curve.g_at_zero()
-    w = TruncatedSeries.monomial(1, 1, truncation=order_w)
-    x = TruncatedSeries.make((Fraction(0), 1 / g0), 2)
-    correct = 2
-    while correct < order_w:
-        correct = min(2 * correct, order_w)
-        x = x.truncate(correct) if x.truncation > correct else TruncatedSeries.make(x.coeffs, correct)
-        gx = x.compose_poly(gpoly).truncate(correct)
-        gpx = x.compose_poly(gprime).truncate(correct)
-        residual = (x * gx - w.truncate(correct)).truncate(correct)
-        slope = (gx + x * gpx).truncate(correct)
-        x = (x - residual * slope.inverse(correct)).truncate(correct)
-    final = (x * x.compose_poly(gpoly).truncate(order_w) - w).truncate(order_w)
-    if not final.is_zero_to_truncation():
-        raise IndexOutOfRange("local solve failed to converge at the working order")
-    curve._cache["x_w"] = x
-    return x
 
+    def __init__(self, curve: Curve) -> None:
+        gpoly = curve.moduli_polynomial()
+        scale = lcm(*(c.denominator for c in gpoly.coeffs))
+        ghat = tuple(c.numerator * (scale // c.denominator) for c in gpoly.coeffs)
+        self.genus = curve.genus
+        self._ghat = ghat
+        self._g0 = ghat[0]
+        self._scale = scale
+        self._weights = _hensel_weights(ghat)
+        self._y: list[int] = []
+        self._dy: list[int] = []  # (sY)' = sum (n+1) Y_n s^n
+        self._powers: list[list[int]] = [[] for _ in range(len(ghat) + 1)]
+        self._horner: list[list[int]] = [[] for _ in ghat]
+        self._rows: list[list[int]] = [[] for _ in range(self.genus)]
+        self._x: list[Fraction] = []
+        self._canonical_w: list[list[Fraction]] = [[] for _ in range(self.genus)]
+        self._canonical: list[list[Fraction]] = [[] for _ in range(self.genus)]
 
-def _canonical_rows_w(curve: Curve, order_w: int) -> tuple[TruncatedSeries, ...]:
-    """w-expansions of the canonical frame functions x^i x'/z, i = 0..g-1.
-
-    In w-form: x'/z = 2 dX/dw, so row i is X^i * 2X'(w). Row i has exact
-    w-valuation i (z-valuation 2i), which is asserted.
-    """
-    genus = curve.genus
-    # every row's w-valuation (at most genus) must be visible at the
-    # working order, whatever jet range the caller asked for
-    order_w = max(order_w, genus + 2)
-    cached = curve._cache.get("k_rows")
-    if cached is not None and cached[0] >= order_w:
-        return tuple(r.truncate(order_w) for r in cached[1])
-    x = _x_series_w(curve, order_w + 1)
-    base = x.derivative().scale(2).truncate(order_w)
-    rows: list[TruncatedSeries] = []
-    power = TruncatedSeries.make((Fraction(1),), None)
-    for i in range(genus):
-        row = (power * base).truncate(order_w)
-        if row.valuation() != i:
-            raise IndexOutOfRange(
-                f"canonical function {i} has unexpected vanishing order"
+    def _extend(self, count: int) -> None:
+        """Know Y_0 .. Y_(count-1), and the rows and powers as far."""
+        y, powers = self._y, self._powers
+        while len(y) < count:
+            n = len(y)
+            value = 1 if n == 0 else -sum(
+                c * powers[m + 1][n - m]
+                for m, c in enumerate(self._weights[1 : n + 1], start=1)
             )
-        rows.append(row)
-        power = power * x
-    frozen = tuple(rows)
-    curve._cache["k_rows"] = (order_w, frozen)
-    return frozen
+            y.append(value)
+            self._dy.append((n + 1) * value)
+            powers[0].append(1 if n == 0 else 0)
+            powers[1].append(value)
+            for k in range(2, len(powers)):
+                powers[k].append(_convolve(y, powers[k - 1], n))
+            for i, row in enumerate(self._rows):
+                row.append(_convolve(powers[i], self._dy, n))
+            self._check(n)
+
+    def _check(self, n: int) -> None:
+        """x * Ghat(x) = gh_0^2 s at s^(n+1), x = gh_0 s Y, by Horner in Ghat.
+
+        Stage m holds Ghat_m + x * (stage m+1); stage 0 is Ghat(x). This
+        reads Y and Ghat only, never the power table or the weights c_m.
+        """
+        y, g0, stages = self._y, self._g0, self._horner
+        top = len(stages) - 1
+        for m in range(top, -1, -1):
+            value = self._ghat[m] if n == 0 else 0
+            if n and m < top:
+                value += g0 * _convolve(y, stages[m + 1], n - 1)
+            stages[m].append(value)
+        if _convolve(y, stages[0], n) != (g0 if n == 0 else 0):
+            raise IdentityFailed(
+                f"x * G(x) = z^2 fails at z^{2 * n + 2}: the local solve is wrong"
+            )
+
+    def x_w(self, count: int) -> tuple[Fraction, ...]:
+        """w-coefficients of x, w^0 .. w^(count-1): E^n Y_(n-1) / gh_0^(2n-1)."""
+        out = self._x
+        if len(out) < count:
+            self._extend(count - 1)
+            for n in range(len(out), count):
+                out.append(
+                    ZERO if n == 0 else
+                    Fraction(self._scale**n * self._y[n - 1], self._g0 ** (2 * n - 1))
+                )
+        return tuple(out[:count])
+
+    def canonical_w(self, count: int) -> tuple[tuple[Fraction, ...], ...]:
+        """w-coefficients of x^i x'/z, i = 0..g-1, w^0 .. w^(count-1).
+
+        Row i at w^n is 2 E^(n+1) [s^(n-i)] (Y^i (sY)') / gh_0^(2n+1-i).
+        """
+        self._extend(count)
+        for i, (out, row) in enumerate(zip(self._canonical_w, self._rows)):
+            for n in range(len(out), count):
+                out.append(
+                    ZERO if n < i else
+                    Fraction(
+                        2 * self._scale ** (n + 1) * row[n - i],
+                        self._g0 ** (2 * n + 1 - i),
+                    )
+                )
+        return tuple(tuple(out[:count]) for out in self._canonical_w)
+
+    @property
+    def canonical_order(self) -> int:
+        """The largest jet order of the canonical table made so far (-1: none)."""
+        return len(self._canonical[0]) - 1
+
+    def canonical(self, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Row i, column h: d^h/dz^h at 0 of x^i x'/z."""
+        start = len(self._canonical[0])
+        if max_order >= start:
+            coeffs = self.canonical_w(max_order // 2 + 1)
+            for out, row in zip(self._canonical, coeffs):
+                out.extend(_jet(row, h) for h in range(start, max_order + 1))
+        return tuple(tuple(out[: max_order + 1]) for out in self._canonical)
 
 
-def _even_to_z(series_w: TruncatedSeries, order_z: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)] * order_z
-    for m, c in enumerate(series_w.coeffs):
-        if 2 * m < order_z:
-            coeffs[2 * m] = c
-    if series_w.truncation is not None and 2 * series_w.truncation < order_z:
-        raise IndexOutOfRange("w-expansion too short for requested z order")
-    return TruncatedSeries.make(coeffs, order_z)
+def _jet(coeffs_w, h: int) -> Fraction:
+    """The h-th z-derivative at 0 of the even series with these w-coefficients."""
+    return ZERO if h % 2 else coeffs_w[h // 2] * factorial(h)
+
+
+def _jets(coeffs_w, max_order: int) -> tuple[Fraction, ...]:
+    return tuple(_jet(coeffs_w, h) for h in range(max_order + 1))
+
+
+def _z_series(coeffs_w, order: int) -> TruncatedSeries:
+    """The even z-series with these w-coefficients, truncated at z^order."""
+    coeffs = [ZERO] * order
+    coeffs[::2] = coeffs_w[: (order + 1) // 2]
+    return TruncatedSeries.make(coeffs, order)
 
 
 def x_of_z(curve: Curve, order: int) -> TruncatedSeries:
     """The even series x(z) to the requested z-truncation order."""
     if order < 1:
         raise IndexOutOfRange("order must be positive")
-    order_w = order // 2 + 1
-    return _even_to_z(_x_series_w(curve, order_w), order)
+    return _z_series(curve.jets.x_w((order + 1) // 2), order)
 
 
 @dataclass(frozen=True)
@@ -221,9 +309,9 @@ def expand_canonical(curve: Curve, i: int, order: int) -> LocalFrameExpansion:
         raise IndexOutOfRange(f"canonical index {i} outside 0..{genus - 1}")
     if order < 2 * i + 1:
         raise IndexOutOfRange("order too small to exhibit the vanishing order")
-    rows = _canonical_rows_w(curve, order // 2 + 1)
+    row = curve.jets.canonical_w((order + 1) // 2)[i]
     return LocalFrameExpansion(
-        frame="dz", index=i, valuation=2 * i, series=_even_to_z(rows[i], order)
+        frame="dz", index=i, valuation=2 * i, series=_z_series(row, order)
     )
 
 
@@ -232,20 +320,20 @@ def expand_omega(curve: Curve, k: int, order: int) -> LocalFrameExpansion:
 
     omega_k = x^{g-k} dx/y carries a double zero at each point over
     x = infinity; its local function in the frame z^2 dz is
-    x^{g-k} x'/z^3, of exact order 2g-2k-2.
+    x^{g-k} x'/z^3, of exact order 2g-2k-2: row g-k of the canonical
+    table shifted down by one power of w.
     """
     genus = curve.genus
     if not 1 <= k <= genus - 1:
         raise IndexOutOfRange(f"omega index {k} outside 1..{genus - 1}")
     if order < 2 * genus - 2 * k - 1:
         raise IndexOutOfRange("order too small to exhibit the vanishing order")
-    rows = _canonical_rows_w(curve, order // 2 + 2)
-    shifted = rows[genus - k].shift_down(1)
+    row = curve.jets.canonical_w((order + 1) // 2 + 1)[genus - k][1:]
     return LocalFrameExpansion(
         frame="z^2 dz",
         index=k,
         valuation=2 * genus - 2 * k - 2,
-        series=_even_to_z(shifted, order),
+        series=_z_series(row, order),
     )
 
 
@@ -255,55 +343,16 @@ def canonical_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction,
     Odd columns vanish identically (the functions are even); they are
     stored anyway so callers can index by derivative order directly.
     """
-    key = "k_derivs"
-    cached = curve._cache.get(key)
-    if cached is not None and cached[0] >= max_order:
-        return tuple(tuple(row[: max_order + 1]) for row in cached[1])
-    order_w = max_order // 2 + 2
-    rows = _canonical_rows_w(curve, order_w)
-    table = []
-    for row in rows:
-        jets = []
-        for h in range(max_order + 1):
-            if h % 2 == 1:
-                jets.append(Fraction(0))
-            else:
-                jets.append(row.coefficient(h // 2) * factorial(h))
-        table.append(tuple(jets))
-    frozen = tuple(table)
-    curve._cache[key] = (max_order, frozen)
-    return frozen
+    return curve.jets.canonical(max_order)
 
 
 def omega_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact jets of the omega frame functions; row k-1 is omega_k."""
     genus = curve.genus
-    order_w = max_order // 2 + 3
-    rows = _canonical_rows_w(curve, order_w)
-    table = []
-    for k in range(1, genus):
-        shifted = rows[genus - k].shift_down(1)
-        if shifted.valuation() != genus - k - 1:
-            raise IndexOutOfRange(
-                f"omega function {k} has unexpected vanishing order"
-            )
-        jets = []
-        for h in range(max_order + 1):
-            if h % 2 == 1:
-                jets.append(Fraction(0))
-            else:
-                jets.append(shifted.coefficient(h // 2) * factorial(h))
-        table.append(tuple(jets))
-    return tuple(table)
+    rows = curve.jets.canonical_w(max_order // 2 + 2)
+    return tuple(_jets(rows[genus - k][1:], max_order) for k in range(1, genus))
 
 
 def x_derivatives(curve: Curve, max_order: int) -> tuple[Fraction, ...]:
     """Exact jets of the coordinate function x(z) itself at z = 0."""
-    x = _x_series_w(curve, max_order // 2 + 2)
-    out = []
-    for h in range(max_order + 1):
-        if h % 2 == 1:
-            out.append(Fraction(0))
-        else:
-            out.append(x.coefficient(h // 2) * factorial(h))
-    return tuple(out)
+    return _jets(curve.jets.x_w(max_order // 2 + 1), max_order)

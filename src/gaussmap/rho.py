@@ -162,8 +162,10 @@ class Pairing:
     C is the quadric's symmetric tensor and column T_l holds the l-th jets
     of the canonical frame functions, so D(h, l) = T_h . V_l with
     V_l = C T_l. Only the nonzero rows of C are kept, each V_l is built
-    once, each entry is computed once (D is symmetric), and the jet table
-    is fetched again only when a larger order is asked for.
+    once, and each entry is computed once (D is symmetric). The jet table
+    is fetched again only when a larger order is asked for, and then with
+    every column the curve already holds, so pairings after the first on
+    a curve rarely fetch twice; no jet beyond the order asked for is made.
     """
 
     def __init__(self, q: QuadricI2, curve: Curve) -> None:
@@ -188,8 +190,8 @@ class Pairing:
         if l < 0:
             raise InvalidIndex("derivative orders must be non-negative")
         if h > self._order:
-            self._table = canonical_derivatives(self.curve, h)
-            self._order = h
+            self._order = max(h, self.curve.jets.canonical_order)
+            self._table = canonical_derivatives(self.curve, self._order)
         table = self._table
         column = self._columns.get(l)
         if column is None:
@@ -1120,10 +1122,17 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     x = x_of_z(curve, order)
     xprime = x.derivative()
     frame = xprime * xprime * xprime.shift_down(1) * xprime.shift_down(1)
+    # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2),
+    # so each composite is a combination of these instead of a Horner pass
+    framed = [frame]
+    for _ in range(2 * genus - 2):
+        framed.append(framed[-1] * x)
     expansions = [
         expand_canonical(curve, i, max(order + 2, 2 * genus + 1)).series
         for i in range(genus)
     ]
+    second = [e.derivative().derivative() for e in expansions]
+    products: dict[tuple[int, int], TruncatedSeries] = {}
     labels = []
     rho_values = []
     vanishes = []
@@ -1134,10 +1143,18 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
         labels.append(q.label())
         rho_values.append(rho_pair(q, curve, 1, 1).value)
         poly = mu_eval_polynomial(q, 1)
-        composite = x.compose_poly(poly) * frame
+        composite = None
+        for m, c in enumerate(poly.coeffs):
+            if c:
+                term = framed[m].scale(c)
+                composite = term if composite is None else composite + term
+        if composite is None:
+            composite = TruncatedSeries.zero(truncation=x.truncation) * frame
         zrep = TruncatedSeries.zero(truncation=order)
         for a, b, coeff in _sym_entries(q):
-            term = expansions[a].derivative().derivative() * expansions[b]
+            term = products.get((a, b))
+            if term is None:
+                term = products[(a, b)] = second[a] * expansions[b]
             zrep = zrep + term.scale(coeff)
         limit = min(composite.truncation, zrep.truncation)
         compared = min(compared, limit)

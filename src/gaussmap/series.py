@@ -40,7 +40,7 @@ class TruncatedSeries:
 
     @classmethod
     def make(cls, coeffs, truncation: int | None) -> "TruncatedSeries":
-        frozen = tuple(Fraction(c) for c in coeffs)
+        frozen = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         if truncation is None:
             return cls(_strip(frozen), None)
         if truncation < 0:

@@ -4,6 +4,10 @@ The local coordinate is z = y, and x(z) is the even power series solving
 x * G(x) = z^2, where G is the branch polynomial with its root at 0
 removed.  All expansions are even in z; derivative tables list exact
 z-derivatives at 0 with odd columns identically zero.
+
+The program solves x * G(x) = z^2 over the integers by Hensel lifting.
+The independent route kept here is a Fraction Newton iteration with the
+row builder x^i * 2 dx/dw; every table must agree with it exactly.
 """
 
 import math
@@ -14,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussmap.curve as curve_module
+from gaussmap.cli import main
 from gaussmap.curve import (
     canonical_derivatives,
     curve_from_json,
@@ -21,6 +27,7 @@ from gaussmap.curve import (
     expand_canonical,
     expand_omega,
     new_curve,
+    omega_derivatives,
     random_curve,
     x_derivatives,
     x_of_z,
@@ -28,10 +35,13 @@ from gaussmap.curve import (
 from gaussmap.errors import (
     DuplicateBranchPoint,
     FirstBranchPointNotZero,
+    IdentityFailed,
     IndexOutOfRange,
     InvalidIndex,
     TooFewBranchPoints,
 )
+from gaussmap.poly import poly_derivative
+from gaussmap.series import TruncatedSeries
 
 F = Fraction
 
@@ -196,3 +206,139 @@ def test_derivative_tables_are_monotone_in_order():
     large = canonical_derivatives(c, 12)
     for i in range(c.genus):
         assert large[i][: len(small[i])] == small[i]
+
+
+# -- the independent Fraction Newton route --------------------------------------------
+
+
+def _x_series_w(curve, order_w):
+    """Solve X(w) * G(X(w)) = w by Newton iteration, in the variable w = z^2.
+
+    The seed w/G(0) is correct through order 2 and Newton doubles the
+    number of correct coefficients each round; the residual is asserted
+    to vanish identically at the working order before returning.
+    """
+    gpoly = curve.moduli_polynomial()
+    gprime = poly_derivative(gpoly)
+    g0 = curve.g_at_zero()
+    w = TruncatedSeries.monomial(1, 1, truncation=order_w)
+    x = TruncatedSeries.make((Fraction(0), 1 / g0), 2)
+    correct = 2
+    while correct < order_w:
+        correct = min(2 * correct, order_w)
+        x = x.truncate(correct) if x.truncation > correct else TruncatedSeries.make(x.coeffs, correct)
+        gx = x.compose_poly(gpoly).truncate(correct)
+        gpx = x.compose_poly(gprime).truncate(correct)
+        residual = (x * gx - w.truncate(correct)).truncate(correct)
+        slope = (gx + x * gpx).truncate(correct)
+        x = (x - residual * slope.inverse(correct)).truncate(correct)
+    final = (x * x.compose_poly(gpoly).truncate(order_w) - w).truncate(order_w)
+    if not final.is_zero_to_truncation():
+        raise IndexOutOfRange("local solve failed to converge at the working order")
+    return x
+
+
+def _canonical_rows_w(curve, order_w):
+    """w-expansions of the canonical frame functions x^i x'/z, i = 0..g-1.
+
+    In w-form: x'/z = 2 dX/dw, so row i is X^i * 2X'(w). Row i has exact
+    w-valuation i (z-valuation 2i), which is asserted.
+    """
+    genus = curve.genus
+    # every row's w-valuation (at most genus) must be visible at the
+    # working order, whatever jet range the caller asked for
+    order_w = max(order_w, genus + 2)
+    x = _x_series_w(curve, order_w + 1)
+    base = x.derivative().scale(2).truncate(order_w)
+    rows = []
+    power = TruncatedSeries.make((Fraction(1),), None)
+    for i in range(genus):
+        row = (power * base).truncate(order_w)
+        if row.valuation() != i:
+            raise IndexOutOfRange(
+                f"canonical function {i} has unexpected vanishing order"
+            )
+        rows.append(row)
+        power = power * x
+    return tuple(rows)
+
+
+def _oracle_jets(series_w, max_order):
+    return tuple(
+        Fraction(0) if h % 2 else series_w.coefficient(h // 2) * math.factorial(h)
+        for h in range(max_order + 1)
+    )
+
+
+def assert_jets_match_oracle(curve, order_w):
+    """x, canonical and omega jet tables equal the Newton route's at w-order order_w."""
+    genus = curve.genus
+    top = 2 * order_w - 2
+    x = _x_series_w(curve, order_w)
+    rows = _canonical_rows_w(curve, order_w)
+    assert x_derivatives(curve, top) == _oracle_jets(x, top)
+    assert canonical_derivatives(curve, top) == tuple(
+        _oracle_jets(row, top) for row in rows
+    )
+    assert omega_derivatives(curve, top - 2) == tuple(
+        _oracle_jets(rows[genus - k].shift_down(1), top - 2)
+        for k in range(1, genus)
+    )
+
+
+@pytest.mark.parametrize("genus", range(3, 13))
+def test_jets_equal_the_newton_route_at_w_order_26(genus):
+    assert_jets_match_oracle(default_curve(genus), 26)
+    assert_jets_match_oracle(random_curve(genus, random.Random(genus)), 26)
+
+
+_branch_point = st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(
+    lambda t: t != 0
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_branch_point, min_size=7, max_size=9, unique=True).filter(
+    lambda points: len(points) % 2 == 1
+))
+def test_jets_equal_the_newton_route_on_rational_branch_points(points):
+    curve = new_curve([0, *points])
+    assert_jets_match_oracle(curve, 9)
+
+
+def test_a_larger_order_extends_the_tables_of_a_smaller_one():
+    for curve, again in (
+        (default_curve(5), default_curve(5)),
+        (random_curve(6, random.Random(3)), random_curve(6, random.Random(3))),
+    ):
+        canonical_derivatives(curve, 9)
+        x_derivatives(curve, 6)
+        expand_omega(curve, curve.genus - 1, 3)
+        assert canonical_derivatives(curve, 40) == canonical_derivatives(again, 40)
+        assert x_derivatives(curve, 44) == x_derivatives(again, 44)
+        assert omega_derivatives(curve, 36) == omega_derivatives(again, 36)
+        assert x_of_z(curve, 31) == x_of_z(again, 31)
+
+
+_HENSEL_WEIGHTS = curve_module._hensel_weights
+
+
+def _bumped_weights(ghat):
+    weights = list(_HENSEL_WEIGHTS(ghat))
+    weights[1] += 1
+    return tuple(weights)
+
+
+def test_a_wrong_hensel_weight_fails_the_residual_check(monkeypatch):
+    monkeypatch.setattr(curve_module, "_hensel_weights", _bumped_weights)
+    with pytest.raises(IdentityFailed, match="x \\* G\\(x\\) = z\\^2 fails at z\\^4"):
+        canonical_derivatives(default_curve(3), 8)
+
+
+def test_a_wrong_hensel_weight_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(curve_module, "_hensel_weights", _bumped_weights)
+    code = main(["verify", "--theorem", "R4.1", "--g", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("gaussmap: falsified: x * G(x) = z^2 fails")
+    assert "Traceback" not in err
