@@ -85,6 +85,12 @@ class IdentityFailed(Falsified):
     the two endpoint sums of one rho evaluation disagree."""
 
 
+class PairNotLicensed(Falsified):
+    """A rho pair that the statement under test licenses is blocked by a
+    nonzero pairing of lower total order. Outside a statement (the `rho`
+    command) the same block is a `BeyondThreshold` outcome, not a result."""
+
+
 class InvalidIndex(GaussmapError):
     """A structured index (odd-order label, direction vector, method name)
     is malformed."""

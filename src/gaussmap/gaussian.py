@@ -41,7 +41,13 @@ from functools import lru_cache
 from math import comb
 
 from .curve import Curve, canonical_derivatives
-from .errors import IndexOutOfRange, InvalidIndex, NotInKernel, NotInPreviousKernel
+from .errors import (
+    IdentityFailed,
+    IndexOutOfRange,
+    InvalidIndex,
+    NotInKernel,
+    NotInPreviousKernel,
+)
 from .linalg import RatMatrix, Vector, kernel_basis, matrix_rank
 from .poly import Poly, falling
 from .quadrics import QuadricI2, quadric_space_dimension, sym_pairs, wedge_pairs
@@ -311,13 +317,28 @@ def rank_table(g_min: int, g_max: int, k_filter: int | None = None) -> RankTable
 # -- evaluation polynomials and the factorization identity -------------------
 
 
+def _mu_representative(q: QuadricI2, k: int, n: int) -> Poly:
+    """(-1)^n sum c_ab f_a^(2k-n) f_b^(n): the representative with n
+    derivatives on the second factor."""
+    genus = q.genus
+    sign = -1 if n % 2 else 1
+    coeffs = [Fraction(0)] * (2 * genus - 1)
+    for (i, j), a in zip(sym_pairs(genus), q.a_coords):
+        if a == 0:
+            continue
+        for alpha, beta, weight in _c_entries(i, j):
+            t = falling(alpha, 2 * k - n) * falling(beta, n)
+            if t:
+                coeffs[alpha + beta - 2 * k] += sign * a * weight * t
+    return Poly.from_coeffs(coeffs)
+
+
 def mu_eval_polynomial(q: QuadricI2, k: int, check_membership: bool = True) -> Poly:
     """x-chart polynomial representing mu_2k on a quadric.
 
-    The representative with n derivatives on the second factor is
-    (-1)^n sum c_ab f_a^(2k-n) f_b^(n); on the correct domain (the
-    previous kernel) the representatives for n in {0, k, 2k} coincide,
-    and this is asserted, not assumed.
+    On the correct domain (the previous kernel) the representatives with
+    n in {0, k, 2k} derivatives on the second factor coincide; this is
+    checked, not assumed, and a mismatch raises `IdentityFailed`.
     """
     if k < 0:
         raise IndexOutOfRange(f"level must be nonnegative, got {k}")
@@ -325,26 +346,11 @@ def mu_eval_polynomial(q: QuadricI2, k: int, check_membership: bool = True) -> P
         raise NotInPreviousKernel(
             f"quadric is not in the level-{k - 1} kernel; mu_{2 * k} undefined on it"
         )
-    genus = q.genus
-    pairs = sym_pairs(genus)
-
-    def rep(n: int) -> Poly:
-        sign = -1 if n % 2 else 1
-        coeffs = [Fraction(0)] * (2 * genus - 1)
-        for (i, j), a in zip(pairs, q.a_coords):
-            if a == 0:
-                continue
-            for alpha, beta, weight in _c_entries(i, j):
-                t = falling(alpha, 2 * k - n) * falling(beta, n)
-                if t:
-                    coeffs[alpha + beta - 2 * k] += sign * a * weight * t
-        return Poly.from_coeffs(coeffs)
-
-    reps = {n: rep(n) for n in sorted({0, k, 2 * k})}
-    first = reps[0]
-    for n, p in reps.items():
+    first = _mu_representative(q, k, 0)
+    for n in sorted({k, 2 * k} - {0}):
+        p = _mu_representative(q, k, n)
         if p != first:
-            raise AssertionError(
+            raise IdentityFailed(
                 f"representative mismatch for mu_{2 * k}: n=0 gives {first.to_string()}, "
                 f"n={n} gives {p.to_string()}"
             )

@@ -31,10 +31,14 @@ a quadric.
 
 An exact identity that fails here (the two endpoint sums of a rho value,
 a value forced to zero) raises `IdentityFailed`, a `Falsified` error.
+Where a statement under test licenses a pair (the isotropy, witness and
+certificate computations), a `BeyondThreshold` refutes that statement and
+is raised as `PairNotLicensed`, also a `Falsified` error.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +57,7 @@ from .errors import (
     IdentityFailed,
     InvalidIndex,
     NoWitnessFound,
+    PairNotLicensed,
     ThresholdNotExtended,
 )
 from .gaussian import b_support_check, kernel_via_equations, mu_eval_polynomial
@@ -296,6 +301,16 @@ class Pairing:
         return RhoValue(n=n, r=r, value=value, licensing_threshold=licensing)
 
 
+@contextmanager
+def _licensed():
+    """Inside, the statement under test licenses every rho pair evaluated,
+    so a pair blocked by a lower pairing refutes it."""
+    try:
+        yield
+    except BeyondThreshold as exc:
+        raise PairNotLicensed(str(exc)) from None
+
+
 def derivative_sum(q: QuadricI2, curve: Curve, h: int, l: int) -> Fraction:
     """D(h, l): the (h, l) derivative pairing of the quadric at p."""
     return Pairing(q, curve)(h, l)
@@ -465,7 +480,8 @@ def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
     for index, pairing in enumerate(pairings):
         for n in range(1, 4 * k + 4, 2):
             for r in range(n, 4 * k + 4 - n, 2):
-                value = pairing.rho(n, r).value
+                with _licensed():
+                    value = pairing.rho(n, r).value
                 checks.append((index, n, r, value))
                 if value:
                     failures.append(
@@ -654,7 +670,8 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     _require_level(genus, k)
     quads = _kernel_quadrics(genus, k)
     n, r = 2 * k + 3, 2 * k + 1
-    values = tuple(rho_pair(q, curve, n, r).value for q in quads)
+    with _licensed():
+        values = tuple(rho_pair(q, curve, n, r).value for q in quads)
 
     vec = rho_reduction_vector(curve, genus, n, r)
     support = _witness_support(genus, k)
@@ -903,7 +920,7 @@ class AsymptoticCertificate:
     def __post_init__(self) -> None:
         if self.verdict == "not_asymptotic":
             if self.witness is None or not self.total_value:
-                raise AssertionError(
+                raise IdentityFailed(
                     "a not_asymptotic certificate needs a nonzero witness"
                 )
         elif self.verdict != "asymptotic":
@@ -958,7 +975,8 @@ def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
     if top == 0:
         checks = []
         for (i, j) in sym_pairs(genus):
-            value = rho_pair(basis_quadric(genus, i, j), curve, 1, 1).value
+            with _licensed():
+                value = rho_pair(basis_quadric(genus, i, j), curve, 1, 1).value
             checks.append(value)
         if any(checks):
             raise IdentityFailed(
@@ -999,7 +1017,8 @@ def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
         for j in present[pos:]:
             if (i, j) == (k, k):
                 continue
-            value = pairing.rho(2 * i + 1, 2 * j + 1).value
+            with _licensed():
+                value = pairing.rho(2 * i + 1, 2 * j + 1).value
             cross.append((2 * i + 1, 2 * j + 1, value))
             if value:
                 raise IdentityFailed(
@@ -1141,7 +1160,8 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     for (i, j) in sym_pairs(genus):
         q = basis_quadric(genus, i, j)
         labels.append(q.label())
-        rho_values.append(rho_pair(q, curve, 1, 1).value)
+        with _licensed():
+            rho_values.append(rho_pair(q, curve, 1, 1).value)
         poly = mu_eval_polynomial(q, 1)
         composite = None
         for m, c in enumerate(poly.coeffs):

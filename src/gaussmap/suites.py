@@ -2,9 +2,11 @@
 
 Each suite recomputes the claims of one statement from scratch at the
 requested desk scale and emits one deterministic `VerificationReport`.
-Failures are reported as failing items (and a `Falsified` signal raised by
-the diagonal or certificate computations is caught and converted to a
-failing item), never masked.
+Failures are reported as failing items, never masked. A `Falsified`
+signal raised by the factorization, isotropy, cross-check, diagonal or
+certificate computations becomes the failing item of the statement it
+refutes; in the witness suite only a `PairNotLicensed` does, and any other
+falsification ends the run with exit code 1.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 import time
 
 from .curve import Curve, default_curve, random_curve
-from .errors import Falsified
+from .errors import Falsified, PairNotLicensed
 from .gaussian import (
     b_support_check,
     factorization_check,
@@ -141,14 +143,18 @@ def _suite_factorization(
             quadric_from_vector(genus, vec)
             for vec in chain.level(level_k).basis
         ]
-        results = [factorization_check(q, level_k) for q in quads]
-        constants = {fc.constant for fc in results if fc.constant is not None}
-        ok = all(fc.ok for fc in results) and len(constants) <= 1
-        constant = next(iter(constants)) if len(constants) == 1 else None
-        got = (
-            f"{len(results)} basis elements, frame constant "
-            f"{rat_to_string(constant) if constant is not None else 'n/a'}"
-        )
+        try:
+            results = [factorization_check(q, level_k) for q in quads]
+        except Falsified as exc:
+            ok, got = False, str(exc)
+        else:
+            constants = {fc.constant for fc in results if fc.constant is not None}
+            ok = all(fc.ok for fc in results) and len(constants) <= 1
+            constant = next(iter(constants)) if len(constants) == 1 else None
+            got = (
+                f"{len(results)} basis elements, frame constant "
+                f"{rat_to_string(constant) if constant is not None else 'n/a'}"
+            )
         for curve in curves:
             items.append(
                 check(
@@ -192,7 +198,19 @@ def _suite_isotropy(
     items = []
     for level_k in _schiffer_levels(genus, k):
         for curve in curves:
-            result = isotropy_suite(genus, level_k, curve)
+            try:
+                result = isotropy_suite(genus, level_k, curve)
+            except Falsified as exc:
+                items.append(
+                    check(
+                        f"g={genus} k={level_k} licensed odd pairs vanish on "
+                        f"{curve.label()}",
+                        "zero",
+                        str(exc),
+                        False,
+                    )
+                )
+                continue
             min_threshold = min(
                 (info.threshold for info in result.thresholds), default=None
             )
@@ -218,12 +236,20 @@ def _suite_isotropy(
             )
     if k is None or k == 0:
         for curve in curves:
-            cc = mu2_cross_check(curve)
+            label = (
+                f"g={genus} x-chart cross-check of the first vanishing "
+                f"on {curve.label()}"
+            )
+            expected = "both routes vanish and frames agree"
+            try:
+                cc = mu2_cross_check(curve)
+            except Falsified as exc:
+                items.append(check(label, expected, str(exc), False))
+                continue
             items.append(
                 check(
-                    f"g={genus} x-chart cross-check of the first vanishing "
-                    f"on {curve.label()}",
-                    "both routes vanish and frames agree",
+                    label,
+                    expected,
                     f"{len(cc.quadrics)} quadrics, {cc.compared_orders} "
                     "orders compared",
                     cc.ok,
@@ -238,8 +264,14 @@ def _suite_witness(
     items = []
     for level_k in _schiffer_levels(genus, k):
         for curve in curves:
-            f = witness_functional(genus, level_k, curve)
             label = f"g={genus} k={level_k} on {curve.label()}"
+            try:
+                f = witness_functional(genus, level_k, curve)
+            except PairNotLicensed as exc:
+                items.append(
+                    check(f"{label}: witness pair licensed", "licensed", str(exc), False)
+                )
+                continue
             items.append(
                 check(
                     f"{label}: witness functional nonzero",

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import gaussmap.gaussian as gaussian
 import gaussmap.rho as rho
 from gaussmap.cli import main
+from gaussmap.poly import Poly
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -293,9 +296,11 @@ def test_genus_three_scan_ends_with_no_random_directions(argv):
 # -- falsifications are results, not crashes -----------------------------------------
 
 
-@pytest.fixture
-def faulty_jet(monkeypatch):
-    """Add 1/7 to the 0th jet of the first canonical frame function.
+CACHED = (rho.witness_functional, rho.witness_hyperplane, rho.diagonal_functional)
+
+
+def patch_jet(monkeypatch, row):
+    """Add 1/7 to the 0th jet of canonical frame function ``row``.
 
     The cached rho results are cleared around the test, so no faulty value
     outlives it and no earlier value hides the fault.
@@ -303,17 +308,33 @@ def faulty_jet(monkeypatch):
     original = rho.canonical_derivatives
 
     def patched(curve, order):
-        rows = [list(row) for row in original(curve, order)]
-        rows[0][0] += Fraction(1, 7)
-        return tuple(tuple(row) for row in rows)
+        rows = [list(r) for r in original(curve, order)]
+        rows[row][0] += Fraction(1, 7)
+        return tuple(tuple(r) for r in rows)
 
-    cached = (rho.witness_functional, rho.witness_hyperplane, rho.diagonal_functional)
-    for function in cached:
+    for function in CACHED:
         function.cache_clear()
     monkeypatch.setattr(rho, "canonical_derivatives", patched)
+
+
+@pytest.fixture
+def faulty_jet(monkeypatch):
+    """A fault in the first frame function breaks the symmetry of rho."""
+    patch_jet(monkeypatch, 0)
     yield
     monkeypatch.undo()
-    for function in cached:
+    for function in CACHED:
+        function.cache_clear()
+
+
+@pytest.fixture
+def blocking_jet(monkeypatch):
+    """A fault in the second frame function makes D(0,0) = 1/49 nonzero,
+    which blocks every rho pair."""
+    patch_jet(monkeypatch, 1)
+    yield
+    monkeypatch.undo()
+    for function in CACHED:
         function.cache_clear()
 
 
@@ -333,6 +354,75 @@ def test_a_falsification_outside_a_report_item_exits_one(capsys, faulty_jet):
     code, out, err = run(capsys, "verify", "--theorem", "T6.6", "--g", "4", "--samples", "0")
     assert code == 1 and out == ""
     assert err.startswith("gaussmap: falsified: rho symmetry failed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--g", "4", "--samples", "3"),
+        ("verify", "--theorem", "T6.5", "--g", "4", "--samples", "0"),
+        ("verify", "--theorem", "T6.6", "--g", "4", "--samples", "0"),
+        ("verify", "--theorem", "T6.9", "--g", "4", "--samples", "0"),
+    ],
+)
+def test_a_blocked_pair_inside_a_suite_is_a_failing_item(capsys, blocking_jet, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err and "error:" not in err
+    report = json.loads(out)
+    assert report["passed"] is False
+    failing = [c for c in report["checks"] if not c["ok"]]
+    assert any("D(0,0) = 1/49 blocks" in c["got"] for c in failing)
+
+
+def test_a_blocked_pair_in_the_rho_command_is_still_a_payload(capsys, blocking_jet):
+    code, out, _ = run(capsys, "rho", "--g", "4", "--quadric", "basis:1,2", "--pair", "1", "1")
+    assert code == 0
+    payload = json.loads(out)["error"]
+    assert payload["error"] == "BeyondThreshold"
+    assert payload["first_nonzero"] == {"h": 0, "l": 0, "value": "1/49"}
+
+
+def test_a_representative_mismatch_is_a_failing_item(capsys, monkeypatch):
+    original = gaussian._mu_representative
+
+    def skewed(q, k, n):
+        p = original(q, k, n)
+        return p + Poly.monomial(0) if n else p
+
+    monkeypatch.setattr(gaussian, "_mu_representative", skewed)
+    for theorem in ("L3.4", "T6.5"):
+        code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "4", "--samples", "0")
+        assert code == 1 and "Traceback" not in err
+        failing = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failing
+        assert all("representative mismatch" in c["got"] for c in failing)
+
+
+class _Vanishing(Fraction):
+    """A nonzero value whose multiples vanish: a broken witness value."""
+
+    def __rmul__(self, other):
+        return Fraction(0)
+
+
+def test_a_certificate_without_a_nonzero_witness_is_a_failing_item(capsys, monkeypatch):
+    original = rho.diagonal_functional
+
+    def broken(genus, k, curve):
+        result = original(genus, k, curve)
+        values = tuple(_Vanishing(v) if v else v for v in result.functional.values)
+        functional = dataclasses.replace(result.functional, values=values)
+        return dataclasses.replace(result, functional=functional)
+
+    monkeypatch.setattr(rho, "diagonal_functional", broken)
+    code, out, err = run(capsys, "scan", "--g", "4", "--samples", "3")
+    assert code == 1 and "Traceback" not in err
+    report = json.loads(out)
+    failing = [c for c in report["checks"] if not c["ok"]]
+    assert failing
+    assert all("needs a nonzero witness" in c["got"] for c in failing)
+    assert any("direction (1,0)" in c["item"] and c["ok"] for c in report["checks"])
 
 
 # -- argparse-level usage errors -----------------------------------------------------
