@@ -174,7 +174,6 @@ class Jets:
         gpoly = curve.moduli_polynomial()
         scale = lcm(*(c.denominator for c in gpoly.coeffs))
         ghat = tuple(c.numerator * (scale // c.denominator) for c in gpoly.coeffs)
-        self.genus = curve.genus
         self._ghat = ghat
         self._g0 = ghat[0]
         self._scale = scale
@@ -183,10 +182,10 @@ class Jets:
         self._dy: list[int] = []  # (sY)' = sum (n+1) Y_n s^n
         self._powers: list[list[int]] = [[] for _ in range(len(ghat) + 1)]
         self._horner: list[list[int]] = [[] for _ in ghat]
-        self._rows: list[list[int]] = [[] for _ in range(self.genus)]
+        self._rows: list[list[int]] = [[] for _ in range(curve.genus)]
         self._x: list[Fraction] = []
-        self._canonical_w: list[list[Fraction]] = [[] for _ in range(self.genus)]
-        self._canonical: list[list[Fraction]] = [[] for _ in range(self.genus)]
+        self._canonical_w: list[list[Fraction]] = [[] for _ in range(curve.genus)]
+        self._canonical: list[list[Fraction]] = [[] for _ in range(curve.genus)]
 
     def _extend(self, count: int) -> None:
         """Know Y_0 .. Y_(count-1), and the rows and powers as far."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 from .curve import (
@@ -1142,7 +1142,8 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     xprime = x.derivative()
     frame = xprime * xprime * xprime.shift_down(1) * xprime.shift_down(1)
     # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2),
-    # so each composite is a combination of these instead of a Horner pass
+    # so each composite is a combination of these instead of a Horner pass;
+    # mu_2 of a basis quadric is never the zero polynomial
     framed = [frame]
     for _ in range(2 * genus - 2):
         framed.append(framed[-1] * x)
@@ -1163,13 +1164,10 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
         with _licensed():
             rho_values.append(rho_pair(q, curve, 1, 1).value)
         poly = mu_eval_polynomial(q, 1)
-        composite = None
-        for m, c in enumerate(poly.coeffs):
-            if c:
-                term = framed[m].scale(c)
-                composite = term if composite is None else composite + term
-        if composite is None:
-            composite = TruncatedSeries.zero(truncation=x.truncation) * frame
+        composite = reduce(
+            TruncatedSeries.__add__,
+            (framed[m].scale(c) for m, c in enumerate(poly.coeffs) if c),
+        )
         zrep = TruncatedSeries.zero(truncation=order)
         for a, b, coeff in _sym_entries(q):
             term = products.get((a, b))
