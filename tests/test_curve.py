@@ -306,18 +306,18 @@ def test_jets_equal_the_newton_route_on_rational_branch_points(points):
     assert_jets_match_oracle(curve, 9)
 
 
-def test_a_larger_order_extends_the_tables_of_a_smaller_one():
-    for curve, again in (
-        (default_curve(5), default_curve(5)),
-        (random_curve(6, random.Random(3)), random_curve(6, random.Random(3))),
-    ):
-        canonical_derivatives(curve, 9)
-        x_derivatives(curve, 6)
-        expand_omega(curve, curve.genus - 1, 3)
-        assert canonical_derivatives(curve, 40) == canonical_derivatives(again, 40)
-        assert x_derivatives(curve, 44) == x_derivatives(again, 44)
-        assert omega_derivatives(curve, 36) == omega_derivatives(again, 36)
-        assert x_of_z(curve, 31) == x_of_z(again, 31)
+@pytest.mark.parametrize(
+    "make", [lambda: default_curve(5), lambda: random_curve(6, random.Random(3))]
+)
+def test_a_larger_order_extends_the_tables_of_a_smaller_one(make):
+    curve = make()
+    canonical_derivatives(curve, 9)
+    x_derivatives(curve, 6)
+    expand_omega(curve, curve.genus - 1, 3)
+    assert canonical_derivatives(curve, 40) == canonical_derivatives(make(), 40)
+    assert x_derivatives(curve, 44) == x_derivatives(make(), 44)
+    assert omega_derivatives(curve, 36) == omega_derivatives(make(), 36)
+    assert x_of_z(curve, 31) == x_of_z(make(), 31)
 
 
 _HENSEL_WEIGHTS = curve_module._hensel_weights
