@@ -25,7 +25,12 @@ from .gaussian import (
     rank_formula,
     rank_table,
 )
-from .quadrics import basis_quadric, quadric_from_a, quadric_from_vector
+from .quadrics import (
+    basis_quadric,
+    quadric_from_a,
+    quadric_from_vector,
+    vector_to_json,
+)
 from .rationals import rat_from_string
 from .reports import (
     RunConfig,
@@ -128,14 +133,6 @@ def emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def render_report(report: VerificationReport, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json_bytes().decode()
-    if fmt == "md":
-        return report.to_markdown()
-    raise UsageError(f"format {fmt!r} is not available for this command")
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -180,7 +177,7 @@ def cmd_rank_table(args, cap: int) -> int:
             seed=None,
             config=config.to_json(),
         )
-        emit(render_report(report, args.format), args.out)
+        emit(report.render(args.format).decode(), args.out)
     return 0 if all(row.rank_formula_ok for row in table.rows) else 1
 
 
@@ -212,9 +209,7 @@ def cmd_kernel(args, cap: int) -> int:
         payload["methods_agree"] = agree
     vectors = basis if basis is not None else oracle_basis
     payload["dimension"] = len(vectors)
-    payload["basis"] = [
-        quadric_from_vector(genus, vec).to_json() for vec in vectors
-    ]
+    payload["basis"] = [vector_to_json(genus, vec) for vec in vectors]
     emit(canonical_json_bytes(payload).decode(), args.out)
     return 0 if agree else 1
 
@@ -235,7 +230,7 @@ def cmd_verify(args, cap: int) -> int:
         output_path=args.out,
     )
     report = verify_theorem(args.theorem, config, curve)
-    emit(render_report(report, args.format), args.out)
+    emit(report.render(args.format).decode(), args.out)
     if report.timing_seconds is not None:
         print(f"# elapsed {report.timing_seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
@@ -311,7 +306,7 @@ def cmd_scan(args, cap: int) -> int:
         output_path=args.out,
     )
     report = scan_report(config, curve)
-    emit(render_report(report, args.format), args.out)
+    emit(report.render(args.format).decode(), args.out)
     if report.timing_seconds is not None:
         print(f"# elapsed {report.timing_seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1

@@ -166,8 +166,10 @@ class Jets:
 
     The integer state (Y, its powers Y^0..Y^(2g+2), the canonical rows
     [s^m] Y^i (sY)' and the Horner stages of the residual check) grows one
-    coefficient at a time. The Fraction coefficients and jets handed out
-    are kept, so every table is a prefix of any later, larger one.
+    coefficient at a time; a power Y^k with k >= g, read only by the lift,
+    is kept through s^(n+2-k) once Y_n is known. The Fraction coefficients
+    and jets handed out are kept, so every table is a prefix of any later,
+    larger one.
     """
 
     def __init__(self, curve: Curve) -> None:
@@ -188,8 +190,9 @@ class Jets:
         self._canonical: list[list[Fraction]] = [[] for _ in range(curve.genus)]
 
     def _extend(self, count: int) -> None:
-        """Know Y_0 .. Y_(count-1), and the rows and powers as far."""
-        y, powers = self._y, self._powers
+        """Know Y_0 .. Y_(count-1), the rows as far, and the powers as far as
+        the lift reads them."""
+        y, powers, genus = self._y, self._powers, len(self._rows)
         while len(y) < count:
             n = len(y)
             value = 1 if n == 0 else -sum(
@@ -200,8 +203,12 @@ class Jets:
             self._dy.append((n + 1) * value)
             powers[0].append(1 if n == 0 else 0)
             powers[1].append(value)
+            # the rows read Y^k, k < g, in full; the lift of Y_(n+1) reads
+            # Y^k only at s^(n+2-k), so a higher power runs that far behind
             for k in range(2, len(powers)):
-                powers[k].append(_convolve(y, powers[k - 1], n))
+                made = len(powers[k])
+                if k < genus or made <= n + 2 - k:
+                    powers[k].append(_convolve(y, powers[k - 1], made))
             for i, row in enumerate(self._rows):
                 row.append(_convolve(powers[i], self._dy, n))
             self._check(n)

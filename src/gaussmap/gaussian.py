@@ -50,8 +50,13 @@ from .errors import (
 )
 from .linalg import RatMatrix, Vector, kernel_basis, matrix_rank
 from .poly import Poly, falling
-from .quadrics import QuadricI2, quadric_space_dimension, sym_pairs, wedge_pairs
-from .rationals import rat_to_string
+from .quadrics import (
+    QuadricI2,
+    quadric_space_dimension,
+    sym_pairs,
+    vector_to_json,
+    wedge_pairs,
+)
 
 
 def _c_entries(i: int, j: int) -> tuple[tuple[int, int, Fraction], ...]:
@@ -137,25 +142,15 @@ class KernelChain:
         raise IndexOutOfRange(f"chain has no level {k}")
 
     def to_json(self) -> dict:
-        pairs = sym_pairs(self.genus)
-        levels = []
-        for lv in self.levels:
-            basis = [
-                {
-                    f"{i},{j}": rat_to_string(value)
-                    for (i, j), value in zip(pairs, vec)
-                    if value != 0
-                }
-                for vec in lv.basis
-            ]
-            levels.append(
-                {
-                    "k": lv.k,
-                    "dimension": lv.dimension,
-                    "rank": lv.rank,
-                    "basis": basis,
-                }
-            )
+        levels = [
+            {
+                "k": lv.k,
+                "dimension": lv.dimension,
+                "rank": lv.rank,
+                "basis": [vector_to_json(self.genus, vec) for vec in lv.basis],
+            }
+            for lv in self.levels
+        ]
         return {"genus": self.genus, "method": self.method, "levels": levels}
 
 

@@ -52,6 +52,15 @@ def quadric_space_dimension(genus: int) -> int:
     return (genus - 1) * (genus - 2) // 2
 
 
+def vector_to_json(genus: int, vector) -> dict:
+    """{"i,j": "p/q"} over the nonzero entries of a coordinate vector."""
+    return {
+        f"{i},{j}": rat_to_string(value)
+        for (i, j), value in zip(sym_pairs(genus), vector)
+        if value
+    }
+
+
 @dataclass(frozen=True)
 class QuadricI2:
     """A quadric through the canonical curve, in exact a-coordinates."""
@@ -98,11 +107,7 @@ class QuadricI2:
         return tuple(tuple(row) for row in c)
 
     def to_json(self) -> dict:
-        return {
-            f"{i},{j}": rat_to_string(coeff)
-            for (i, j), coeff in zip(sym_pairs(self.genus), self.a_coords)
-            if coeff != 0
-        }
+        return vector_to_json(self.genus, self.a_coords)
 
     def label(self) -> str:
         if self.is_zero():

@@ -26,8 +26,9 @@ the certificates evaluate their cross terms on the witness's own pairing.
 `derivative_sum`, `threshold_info`, `pairing_table` and `rho_pair` are
 one-call wrappers that build a fresh `Pairing`. The only module-level
 caches left are those of `witness_functional`, `witness_hyperplane` and
-`diagonal_functional`, keyed on genus, level and curve; none is keyed on
-a quadric.
+`diagonal_functional`, keyed on genus, level and curve, and the basis
+quadric data of the x-chart cross-check, keyed on the genus alone; none
+is keyed on a quadric.
 
 An exact identity that fails here (the two endpoint sums of a rho value,
 a value forced to zero) raises `IdentityFailed`, a `Falsified` error.
@@ -41,8 +42,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
+from operator import mul
 
 from .curve import (
     Curve,
@@ -55,6 +57,7 @@ from .curve import (
 from .errors import (
     BeyondThreshold,
     IdentityFailed,
+    IndexOutOfRange,
     InvalidIndex,
     NoWitnessFound,
     PairNotLicensed,
@@ -62,9 +65,14 @@ from .errors import (
 )
 from .gaussian import b_support_check, kernel_via_equations, mu_eval_polynomial
 from .linalg import RatMatrix, Vector, canonicalize_span, dot, kernel_basis, matrix_rank
-from .quadrics import QuadricI2, basis_quadric, quadric_from_vector, sym_pairs
+from .quadrics import (
+    QuadricI2,
+    basis_quadric,
+    quadric_from_vector,
+    sym_pairs,
+    vector_to_json,
+)
 from .rationals import rat_to_string
-from .series import TruncatedSeries
 
 ZERO = Fraction(0)
 
@@ -739,7 +747,6 @@ class HyperplaneResult:
     support_coordinates_vanish: bool
 
     def to_json(self) -> dict:
-        pairs = sym_pairs(self.genus)
         return {
             "genus": self.genus,
             "k": self.k,
@@ -747,14 +754,7 @@ class HyperplaneResult:
             "dimension": self.dimension,
             "codimension_ok": self.codimension_ok,
             "support_coordinates_vanish": self.support_coordinates_vanish,
-            "basis": [
-                {
-                    f"{i},{j}": rat_to_string(value)
-                    for (i, j), value in zip(pairs, vecr)
-                    if value
-                }
-                for vecr in self.vectors
-            ],
+            "basis": [vector_to_json(self.genus, vec) for vec in self.vectors],
         }
 
 
@@ -817,20 +817,13 @@ class DiagonalResult:
     pairings: tuple[Pairing, ...] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
-        pairs = sym_pairs(self.functional.genus)
+        genus = self.functional.genus
         return {
             "functional": self.functional.to_json(),
             "hyperplane": self.hyperplane.to_json(),
             "a00_dimension": self.a00_dimension,
             "codimension": self.codimension,
-            "a00_basis": [
-                {
-                    f"{i},{j}": rat_to_string(value)
-                    for (i, j), value in zip(pairs, vecr)
-                    if value
-                }
-                for vecr in self.a00_vectors
-            ],
+            "a00_basis": [vector_to_json(genus, vec) for vec in self.a00_vectors],
         }
 
 
@@ -1128,6 +1121,72 @@ class Mu2CrossCheck:
         )
 
 
+def _numerators(values) -> tuple[list[int], int]:
+    """Integer numerators of these rationals over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _valuation(coeffs: list[int]) -> int:
+    """First nonzero index; the truncation (the length) if none is known."""
+    return next((e for e, c in enumerate(coeffs) if c), len(coeffs))
+
+
+def _times(a: list[int], b: list[int], cap: int) -> list[int]:
+    """a * b for series known through their lengths, kept through the
+    truncation min(N_a + val(b), N_b + val(a)) but at most `cap` terms.
+
+    Capping both operands and the product at `cap` gives the product's
+    truncation capped at `cap` exactly, so nothing beyond `cap` is made.
+    Beyond its length a factor is unknown, but there it only meets known
+    zeros of the other factor, so it is padded with zeros.
+    """
+    width = min(cap, len(a) + _valuation(b), len(b) + _valuation(a))
+    a = a[:width] + [0] * (width - len(a))
+    b = b[:width] + [0] * (width - len(b))
+    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(width)]
+
+
+@dataclass(frozen=True)
+class _CrossCheckQuadric:
+    """A basis quadric with mu_2(Q) and its tensor as integer vectors."""
+
+    quadric: QuadricI2
+    label: str
+    poly: tuple[tuple[int, int], ...]  # (m, numerator) over poly_den
+    poly_den: int
+    entries: tuple[tuple[int, int, int], ...]  # (a, b, numerator) over tensor_den
+    tensor_den: int
+
+
+@lru_cache(maxsize=None)
+def _cross_check_quadrics(genus: int) -> tuple[_CrossCheckQuadric, ...]:
+    """The curve-independent half of the cross-check, built once per genus.
+
+    `mu_eval_polynomial` makes its membership and representative checks
+    here; mu_2 of a basis quadric is never the zero polynomial.
+    """
+    out = []
+    for (i, j) in sym_pairs(genus):
+        q = basis_quadric(genus, i, j)
+        poly, poly_den = _numerators(mu_eval_polynomial(q, 1).coeffs)
+        entries = _sym_entries(q)
+        tensor, tensor_den = _numerators([c for *_, c in entries])
+        out.append(
+            _CrossCheckQuadric(
+                quadric=q,
+                label=q.label(),
+                poly=tuple((m, c) for m, c in enumerate(poly) if c),
+                poly_den=poly_den,
+                entries=tuple(
+                    (a, b, c) for (a, b, _), c in zip(entries, tensor)
+                ),
+                tensor_den=tensor_den,
+            )
+        )
+    return tuple(out)
+
+
 def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     """rho(Q)(xi^1 (.) xi^1) = 0 against the x-chart value of mu_2(Q) at p.
 
@@ -1136,52 +1195,80 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     local coordinate and multiplies by the frame transition into the
     z-chart; the resulting series must both vanish at p and agree with the
     z-chart representative built directly from the canonical expansions.
+
+    Both series are exact integer dot products: the composite of
+    mu_2(Q) = sum c_m x^m over the columns x^m * frame, the representative
+    sum c_ab e_a'' e_b over the products e_a'' e_b, each family made once
+    per curve over one common denominator. The truncation of every series
+    follows the `TruncatedSeries` product rule, capped at `order` (nothing
+    from z^order on is compared), and the coefficients are compared by
+    cross-multiplying.
     """
     genus = curve.genus
-    x = x_of_z(curve, order)
-    xprime = x.derivative()
-    frame = xprime * xprime * xprime.shift_down(1) * xprime.shift_down(1)
-    # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2),
-    # so each composite is a combination of these instead of a Horner pass;
-    # mu_2 of a basis quadric is never the zero polynomial
-    framed = [frame]
+    xs, x_den = _numerators(x_of_z(curve, order).coeffs)
+    xprime = [n * c for n, c in enumerate(xs)][1:]
+    if xprime[:1] != [0]:
+        raise IndexOutOfRange(
+            f"x' is not divisible by z at truncation order {len(xprime)}"
+        )
+    frame = _times(xprime, xprime, order)
+    for _ in range(2):
+        frame = _times(frame, xprime[1:], order)
+    # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2);
+    # column m is over x_den^(4+m), so bring all to x_den^(4+top)
+    columns = [frame]
     for _ in range(2 * genus - 2):
-        framed.append(framed[-1] * x)
-    expansions = [
-        expand_canonical(curve, i, max(order + 2, 2 * genus + 1)).series
-        for i in range(genus)
+        columns.append(_times(columns[-1], xs, order))
+    top = len(columns) - 1
+    for m, column in enumerate(columns):
+        scale = x_den ** (top - m)
+        column[:] = [c * scale for c in column]
+    column_den = x_den ** (4 + top)
+    width = max(order + 2, 2 * genus + 1)
+    rows, row_den = _numerators(
+        [
+            c
+            for i in range(genus)
+            for c in expand_canonical(curve, i, width).series.coeffs[: order + 2]
+        ]
+    )
+    rows = [rows[i * (order + 2) : (i + 1) * (order + 2)] for i in range(genus)]
+    second = [
+        [(n + 2) * (n + 1) * row[n + 2] for n in range(order)] for row in rows
     ]
-    second = [e.derivative().derivative() for e in expansions]
-    products: dict[tuple[int, int], TruncatedSeries] = {}
+    products: dict[tuple[int, int], list[int]] = {}
+    product_den = row_den * row_den
     labels = []
     rho_values = []
     vanishes = []
     agree = []
     compared = order
-    for (i, j) in sym_pairs(genus):
-        q = basis_quadric(genus, i, j)
-        labels.append(q.label())
+    for quad in _cross_check_quadrics(genus):
+        labels.append(quad.label)
         with _licensed():
-            rho_values.append(rho_pair(q, curve, 1, 1).value)
-        poly = mu_eval_polynomial(q, 1)
-        composite = reduce(
-            TruncatedSeries.__add__,
-            (framed[m].scale(c) for m, c in enumerate(poly.coeffs) if c),
-        )
-        zrep = TruncatedSeries.zero(truncation=order)
-        for a, b, coeff in _sym_entries(q):
+            rho_values.append(rho_pair(quad.quadric, curve, 1, 1).value)
+        terms = []
+        for a, b, coeff in quad.entries:
             term = products.get((a, b))
             if term is None:
-                term = products[(a, b)] = second[a] * expansions[b]
-            zrep = zrep + term.scale(coeff)
-        limit = min(composite.truncation, zrep.truncation)
+                term = products[(a, b)] = _times(second[a], rows[b][:order], order)
+            terms.append((coeff, term))
+        limit = min(
+            [len(columns[m]) for m, _ in quad.poly]
+            + [order]
+            + [len(term) for _, term in terms]
+        )
         compared = min(compared, limit)
-        vanishes.append(composite.coefficient(0) == 0)
+        composite = [
+            sum(c * columns[m][e] for m, c in quad.poly) for e in range(limit)
+        ]
+        zrep = [sum(c * term[e] for c, term in terms) for e in range(limit)]
+        # composite_e / (poly_den column_den) = zrep_e / (tensor_den product_den)
+        left = quad.tensor_den * product_den
+        right = quad.poly_den * column_den
+        vanishes.append(composite[0] == 0)
         agree.append(
-            all(
-                composite.coefficient(e) == zrep.coefficient(e)
-                for e in range(limit)
-            )
+            all(composite[e] * left == zrep[e] * right for e in range(limit))
         )
     if compared < 5:
         raise InvalidIndex("cross-check order too small to be meaningful")

@@ -350,10 +350,16 @@ def test_a_faulty_jet_gives_failing_scan_items_and_exit_one(capsys, faulty_jet):
     assert any("direction (1,0)" in c["item"] and c["ok"] for c in report["checks"])
 
 
-def test_a_falsification_outside_a_report_item_exits_one(capsys, faulty_jet):
+def test_a_falsified_identity_in_the_witness_suite_is_a_failing_item(capsys, faulty_jet):
     code, out, err = run(capsys, "verify", "--theorem", "T6.6", "--g", "4", "--samples", "0")
-    assert code == 1 and out == ""
-    assert err.startswith("gaussmap: falsified: rho symmetry failed")
+    assert code == 1
+    assert "Traceback" not in err and "falsified:" not in err
+    report = json.loads(out)
+    assert report["passed"] is False
+    failing = [c for c in report["checks"] if not c["ok"]]
+    assert failing
+    assert all("rho symmetry failed" in c["got"] for c in failing)
+    assert all("witness functional evaluated" in c["item"] for c in failing)
 
 
 @pytest.mark.parametrize(
@@ -391,6 +397,8 @@ def test_a_representative_mismatch_is_a_failing_item(capsys, monkeypatch):
         return p + Poly.monomial(0) if n else p
 
     monkeypatch.setattr(gaussian, "_mu_representative", skewed)
+    # the cross-check builds mu_2 of the basis quadrics once per genus
+    rho._cross_check_quadrics.cache_clear()
     for theorem in ("L3.4", "T6.5"):
         code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "4", "--samples", "0")
         assert code == 1 and "Traceback" not in err

@@ -8,18 +8,34 @@ raised instead.
 """
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussmap.curve import canonical_derivatives, default_curve, random_curve
-from gaussmap.errors import BeyondThreshold, InvalidIndex
-from gaussmap.gaussian import kernel_dimension_formula, kernel_via_equations
+import gaussmap.rho as rho
+from gaussmap.cli import main
+from gaussmap.curve import (
+    canonical_derivatives,
+    default_curve,
+    expand_canonical,
+    new_curve,
+    random_curve,
+    x_of_z,
+)
+from gaussmap.errors import BeyondThreshold, GaussmapError, InvalidIndex
+from gaussmap.gaussian import (
+    kernel_dimension_formula,
+    kernel_via_equations,
+    mu_eval_polynomial,
+)
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
 from gaussmap.rho import (
+    Mu2CrossCheck,
     Pairing,
     RhoValue,
     SchifferIndex,
@@ -41,7 +57,9 @@ from gaussmap.rho import (
     witness_functional,
     witness_hyperplane,
 )
-from gaussmap.rho import _sym_entries
+from gaussmap.rho import _licensed, _sym_entries
+from gaussmap.series import TruncatedSeries
+from gaussmap.suites import curve_panel
 
 F = Fraction
 
@@ -366,9 +384,149 @@ def test_cup_product_order_is_validated():
 # -- independent chart cross-check ---------------------------------------------------
 
 
+def fraction_mu2_cross_check(curve, order=14):
+    """The cross-check along Fraction series arithmetic: the independent route.
+
+    Composites are built by `TruncatedSeries.scale` and `__add__`, the
+    z-chart representative by `__mul__`, with every truncation order from
+    the series rules.
+    """
+    genus = curve.genus
+    x = x_of_z(curve, order)
+    xprime = x.derivative()
+    frame = xprime * xprime * xprime.shift_down(1) * xprime.shift_down(1)
+    # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2),
+    # so each composite is a combination of these instead of a Horner pass;
+    # mu_2 of a basis quadric is never the zero polynomial
+    framed = [frame]
+    for _ in range(2 * genus - 2):
+        framed.append(framed[-1] * x)
+    expansions = [
+        expand_canonical(curve, i, max(order + 2, 2 * genus + 1)).series
+        for i in range(genus)
+    ]
+    second = [e.derivative().derivative() for e in expansions]
+    products = {}
+    labels = []
+    rho_values = []
+    vanishes = []
+    agree = []
+    compared = order
+    for (i, j) in sym_pairs(genus):
+        q = basis_quadric(genus, i, j)
+        labels.append(q.label())
+        with _licensed():
+            rho_values.append(rho_pair(q, curve, 1, 1).value)
+        poly = mu_eval_polynomial(q, 1)
+        composite = reduce(
+            TruncatedSeries.__add__,
+            (framed[m].scale(c) for m, c in enumerate(poly.coeffs) if c),
+        )
+        zrep = TruncatedSeries.zero(truncation=order)
+        for a, b, coeff in _sym_entries(q):
+            term = products.get((a, b))
+            if term is None:
+                term = products[(a, b)] = second[a] * expansions[b]
+            zrep = zrep + term.scale(coeff)
+        limit = min(composite.truncation, zrep.truncation)
+        compared = min(compared, limit)
+        vanishes.append(composite.coefficient(0) == 0)
+        agree.append(
+            all(
+                composite.coefficient(e) == zrep.coefficient(e)
+                for e in range(limit)
+            )
+        )
+    if compared < 5:
+        raise InvalidIndex("cross-check order too small to be meaningful")
+    return Mu2CrossCheck(
+        genus=genus,
+        curve=curve.label(),
+        quadrics=tuple(labels),
+        rho_values=tuple(rho_values),
+        x_chart_vanishes=tuple(vanishes),
+        frames_agree=tuple(agree),
+        compared_orders=compared,
+    )
+
+
 def test_first_vanishing_agrees_between_charts():
     for genus in (3, 5, 8):
         result = mu2_cross_check(default_curve(genus))
         assert result.ok
         assert result.x_chart_vanishes and result.frames_agree
         assert len(result.quadrics) == (genus - 1) * (genus - 2) // 2
+
+
+@pytest.mark.parametrize("genus", range(3, 10))
+def test_cross_check_equals_the_fraction_route(genus):
+    curves = curve_panel(genus, 0, 3) + curve_panel(genus, 7, 3)[1:]
+    for curve in curves:
+        result = mu2_cross_check(curve)
+        assert result.ok
+        assert result == fraction_mu2_cross_check(curve)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(
+            lambda t: t != 0
+        ),
+        min_size=7,
+        max_size=9,
+        unique=True,
+    ).filter(lambda points: len(points) % 2 == 1)
+)
+def test_cross_check_equals_the_fraction_route_on_rational_branch_points(points):
+    curve = new_curve([0, *points])
+    assert mu2_cross_check(curve) == fraction_mu2_cross_check(curve)
+
+
+def test_cross_check_orders_follow_the_fraction_route():
+    curve = random_curve(5, random.Random(11))
+    for order in (5, 6, 9, 15, 22):
+        result = mu2_cross_check(curve, order)
+        assert result.compared_orders == order
+        assert result == fraction_mu2_cross_check(curve, order)
+    for order in range(5):
+        with pytest.raises(GaussmapError) as fast:
+            mu2_cross_check(curve, order)
+        with pytest.raises(GaussmapError) as slow:
+            fraction_mu2_cross_check(curve, order)
+        assert type(fast.value) is type(slow.value)
+
+
+@pytest.fixture
+def skewed_expansion(monkeypatch):
+    """Add 1/7 to the w-coefficient of alpha_0's frame function that the
+    z-chart representative reads through e_0'' and e_0."""
+    original = rho.expand_canonical
+
+    def skewed(curve, i, order):
+        expansion = original(curve, i, order)
+        if i:
+            return expansion
+        coeffs = list(expansion.series.coeffs)
+        coeffs[2] += Fraction(1, 7)
+        series = TruncatedSeries.make(coeffs, expansion.series.truncation)
+        return dataclasses.replace(expansion, series=series)
+
+    monkeypatch.setattr(rho, "expand_canonical", skewed)
+
+
+def test_a_skewed_canonical_coefficient_breaks_the_frame_agreement(skewed_expansion):
+    result = mu2_cross_check(default_curve(4))
+    assert False in result.frames_agree and not result.ok
+    assert all(result.x_chart_vanishes) and not any(result.rho_values)
+
+
+def test_a_skewed_canonical_coefficient_is_a_failing_item(skewed_expansion, capsys):
+    code = main(["verify", "--theorem", "T6.5", "--g", "4", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    failing = [c for c in json.loads(captured.out)["checks"] if not c["ok"]]
+    assert [c["item"] for c in failing] == [
+        "g=4 x-chart cross-check of the first vanishing on "
+        "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
+    ]
