@@ -1163,8 +1163,7 @@ class _CrossCheckQuadric:
 def _cross_check_quadrics(genus: int) -> tuple[_CrossCheckQuadric, ...]:
     """The curve-independent half of the cross-check, built once per genus.
 
-    `mu_eval_polynomial` makes its membership and representative checks
-    here; mu_2 of a basis quadric is never the zero polynomial.
+    `mu_eval_polynomial` makes its membership and representative checks here.
     """
     out = []
     for (i, j) in sym_pairs(genus):
