@@ -22,9 +22,10 @@ Two independent routes compute each kernel:
 
 Both systems are graded by weight: a level equation touches only the pairs
 with i + j = l, and an identity row of x-degree e and order h + n only the
-tensor slots with alpha + beta = e + h + n. The elimination in ``linalg``
-splits every matrix into such independent blocks. Both routes produce
-canonical (reduced row-echelon) bases, so agreement is literal tuple
+basis quadrics with i + j = e + h + n + 1. Both are built as sparse integer
+rows (the identity rows from twice the symmetric tensor, whose entries are
++-1/2), which ``linalg`` eliminates one weight block at a time. Both routes
+produce canonical (reduced row-echelon) bases, so agreement is literal tuple
 equality.
 
 Odd maps act on the exterior square of the canonical space and are
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .curve import Curve, canonical_derivatives
 from .errors import (
@@ -48,7 +49,7 @@ from .errors import (
     NotInKernel,
     NotInPreviousKernel,
 )
-from .linalg import RatMatrix, Vector, kernel_basis, matrix_rank
+from .linalg import RatMatrix, SparseRow, Vector, kernel_basis, matrix_rank
 from .poly import Poly, falling
 from .quadrics import (
     QuadricI2,
@@ -59,15 +60,17 @@ from .quadrics import (
 )
 
 
-def _c_entries(i: int, j: int) -> tuple[tuple[int, int, Fraction], ...]:
-    """Nonzero symmetric-tensor slots of the basis quadric Q_ij."""
-    half = Fraction(1, 2)
-    return (
-        (i, j - 1, half),
-        (j - 1, i, half),
-        (j, i - 1, -half),
-        (i - 1, j, -half),
-    )
+def _c_entries(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """Nonzero slots of twice the symmetric tensor of the basis quadric Q_ij."""
+    return ((i, j - 1, 1), (j - 1, i, 1), (j, i - 1, -1), (i - 1, j, -1))
+
+
+def _by_weight(pairs) -> dict[int, list[tuple[int, int, int]]]:
+    """(column, i, j) of each index pair, grouped by the weight i + j."""
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    for col, (i, j) in enumerate(pairs):
+        out.setdefault(i + j, []).append((col, i, j))
+    return out
 
 
 # -- closed-form level equations --------------------------------------------
@@ -85,34 +88,37 @@ class EquationSystem:
     expected_rank_increment: int
 
 
+def _level_rows(genus: int, k: int) -> list[SparseRow]:
+    """The level-k equations as sparse integer rows, one per weight l from
+    max(3, 2k-1) to 2g-3 (empty where every coefficient vanishes)."""
+    by_weight = _by_weight(sym_pairs(genus))
+    rows: list[SparseRow] = []
+    for l in range(max(3, 2 * k - 1), 2 * genus - 2):
+        row: SparseRow = {}
+        for col, i, j in by_weight.get(l, ()):
+            coeff = (j - i) * falling(i, k - 1) * falling(j, k - 1)
+            if coeff:
+                row[col] = coeff
+        rows.append(row)
+    return rows
+
+
 def kernel_equations(genus: int, k: int) -> EquationSystem:
     if k < 1:
         raise IndexOutOfRange(f"level must be at least 1, got {k}")
     pairs = sym_pairs(genus)
-    lo = max(3, 2 * k - 1)
     hi = 2 * genus - 3
-    rows: list[Vector] = []
-    labels: list[int] = []
-    for l in range(lo, hi + 1):
-        row = []
-        for (i, j) in pairs:
-            if i + j != l:
-                row.append(Fraction(0))
-                continue
-            coeff = Fraction(j - i)
-            for q in range(k - 1):
-                coeff *= (i - q) * (j - q)
-            row.append(coeff)
-        rows.append(tuple(row))
-        labels.append(l)
     counts = tuple(
         (l, sum(1 for (i, j) in pairs if i + j == l)) for l in range(3, hi + 1)
     )
     return EquationSystem(
         genus=genus,
         level=k,
-        rows=tuple(rows),
-        row_labels=tuple(labels),
+        rows=tuple(
+            tuple(Fraction(row.get(c, 0)) for c in range(len(pairs)))
+            for row in _level_rows(genus, k)
+        ),
+        row_labels=tuple(range(max(3, 2 * k - 1), hi + 1)),
         pair_counts=counts,
         expected_rank_increment=2 * genus - (4 * k + 1),
     )
@@ -173,12 +179,12 @@ def kernel_via_equations(genus: int, k_max: int | None = None) -> KernelChain:
         k_max = max_level(genus)
     dim = quadric_space_dimension(genus)
     previous = genus * (genus + 1) // 2  # mu_0 is defined on Sym^2 of g sections
-    rows: list[Vector] = []
+    rows: list[SparseRow] = []
     levels = []
     for k in range(k_max + 1):
         if k:
-            rows.extend(kernel_equations(genus, k).rows)
-        basis = kernel_basis(RatMatrix.from_rows(rows, ncols=dim))
+            rows.extend(_level_rows(genus, k))
+        basis = kernel_basis(rows, dim)
         levels.append(
             KernelLevel(
                 k=k, dimension=len(basis), rank=previous - len(basis), basis=basis
@@ -188,35 +194,34 @@ def kernel_via_equations(genus: int, k_max: int | None = None) -> KernelChain:
     return KernelChain(genus=genus, method="equations", levels=tuple(levels))
 
 
-def _oracle_rows(genus: int, bound: int) -> tuple[list[Vector], list[int]]:
+def _oracle_rows(genus: int, bound: int) -> tuple[list[SparseRow], list[int]]:
     """Rows of the raw identity system: all (h, n) with h >= n, h+n <= bound,
-    every x-degree; entries are per-basis-quadric constraint coefficients.
+    every x-degree; entries are twice the per-basis-quadric constraint
+    coefficients, as sparse integer rows.
 
     Rows come in increasing order h+n, so the rows of any smaller bound are
     a prefix; the second list holds, for each order, where its rows end.
-    The row of x-degree e and order h+n reads only the tensor slots with
-    alpha + beta = e + h + n, so the slots are indexed by that weight once.
+    Every tensor slot of Q_ij has alpha + beta = i + j - 1, so the row of
+    x-degree e and order h+n reads only the pairs with i + j = e + h + n + 1.
     """
-    pairs = sym_pairs(genus)
-    slots_by_weight: dict[int, list[tuple[int, int, int, Fraction]]] = {}
-    for col, (i, j) in enumerate(pairs):
-        for alpha, beta, weight in _c_entries(i, j):
-            slots_by_weight.setdefault(alpha + beta, []).append(
-                (col, alpha, beta, weight)
-            )
-    rows: list[Vector] = []
+    by_weight = _by_weight(sym_pairs(genus))
+    fall = [[falling(a, h) for h in range(bound + 1)] for a in range(genus)]
+    rows: list[SparseRow] = []
     ends: list[int] = []
     for total in range(bound + 1):
         for n in range(total // 2 + 1):
             h = total - n
             for e in range(0, 2 * genus - 1 - total):
-                row = [Fraction(0)] * len(pairs)
-                for col, alpha, beta, weight in slots_by_weight.get(e + total, ()):
-                    t = falling(alpha, h) * falling(beta, n)
-                    if t:
-                        row[col] += weight * t
-                if any(row):
-                    rows.append(tuple(row))
+                row: SparseRow = {}
+                for col, i, j in by_weight.get(e + total + 1, ()):
+                    value = sum(
+                        weight * fall[alpha][h] * fall[beta][n]
+                        for alpha, beta, weight in _c_entries(i, j)
+                    )
+                    if value:
+                        row[col] = value
+                if row:
+                    rows.append(row)
         ends.append(len(rows))
     return rows, ends
 
@@ -228,7 +233,7 @@ def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Vector, ...], ...]:
     dim = quadric_space_dimension(genus)
     rows, ends = _oracle_rows(genus, 2 * k_max + 1)
     return tuple(
-        kernel_basis(RatMatrix.from_rows(rows[: ends[2 * k + 1]], ncols=dim))
+        kernel_basis(rows[: ends[2 * k + 1]], dim)
         for k in range(k_max + 1)
     )
 
@@ -240,26 +245,39 @@ def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Vector, ...]:
     return _oracle_chain(genus, max(k, max_level(genus)))[k]
 
 
+def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
+    """The x-coefficients (lowest first) of sum c_ab f_a^(h) f_b^(n) for each
+    (h, n) in ``orders``, as integers over the common denominator returned."""
+    genus = q.genus
+    den = lcm(*(a.denominator for a in q.a_coords))
+    terms = [
+        (i, j, a.numerator * (den // a.denominator))
+        for (i, j), a in zip(sym_pairs(genus), q.a_coords)
+        if a
+    ]
+    out = []
+    for h, n in orders:
+        fh = [falling(a, h) for a in range(genus)]
+        fn = [falling(b, n) for b in range(genus)]
+        coeffs = [0] * (2 * genus - 1)
+        for i, j, a in terms:
+            for alpha, beta, weight in _c_entries(i, j):
+                t = fh[alpha] * fn[beta]
+                if t:
+                    coeffs[alpha + beta - h - n] += a * weight * t
+        out.append(coeffs)
+    return out, 2 * den
+
+
 def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, Poly]]:
     """Nonzero identity polynomials sum c_ab f^(h) f^(n) for h+n <= bound."""
-    genus = q.genus
-    pairs = sym_pairs(genus)
-    bad: list[tuple[int, int, Poly]] = []
-    for total in range(bound + 1):
-        for n in range(total // 2 + 1):
-            h = total - n
-            coeffs = [Fraction(0)] * (2 * genus - 1)
-            for (i, j), a in zip(pairs, q.a_coords):
-                if a == 0:
-                    continue
-                for alpha, beta, weight in _c_entries(i, j):
-                    t = falling(alpha, h) * falling(beta, n)
-                    if t:
-                        coeffs[alpha + beta - total] += a * weight * t
-            poly = Poly.from_coeffs(coeffs)
-            if not poly.is_zero():
-                bad.append((h, n, poly))
-    return bad
+    orders = [(t - n, n) for t in range(bound + 1) for n in range(t // 2 + 1)]
+    identities, den = _identity_coeffs(q, orders)
+    return [
+        (h, n, Poly.from_coeffs(Fraction(c, den) for c in coeffs))
+        for (h, n), coeffs in zip(orders, identities)
+        if any(coeffs)
+    ]
 
 
 def is_in_kernel(q: QuadricI2, k: int) -> bool:
@@ -315,17 +333,8 @@ def rank_table(g_min: int, g_max: int, k_filter: int | None = None) -> RankTable
 def _mu_representative(q: QuadricI2, k: int, n: int) -> Poly:
     """(-1)^n sum c_ab f_a^(2k-n) f_b^(n): the representative with n
     derivatives on the second factor."""
-    genus = q.genus
-    sign = -1 if n % 2 else 1
-    coeffs = [Fraction(0)] * (2 * genus - 1)
-    for (i, j), a in zip(sym_pairs(genus), q.a_coords):
-        if a == 0:
-            continue
-        for alpha, beta, weight in _c_entries(i, j):
-            t = falling(alpha, 2 * k - n) * falling(beta, n)
-            if t:
-                coeffs[alpha + beta - 2 * k] += sign * a * weight * t
-    return Poly.from_coeffs(coeffs)
+    (coeffs,), den = _identity_coeffs(q, [(2 * k - n, n)])
+    return Poly.from_coeffs(Fraction(-c if n % 2 else c, den) for c in coeffs)
 
 
 def mu_eval_polynomial(q: QuadricI2, k: int, check_membership: bool = True) -> Poly:
@@ -460,26 +469,23 @@ class OddMapResult:
     basis: tuple[Vector, ...]
 
 
-def _odd_rows(genus: int, bound: int) -> list[Vector]:
-    pairs = wedge_pairs(genus)
-    rows: list[Vector] = []
+def _odd_rows(genus: int, bound: int) -> list[SparseRow]:
+    """Sparse integer rows of the odd identities, h > n, h + n <= bound; the
+    row of x-degree e reads only the wedge pairs with i + j = e + h + n."""
+    by_weight = _by_weight(wedge_pairs(genus))
+    fall = [[falling(a, h) for h in range(bound + 1)] for a in range(genus)]
+    rows: list[SparseRow] = []
     for total in range(1, bound + 1):
         for n in range(0, (total + 1) // 2):
             h = total - n
             for e in range(0, 2 * genus - 1 - total):
-                row = []
-                for (i, j) in pairs:
-                    if i + j - total == e:
-                        row.append(
-                            Fraction(
-                                falling(i, h) * falling(j, n)
-                                - falling(i, n) * falling(j, h)
-                            )
-                        )
-                    else:
-                        row.append(Fraction(0))
-                if any(row):
-                    rows.append(tuple(row))
+                row: SparseRow = {}
+                for col, i, j in by_weight.get(e + total, ()):
+                    value = fall[i][h] * fall[j][n] - fall[i][n] * fall[j][h]
+                    if value:
+                        row[col] = value
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -493,16 +499,8 @@ def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
     if order < 1 or order % 2 == 0:
         raise InvalidIndex(f"odd map order must be odd and positive, got {order}")
     dim = genus * (genus - 1) // 2
-    kernel = kernel_basis(
-        RatMatrix.from_rows(_odd_rows(genus, order + 1), ncols=dim)
-    )
-    if order == 1:
-        previous_dim = dim
-    else:
-        previous = kernel_basis(
-            RatMatrix.from_rows(_odd_rows(genus, order - 1), ncols=dim)
-        )
-        previous_dim = len(previous)
+    kernel = kernel_basis(_odd_rows(genus, order + 1), dim)
+    previous_dim = len(kernel_basis(_odd_rows(genus, order - 1), dim))
     return OddMapResult(
         genus=genus,
         order=order,

@@ -1,35 +1,40 @@
 """Exact linear algebra over the rationals.
 
-``rref`` (and so every kernel and span) first splits a matrix into blocks:
-the connected components of the graph joining each row to the columns where
-it is nonzero. A matrix is the direct sum of its blocks, so its reduced
-row-echelon form is the union of theirs, embedded back into full width and
-ordered by pivot column: each such row is zero outside its block and, inside
-it, zero at the block's other pivots. The Gaussian-map systems are graded by
-weight, so this turns one large elimination into many small ones.
+``rref`` and ``kernel_basis`` take sparse integer rows (``{column: int}``
+dicts without zero entries) and a column count; a `RatMatrix` is turned into
+such rows once, each scaled by the lcm of its denominators, which leaves the
+row space unchanged. The columns are split into blocks, the connected
+components of the graph joining each row to the columns where it is nonzero.
+A matrix is the direct sum of its blocks, so its RREF is the union of
+theirs, ordered by pivot column; the Gaussian-map systems are graded by
+weight, so one large elimination becomes many small ones.
 
-Each block, and each matrix given to ``matrix_rank``, is eliminated
-fraction-free in the style of Bareiss: each row is first scaled to
-integers, forward elimination uses the two-by-two determinant update with
-exact division by the previous pivot, and only the final back-substitution
-reintroduces fractions. Pivoting is deterministic (first nonzero entry in
-column order), so every derived object — echelon form, rank, kernel basis —
-is a pure function of the input matrix.
-
-Kernel bases are canonical: the kernel's spanning vectors are themselves
-reduced to row-echelon normal form, pivots normalized to 1. Two routes
-that compute the same subspace therefore produce identical tuples.
+Each block, dense over its own columns, and each matrix given to
+``matrix_rank`` is eliminated fraction-free in the style of Bareiss (the
+two-by-two determinant update with exact division by the previous pivot);
+``rref`` back-substitutes in integers too, and each output entry is one
+`Fraction`. Pivoting is deterministic (first nonzero entry in column order),
+so every result is a pure function of the input, and kernel bases are in
+reduced row-echelon normal form: two routes that compute the same subspace
+produce identical tuples.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import IndexOutOfRange
 
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, int]
+
+# Every zero entry of an output vector, and every pivot of a kernel vector,
+# is one of these objects, so comparing two outputs skips them by identity.
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,24 +61,15 @@ class RatMatrix:
             raise IndexOutOfRange("empty matrix needs an explicit column count")
         return cls(rows=frozen, ncols=ncols)
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
 
 def _integer_rows(m: RatMatrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators, divided by its gcd."""
     out: list[list[int]] = []
     for row in m.rows:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        ints = [int(x * scale) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+        scale = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        g = gcd(*ints)
+        out.append([v // g for v in ints] if g > 1 else ints)
     return out
 
 
@@ -108,14 +104,10 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
     return rows, pivots
 
 
-def _blocks(m: RatMatrix) -> list[tuple[list[int], RatMatrix]] | None:
-    """Connected components of the row-column support graph of ``m``.
-
-    Each block is its column indices (ascending) and the submatrix of its
-    rows on those columns. Zero rows, and columns no row touches, lie in no
-    block. Returns None when ``m`` is already one block: connected, with no
-    zero row and no untouched column.
-    """
+def _blocks(rows: Sequence[SparseRow], ncols: int) -> list[tuple[list[int], list[list[int]]]]:
+    """Connected blocks: each block's columns (ascending) and its rows, made
+    dense over those columns and divided by their gcd. Zero entries join
+    nothing, so zero rows and columns no row touches lie in no block."""
     parent: dict[int, int] = {}
 
     def find(c: int) -> int:
@@ -124,31 +116,37 @@ def _blocks(m: RatMatrix) -> list[tuple[list[int], RatMatrix]] | None:
             c = parent[c]
         return c
 
-    supports = []
-    for row in m.rows:
-        support = [c for c, x in enumerate(row) if x]
-        supports.append(support)
-        for c in support:
-            parent.setdefault(c, c)
+    supported = []
+    for row in rows:
+        support = [c for c, x in row.items() if x]
         if support:
+            supported.append((support[0], row))
+            for c in support:
+                parent.setdefault(c, c)
             root = find(support[0])
             for c in support[1:]:
-                other = find(c)
-                if other != root:
-                    parent[other] = root
+                parent[find(c)] = root
+    if parent and (min(parent) < 0 or max(parent) >= ncols):
+        raise IndexOutOfRange(f"row entry outside columns 0..{ncols - 1}")
     columns: dict[int, list[int]] = {}
     for c in sorted(parent):
         columns.setdefault(find(c), []).append(c)
-    if len(columns) == 1 and len(parent) == m.ncols and all(supports):
-        return None
-    rows: dict[int, list[Vector]] = {root: [] for root in columns}
-    for row, support in zip(m.rows, supports):
-        if support:
-            rows[find(support[0])].append(row)
-    return [
-        (cols, RatMatrix.from_rows([[row[c] for c in cols] for row in rows[root]]))
-        for root, cols in columns.items()
-    ]
+    block_rows: dict[int, list[list[int]]] = {root: [] for root in columns}
+    for first, row in supported:
+        root = find(first)
+        dense = [row.get(c, 0) for c in columns[root]]
+        g = gcd(*dense)
+        block_rows[root].append([v // g for v in dense] if g > 1 else dense)
+    return [(cols, block_rows[root]) for root, cols in columns.items()]
+
+
+def _sparse_rows(m, ncols: int | None) -> tuple[Sequence[SparseRow], int]:
+    if isinstance(m, RatMatrix):
+        rows = [{c: v for c, v in enumerate(r) if v} for r in _integer_rows(m)]
+        return rows, m.ncols
+    if ncols is None:
+        raise IndexOutOfRange("sparse rows need an explicit column count")
+    return m, ncols
 
 
 def matrix_rank(m: RatMatrix) -> int:
@@ -158,62 +156,66 @@ def matrix_rank(m: RatMatrix) -> int:
     return len(pivots)
 
 
-def rref(m: RatMatrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row-echelon form (nonzero rows only) and pivot columns."""
-    blocks = _blocks(m)
-    if blocks is not None:
-        placed: list[tuple[int, Vector]] = []
-        for cols, block in blocks:
-            block_rows, block_pivots = rref(block)
-            for row, p in zip(block_rows, block_pivots):
-                full = [Fraction(0)] * m.ncols
-                for c, x in zip(cols, row):
-                    full[c] = x
-                placed.append((cols[p], tuple(full)))
-        placed.sort(key=lambda item: item[0])
-        return tuple(row for _, row in placed), tuple(p for p, _ in placed)
-    ech, pivots = _echelon(_integer_rows(m), m.ncols)
-    rank = len(pivots)
-    rows = [[Fraction(x) for x in ech[i]] for i in range(rank)]
-    for i in reversed(range(rank)):
-        c = pivots[i]
-        inv = rows[i][c]
-        rows[i] = [x / inv for x in rows[i]]
-        for above in range(i):
-            f = rows[above][c]
-            if f:
-                rows[above] = [a - f * b for a, b in zip(rows[above], rows[i])]
-    return tuple(tuple(r) for r in rows), tuple(pivots)
+def rref(
+    m: RatMatrix | Sequence[SparseRow], ncols: int | None = None
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row-echelon form (nonzero rows only) and pivot columns of a
+    `RatMatrix`, or of sparse integer rows with their column count."""
+    rows, ncols = _sparse_rows(m, ncols)
+    placed: list[tuple[int, Vector]] = []
+    for cols, block in _blocks(rows, ncols):
+        ech, pivots = _echelon(block, len(cols))
+        # Back-substitution in integers: row i of the RREF is ech[i] divided
+        # by its pivot entry; a changed row is divided by its gcd.
+        for i in reversed(range(len(pivots))):
+            row, c = ech[i], pivots[i]
+            for above in range(i):
+                f = ech[above][c]
+                if f:
+                    upper = [row[c] * a - f * b for a, b in zip(ech[above], row)]
+                    g = gcd(*upper)
+                    ech[above] = [v // g for v in upper] if g > 1 else upper
+        for p, row in zip(pivots, ech):
+            full = [ZERO] * ncols
+            for c, x in zip(cols, row):
+                if x:
+                    full[c] = Fraction(x, row[p])
+            placed.append((cols[p], tuple(full)))
+    placed.sort(key=lambda item: item[0])
+    return tuple(row for _, row in placed), tuple(p for p, _ in placed)
 
 
-def kernel_basis(m: RatMatrix) -> tuple[Vector, ...]:
-    """Canonical basis of the right kernel of ``m``.
+def kernel_basis(
+    m: RatMatrix | Sequence[SparseRow], ncols: int | None = None
+) -> tuple[Vector, ...]:
+    """Canonical basis of the right kernel of ``m`` (taken as by `rref`).
 
-    The basis is the reduced row-echelon normal form of the nullspace:
-    deterministic, pivot entries 1, independent of which equations cut
-    the space out.
+    It is read off the RREF of ``m`` with its columns in reverse order,
+    where each free column f gives the kernel vector with 1 at f, 0 at the
+    other free columns and minus column f of the RREF at the pivots, all of
+    which precede f. In the original order each such vector leads with its
+    1, at a column where all the others are 0: sorted by that column, they
+    are the RREF of the kernel.
     """
-    reduced, pivots = rref(m)
-    ncols = m.ncols
+    rows, ncols = _sparse_rows(m, ncols)
+    last = ncols - 1
+    reduced, pivots = rref([{last - c: x for c, x in r.items()} for r in rows], ncols)
+    columns = list(zip(*reduced)) or [()] * ncols
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     vectors: list[Vector] = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -reduced[i][f]
-        vectors.append(tuple(v))
-    if not vectors:
-        return ()
-    canonical, _ = rref(RatMatrix.from_rows(vectors, ncols))
-    return canonical
+    for f in reversed(range(ncols)):
+        if f not in pivot_set:
+            v = [ZERO] * ncols
+            v[last - f] = ONE
+            for p, x in zip(pivots, columns[f]):
+                if x is not ZERO:
+                    v[last - p] = -x
+            vectors.append(tuple(v))
+    return tuple(vectors)
 
 
 def canonicalize_span(vectors: list[Vector] | tuple[Vector, ...], ncols: int) -> tuple[Vector, ...]:
     """Reduced row-echelon normal form of the span of ``vectors``."""
-    if not vectors:
-        return ()
     reduced, _ = rref(RatMatrix.from_rows(vectors, ncols))
     return reduced
 

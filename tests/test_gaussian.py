@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussmap import gaussian
 from gaussmap.curve import default_curve, random_curve
 from gaussmap.errors import (
     IndexOutOfRange,
@@ -29,7 +30,8 @@ from gaussmap.gaussian import (
     rank_table,
     wronskian_rank_oracle,
 )
-from gaussmap.quadrics import basis_quadric, combine, quadric_from_vector
+from gaussmap.poly import Poly, falling
+from gaussmap.quadrics import basis_quadric, combine, quadric_from_vector, sym_pairs
 
 F = Fraction
 
@@ -102,6 +104,62 @@ def test_oracle_residuals_vanish_exactly_on_kernel_members():
     q = kernel_quadrics(5, 1)[0]
     assert oracle_residuals(q, 3) == []
     assert oracle_residuals(basis_quadric(5, 1, 2), 3) != []
+
+
+def fraction_identity_polynomial(q, h, n):
+    """sum c_ab f_a^(h) f_b^(n) in Fraction arithmetic over the tensor slots
+    of each Q_ij, with their weights +-1/2: the reference for the integer
+    builder behind oracle_residuals and the mu representatives."""
+    genus = q.genus
+    half = F(1, 2)
+    coeffs = [F(0)] * (2 * genus - 1)
+    for (i, j), a in zip(sym_pairs(genus), q.a_coords):
+        if a == 0:
+            continue
+        slots = ((i, j - 1, half), (j - 1, i, half), (j, i - 1, -half), (i - 1, j, -half))
+        for alpha, beta, weight in slots:
+            t = falling(alpha, h) * falling(beta, n)
+            if t:
+                coeffs[alpha + beta - h - n] += a * weight * t
+    return Poly.from_coeffs(coeffs)
+
+
+def fraction_oracle_residuals(q, bound):
+    bad = []
+    for total in range(bound + 1):
+        for n in range(total // 2 + 1):
+            poly = fraction_identity_polynomial(q, total - n, n)
+            if not poly.is_zero():
+                bad.append((total - n, n, poly))
+    return bad
+
+
+@st.composite
+def kernel_combinations(draw):
+    """A genus, a level k and a random rational combination of the level-k
+    kernel basis, perturbed off the kernel by a multiple of one Q_ij or not."""
+    genus = draw(st.integers(3, 9))
+    k = draw(st.integers(0, max_level(genus)))
+    quads = kernel_quadrics(genus, k)
+    q = combine(genus, [draw(small_rats) for _ in quads], quads)
+    if draw(st.booleans()):
+        i = draw(st.integers(1, genus - 2))
+        j = draw(st.integers(i + 1, genus - 1))
+        q = combine(genus, [F(1), draw(small_rats)], [q, basis_quadric(genus, i, j)])
+    return q, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_combinations(), st.integers(0, 4))
+def test_integer_identities_equal_the_fraction_route(case, extra):
+    q, k = case
+    bound = 2 * k + 1 + extra
+    assert oracle_residuals(q, bound) == fraction_oracle_residuals(q, bound)
+    level = k + 1
+    for n in range(2 * level + 1):
+        sign = -1 if n % 2 else 1
+        expected = fraction_identity_polynomial(q, 2 * level - n, n).scale(sign)
+        assert gaussian._mu_representative(q, level, n) == expected
 
 
 @settings(max_examples=25, deadline=None)

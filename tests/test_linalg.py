@@ -1,13 +1,17 @@
 """Exact linear algebra: ranks, reduced echelon forms, kernels, spans."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaussmap.errors import IndexOutOfRange
+from gaussmap.gaussian import kernel_equations, kernel_via_equations, max_level
 from gaussmap.linalg import (
     RatMatrix,
+    _blocks,
     canonicalize_span,
     dot,
     in_span,
@@ -66,6 +70,32 @@ def naive_rref(rows, ncols):
     return tuple(tuple(row) for row in work[: len(pivots)]), tuple(pivots)
 
 
+def naive_kernel(rows, ncols):
+    """Canonical kernel basis: the naive RREF of the nullspace read off the
+    naive RREF of the rows."""
+    reduced, pivots = naive_rref(rows, ncols)
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    return naive_rref(vectors, ncols)[0]
+
+
+def sparse_integer_rows(draw, rows):
+    """Each row cleared of denominators, times a drawn nonzero integer, as a
+    {column: int} dict; a zero row becomes an empty dict."""
+    out = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row)) * draw(
+            st.integers(1, 5).map(lambda n: n * draw(st.sampled_from((1, -1))))
+        )
+        out.append({c: int(x * scale) for c, x in enumerate(row) if x})
+    return out
+
+
 @st.composite
 def permuted_block_diagonal(draw):
     """Rows and width of a block-diagonal matrix with shuffled rows and columns.
@@ -106,9 +136,64 @@ def test_block_split_matches_plain_elimination(case):
     rank = matrix_rank(m)
     assert rank == naive_rank(rows, ncols)
     basis = kernel_basis(m)
+    assert basis == naive_kernel(rows, ncols)
     assert rank + len(basis) == ncols
     for vec in basis:
         assert all(x == 0 for x in mat_vec(m, vec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_diagonal(), st.data())
+@example(([], 3), None)
+def test_sparse_integer_rows_give_the_plain_elimination(case, data):
+    rows, ncols = case
+    sparse = [] if data is None else sparse_integer_rows(data.draw, rows)
+    sparse += [{}] * (0 if data is None else data.draw(st.integers(0, 2)))
+    assert rref(sparse, ncols) == naive_rref(rows, ncols)
+    assert kernel_basis(sparse, ncols) == naive_kernel(rows, ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal(), st.data())
+def test_explicit_zero_entries_never_merge_blocks(case, data):
+    rows, ncols = case
+    sparse = sparse_integer_rows(data.draw, rows)
+    padded = [
+        {**{c: 0 for c in data.draw(st.sets(st.integers(0, ncols - 1)))}, **row}
+        for row in sparse
+    ]
+    assert _blocks(padded, ncols) == _blocks(sparse, ncols)
+    assert rref(padded, ncols) == rref(sparse, ncols)
+    assert kernel_basis(padded, ncols) == kernel_basis(sparse, ncols)
+
+
+def test_an_explicit_zero_leaves_columns_apart_and_untouched():
+    assert _blocks([{0: 2, 1: 0}, {1: 3}], 3) == [([0], [[1]]), ([1], [[1]])]
+    assert kernel_basis([{0: 2, 2: 0}], 3) == (
+        (F(0), F(1), F(0)),
+        (F(0), F(0), F(1)),
+    )
+
+
+def test_sparse_rows_are_checked_against_the_column_count():
+    with pytest.raises(IndexOutOfRange):
+        rref([{3: 1}], 3)
+    with pytest.raises(IndexOutOfRange):
+        kernel_basis([{-1: 1}], 3)
+    with pytest.raises(IndexOutOfRange):
+        rref([{0: 1}])
+
+
+def test_dense_level_equations_cut_out_the_equation_route_kernels():
+    for genus in range(3, 13):
+        dim = (genus - 1) * (genus - 2) // 2
+        rows = []
+        for k in range(max_level(genus) + 1):
+            if k:
+                rows.extend(kernel_equations(genus, k).rows)
+            assert kernel_basis(RatMatrix.from_rows(rows, ncols=dim)) == (
+                kernel_via_equations(genus).level(k).basis
+            ), (genus, k)
 
 
 def test_rank_of_identity_and_zero():
@@ -215,8 +300,6 @@ def test_dot_equals_the_plain_sum_on_sparse_vectors(pair):
 
 
 def test_dot_rejects_a_length_mismatch():
-    from gaussmap.errors import IndexOutOfRange
-
     with pytest.raises(IndexOutOfRange):
         dot((F(0), F(1)), (F(0),))
     with pytest.raises(IndexOutOfRange):
@@ -256,8 +339,6 @@ def test_kernel_dimension_complements_rank(rows):
 
 
 def test_from_rows_rejects_ragged_input():
-    from gaussmap.errors import IndexOutOfRange
-
     with pytest.raises(IndexOutOfRange):
         RatMatrix.from_rows([[F(1)], [F(1), F(2)]])
     with pytest.raises(IndexOutOfRange):
