@@ -90,7 +90,7 @@ def sparse_integer_rows(draw, rows):
     out = []
     for row in rows:
         scale = lcm(*(x.denominator for x in row)) * draw(
-            st.integers(1, 5).map(lambda n: n * draw(st.sampled_from((1, -1))))
+            st.integers(-5, 5).filter(bool)
         )
         out.append({c: int(x * scale) for c, x in enumerate(row) if x})
     return out
@@ -144,11 +144,10 @@ def test_block_split_matches_plain_elimination(case):
 
 @settings(max_examples=80, deadline=None)
 @given(permuted_block_diagonal(), st.data())
-@example(([], 3), None)
 def test_sparse_integer_rows_give_the_plain_elimination(case, data):
     rows, ncols = case
-    sparse = [] if data is None else sparse_integer_rows(data.draw, rows)
-    sparse += [{}] * (0 if data is None else data.draw(st.integers(0, 2)))
+    sparse = sparse_integer_rows(data.draw, rows)
+    sparse += [{}] * data.draw(st.integers(0, 2))
     assert rref(sparse, ncols) == naive_rref(rows, ncols)
     assert kernel_basis(sparse, ncols) == naive_kernel(rows, ncols)
 
