@@ -85,6 +85,7 @@ from .reports import (  # noqa: E402  (needs __version__ above)
 )
 from .rho import (  # noqa: E402
     AsymptoticCertificate,
+    Certifier,
     CupRank,
     DerivativePairing,
     DiagonalResult,
@@ -104,11 +105,8 @@ from .rho import (  # noqa: E402
     isotropy_suite,
     mu2_cross_check,
     pairing_reduction,
-    pairing_table,
     rho_pair,
     rho_reduction_vector,
-    threshold_with_policy,
-    vanishing_threshold,
     witness_functional,
     witness_hyperplane,
 )

@@ -220,12 +220,6 @@ def canonicalize_span(vectors: list[Vector] | tuple[Vector, ...], ncols: int) ->
     return reduced
 
 
-def mat_vec(m: RatMatrix, v: Vector) -> Vector:
-    if m.ncols != len(v):
-        raise IndexOutOfRange("dimension mismatch in matrix-vector product")
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m.rows)
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     """Exact inner product; products with a zero factor are skipped."""
     if len(u) != len(v):
@@ -235,16 +229,3 @@ def dot(u: Vector, v: Vector) -> Fraction:
         if a and b:
             total += a * b
     return total
-
-
-def in_span(vector: Vector, basis: tuple[Vector, ...]) -> bool:
-    """Whether ``vector`` lies in the span of an RREF ``basis``."""
-    residue = list(vector)
-    for row in basis:
-        lead = next((c for c, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        coeff = residue[lead] / row[lead]
-        if coeff:
-            residue = [a - coeff * b for a, b in zip(residue, row)]
-    return not any(residue)

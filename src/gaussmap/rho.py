@@ -23,12 +23,16 @@ and serves every reader of it: the threshold scans, the pairing tables and
 the rho evaluations. The isotropy suite keeps one per kernel basis quadric,
 and `diagonal_functional` returns the pairings of the A_{k,0} basis so that
 the certificates evaluate their cross terms on the witness's own pairing.
-`derivative_sum`, `threshold_info`, `pairing_table` and `rho_pair` are
-one-call wrappers that build a fresh `Pairing`. The only module-level
-caches left are those of `witness_functional`, `witness_hyperplane` and
-`diagonal_functional`, keyed on genus, level and curve, and the basis
-quadric data of the x-chart cross-check, keyed on the genus alone; none
-is keyed on a quadric.
+`derivative_sum`, `threshold_info` and `rho_pair` are one-call wrappers
+that build a fresh `Pairing`.
+
+The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
+diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
+routine from their pair, domain basis and rho values. Neither is cached:
+one `Certifier` value per curve builds each level's diagonal functional
+once and serves every direction certified on that curve. The only
+module-level cache is the basis quadric data of the x-chart cross-check,
+keyed on the genus alone; no cache is keyed on a curve or a quadric.
 
 An exact identity that fails here (the two endpoint sums of a rho value,
 a value forced to zero) raises `IdentityFailed`, a `Falsified` error.
@@ -40,7 +44,7 @@ is raised as `PairNotLicensed`, also a `Falsified` error.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -329,19 +333,6 @@ def threshold_info(q: QuadricI2, curve: Curve, cap: int) -> ThresholdInfo:
     return Pairing(q, curve).threshold(cap)
 
 
-def vanishing_threshold(q: QuadricI2, curve: Curve, cap: int) -> int:
-    return threshold_info(q, curve, cap).threshold
-
-
-def threshold_with_policy(q: QuadricI2, curve: Curve, k: int) -> ThresholdInfo:
-    """Threshold scan with the default cap 4k+8, auto-raised once to 2*(4k+8)."""
-    return Pairing(q, curve).threshold_with_policy(k)
-
-
-def pairing_table(q: QuadricI2, curve: Curve, bound: int) -> DerivativePairing:
-    return Pairing(q, curve).table(bound)
-
-
 def rho_pair(q: QuadricI2, curve: Curve, n, r) -> RhoValue:
     """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i); see `Pairing.rho`."""
     return Pairing(q, curve).rho(n, r)
@@ -575,16 +566,6 @@ class Functional:
         return out
 
 
-def _functional_values_from_vector(
-    vec: dict[tuple[int, int], Fraction], q: QuadricI2
-) -> Fraction:
-    total = ZERO
-    for pair, coeff in vec.items():
-        if coeff:
-            total += coeff * q.b(*pair)
-    return total
-
-
 def _single_constant(
     values: tuple[Fraction, ...], reference: tuple[Fraction, ...]
 ) -> Fraction | None:
@@ -606,48 +587,82 @@ def _single_constant(
     return constant
 
 
-def _witness_support(genus: int, k: int) -> tuple[tuple[int, int], ...]:
+def _support(genus: int, k: int, total: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (total - (g-u), g-u) of I_2 for u = 1, ..., k+1."""
     return tuple(
-        (genus - 2 * k - 3 + u, genus - u)
+        (total - genus + u, genus - u)
         for u in range(1, k + 2)
-        if 1 <= genus - 2 * k - 3 + u < genus - u <= genus - 1
+        if 1 <= total - genus + u < genus - u
     )
 
 
-def _diagonal_support(genus: int, k: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (genus - 2 * k - 4 + u, genus - u)
-        for u in range(1, k + 2)
-        if 1 <= genus - 2 * k - 4 + u < genus - u <= genus - 1
-    )
+def _closed_form(
+    curve: Curve, genus: int, m1: int, support: tuple[tuple[int, int], ...]
+) -> tuple[Fraction, ...]:
+    """sigma_2/2 * W-product / ((2u-2)! (m1-2u)!) at each support pair (i, g-u).
 
-
-def _witness_closed_form(curve: Curve, genus: int, k: int) -> tuple[Fraction, ...]:
-    """sigma_2/2 * W-product / ((2u-2)! (4k+4-2u)!), halved once more at u = k+1."""
-    table = canonical_derivatives(curve, 4 * k + 4)
+    The one adjacent pair, j = i + 1, is the witness's u = k+1 and is
+    halved once more.
+    """
+    table = canonical_derivatives(curve, m1)
     sigma2 = x_derivatives(curve, 2)[2]
     out = []
-    for u in range(1, k + 2):
-        wval = table[2 * k + 2 - u][4 * k + 4 - 2 * u] * table[u - 1][2 * u - 2]
-        denom = 2 * factorial(2 * u - 2) * factorial(4 * k + 4 - 2 * u)
-        if u == k + 1:
+    for (i, j) in support:
+        u = genus - j
+        wval = table[m1 // 2 - u][m1 - 2 * u] * table[u - 1][2 * u - 2]
+        denom = 2 * factorial(2 * u - 2) * factorial(m1 - 2 * u)
+        if j == i + 1:
             denom *= 2
         out.append(sigma2 * wval / denom)
     return tuple(out)
 
 
-def _diagonal_closed_form(
-    curve: Curve, genus: int, k: int, support: tuple[tuple[int, int], ...]
-) -> tuple[Fraction, ...]:
-    table = canonical_derivatives(curve, 4 * k + 6)
-    sigma2 = x_derivatives(curve, 2)[2]
-    out = []
-    for (i, j) in support:
-        u = genus - j
-        wval = table[2 * k + 3 - u][4 * k + 6 - 2 * u] * table[u - 1][2 * u - 2]
-        denom = 2 * factorial(2 * u - 2) * factorial(4 * k + 6 - 2 * u)
-        out.append(sigma2 * wval / denom)
-    return tuple(out)
+def _functional(
+    genus: int,
+    curve: Curve,
+    pair: tuple[int, int],
+    domain: str,
+    basis: tuple[QuadricI2, ...],
+    values: tuple[Fraction, ...],
+) -> Functional:
+    """The rho evaluation at pair = (2k+3, r) as a functional on `basis`.
+
+    `values` are its rho values on the basis. The exact reduction vector
+    must reproduce each of them, in full and trimmed to the support: the
+    pairs (i, j) with i + j = 2g - (n+r)/2 - 1 and j >= g-k-1. No pair of
+    lower total may carry weight.
+    """
+    n, r = pair
+    k = (n - 3) // 2
+    vec = rho_reduction_vector(curve, genus, n, r)
+    total = 2 * genus - (n + r) // 2 - 1
+    support = _support(genus, k, total)
+    coefficients = tuple(vec[p] for p in support)
+    closed = _closed_form(curve, genus, n + r, support)
+
+    def value_on(q: QuadricI2, pairs) -> Fraction:
+        return sum((vec[p] * q.b(*p) for p in pairs if vec[p]), ZERO)
+
+    return Functional(
+        genus=genus,
+        k=k,
+        pair=pair,
+        domain=domain,
+        curve=curve.label(),
+        basis=basis,
+        values=values,
+        support=support,
+        coefficients=coefficients,
+        closed_form=closed,
+        nonzero_on_domain=any(values),
+        support_ok=all(vec[p] == 0 for p in vec if p[0] + p[1] < total),
+        coefficients_nonzero=all(coefficients),
+        closed_form_ok=coefficients == closed,
+        reduction_ok=all(
+            value_on(q, vec) == value == value_on(q, support)
+            for q, value in zip(basis, values)
+        ),
+    )
 
 
 def _witness_display_form(
@@ -672,62 +687,36 @@ def _witness_display_form(
     return tuple(out), tuple(factors)
 
 
-@lru_cache(maxsize=None)
 def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
-    """The xi^{2k+3} (.) xi^{2k+1} evaluation as a functional on Ker mu_2k."""
+    """The xi^{2k+3} (.) xi^{2k+1} evaluation as a functional on Ker mu_2k.
+
+    Its reduction also requires the b-support check of every kernel
+    quadric, and the textbook display form is compared as a functional on
+    the kernel.
+    """
     _require_level(genus, k)
     quads = _kernel_quadrics(genus, k)
     n, r = 2 * k + 3, 2 * k + 1
     with _licensed():
         values = tuple(rho_pair(q, curve, n, r).value for q in quads)
-
-    vec = rho_reduction_vector(curve, genus, n, r)
-    support = _witness_support(genus, k)
-    bound = 2 * genus - 2 * k - 3
-    support_ok = all(
-        vec[pair] == 0 for pair in vec if pair[0] + pair[1] < bound
-    )
-    reduction_ok = True
-    for q, value in zip(quads, values):
-        if not b_support_check(q, k).ok:
-            reduction_ok = False
-        full = _functional_values_from_vector(vec, q)
-        trimmed = sum((vec[pair] * q.b(*pair) for pair in support), ZERO)
-        if full != value or trimmed != value:
-            reduction_ok = False
-
-    coefficients = tuple(vec[pair] for pair in support)
-    closed = _witness_closed_form(curve, genus, k)
+    f = _functional(genus, curve, (n, r), "kernel", quads, values)
     display, factors = _witness_display_form(curve, genus, k)
     display_values = tuple(
-        sum((c * q.b(*pair) for c, pair in zip(display, support)), ZERO)
+        sum((c * q.b(*pair) for c, pair in zip(display, f.support)), ZERO)
         for q in quads
     )
     constant = _single_constant(values, display_values)
-    ratios = tuple(
-        (c / d) if d else None for c, d in zip(coefficients, display)
-    )
-    return Functional(
-        genus=genus,
-        k=k,
-        pair=(n, r),
-        domain="kernel",
-        curve=curve.label(),
-        basis=quads,
-        values=values,
-        support=support,
-        coefficients=coefficients,
-        closed_form=closed,
-        nonzero_on_domain=any(values),
-        support_ok=support_ok,
-        coefficients_nonzero=all(coefficients),
-        closed_form_ok=coefficients == closed,
-        reduction_ok=reduction_ok,
+    return replace(
+        f,
+        reduction_ok=f.reduction_ok
+        and all(b_support_check(q, k).ok for q in quads),
         display_form=display,
         display_factors=factors,
         display_domain_constant=constant,
         display_proportional_on_domain=constant is not None,
-        display_entry_ratios=ratios,
+        display_entry_ratios=tuple(
+            (c / d) if d else None for c, d in zip(f.coefficients, display)
+        ),
     )
 
 
@@ -775,7 +764,6 @@ def _restrict_to_functional_kernel(
     return canonicalize_span(lifted, ncols)
 
 
-@lru_cache(maxsize=None)
 def witness_hyperplane(genus: int, k: int, curve: Curve) -> HyperplaneResult:
     """A_{k,0}: the kernel of the witness functional inside Ker mu_2k.
 
@@ -827,7 +815,6 @@ class DiagonalResult:
         }
 
 
-@lru_cache(maxsize=None)
 def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
     """The xi^{2k+3} (.) xi^{2k+3} evaluation on A_{k,0}, and A_{k,0,0}.
 
@@ -849,38 +836,8 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
                 f"order {2 * n} is not licensed"
             )
     values = tuple(pairing.rho(n, n).value for pairing in pairings)
-
-    vec = rho_reduction_vector(curve, genus, n, n)
-    support = _diagonal_support(genus, k)
-    bound = 2 * genus - 2 * k - 4
-    support_ok = all(
-        vec[pair] == 0 for pair in vec if pair[0] + pair[1] < bound
-    )
-    reduction_ok = True
-    for q, value in zip(hyper.basis, values):
-        full = _functional_values_from_vector(vec, q)
-        trimmed = sum((vec[pair] * q.b(*pair) for pair in support), ZERO)
-        if full != value or trimmed != value:
-            reduction_ok = False
-
-    coefficients = tuple(vec[pair] for pair in support)
-    closed = _diagonal_closed_form(curve, genus, k, support)
-    functional = Functional(
-        genus=genus,
-        k=k,
-        pair=(n, n),
-        domain="hyperplane",
-        curve=curve.label(),
-        basis=hyper.basis,
-        values=values,
-        support=support,
-        coefficients=coefficients,
-        closed_form=closed,
-        nonzero_on_domain=any(values),
-        support_ok=support_ok,
-        coefficients_nonzero=all(coefficients),
-        closed_form_ok=coefficients == closed,
-        reduction_ok=reduction_ok,
+    functional = _functional(
+        genus, curve, (n, n), "hyperplane", hyper.basis, values
     )
     ncols = len(sym_pairs(genus))
     a00 = _restrict_to_functional_kernel(hyper.vectors, values, ncols)
@@ -945,92 +902,120 @@ def direction_length(genus: int) -> int:
     return genus // 2
 
 
-def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
-    """Certify a direction sum(lambda_i xi^{2i+1}) asymptotic or not.
+class Certifier:
+    """Asymptotic certificates of directions on one curve.
 
-    A pure xi^1 direction is certified asymptotic by checking the licensed
-    zero rho(Q)(xi^1 (.) xi^1) = 0 on every basis quadric.  Any direction
-    with top odd order 2k+1 >= 3 is certified not_asymptotic through one
-    witness quadric in A_{k-1,0} off the diagonal hyperplane: all its
-    licensed cross pairs are exact zeros and the (2k+1, 2k+1) value is
-    exactly nonzero, so the full evaluation is lambda_top^2 times it.
+    A direction of top order 2k+1 >= 3 is certified through A_{k-1,0} and
+    its diagonal functional; each level's `DiagonalResult` is built once,
+    on first use, and serves every later direction on the curve.
     """
-    genus = curve.genus
-    expected = direction_length(genus)
-    direction = tuple(Fraction(c) for c in lambdas)
-    if len(direction) != expected:
-        raise InvalidIndex(
-            f"direction for genus {genus} needs {expected} odd coefficients"
-        )
-    if not any(direction):
-        raise InvalidIndex("the zero direction has no classification")
-    top = max(idx for idx, c in enumerate(direction) if c)
-    if top == 0:
-        checks = []
-        for (i, j) in sym_pairs(genus):
-            with _licensed():
-                value = rho_pair(basis_quadric(genus, i, j), curve, 1, 1).value
-            checks.append(value)
-        if any(checks):
-            raise IdentityFailed(
-                "rho(Q)(xi^1 (.) xi^1) must vanish at a Weierstrass point"
+
+    def __init__(self, curve: Curve) -> None:
+        self.curve = curve
+        self._diagonals: dict[int, DiagonalResult] = {}
+
+    def _diagonal(self, k: int) -> DiagonalResult:
+        """`diagonal_functional` at level k on this curve."""
+        result = self._diagonals.get(k)
+        if result is None:
+            result = diagonal_functional(self.curve.genus, k, self.curve)
+            self._diagonals[k] = result
+        return result
+
+    def classify(self, lambdas) -> AsymptoticCertificate:
+        """Certify a direction sum(lambda_i xi^{2i+1}) asymptotic or not.
+
+        A pure xi^1 direction is certified asymptotic by checking the
+        licensed zero rho(Q)(xi^1 (.) xi^1) = 0 on every basis quadric.
+        Any direction with top odd order 2k+1 >= 3 is certified
+        not_asymptotic through one witness quadric in A_{k-1,0} off the
+        diagonal hyperplane: all its licensed cross pairs are exact zeros
+        and the (2k+1, 2k+1) value is exactly nonzero, so the full
+        evaluation is lambda_top^2 times it.
+        """
+        curve = self.curve
+        genus = curve.genus
+        expected = direction_length(genus)
+        direction = tuple(Fraction(c) for c in lambdas)
+        if len(direction) != expected:
+            raise InvalidIndex(
+                f"direction for genus {genus} needs {expected} odd coefficients"
             )
+        if not any(direction):
+            raise InvalidIndex("the zero direction has no classification")
+        top = max(idx for idx, c in enumerate(direction) if c)
+        if top == 0:
+            checks = []
+            for (i, j) in sym_pairs(genus):
+                q = basis_quadric(genus, i, j)
+                with _licensed():
+                    value = rho_pair(q, curve, 1, 1).value
+                checks.append(value)
+            if any(checks):
+                raise IdentityFailed(
+                    "rho(Q)(xi^1 (.) xi^1) must vanish at a Weierstrass point"
+                )
+            return AsymptoticCertificate(
+                genus=genus,
+                curve=curve.label(),
+                direction=direction,
+                verdict="asymptotic",
+                top_order=1,
+                witness=None,
+                witness_pair_value=None,
+                total_value=None,
+                cross_terms=(),
+                basis_zero_count=len(checks),
+            )
+
+        k = top
+        diag = self._diagonal(k - 1)
+        witness = None
+        pair_value = None
+        for q, pairing, value in zip(
+            diag.hyperplane.basis, diag.pairings, diag.functional.values
+        ):
+            if value:
+                witness = q
+                pair_value = value
+                break
+        if witness is None:
+            raise NoWitnessFound(
+                f"the diagonal functional vanishes on all of A_{{{k - 1},0}} "
+                f"for genus {genus}; no certificate witness exists"
+            )
+        present = [idx for idx, c in enumerate(direction) if c]
+        cross = []
+        for pos, i in enumerate(present):
+            for j in present[pos:]:
+                if (i, j) == (k, k):
+                    continue
+                with _licensed():
+                    value = pairing.rho(2 * i + 1, 2 * j + 1).value
+                cross.append((2 * i + 1, 2 * j + 1, value))
+                if value:
+                    raise IdentityFailed(
+                        f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
+                        "must vanish below the witness threshold"
+                    )
+        total = direction[top] ** 2 * pair_value
         return AsymptoticCertificate(
             genus=genus,
             curve=curve.label(),
             direction=direction,
-            verdict="asymptotic",
-            top_order=1,
-            witness=None,
-            witness_pair_value=None,
-            total_value=None,
-            cross_terms=(),
-            basis_zero_count=len(checks),
+            verdict="not_asymptotic",
+            top_order=2 * k + 1,
+            witness=witness,
+            witness_pair_value=pair_value,
+            total_value=total,
+            cross_terms=tuple(cross),
+            basis_zero_count=None,
         )
 
-    k = top
-    diag = diagonal_functional(genus, k - 1, curve)
-    witness = None
-    pair_value = None
-    for q, pairing, value in zip(
-        diag.hyperplane.basis, diag.pairings, diag.functional.values
-    ):
-        if value:
-            witness = q
-            pair_value = value
-            break
-    if witness is None:
-        raise NoWitnessFound(
-            f"the diagonal functional vanishes on all of A_{{{k - 1},0}} "
-            f"for genus {genus}; no certificate witness exists"
-        )
-    present = [idx for idx, c in enumerate(direction) if c]
-    cross = []
-    for pos, i in enumerate(present):
-        for j in present[pos:]:
-            if (i, j) == (k, k):
-                continue
-            with _licensed():
-                value = pairing.rho(2 * i + 1, 2 * j + 1).value
-            cross.append((2 * i + 1, 2 * j + 1, value))
-            if value:
-                raise IdentityFailed(
-                    f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
-                    "must vanish below the witness threshold"
-                )
-    total = direction[top] ** 2 * pair_value
-    return AsymptoticCertificate(
-        genus=genus,
-        curve=curve.label(),
-        direction=direction,
-        verdict="not_asymptotic",
-        top_order=2 * k + 1,
-        witness=witness,
-        witness_pair_value=pair_value,
-        total_value=total,
-        cross_terms=tuple(cross),
-        basis_zero_count=None,
-    )
+
+def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
+    """One direction's certificate; see `Certifier.classify`."""
+    return Certifier(curve).classify(lambdas)
 
 
 # -- cup products with Schiffer variations --------------------------------------

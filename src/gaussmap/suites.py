@@ -27,7 +27,7 @@ from .quadrics import quadric_from_vector
 from .rationals import rat_to_string, random_direction
 from .reports import CheckItem, RunConfig, VerificationReport, check
 from .rho import (
-    asymptotic_classify,
+    Certifier,
     cup_rank,
     diagonal_functional,
     direction_length,
@@ -416,14 +416,18 @@ def _direction_label(direction) -> str:
 
 
 def _certify(
-    curve: Curve, direction, expected_verdict: str, items: list[CheckItem]
+    certifier: Certifier,
+    direction,
+    expected_verdict: str,
+    items: list[CheckItem],
 ) -> None:
+    curve = certifier.curve
     genus = curve.genus
     label = (
         f"g={genus} direction {_direction_label(direction)} on {curve.label()}"
     )
     try:
-        cert = asymptotic_classify(curve, direction)
+        cert = certifier.classify(direction)
     except Falsified as exc:
         items.append(check(label, expected_verdict, str(exc), False))
         return
@@ -458,9 +462,11 @@ def _suite_certificates(
     for i in range(length - 1):
         double = tuple(1 if j in (i, i + 1) else 0 for j in range(length))
         corner.append((double, "not_asymptotic"))
-    for curve in curves:
+    # one per curve and suite call: each diagonal functional is built once
+    certifiers = [Certifier(curve) for curve in curves]
+    for certifier in certifiers:
         for direction, expected in corner:
-            _certify(curve, direction, expected, items)
+            _certify(certifier, direction, expected, items)
     if length < 2:
         # xi^1 spans the direction space, so no direction has top order 3
         # or more, and rejection sampling for one would never end
@@ -474,13 +480,12 @@ def _suite_certificates(
         )
         samples = 0
     rng = random.Random(_mix_seed(seed, genus))
-    sample_curve = curves[0]
     produced = 0
     while produced < samples:
         direction = random_direction(rng, length)
         if max(i for i, c in enumerate(direction) if c) == 0:
             continue
-        _certify(sample_curve, direction, "not_asymptotic", items)
+        _certify(certifiers[0], direction, "not_asymptotic", items)
         produced += 1
     if include_bound:
         items.append(

@@ -24,7 +24,7 @@ from gaussmap.gaussian import (
     rank_table,
 )
 from gaussmap.reports import RunConfig, rank_table_csv
-from gaussmap.rho import asymptotic_classify, cup_rank, direction_length, mu2_cross_check
+from gaussmap.rho import Certifier, asymptotic_classify, cup_rank, direction_length, mu2_cross_check
 from gaussmap.rationals import random_direction
 from gaussmap.suites import scan_report, verify_theorem
 
@@ -142,6 +142,8 @@ def test_asymptotic_certificates_for_sampled_directions():
         cert = asymptotic_classify(curve, pure)
         assert cert.verdict == "asymptotic", genus
         assert cert.basis_zero_count == (genus - 1) * (genus - 2) // 2
+        # one certifier per curve builds each diagonal functional once
+        certifier = Certifier(curve)
         rng = random.Random(SEED * 1000003 + genus)
         produced = 0
         while produced < 100:
@@ -149,7 +151,7 @@ def test_asymptotic_certificates_for_sampled_directions():
             top = max(i for i, c in enumerate(direction) if c)
             if top == 0:
                 continue
-            cert = asymptotic_classify(curve, direction)
+            cert = certifier.classify(direction)
             assert cert.verdict == "not_asymptotic", (genus, direction)
             assert cert.total_value != 0, (genus, direction)
             assert all(v == 0 for (_, _, v) in cert.cross_terms)

@@ -296,15 +296,8 @@ def test_genus_three_scan_ends_with_no_random_directions(argv):
 # -- falsifications are results, not crashes -----------------------------------------
 
 
-CACHED = (rho.witness_functional, rho.witness_hyperplane, rho.diagonal_functional)
-
-
 def patch_jet(monkeypatch, row):
-    """Add 1/7 to the 0th jet of canonical frame function ``row``.
-
-    The cached rho results are cleared around the test, so no faulty value
-    outlives it and no earlier value hides the fault.
-    """
+    """Add 1/7 to the 0th jet of canonical frame function ``row``."""
     original = rho.canonical_derivatives
 
     def patched(curve, order):
@@ -312,8 +305,6 @@ def patch_jet(monkeypatch, row):
         rows[row][0] += Fraction(1, 7)
         return tuple(tuple(r) for r in rows)
 
-    for function in CACHED:
-        function.cache_clear()
     monkeypatch.setattr(rho, "canonical_derivatives", patched)
 
 
@@ -321,10 +312,6 @@ def patch_jet(monkeypatch, row):
 def faulty_jet(monkeypatch):
     """A fault in the first frame function breaks the symmetry of rho."""
     patch_jet(monkeypatch, 0)
-    yield
-    monkeypatch.undo()
-    for function in CACHED:
-        function.cache_clear()
 
 
 @pytest.fixture
@@ -332,10 +319,6 @@ def blocking_jet(monkeypatch):
     """A fault in the second frame function makes D(0,0) = 1/49 nonzero,
     which blocks every rho pair."""
     patch_jet(monkeypatch, 1)
-    yield
-    monkeypatch.undo()
-    for function in CACHED:
-        function.cache_clear()
 
 
 def test_a_faulty_jet_gives_failing_scan_items_and_exit_one(capsys, faulty_jet):

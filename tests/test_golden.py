@@ -2,7 +2,9 @@
 
 The files in ``tests/golden/`` pin the exact bytes of the rank table, the
 canonical kernel bases of both kernel routes at genus 9, the odd-map ranks
-and kernel bases for genus 3..9, the report of every theorem suite for
+and kernel bases for genus 3..9, the witness and diagonal functionals of
+every level at genus 3..9 (coefficients, closed forms, rho values and the
+A_{k,0} and A_{k,0,0} bases), the report of every theorem suite for
 genus 3..7, one seeded direction scan, and single
 ``rho`` values: licensed zero and nonzero values and ``BeyondThreshold``
 payloads. Reruns of one build are already checked to agree elsewhere; these
@@ -22,8 +24,10 @@ import os
 import pytest
 
 from gaussmap.cli import main
+from gaussmap.curve import default_curve
 from gaussmap.gaussian import max_level, odd_kernel_and_rank
 from gaussmap.rationals import rat_to_string
+from gaussmap.rho import diagonal_functional, witness_functional
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 KERNEL_GENUS = 9
@@ -68,6 +72,19 @@ def odd_kernels_json():
     return json.dumps(table, indent=1, sort_keys=True) + "\n"
 
 
+def functionals_json():
+    """Witness and diagonal functional of every level on the default curves, g=3..9."""
+    table = {}
+    for genus in range(3, 10):
+        curve = default_curve(genus)
+        for k in range((genus - 3) // 2 + 1):
+            table[f"g={genus} k={k}"] = {
+                "witness": witness_functional(genus, k, curve).to_json(),
+                "diagonal": diagonal_functional(genus, k, curve).to_json(),
+            }
+    return json.dumps(table, indent=1, sort_keys=True) + "\n"
+
+
 def cases():
     """Golden file name -> zero-argument function producing its text."""
     out = {"rank-table_g3-12.csv": lambda: cli_stdout("rank-table", "--g", "3..12")}
@@ -75,6 +92,7 @@ def cases():
         argv = ("kernel", "--g", str(KERNEL_GENUS), "--k", str(k), "--method", "both")
         out[f"kernel_g{KERNEL_GENUS}_k{k}.json"] = lambda argv=argv: cli_stdout(*argv)
     out["odd_kernels_g3-9.json"] = odd_kernels_json
+    out["functionals_g3-9.json"] = functionals_json
     for theorem in THEOREMS:
         argv = ("verify", "--theorem", theorem, "--g", THEOREM_GENERA)
         tag = THEOREM_GENERA.replace("..", "-")

@@ -8,7 +8,11 @@ raised instead.
 """
 
 import dataclasses
+import gc
+import importlib
+import inspect
 import json
+import pkgutil
 import random
 from fractions import Fraction
 from functools import reduce
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussmap
 import gaussmap.rho as rho
 from gaussmap.cli import main
 from gaussmap.curve import (
@@ -48,18 +53,16 @@ from gaussmap.rho import (
     mu2_cross_check,
     omega_wronskian_sum,
     pairing_reduction,
-    pairing_table,
     rho_pair,
     rho_reduction_vector,
     threshold_info,
-    threshold_with_policy,
-    vanishing_threshold,
     witness_functional,
     witness_hyperplane,
 )
 from gaussmap.rho import _licensed, _sym_entries
+from gaussmap.reports import RunConfig
 from gaussmap.series import TruncatedSeries
-from gaussmap.suites import curve_panel
+from gaussmap.suites import curve_panel, verify_theorem
 
 F = Fraction
 
@@ -122,11 +125,48 @@ def test_pairing_matrix_equals_the_plain_double_sum(coords, requests):
         assert pairing(h, l) == expected == derivative_sum(q, c, l, h)
 
 
+def _module_caches():
+    """(module, name, wrapped function) for every lru_cache in gaussmap."""
+    for info in pkgutil.iter_modules(gaussmap.__path__):
+        module = importlib.import_module(f"gaussmap.{info.name}")
+        owners = [module] + [
+            v for v in vars(module).values() if inspect.isclass(v)
+        ]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_info"):
+                    yield module.__name__, name, value.__wrapped__
+
+
 def test_pairing_layer_keeps_no_module_cache_keyed_on_quadrics():
     assert not hasattr(derivative_sum, "cache_info")
     assert not hasattr(_sym_entries, "cache_info")
     with pytest.raises(InvalidIndex):
         Pairing(basis_quadric(4, 1, 3), default_curve(4))(-1, 2)
+    caches = list(_module_caches())
+    assert ("gaussmap.rho", "_cross_check_quadrics") in [c[:2] for c in caches]
+    for module, name, function in caches:
+        for param in inspect.signature(function).parameters.values():
+            assert param.name != "curve", (module, name)
+            assert "Curve" not in str(param.annotation), (module, name)
+
+
+def test_suites_leave_nothing_behind_per_curve():
+    # the first run fills what is kept per genus (the kernels), so any
+    # growth over the second run is state kept per curve
+    def run(theorem, samples, seed):
+        config = RunConfig(
+            command="verify", genus_min=5, genus_max=5, samples=samples, seed=seed
+        )
+        assert verify_theorem(theorem, config).passed
+
+    for theorem in ("T6.6", "T6.9"):
+        run(theorem, 5, 0)
+        gc.collect()
+        before = len(gc.get_objects())
+        run(theorem, 100, 1)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1000, theorem
 
 
 @settings(max_examples=20, deadline=None)
@@ -163,7 +203,7 @@ def test_wronskian_sum_is_antisymmetric_in_the_orders():
 def test_threshold_of_the_genus_five_kernel_generator():
     c = default_curve(5)
     q = genus5_kernel_generator()
-    info = threshold_with_policy(q, c, 1)
+    info = Pairing(q, c).threshold_with_policy(1)
     assert info.threshold == 7 and not info.at_cap
     h, l, value = info.first_nonzero
     assert (h, l) == (4, 4)
@@ -174,12 +214,12 @@ def test_threshold_respects_the_cap_and_flags_it():
     c3 = default_curve(3)
     info = threshold_info(basis_quadric(3, 1, 2), c3, 2)
     assert info.threshold == 2 and info.at_cap and info.first_nonzero is None
-    assert vanishing_threshold(basis_quadric(5, 1, 2), default_curve(5), 4) == 3
+    assert Pairing(basis_quadric(5, 1, 2), default_curve(5)).threshold(4).threshold == 3
 
 
 def test_pairing_table_lists_only_nonzero_entries():
     c = default_curve(3)
-    table = pairing_table(basis_quadric(3, 1, 2), c, 6)
+    table = Pairing(basis_quadric(3, 1, 2), c).table(6)
     assert table.threshold == 3
     assert all(v != 0 for (_, _, v) in table.entries)
     assert all(h + l > 3 for (h, l, _) in table.entries)
@@ -355,6 +395,21 @@ def test_higher_top_order_direction_carries_a_nonzero_witness():
     assert mixed.verdict == "not_asymptotic"
     assert mixed.total_value == F(1, 9) * cert.witness_pair_value
     assert all(v == 0 for (_, _, v) in mixed.cross_terms)
+
+
+def test_a_certificate_suite_builds_each_diagonal_once(monkeypatch):
+    built = []
+    original = rho.diagonal_functional
+
+    def counted(genus, k, curve):
+        built.append((genus, k))
+        return original(genus, k, curve)
+
+    monkeypatch.setattr(rho, "diagonal_functional", counted)
+    config = RunConfig(command="verify", genus_min=6, genus_max=7, samples=100)
+    assert verify_theorem("T6.12", config).passed
+    # one curve per genus, 100 directions each: one build per level
+    assert built == [(6, 0), (6, 1), (7, 0), (7, 1)]
 
 
 def test_direction_vector_length_is_validated():
