@@ -67,11 +67,19 @@ class Curve:
         return len(self.branch_points) // 2 - 1
 
     def moduli_polynomial(self) -> Poly:
-        """G(x) = prod over nonzero branch points of (x - t_i)."""
-        g = Poly.from_coeffs((1,))
+        """G(x) = prod over nonzero branch points of (x - t_i).
+
+        With t_i = p_i / q_i, G is the integer product of the (q_i x - p_i)
+        divided once by the product of the q_i.
+        """
+        coeffs = [1]
+        scale = 1
         for t in self.branch_points[1:]:
-            g = g * Poly.from_coeffs((-t, 1))
-        return g
+            p, q = t.numerator, t.denominator
+            coeffs = [q * a - p * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            scale *= q
+        # monic, so already normalised
+        return Poly(tuple(Fraction(c, scale) for c in coeffs))
 
     def g_at_zero(self) -> Fraction:
         acc = Fraction(1)
@@ -85,6 +93,10 @@ class Curve:
         return Jets(self)
 
     def label(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
         return "[" + ", ".join(rat_to_string(t) for t in self.branch_points) + "]"
 
     def to_json(self) -> dict:

@@ -159,7 +159,10 @@ def quadric_from_a(genus: int, entries) -> QuadricI2:
 
 
 def quadric_from_vector(genus: int, vector) -> QuadricI2:
-    return QuadricI2(genus=genus, a_coords=tuple(Fraction(v) for v in vector))
+    return QuadricI2(
+        genus=genus,
+        a_coords=tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vector),
+    )
 
 
 def combine(genus: int, coefficients, quadrics) -> QuadricI2:

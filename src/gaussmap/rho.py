@@ -20,9 +20,16 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
 
 One `Pairing` value per quadric and curve computes each entry of D once
 and serves every reader of it: the threshold scans, the pairing tables and
-the rho evaluations. The isotropy suite keeps one per kernel basis quadric,
-and `diagonal_functional` returns the pairings of the A_{k,0} basis so that
-the certificates evaluate their cross terms on the witness's own pairing.
+the rho evaluations. It works over the integers: the tensor C as integer
+rows over one denominator, and the jet columns as integers over one
+denominator per column, held by a `JetColumns` value that every pairing of
+one `Pairing.family` shares. Only even orders are scanned (the odd jet
+columns are checked to vanish instead), and a watermark keeps a scanned
+zero prefix from being walked twice. The isotropy suite, route one of the
+x-chart cross-check, the witness and diagonal functionals and each
+`Certifier` build their pairings as one family; `diagonal_functional`
+returns the pairings of the A_{k,0} basis so that the certificates
+evaluate their cross terms on the witness's own pairing.
 `derivative_sum`, `threshold_info` and `rho_pair` are one-call wrappers
 that build a fresh `Pairing`.
 
@@ -173,29 +180,130 @@ class RhoValue:
         }
 
 
+def _numerators(values) -> tuple[list[int], int]:
+    """Integer numerators of these rationals over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _even_orders(total: int) -> range:
+    """The even h with h >= total - h, in scan order, for an even total.
+
+    Every pairing with an odd order vanishes (the frame functions are
+    even), so the scans visit only these.
+    """
+    half = total // 2
+    return range(half + half % 2, total + 1, 2)
+
+
+class JetColumns:
+    """The even jet columns of one curve as integers, shared by its pairings.
+
+    Column n holds the n-th jets of the canonical frame functions as
+    integer numerators ``num[n]`` over the one denominator ``den[n]``. The
+    table is read through `canonical_derivatives`, again only when a larger
+    order is asked for, and then with every column the curve already holds.
+    The odd columns are not stored: each is checked to vanish instead.
+    """
+
+    def __init__(self, curve: Curve) -> None:
+        self.curve = curve
+        self.num: list[tuple[int, ...]] = []  # empty at odd n
+        self.den: list[int] = []
+
+    def extend(self, order: int) -> None:
+        """Know every column through `order`."""
+        start = len(self.num)
+        if order < start:
+            return
+        order = max(order, self.curve.jets.canonical_order)
+        table = canonical_derivatives(self.curve, order)
+        for n in range(start, order + 1):
+            column = [row[n] for row in table]
+            if n % 2:
+                if any(column):
+                    raise IdentityFailed(
+                        f"jet column {n} is nonzero: the frame functions are not even"
+                    )
+                self.num.append(())
+                self.den.append(1)
+            else:
+                nums, den = _numerators(column)
+                self.num.append(tuple(nums))
+                self.den.append(den)
+
+
+def _integer_tensor(q: QuadricI2) -> tuple[dict[int, dict[int, int]], int]:
+    """The quadric's symmetric tensor as integer rows over one denominator.
+
+    With E the lcm of the a-coordinate denominators, entry (a, b) is
+    2E c_ab, built from the a-coordinates directly (Q_ij puts 1/2 at
+    (i, j-1) and (j-1, i), -1/2 at (j, i-1) and (i-1, j)); only the
+    nonzero entries and rows are kept.
+    """
+    scale = lcm(*(c.denominator for c in q.a_coords))
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), coeff in zip(sym_pairs(q.genus), q.a_coords):
+        if coeff:
+            c = coeff.numerator * (scale // coeff.denominator)
+            for a, b, value in ((i, j - 1, c), (j - 1, i, c), (j, i - 1, -c), (i - 1, j, -c)):
+                row = rows.setdefault(a, {})
+                row[b] = row.get(b, 0) + value
+    kept = {a: {b: c for b, c in row.items() if c} for a, row in rows.items()}
+    return {a: row for a, row in kept.items() if row}, 2 * scale
+
+
 class Pairing:
     """The pairing matrix D = T^t C T of one quadric on one curve.
 
-    C is the quadric's symmetric tensor and column T_l holds the l-th jets
-    of the canonical frame functions, so D(h, l) = T_h . V_l with
-    V_l = C T_l. Only the nonzero rows of C are kept, each V_l is built
-    once, and each entry is computed once (D is symmetric). The jet table
-    is fetched again only when a larger order is asked for, and then with
-    every column the curve already holds, so pairings after the first on
-    a curve rarely fetch twice; no jet beyond the order asked for is made.
+    C is the quadric's symmetric tensor, kept as integer rows over one
+    denominator, and column T_l holds the l-th jets of the canonical frame
+    functions as integers over den[l] (a `JetColumns`, which the pairings
+    of one `family` share). So D(h, l) is the integer dot product
+    S(h, l) = T_h . V_l with V_l = C T_l, over the product of the three
+    denominators. Each V_l and each S(h, l) is made once (D is symmetric);
+    a Fraction is made only for an entry handed out by `__call__`.
+
+    The threshold scan and the blocking scan of `rho` visit only even
+    orders, totals upward and h from total/2 up, through one shared search
+    for the first nonzero entry. A watermark records that every entry of
+    total <= m vanishes, so no later scan walks that prefix again.
     """
 
-    def __init__(self, q: QuadricI2, curve: Curve) -> None:
+    def __init__(self, q: QuadricI2, curve: Curve, columns: JetColumns | None = None) -> None:
         self.quadric = q
         self.curve = curve
-        rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for a, b, coeff in _sym_entries(q):
-            rows.setdefault(a, []).append((b, coeff))
-        self._rows = tuple(rows.items())
-        self._table: tuple[tuple[Fraction, ...], ...] = ()
-        self._order = -1
-        self._columns: dict[int, tuple[Fraction, ...]] = {}
+        self.columns = JetColumns(curve) if columns is None else columns
+        rows, self._den = _integer_tensor(q)
+        self._support = tuple(rows)
+        self._rows = tuple(tuple(row.items()) for row in rows.values())
+        self._vectors: dict[int, tuple[int, ...]] = {}
+        self._sums: dict[tuple[int, int], int] = {}
         self._entries: dict[tuple[int, int], Fraction] = {}
+        self._zero_through = -1
+        self._first: tuple[int, int, Fraction] | None = None
+
+    @classmethod
+    def family(cls, quads, curve: Curve) -> tuple["Pairing", ...]:
+        """One pairing per quadric, all reading one set of jet columns."""
+        columns = JetColumns(curve)
+        return tuple(cls(q, curve, columns) for q in quads)
+
+    def _sum(self, h: int, l: int) -> int:
+        """S(h, l) for even h >= l >= 0."""
+        value = self._sums.get((h, l))
+        if value is None:
+            columns = self.columns
+            columns.extend(h)
+            vector = self._vectors.get(l)
+            if vector is None:
+                t = columns.num[l]
+                vector = tuple(sum(c * t[b] for b, c in row) for row in self._rows)
+                self._vectors[l] = vector
+            t = columns.num[h]
+            value = sum(t[a] * v for a, v in zip(self._support, vector) if v)
+            self._sums[(h, l)] = value
+        return value
 
     def __call__(self, h: int, l: int) -> Fraction:
         """D(h, l): the (h, l) derivative pairing of the quadric at p."""
@@ -206,38 +314,42 @@ class Pairing:
             return value
         if l < 0:
             raise InvalidIndex("derivative orders must be non-negative")
-        if h > self._order:
-            self._order = max(h, self.curve.jets.canonical_order)
-            self._table = canonical_derivatives(self.curve, self._order)
-        table = self._table
-        column = self._columns.get(l)
-        if column is None:
-            column = tuple(
-                sum((coeff * table[b][l] for b, coeff in row if table[b][l]), ZERO)
-                for _, row in self._rows
-            )
-            self._columns[l] = column
-        value = ZERO
-        for (a, _), v in zip(self._rows, column):
-            if v and table[a][h]:
-                value += table[a][h] * v
+        if h % 2 or l % 2:
+            self.columns.extend(h)
+            value = ZERO
+        else:
+            s = self._sum(h, l)
+            den = self.columns.den
+            value = Fraction(s, self._den * den[h] * den[l]) if s else ZERO
         self._entries[(h, l)] = value
         return value
+
+    def _first_nonzero(self, limit: int) -> tuple[int, int, Fraction] | None:
+        """The first nonzero D(h, l) with h + l <= limit in scan order, if any."""
+        first = self._first
+        if first is not None:
+            return first if first[0] + first[1] <= limit else None
+        for total in range(self._zero_through + 1, limit + 1):
+            if total % 2:
+                self.columns.extend(total)
+            else:
+                for h in _even_orders(total):
+                    if self._sum(h, total - h):
+                        self._first = (h, total - h, self(h, total - h))
+                        return self._first
+            self._zero_through = total
+        return None
 
     def threshold(self, cap: int) -> ThresholdInfo:
         """Largest m <= cap with D(h, l) = 0 for all h + l <= m."""
         if cap < 0:
             raise InvalidIndex("threshold cap must be non-negative")
-        for total in range(cap + 1):
-            for h in range(total // 2, total + 1):
-                value = self(h, total - h)
-                if value:
-                    return ThresholdInfo(
-                        threshold=total - 1,
-                        at_cap=False,
-                        first_nonzero=(h, total - h, value),
-                    )
-        return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
+        first = self._first_nonzero(cap)
+        if first is None:
+            return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
+        return ThresholdInfo(
+            threshold=first[0] + first[1] - 1, at_cap=False, first_nonzero=first
+        )
 
     def threshold_with_policy(self, k: int) -> ThresholdInfo:
         """Threshold scan with the default cap 4k+8, auto-raised once to 2*(4k+8)."""
@@ -248,9 +360,10 @@ class Pairing:
         return info
 
     def table(self, bound: int) -> DerivativePairing:
+        self.columns.extend(bound)
         entries = []
-        for total in range(bound + 1):
-            for h in range(total // 2, total + 1):
+        for total in range(0, bound + 1, 2):
+            for h in _even_orders(total):
                 value = self(h, total - h)
                 if value:
                     entries.append((h, total - h, value))
@@ -272,26 +385,25 @@ class Pairing:
         n + r to vanish; if one does not, the formula is simply not
         available and `BeyondThreshold` is raised (never silently
         extrapolated). The sum is computed from both endpoints and must
-        agree.
+        agree. The total n + r is even, so only even j contribute.
         """
         n = _odd_order(n)
         r = _odd_order(r)
         m1 = n + r
-        for total in range(m1):
-            for h in range(total // 2, total + 1):
-                value = self(h, total - h)
-                if value:
-                    raise BeyondThreshold(
-                        f"pairing D({h},{total - h}) = {rat_to_string(value)} "
-                        f"blocks the (xi^{n}, xi^{r}) evaluation",
-                        h=h,
-                        l=total - h,
-                        value=rat_to_string(value),
-                    )
+        first = self._first_nonzero(m1 - 1)
+        if first is not None:
+            h, l, value = first
+            raise BeyondThreshold(
+                f"pairing D({h},{l}) = {rat_to_string(value)} "
+                f"blocks the (xi^{n}, xi^{r}) evaluation",
+                h=h,
+                l=l,
+                value=rat_to_string(value),
+            )
 
         def one_sided(a: int) -> Fraction:
             acc = ZERO
-            for j in range(a):
+            for j in range(0, a, 2):
                 d = self(m1 - j, j)
                 if d:
                     acc += d * Fraction(a - j, factorial(j) * factorial(m1 - j))
@@ -304,7 +416,7 @@ class Pairing:
                 f"rho symmetry failed for orders ({n},{r}): "
                 f"{rat_to_string(value)} != {rat_to_string(other)}"
             )
-        saturated = all(self(h, m1 - h) == 0 for h in range((m1 // 2) + 1))
+        saturated = self._first_nonzero(m1) is None
         if saturated and value != 0:
             raise IdentityFailed(
                 "vanishing pairings at the pair total must force a zero value"
@@ -465,7 +577,7 @@ def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
     """All licensed rho pairs with odd total <= 4k+3 vanish on Ker mu_2k."""
     _require_level(genus, k)
     quads = _kernel_quadrics(genus, k)
-    pairings = tuple(Pairing(q, curve) for q in quads)
+    pairings = Pairing.family(quads, curve)
     failures = []
     thresholds = []
     for index, pairing in enumerate(pairings):
@@ -511,7 +623,7 @@ class Functional:
     entries die on the kernel).  `closed_form` is the predicted vector
     from the one-line jet formulas; `display_form` carries the textbook
     shape with the odd cubic factors and is compared as a functional on
-    the domain, with the per-entry ratios kept as a diagnostic.
+    the domain.
     """
 
     genus: int
@@ -533,7 +645,6 @@ class Functional:
     display_factors: tuple[int, ...] | None = None
     display_domain_constant: Fraction | None = None
     display_proportional_on_domain: bool | None = None
-    display_entry_ratios: tuple[Fraction | None, ...] | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -698,7 +809,7 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     quads = _kernel_quadrics(genus, k)
     n, r = 2 * k + 3, 2 * k + 1
     with _licensed():
-        values = tuple(rho_pair(q, curve, n, r).value for q in quads)
+        values = tuple(p.rho(n, r).value for p in Pairing.family(quads, curve))
     f = _functional(genus, curve, (n, r), "kernel", quads, values)
     display, factors = _witness_display_form(curve, genus, k)
     display_values = tuple(
@@ -714,9 +825,6 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
         display_factors=factors,
         display_domain_constant=constant,
         display_proportional_on_domain=constant is not None,
-        display_entry_ratios=tuple(
-            (c / d) if d else None for c, d in zip(f.coefficients, display)
-        ),
     )
 
 
@@ -824,7 +932,7 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
     """
     _require_level(genus, k)
     hyper = witness_hyperplane(genus, k, curve)
-    pairings = tuple(Pairing(q, curve) for q in hyper.basis)
+    pairings = Pairing.family(hyper.basis, curve)
     n = 2 * k + 3
     for index, pairing in enumerate(pairings):
         info = pairing.threshold(4 * k + 5)
@@ -907,12 +1015,14 @@ class Certifier:
 
     A direction of top order 2k+1 >= 3 is certified through A_{k-1,0} and
     its diagonal functional; each level's `DiagonalResult` is built once,
-    on first use, and serves every later direction on the curve.
+    on first use, and serves every later direction on the curve. So do the
+    pairings of the basis quadrics Q_ij that certify a pure xi^1 direction.
     """
 
     def __init__(self, curve: Curve) -> None:
         self.curve = curve
         self._diagonals: dict[int, DiagonalResult] = {}
+        self._basis: tuple[Pairing, ...] = ()
 
     def _diagonal(self, k: int) -> DiagonalResult:
         """`diagonal_functional` at level k on this curve."""
@@ -945,11 +1055,14 @@ class Certifier:
             raise InvalidIndex("the zero direction has no classification")
         top = max(idx for idx, c in enumerate(direction) if c)
         if top == 0:
+            if not self._basis:
+                self._basis = Pairing.family(
+                    (basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus)), curve
+                )
             checks = []
-            for (i, j) in sym_pairs(genus):
-                q = basis_quadric(genus, i, j)
+            for pairing in self._basis:
                 with _licensed():
-                    value = rho_pair(q, curve, 1, 1).value
+                    value = pairing.rho(1, 1).value
                 checks.append(value)
             if any(checks):
                 raise IdentityFailed(
@@ -1106,12 +1219,6 @@ class Mu2CrossCheck:
         )
 
 
-def _numerators(values) -> tuple[list[int], int]:
-    """Integer numerators of these rationals over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _valuation(coeffs: list[int]) -> int:
     """First nonzero index; the truncation (the length) if none is known."""
     return next((e for e, c in enumerate(coeffs) if c), len(coeffs))
@@ -1227,10 +1334,12 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     vanishes = []
     agree = []
     compared = order
-    for quad in _cross_check_quadrics(genus):
+    quads = _cross_check_quadrics(genus)
+    pairings = Pairing.family((quad.quadric for quad in quads), curve)
+    for quad, pairing in zip(quads, pairings):
         labels.append(quad.label)
         with _licensed():
-            rho_values.append(rho_pair(quad.quadric, curve, 1, 1).value)
+            rho_values.append(pairing.rho(1, 1).value)
         terms = []
         for a, b, coeff in quad.entries:
             term = products.get((a, b))

@@ -40,7 +40,7 @@ from gaussmap.errors import (
     InvalidIndex,
     TooFewBranchPoints,
 )
-from gaussmap.poly import poly_derivative
+from gaussmap.poly import Poly, poly_derivative
 from gaussmap.series import TruncatedSeries
 
 F = Fraction
@@ -76,6 +76,23 @@ def test_random_curve_is_seed_deterministic():
     a = random_curve(4, random.Random(7))
     b = random_curve(4, random.Random(7))
     assert a == b and a.genus == 4
+
+
+@pytest.mark.parametrize("genus", range(3, 13))
+def test_moduli_polynomial_equals_the_product_of_linear_factors(genus):
+    for curve in [default_curve(genus)] + [
+        random_curve(genus, random.Random(seed)) for seed in range(3)
+    ]:
+        expected = Poly.from_coeffs((1,))
+        for t in curve.branch_points[1:]:
+            expected = expected * Poly.from_coeffs((-t, 1))
+        assert curve.moduli_polynomial() == expected
+
+
+def test_a_curve_renders_its_label_once():
+    c = random_curve(4, random.Random(2))
+    assert c.label() is c.label()
+    assert c.label() == "[" + ", ".join(str(t) for t in c.branch_points) + "]"
 
 
 # -- the defining identity ----------------------------------------------------------

@@ -32,7 +32,7 @@ from gaussmap.curve import (
     random_curve,
     x_of_z,
 )
-from gaussmap.errors import BeyondThreshold, GaussmapError, InvalidIndex
+from gaussmap.errors import BeyondThreshold, GaussmapError, IdentityFailed, InvalidIndex
 from gaussmap.gaussian import (
     kernel_dimension_formula,
     kernel_via_equations,
@@ -40,6 +40,7 @@ from gaussmap.gaussian import (
 )
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
 from gaussmap.rho import (
+    JetColumns,
     Mu2CrossCheck,
     Pairing,
     RhoValue,
@@ -123,6 +124,100 @@ def test_pairing_matrix_equals_the_plain_double_sum(coords, requests):
             F(0),
         )
         assert pairing(h, l) == expected == derivative_sum(q, c, l, h)
+
+
+def _non_integer_curve(genus, rng, positive):
+    """Branch points 0 and 2g+1 distinct non-integer rationals, drawn until
+    the sign of G(0) = prod(-t_i), and so of gh_0, is the one asked for."""
+    while True:
+        points = {F(0)}
+        while len(points) < 2 * genus + 2:
+            value = F(rng.randint(-40, 40), rng.randint(2, 9))
+            if value.denominator > 1:
+                points.add(value)
+        curve = new_curve(sorted(points, key=lambda t: (t != 0, t)))
+        if (curve.g_at_zero() > 0) == positive:
+            return curve
+
+
+def test_a_pairing_family_equals_the_plain_double_sum_to_order_24():
+    # several quadrics share one set of jet columns; every entry through
+    # order 24, asked for in a scrambled order, equals
+    # sum_ab c_ab g_a^(h)(0) g_b^(l)(0) over the Fraction tensor and table
+    rng = random.Random(5)
+    for genus, positive in ((4, False), (5, True), (5, False)):
+        c = _non_integer_curve(genus, rng, positive)
+        quads = [
+            quadric_from_vector(
+                genus, [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in sym_pairs(genus)]
+            )
+            for _ in range(3)
+        ] + [basis_quadric(genus, 1, genus - 1)]
+        pairings = Pairing.family(quads, c)
+        assert len({id(p.columns) for p in pairings}) == 1
+        table = canonical_derivatives(c, 24)
+        cells = [(h, l) for h in range(25) for l in range(25)]
+        rng.shuffle(cells)
+        for q, pairing in zip(quads, pairings):
+            tensor = q.sym_tensor()
+            for h, l in cells:
+                expected = sum(
+                    (
+                        tensor[a][b] * table[a][h] * table[b][l]
+                        for a in range(genus)
+                        for b in range(genus)
+                        if tensor[a][b]
+                    ),
+                    F(0),
+                )
+                assert pairing(h, l) == expected
+
+
+def _scan_outcome(pairing, n, r):
+    try:
+        return pairing.rho(n, r)
+    except BeyondThreshold as exc:
+        return exc.payload()
+
+
+def test_threshold_and_rho_do_not_depend_on_the_call_order():
+    # rho before threshold, and a small cap after a large one, give what a
+    # fresh pairing gives: the watermark never hides or invents an entry
+    for genus, seed in ((5, 1), (6, 2), (7, 3)):
+        c = random_curve(genus, random.Random(seed))
+        quads = [basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus)[:4]]
+        quads += [
+            quadric_from_vector(genus, vec)
+            for vec in kernel_via_equations(genus).level(1).basis[:2]
+        ]
+        pairs = ((3, 5), (1, 1), (5, 5), (1, 3), (3, 3))
+        for q in quads:
+            pairing = Pairing(q, c)
+            outcomes = [_scan_outcome(pairing, n, r) for n, r in pairs]
+            infos = [pairing.threshold(cap) for cap in (20, 2, 9, 0, 20)]
+            for (n, r), outcome in zip(pairs, outcomes):
+                assert outcome == _scan_outcome(Pairing(q, c), n, r)
+            for cap, info in zip((20, 2, 9, 0, 20), infos):
+                assert info == Pairing(q, c).threshold(cap)
+            # the other order on the same pairing
+            assert [_scan_outcome(pairing, n, r) for n, r in pairs] == outcomes
+
+
+def test_a_nonzero_odd_jet_column_fails_the_pairing(monkeypatch):
+    original = rho.canonical_derivatives
+
+    def patched(curve, order):
+        rows = [list(r) for r in original(curve, order)]
+        if order >= 3:
+            rows[1][3] += F(1, 7)
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(rho, "canonical_derivatives", patched)
+    c = default_curve(4)
+    with pytest.raises(IdentityFailed, match="jet column 3"):
+        Pairing(basis_quadric(4, 1, 3), c).threshold(6)
+    with pytest.raises(IdentityFailed, match="jet column 3"):
+        JetColumns(c).extend(3)
 
 
 def _module_caches():
