@@ -113,16 +113,6 @@ def _odd_order(n) -> int:
 # -- the pairing matrix and licensed evaluation of rho ---------------------------
 
 
-def _sym_entries(q: QuadricI2) -> tuple[tuple[int, int, Fraction], ...]:
-    tensor = q.sym_tensor()
-    return tuple(
-        (a, b, value)
-        for a, row in enumerate(tensor)
-        for b, value in enumerate(row)
-        if value
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdInfo:
     threshold: int
@@ -246,7 +236,9 @@ def _integer_tensor(q: QuadricI2) -> tuple[dict[int, dict[int, int]], int]:
     for (i, j), coeff in zip(sym_pairs(q.genus), q.a_coords):
         if coeff:
             c = coeff.numerator * (scale // coeff.denominator)
-            for a, b, value in ((i, j - 1, c), (j - 1, i, c), (j, i - 1, -c), (i - 1, j, -c)):
+            for a, b, value in (
+                (i, j - 1, c), (j - 1, i, c), (j, i - 1, -c), (i - 1, j, -c)
+            ):
                 row = rows.setdefault(a, {})
                 row[b] = row.get(b, 0) + value
     kept = {a: {b: c for b, c in row.items() if c} for a, row in rows.items()}
@@ -270,7 +262,9 @@ class Pairing:
     total <= m vanishes, so no later scan walks that prefix again.
     """
 
-    def __init__(self, q: QuadricI2, curve: Curve, columns: JetColumns | None = None) -> None:
+    def __init__(
+        self, q: QuadricI2, curve: Curve, columns: JetColumns | None = None
+    ) -> None:
         self.quadric = q
         self.curve = curve
         self.columns = JetColumns(curve) if columns is None else columns
@@ -1249,6 +1243,16 @@ class _CrossCheckQuadric:
     poly_den: int
     entries: tuple[tuple[int, int, int], ...]  # (a, b, numerator) over tensor_den
     tensor_den: int
+
+
+def _sym_entries(q: QuadricI2) -> tuple[tuple[int, int, Fraction], ...]:
+    tensor = q.sym_tensor()
+    return tuple(
+        (a, b, value)
+        for a, row in enumerate(tensor)
+        for b, value in enumerate(row)
+        if value
+    )
 
 
 @lru_cache(maxsize=None)

@@ -147,12 +147,12 @@ def test_a_pairing_family_equals_the_plain_double_sum_to_order_24():
     rng = random.Random(5)
     for genus, positive in ((4, False), (5, True), (5, False)):
         c = _non_integer_curve(genus, rng, positive)
-        quads = [
-            quadric_from_vector(
-                genus, [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in sym_pairs(genus)]
-            )
+        coords = [
+            [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in sym_pairs(genus)]
             for _ in range(3)
-        ] + [basis_quadric(genus, 1, genus - 1)]
+        ]
+        quads = [quadric_from_vector(genus, v) for v in coords]
+        quads.append(basis_quadric(genus, 1, genus - 1))
         pairings = Pairing.family(quads, c)
         assert len({id(p.columns) for p in pairings}) == 1
         table = canonical_derivatives(c, 24)
