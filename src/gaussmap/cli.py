@@ -185,8 +185,6 @@ def cmd_kernel(args, cap: int) -> int:
     lo, hi, _, _ = resolve_scope(args, cap)
     if lo != hi:
         raise UsageError("kernel expects a single genus, not a range")
-    if args.format != "json":
-        raise UsageError("kernel output is JSON only")
     genus, k = lo, args.k
     if not 0 <= k <= max_level(genus):
         raise UsageError(
@@ -216,8 +214,6 @@ def cmd_kernel(args, cap: int) -> int:
 
 def cmd_verify(args, cap: int) -> int:
     lo, hi, curve, source = resolve_scope(args, cap)
-    if args.format not in ("json", "md"):
-        raise UsageError("verify output is JSON or Markdown")
     config = RunConfig(
         command="verify",
         genus_min=lo,
@@ -267,8 +263,6 @@ def cmd_rho(args, cap: int) -> int:
     lo, hi, curve, source = resolve_scope(args, cap)
     if lo != hi:
         raise UsageError("rho expects a single genus, not a range")
-    if args.format != "json":
-        raise UsageError("rho output is JSON only")
     genus = lo
     if curve is None:
         curve = default_curve(genus)
@@ -293,8 +287,6 @@ def cmd_rho(args, cap: int) -> int:
 
 def cmd_scan(args, cap: int) -> int:
     lo, hi, curve, source = resolve_scope(args, cap)
-    if args.format not in ("json", "md"):
-        raise UsageError("scan output is JSON or Markdown")
     config = RunConfig(
         command="scan",
         genus_min=lo,

@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .errors import (
@@ -52,7 +52,7 @@ from .errors import (
     TooFewBranchPoints,
 )
 from .poly import Poly
-from .rationals import rat_from_string, rat_to_string
+from .rationals import numerators, rat_from_string, rat_to_string
 from .series import TruncatedSeries
 
 
@@ -162,7 +162,7 @@ def curve_from_json(data) -> Curve:
 ZERO = Fraction(0)
 
 
-def _hensel_weights(ghat: tuple[int, ...]) -> tuple[int, ...]:
+def _hensel_weights(ghat: list[int]) -> tuple[int, ...]:
     """c_m = gh_m * gh_0^(m-1) for m = 0..deg Ghat; c_0 = 1."""
     g0 = ghat[0]
     return (1,) + tuple(c * g0 ** (m - 1) for m, c in enumerate(ghat) if m)
@@ -186,8 +186,7 @@ class Jets:
 
     def __init__(self, curve: Curve) -> None:
         gpoly = curve.moduli_polynomial()
-        scale = lcm(*(c.denominator for c in gpoly.coeffs))
-        ghat = tuple(c.numerator * (scale // c.denominator) for c in gpoly.coeffs)
+        ghat, scale = numerators(gpoly.coeffs)
         self._ghat = ghat
         self._g0 = ghat[0]
         self._scale = scale

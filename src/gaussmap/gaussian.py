@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .curve import Curve, canonical_derivatives
 from .errors import (
@@ -53,16 +53,12 @@ from .linalg import RatMatrix, SparseRow, Vector, kernel_basis, matrix_rank
 from .poly import Poly, falling
 from .quadrics import (
     QuadricI2,
+    pair_slots,
     quadric_space_dimension,
     sym_pairs,
     vector_to_json,
     wedge_pairs,
 )
-
-
-def _c_entries(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
-    """Nonzero slots of twice the symmetric tensor of the basis quadric Q_ij."""
-    return ((i, j - 1, 1), (j - 1, i, 1), (j, i - 1, -1), (i - 1, j, -1))
 
 
 def _by_weight(pairs) -> dict[int, list[tuple[int, int, int]]]:
@@ -216,7 +212,7 @@ def _oracle_rows(genus: int, bound: int) -> tuple[list[SparseRow], list[int]]:
                 for col, i, j in by_weight.get(e + total + 1, ()):
                     value = sum(
                         weight * fall[alpha][h] * fall[beta][n]
-                        for alpha, beta, weight in _c_entries(i, j)
+                        for alpha, beta, weight in pair_slots(i, j)
                     )
                     if value:
                         row[col] = value
@@ -247,26 +243,20 @@ def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Vector, ...]:
 
 def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
     """The x-coefficients (lowest first) of sum c_ab f_a^(h) f_b^(n) for each
-    (h, n) in ``orders``, as integers over the common denominator returned."""
+    (h, n) in ``orders``, as integers over the tensor's denominator."""
     genus = q.genus
-    den = lcm(*(a.denominator for a in q.a_coords))
-    terms = [
-        (i, j, a.numerator * (den // a.denominator))
-        for (i, j), a in zip(sym_pairs(genus), q.a_coords)
-        if a
-    ]
+    entries, den = q.tensor
     out = []
     for h, n in orders:
         fh = [falling(a, h) for a in range(genus)]
         fn = [falling(b, n) for b in range(genus)]
         coeffs = [0] * (2 * genus - 1)
-        for i, j, a in terms:
-            for alpha, beta, weight in _c_entries(i, j):
-                t = fh[alpha] * fn[beta]
-                if t:
-                    coeffs[alpha + beta - h - n] += a * weight * t
+        for alpha, beta, c in entries:
+            t = fh[alpha] * fn[beta]
+            if t:
+                coeffs[alpha + beta - h - n] += c * t
         out.append(coeffs)
-    return out, 2 * den
+    return out, den
 
 
 def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, Poly]]:

@@ -24,9 +24,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IndexOutOfRange
+from .rationals import numerators
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
@@ -66,8 +67,7 @@ def _integer_rows(m: RatMatrix) -> list[list[int]]:
     """Each row times the lcm of its denominators, divided by its gcd."""
     out: list[list[int]] = []
     for row in m.rows:
-        scale = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (scale // x.denominator) for x in row]
+        ints, _ = numerators(row)
         g = gcd(*ints)
         out.append([v // g for v in ints] if g > 1 else ints)
     return out

@@ -15,7 +15,7 @@ from .rationals import rat_to_string
 
 
 def _normalize(coeffs) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -85,13 +85,6 @@ class Poly:
         if factor == 0:
             return Poly.zero()
         return Poly(tuple(c * factor for c in self.coeffs))
-
-    def evaluate(self, point: Fraction | int) -> Fraction:
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     def to_string(self, var: str = "x") -> str:
         if self.is_zero():

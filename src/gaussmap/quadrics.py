@@ -10,26 +10,33 @@ convenient basis indexed by pairs 1 <= i < j <= g-1:
 basis. A quadric is stored by its exact coefficients a_ij in this basis
 ("a-coordinates", lexicographic pair order).
 
-Two derived presentations are used throughout:
+Three derived presentations are used throughout:
 
 * the symmetric tensor ("c-tensor"): the g x g symmetric matrix of
   coefficients over alpha_m (x) alpha_n, with the symmetric product
-  expanded as half the sum of the two tensor orders;
+  expanded as half the sum of the two tensor orders (`pair_slots`);
 * "b-coordinates": the same quadric written against the decomposable
   products s*omega_i . t*omega_j - s*omega_j . t*omega_i built from the
   degree-two pencil section s and the twisted forms; the change of basis
-  is the exact involution b_{k,h} = -a_{g-h,g-k}.
+  is the exact involution b_{k,h} = -a_{g-h,g-k};
+* the integer tensor (`QuadricI2.tensor`): the nonzero c-tensor entries as
+  integers over one denominator, made once per quadric and read by the
+  pairing matrices, the x-chart cross-check and the polynomial identities
+  (`sym_tensor` is the `Fraction` form that tests compare against).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .errors import IndexOutOfRange
-from .rationals import rat_from_string, rat_to_string
+from .rationals import numerators, rat_from_string, rat_to_string
 
 
+# sym_pairs and wedge_pairs are made once per genus; the genus cap bounds both
+@lru_cache(maxsize=None)
 def sym_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j), 1 <= i < j <= g-1, in lexicographic order."""
     if genus < 3:
@@ -39,6 +46,7 @@ def sym_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def wedge_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j), 0 <= i < j <= g-1, for the exterior square."""
     if genus < 3:
@@ -46,6 +54,11 @@ def wedge_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     return tuple(
         (i, j) for i in range(genus) for j in range(i + 1, genus)
     )
+
+
+def pair_slots(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """The slots (a, b, weight) of twice the symmetric tensor of Q_ij."""
+    return ((i, j - 1, 1), (j - 1, i, 1), (j, i - 1, -1), (i - 1, j, -1))
 
 
 def quadric_space_dimension(genus: int) -> int:
@@ -96,15 +109,24 @@ class QuadricI2:
         """Symmetric g x g coefficient matrix over alpha_m (x) alpha_n."""
         g = self.genus
         c = [[Fraction(0)] * g for _ in range(g)]
-        half = Fraction(1, 2)
         for (i, j), coeff in zip(sym_pairs(g), self.a_coords):
-            if coeff == 0:
-                continue
-            c[i][j - 1] += coeff * half
-            c[j - 1][i] += coeff * half
-            c[j][i - 1] -= coeff * half
-            c[i - 1][j] -= coeff * half
+            if coeff:
+                for a, b, weight in pair_slots(i, j):
+                    c[a][b] += coeff * Fraction(weight, 2)
         return tuple(tuple(row) for row in c)
+
+    @cached_property
+    def tensor(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
+        """The nonzero entries (a, b, n) of the symmetric tensor, row by row,
+        as integers n = 2E c_ab over the one denominator 2E returned, E the
+        lcm of the a-coordinate denominators."""
+        nums, scale = numerators(self.a_coords)
+        acc: dict[tuple[int, int], int] = {}
+        for (i, j), c in zip(sym_pairs(self.genus), nums):
+            if c:
+                for a, b, weight in pair_slots(i, j):
+                    acc[(a, b)] = acc.get((a, b), 0) + weight * c
+        return tuple((a, b, n) for (a, b), n in sorted(acc.items()) if n), 2 * scale
 
     def to_json(self) -> dict:
         return vector_to_json(self.genus, self.a_coords)

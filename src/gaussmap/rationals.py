@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidIndex
 
@@ -31,6 +32,12 @@ def rat_from_string(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidIndex(f"not a rational literal: {text!r}") from exc
+
+
+def numerators(values) -> tuple[list[int], int]:
+    """Integer numerators of these rationals over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def random_direction(rng: random.Random, length: int) -> tuple[Fraction, ...]:

@@ -16,12 +16,14 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
   when n + r <= threshold + 1, otherwise `BeyondThreshold` is raised.
 * W(a, b) is the antisymmetrised pairing of the omega-frame functions; it
   drives the closed-form coefficient vectors of the witness and diagonal
-  functionals through the product rule for g_{alpha} = x * (omega part).
+  functionals through the product rule for g_{alpha} = x * (omega part),
+  which `_product_rule` expands once for `pairing_reduction` and
+  `rho_reduction_vector` alike.
 
 One `Pairing` value per quadric and curve computes each entry of D once
 and serves every reader of it: the threshold scans, the pairing tables and
-the rho evaluations. It works over the integers: the tensor C as integer
-rows over one denominator, and the jet columns as integers over one
+the rho evaluations. It works over the integers: the tensor C is the
+quadric's `QuadricI2.tensor`, and the jet columns are integers over one
 denominator per column, held by a `JetColumns` value that every pairing of
 one `Pairing.family` shares. Only even orders are scanned (the odd jet
 columns are checked to vanish instead), and a watermark keeps a scanned
@@ -54,7 +56,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .curve import (
@@ -83,7 +85,7 @@ from .quadrics import (
     sym_pairs,
     vector_to_json,
 )
-from .rationals import rat_to_string
+from .rationals import numerators, rat_to_string
 
 ZERO = Fraction(0)
 
@@ -170,12 +172,6 @@ class RhoValue:
         }
 
 
-def _numerators(values) -> tuple[list[int], int]:
-    """Integer numerators of these rationals over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _even_orders(total: int) -> range:
     """The even h with h >= total - h, in scan order, for an even total.
 
@@ -218,39 +214,18 @@ class JetColumns:
                 self.num.append(())
                 self.den.append(1)
             else:
-                nums, den = _numerators(column)
+                nums, den = numerators(column)
                 self.num.append(tuple(nums))
                 self.den.append(den)
-
-
-def _integer_tensor(q: QuadricI2) -> tuple[dict[int, dict[int, int]], int]:
-    """The quadric's symmetric tensor as integer rows over one denominator.
-
-    With E the lcm of the a-coordinate denominators, entry (a, b) is
-    2E c_ab, built from the a-coordinates directly (Q_ij puts 1/2 at
-    (i, j-1) and (j-1, i), -1/2 at (j, i-1) and (i-1, j)); only the
-    nonzero entries and rows are kept.
-    """
-    scale = lcm(*(c.denominator for c in q.a_coords))
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), coeff in zip(sym_pairs(q.genus), q.a_coords):
-        if coeff:
-            c = coeff.numerator * (scale // coeff.denominator)
-            for a, b, value in (
-                (i, j - 1, c), (j - 1, i, c), (j, i - 1, -c), (i - 1, j, -c)
-            ):
-                row = rows.setdefault(a, {})
-                row[b] = row.get(b, 0) + value
-    kept = {a: {b: c for b, c in row.items() if c} for a, row in rows.items()}
-    return {a: row for a, row in kept.items() if row}, 2 * scale
 
 
 class Pairing:
     """The pairing matrix D = T^t C T of one quadric on one curve.
 
-    C is the quadric's symmetric tensor, kept as integer rows over one
-    denominator, and column T_l holds the l-th jets of the canonical frame
-    functions as integers over den[l] (a `JetColumns`, which the pairings
+    C is the quadric's symmetric tensor, read row by row from its integer
+    entries over one denominator (`QuadricI2.tensor`), and column T_l holds
+    the l-th jets of the canonical frame functions as integers over den[l]
+    (a `JetColumns`, which the pairings
     of one `family` share). So D(h, l) is the integer dot product
     S(h, l) = T_h . V_l with V_l = C T_l, over the product of the three
     denominators. Each V_l and each S(h, l) is made once (D is symmetric);
@@ -268,9 +243,12 @@ class Pairing:
         self.quadric = q
         self.curve = curve
         self.columns = JetColumns(curve) if columns is None else columns
-        rows, self._den = _integer_tensor(q)
+        entries, self._den = q.tensor
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for a, b, c in entries:
+            rows.setdefault(a, []).append((b, c))
         self._support = tuple(rows)
-        self._rows = tuple(tuple(row.items()) for row in rows.values())
+        self._rows = tuple(map(tuple, rows.values()))
         self._vectors: dict[int, tuple[int, ...]] = {}
         self._sums: dict[tuple[int, int], int] = {}
         self._entries: dict[tuple[int, int], Fraction] = {}
@@ -447,64 +425,51 @@ def rho_pair(q: QuadricI2, curve: Curve, n, r) -> RhoValue:
 # -- omega-frame pairings and the exact reduction of D(h, l) -------------------
 
 
-def omega_wronskian_sum(q: QuadricI2, curve: Curve, a: int, b: int) -> Fraction:
-    """W(a, b): antisymmetrised omega-pairing, from the canonical table.
+def _wedge(table, genus: int, a: int, b: int) -> list[Fraction]:
+    """W(a, b) of each b-coordinate pair (i, j), in `sym_pairs` order.
 
     The omega-frame function of omega_m coincides with the canonical frame
     function of alpha_{g-m-1} (the model has t * omega_m = alpha_{g-m-1}
     on the nose), so row g-m-1 of the canonical table supplies the jets.
     """
-    genus = q.genus
+    omega_a = [table[genus - 1 - m][a] for m in range(genus)]
+    omega_b = [table[genus - 1 - m][b] for m in range(genus)]
+    return [
+        omega_a[i] * omega_b[j] - omega_a[j] * omega_b[i]
+        for (i, j) in sym_pairs(genus)
+    ]
+
+
+def _product_rule(sigma, h: int, l: int):
+    """(weight, a, b) with D(h, l) = sum weight * W(a, b).
+
+    Writing each canonical function as x * (omega function) or (omega
+    function) and expanding the h-th and l-th derivatives of the products
+    leaves only even x-jets sigma[c], c >= 2.
+    """
+    for c in range(2, h + 1, 2):
+        if sigma[c]:
+            yield Fraction(comb(h, c), 2) * sigma[c], h - c, l
+    for d in range(2, l + 1, 2):
+        if sigma[d]:
+            yield -Fraction(comb(l, d), 2) * sigma[d], h, l - d
+
+
+def omega_wronskian_sum(q: QuadricI2, curve: Curve, a: int, b: int) -> Fraction:
+    """W(a, b): antisymmetrised omega-pairing, from the canonical table."""
     table = canonical_derivatives(curve, max(a, b))
-    total = ZERO
-    for (i, j), coeff in zip(sym_pairs(genus), q.b_coords()):
-        if not coeff:
-            continue
-        ra = genus - i - 1
-        rb = genus - j - 1
-        total += coeff * (
-            table[ra][a] * table[rb][b] - table[rb][a] * table[ra][b]
-        )
-    return total
+    wedge = _wedge(table, q.genus, a, b)
+    return sum((c * w for c, w in zip(q.b_coords(), wedge) if c), ZERO)
 
 
 def pairing_reduction(q: QuadricI2, curve: Curve, h: int, l: int) -> Fraction:
     """D(h, l) recomputed through the product rule in decomposable form.
 
-    Writing each canonical function as x * (omega function) or (omega
-    function) and expanding the h-th and l-th derivatives of the products
-    leaves only even x-jets >= 2; this is the identity behind the witness
-    coefficient formulas and must agree with `derivative_sum` exactly.
+    This is the identity behind the witness coefficient formulas and must
+    agree with `derivative_sum` exactly.
     """
-    sigma = x_derivatives(curve, max(h, l))
-    acc = ZERO
-    for c in range(2, h + 1, 2):
-        if sigma[c]:
-            acc += Fraction(comb(h, c), 2) * sigma[c] * omega_wronskian_sum(
-                q, curve, h - c, l
-            )
-    for d in range(2, l + 1, 2):
-        if sigma[d]:
-            acc -= Fraction(comb(l, d), 2) * sigma[d] * omega_wronskian_sum(
-                q, curve, h, l - d
-            )
-    return acc
-
-
-def _accumulate_wvec(
-    vec: dict[tuple[int, int], Fraction],
-    table,
-    genus: int,
-    a: int,
-    b: int,
-    weight: Fraction,
-) -> None:
-    for (i, j) in vec:
-        ra = genus - i - 1
-        rb = genus - j - 1
-        value = table[ra][a] * table[rb][b] - table[rb][a] * table[ra][b]
-        if value:
-            vec[(i, j)] += weight * value
+    terms = _product_rule(x_derivatives(curve, max(h, l)), h, l)
+    return sum((w * omega_wronskian_sum(q, curve, a, b) for w, a, b in terms), ZERO)
 
 
 def rho_reduction_vector(
@@ -520,20 +485,15 @@ def rho_reduction_vector(
     a_end = min(n, r)
     sigma = x_derivatives(curve, m1)
     table = canonical_derivatives(curve, m1)
-    vec: dict[tuple[int, int], Fraction] = {
-        pair: ZERO for pair in sym_pairs(genus)
-    }
+    pairs = sym_pairs(genus)
+    vec = dict.fromkeys(pairs, ZERO)
     for j in range(a_end):
         w = Fraction(a_end - j, factorial(j) * factorial(m1 - j))
-        h = m1 - j
-        for c in range(2, h + 1, 2):
-            if sigma[c]:
-                weight = w * Fraction(comb(h, c), 2) * sigma[c]
-                _accumulate_wvec(vec, table, genus, h - c, j, weight)
-        for d in range(2, j + 1, 2):
-            if sigma[d]:
-                weight = -w * Fraction(comb(j, d), 2) * sigma[d]
-                _accumulate_wvec(vec, table, genus, h, j - d, weight)
+        for weight, a, b in _product_rule(sigma, m1 - j, j):
+            weight *= w
+            for pair, value in zip(pairs, _wedge(table, genus, a, b)):
+                if value:
+                    vec[pair] += weight * value
     return vec
 
 
@@ -1233,52 +1193,19 @@ def _times(a: list[int], b: list[int], cap: int) -> list[int]:
     return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(width)]
 
 
-@dataclass(frozen=True)
-class _CrossCheckQuadric:
-    """A basis quadric with mu_2(Q) and its tensor as integer vectors."""
-
-    quadric: QuadricI2
-    label: str
-    poly: tuple[tuple[int, int], ...]  # (m, numerator) over poly_den
-    poly_den: int
-    entries: tuple[tuple[int, int, int], ...]  # (a, b, numerator) over tensor_den
-    tensor_den: int
-
-
-def _sym_entries(q: QuadricI2) -> tuple[tuple[int, int, Fraction], ...]:
-    tensor = q.sym_tensor()
-    return tuple(
-        (a, b, value)
-        for a, row in enumerate(tensor)
-        for b, value in enumerate(row)
-        if value
-    )
-
-
 @lru_cache(maxsize=None)
-def _cross_check_quadrics(genus: int) -> tuple[_CrossCheckQuadric, ...]:
-    """The curve-independent half of the cross-check, built once per genus.
+def _cross_check_quadrics(genus: int) -> tuple[tuple[QuadricI2, tuple, int], ...]:
+    """The curve-independent half of the cross-check, built once per genus:
+    each basis quadric Q with mu_2(Q) as its nonzero integer coefficients
+    (m, numerator) over one denominator.
 
     `mu_eval_polynomial` makes its membership and representative checks here.
     """
     out = []
     for (i, j) in sym_pairs(genus):
         q = basis_quadric(genus, i, j)
-        poly, poly_den = _numerators(mu_eval_polynomial(q, 1).coeffs)
-        entries = _sym_entries(q)
-        tensor, tensor_den = _numerators([c for *_, c in entries])
-        out.append(
-            _CrossCheckQuadric(
-                quadric=q,
-                label=q.label(),
-                poly=tuple((m, c) for m, c in enumerate(poly) if c),
-                poly_den=poly_den,
-                entries=tuple(
-                    (a, b, c) for (a, b, _), c in zip(entries, tensor)
-                ),
-                tensor_den=tensor_den,
-            )
-        )
+        poly, poly_den = numerators(mu_eval_polynomial(q, 1).coeffs)
+        out.append((q, tuple((m, c) for m, c in enumerate(poly) if c), poly_den))
     return tuple(out)
 
 
@@ -1300,7 +1227,7 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     cross-multiplying.
     """
     genus = curve.genus
-    xs, x_den = _numerators(x_of_z(curve, order).coeffs)
+    xs, x_den = numerators(x_of_z(curve, order).coeffs)
     xprime = [n * c for n, c in enumerate(xs)][1:]
     if xprime[:1] != [0]:
         raise IndexOutOfRange(
@@ -1320,7 +1247,7 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
         column[:] = [c * scale for c in column]
     column_den = x_den ** (4 + top)
     width = max(order + 2, 2 * genus + 1)
-    rows, row_den = _numerators(
+    rows, row_den = numerators(
         [
             c
             for i in range(genus)
@@ -1339,30 +1266,31 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     agree = []
     compared = order
     quads = _cross_check_quadrics(genus)
-    pairings = Pairing.family((quad.quadric for quad in quads), curve)
-    for quad, pairing in zip(quads, pairings):
-        labels.append(quad.label)
+    pairings = Pairing.family((q for q, *_ in quads), curve)
+    for (q, poly, poly_den), pairing in zip(quads, pairings):
+        labels.append(q.label())
         with _licensed():
             rho_values.append(pairing.rho(1, 1).value)
+        entries, tensor_den = q.tensor
         terms = []
-        for a, b, coeff in quad.entries:
+        for a, b, coeff in entries:
             term = products.get((a, b))
             if term is None:
                 term = products[(a, b)] = _times(second[a], rows[b][:order], order)
             terms.append((coeff, term))
         limit = min(
-            [len(columns[m]) for m, _ in quad.poly]
+            [len(columns[m]) for m, _ in poly]
             + [order]
             + [len(term) for _, term in terms]
         )
         compared = min(compared, limit)
         composite = [
-            sum(c * columns[m][e] for m, c in quad.poly) for e in range(limit)
+            sum(c * columns[m][e] for m, c in poly) for e in range(limit)
         ]
         zrep = [sum(c * term[e] for c, term in terms) for e in range(limit)]
         # composite_e / (poly_den column_den) = zrep_e / (tensor_den product_den)
-        left = quad.tensor_den * product_den
-        right = quad.poly_den * column_den
+        left = tensor_den * product_den
+        right = poly_den * column_den
         vanishes.append(composite[0] == 0)
         agree.append(
             all(composite[e] * left == zrep[e] * right for e in range(limit))

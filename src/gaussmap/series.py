@@ -52,10 +52,6 @@ class TruncatedSeries:
         return cls(frozen, truncation)
 
     @classmethod
-    def from_poly(cls, p: Poly, truncation: int | None = None) -> "TruncatedSeries":
-        return cls.make(p.coeffs, truncation)
-
-    @classmethod
     def zero(cls, truncation: int | None = None) -> "TruncatedSeries":
         return cls.make((), truncation)
 
@@ -77,9 +73,6 @@ class TruncatedSeries:
         if exponent >= len(self.coeffs):
             return Fraction(0)
         return self.coeffs[exponent]
-
-    def known_nonzero_indices(self):
-        return [i for i, c in enumerate(self.coeffs) if c != 0]
 
     def valuation(self) -> int:
         for i, c in enumerate(self.coeffs):

@@ -61,6 +61,15 @@ def curve_panel(
     )
 
 
+def _attempt(items: list[CheckItem], label: str, expected: str, compute):
+    """compute(), or None once the `Falsified` it raised is a failing item."""
+    try:
+        return compute()
+    except Falsified as exc:
+        items.append(check(label, expected, str(exc), False))
+        return None
+
+
 def _schiffer_levels(genus: int, k: int | None) -> tuple[int, ...]:
     if k is not None:
         return (k,)
@@ -197,18 +206,14 @@ def _suite_isotropy(
     items = []
     for level_k in _schiffer_levels(genus, k):
         for curve in curves:
-            try:
-                result = isotropy_suite(genus, level_k, curve)
-            except Falsified as exc:
-                items.append(
-                    check(
-                        f"g={genus} k={level_k} licensed odd pairs vanish on "
-                        f"{curve.label()}",
-                        "zero",
-                        str(exc),
-                        False,
-                    )
-                )
+            vanish = (
+                f"g={genus} k={level_k} licensed odd pairs vanish on "
+                f"{curve.label()}"
+            )
+            result = _attempt(
+                items, vanish, "zero", lambda: isotropy_suite(genus, level_k, curve)
+            )
+            if result is None:
                 continue
             min_threshold = min(
                 (info.threshold for info in result.thresholds), default=None
@@ -226,8 +231,7 @@ def _suite_isotropy(
             nonzero = sum(1 for *_, v in result.pair_values if v)
             items.append(
                 check(
-                    f"g={genus} k={level_k} licensed odd pairs vanish on "
-                    f"{curve.label()}",
+                    vanish,
                     "zero",
                     f"{len(result.pair_values)} evaluations, {nonzero} nonzero",
                     nonzero == 0 and result.ok,
@@ -240,10 +244,8 @@ def _suite_isotropy(
                 f"on {curve.label()}"
             )
             expected = "both routes vanish and frames agree"
-            try:
-                cc = mu2_cross_check(curve)
-            except Falsified as exc:
-                items.append(check(label, expected, str(exc), False))
+            cc = _attempt(items, label, expected, lambda: mu2_cross_check(curve))
+            if cc is None:
                 continue
             items.append(
                 check(
@@ -264,17 +266,13 @@ def _suite_witness(
     for level_k in _schiffer_levels(genus, k):
         for curve in curves:
             label = f"g={genus} k={level_k} on {curve.label()}"
-            try:
-                f = witness_functional(genus, level_k, curve)
-            except Falsified as exc:
-                items.append(
-                    check(
-                        f"{label}: witness functional evaluated",
-                        "licensed pairs, exact identities",
-                        str(exc),
-                        False,
-                    )
-                )
+            f = _attempt(
+                items,
+                f"{label}: witness functional evaluated",
+                "licensed pairs, exact identities",
+                lambda: witness_functional(genus, level_k, curve),
+            )
+            if f is None:
                 continue
             items.append(
                 check(
@@ -284,28 +282,12 @@ def _suite_witness(
                     f.nonzero_on_domain,
                 )
             )
-            items.append(
-                check(
+            items.extend(
+                _functional_items(
+                    f,
                     f"{label}: support in the predicted pairs",
-                    str([f"{i},{j}" for (i, j) in f.support]),
-                    "contained" if f.support_ok and f.reduction_ok else "NOT",
-                    f.support_ok and f.reduction_ok,
-                )
-            )
-            items.append(
-                check(
                     f"{label}: all {level_k + 1} support coefficients nonzero",
-                    "nonzero",
-                    "all nonzero" if f.coefficients_nonzero else "some zero",
-                    f.coefficients_nonzero,
-                )
-            )
-            items.append(
-                check(
                     f"{label}: coefficients equal the one-line jet formula",
-                    "exact equality",
-                    "equal" if f.closed_form_ok else "UNEQUAL",
-                    f.closed_form_ok,
                 )
             )
             factors_odd = all(x % 2 == 1 for x in (f.display_factors or ()))
@@ -332,6 +314,33 @@ def _suite_witness(
     return items
 
 
+def _functional_items(
+    f, support: str, nonzero: str, closed_form: str
+) -> list[CheckItem]:
+    """The support, nonzero and closed-form items of a witness or diagonal."""
+    contained = f.support_ok and f.reduction_ok
+    return [
+        check(
+            support,
+            str([f"{i},{j}" for (i, j) in f.support]),
+            "contained" if contained else "NOT",
+            contained,
+        ),
+        check(
+            nonzero,
+            "nonzero",
+            "all nonzero" if f.coefficients_nonzero else "some zero",
+            f.coefficients_nonzero,
+        ),
+        check(
+            closed_form,
+            "exact equality",
+            "equal" if f.closed_form_ok else "UNEQUAL",
+            f.closed_form_ok,
+        ),
+    ]
+
+
 def _suite_diagonal(
     genus: int, k: int | None, curves: tuple[Curve, ...]
 ) -> list[CheckItem]:
@@ -339,17 +348,13 @@ def _suite_diagonal(
     for level_k in _schiffer_levels(genus, k):
         for curve in curves:
             label = f"g={genus} k={level_k} on {curve.label()}"
-            try:
-                result = diagonal_functional(genus, level_k, curve)
-            except Falsified as exc:
-                items.append(
-                    check(
-                        f"{label}: diagonal evaluation licensed",
-                        "thresholds extend by two orders",
-                        str(exc),
-                        False,
-                    )
-                )
+            result = _attempt(
+                items,
+                f"{label}: diagonal evaluation licensed",
+                "thresholds extend by two orders",
+                lambda: diagonal_functional(genus, level_k, curve),
+            )
+            if result is None:
                 continue
             hyper = result.hyperplane
             f = result.functional
@@ -370,28 +375,12 @@ def _suite_diagonal(
                     hyper.support_coordinates_vanish,
                 )
             )
-            items.append(
-                check(
+            items.extend(
+                _functional_items(
+                    f,
                     f"{label}: diagonal support in the predicted pairs",
-                    str([f"{i},{j}" for (i, j) in f.support]),
-                    "contained" if f.support_ok and f.reduction_ok else "NOT",
-                    f.support_ok and f.reduction_ok,
-                )
-            )
-            items.append(
-                check(
                     f"{label}: present diagonal coefficients nonzero",
-                    "nonzero",
-                    "all nonzero" if f.coefficients_nonzero else "some zero",
-                    f.coefficients_nonzero,
-                )
-            )
-            items.append(
-                check(
                     f"{label}: diagonal coefficients equal the jet formula",
-                    "exact equality",
-                    "equal" if f.closed_form_ok else "UNEQUAL",
-                    f.closed_form_ok,
                 )
             )
             codim_ok = result.codimension in (0, 1)
@@ -426,10 +415,10 @@ def _certify(
     label = (
         f"g={genus} direction {_direction_label(direction)} on {curve.label()}"
     )
-    try:
-        cert = certifier.classify(direction)
-    except Falsified as exc:
-        items.append(check(label, expected_verdict, str(exc), False))
+    cert = _attempt(
+        items, label, expected_verdict, lambda: certifier.classify(direction)
+    )
+    if cert is None:
         return
     ok = cert.verdict == expected_verdict
     if cert.verdict == "not_asymptotic":
@@ -519,6 +508,31 @@ def _suite_cup(genus: int, curves: tuple[Curve, ...]) -> list[CheckItem]:
 # -- dispatch ---------------------------------------------------------------------
 
 
+def _report(
+    theorem: str,
+    k,
+    config: RunConfig,
+    explicit_curve: Curve | None,
+    items: list[CheckItem],
+    start: float,
+) -> VerificationReport:
+    """The report of items computed since `start` (a `perf_counter` time)."""
+    return VerificationReport(
+        theorem=theorem,
+        genus=config.genus_label(),
+        k=k,
+        curve=(
+            explicit_curve.to_json()
+            if explicit_curve is not None
+            else {"source": config.curve_source}
+        ),
+        checks=tuple(items),
+        seed=config.seed,
+        config=config.to_json(),
+        timing_seconds=time.perf_counter() - start,
+    )
+
+
 def verify_theorem(
     theorem: str,
     config: RunConfig,
@@ -562,21 +576,8 @@ def verify_theorem(
             items.extend(_suite_diagonal(genus, config.k, curves))
         elif theorem == "R4.1":
             items.extend(_suite_cup(genus, curves))
-    elapsed = time.perf_counter() - start
-    return VerificationReport(
-        theorem=theorem,
-        genus=config.genus_label(),
-        k=config.k if config.k is not None else "all",
-        curve=(
-            explicit_curve.to_json()
-            if explicit_curve is not None
-            else {"source": config.curve_source}
-        ),
-        checks=tuple(items),
-        seed=config.seed,
-        config=config.to_json(),
-        timing_seconds=elapsed,
-    )
+    k = config.k if config.k is not None else "all"
+    return _report(theorem, k, config, explicit_curve, items, start)
 
 
 def scan_report(
@@ -607,18 +608,4 @@ def scan_report(
                 genus, curves, samples, seed, include_bound=True
             )
         )
-    elapsed = time.perf_counter() - start
-    return VerificationReport(
-        theorem="T6.12",
-        genus=config.genus_label(),
-        k="all",
-        curve=(
-            explicit_curve.to_json()
-            if explicit_curve is not None
-            else {"source": config.curve_source}
-        ),
-        checks=tuple(items),
-        seed=config.seed,
-        config=config.to_json(),
-        timing_seconds=elapsed,
-    )
+    return _report("T6.12", "all", config, explicit_curve, items, start)

@@ -1,12 +1,14 @@
 """Coordinates on the space of quadrics through the canonical curve."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussmap.errors import IndexOutOfRange
+from gaussmap.rationals import numerators
 from gaussmap.quadrics import (
     QuadricI2,
     basis_quadric,
@@ -82,6 +84,36 @@ def test_sym_tensor_diagonal_entry_from_adjacent_pair():
     c = q.sym_tensor()
     assert c[2][2] == 1
     assert c[3][1] == c[1][3] == -F(1, 2)
+
+
+@st.composite
+def quadrics(draw):
+    g = draw(st.integers(min_value=3, max_value=7))
+    dim = quadric_space_dimension(g)
+    coords = draw(st.lists(small_rats, min_size=dim, max_size=dim))
+    return quadric_from_vector(g, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadrics())
+def test_integer_tensor_is_the_nonzero_sym_tensor_over_one_denominator(q):
+    entries, den = q.tensor
+    assert den == 2 * lcm(*(c.denominator for c in q.a_coords))
+    assert all(n for *_, n in entries)
+    assert list(entries) == sorted(entries)
+    assert {(a, b): F(n, den) for a, b, n in entries} == {
+        (a, b): value
+        for a, row in enumerate(q.sym_tensor())
+        for b, value in enumerate(row)
+        if value
+    }
+    assert q.tensor is q.tensor
+
+
+def test_numerators_clear_denominators_over_their_lcm():
+    assert numerators([]) == ([], 1)
+    assert numerators([3, 0, -4]) == ([3, 0, -4], 1)
+    assert numerators((F(-1, 2), F(2, 3), F(0), F(-5))) == ([-3, 4, 0, -30], 6)
 
 
 def test_json_round_trip_preserves_sparse_coordinates():

@@ -60,7 +60,7 @@ from gaussmap.rho import (
     witness_functional,
     witness_hyperplane,
 )
-from gaussmap.rho import _licensed, _sym_entries
+from gaussmap.rho import _licensed
 from gaussmap.reports import RunConfig
 from gaussmap.series import TruncatedSeries
 from gaussmap.suites import curve_panel, verify_theorem
@@ -235,7 +235,9 @@ def _module_caches():
 
 def test_pairing_layer_keeps_no_module_cache_keyed_on_quadrics():
     assert not hasattr(derivative_sum, "cache_info")
-    assert not hasattr(_sym_entries, "cache_info")
+    for module, name, function in _module_caches():
+        for param in inspect.signature(function).parameters.values():
+            assert "QuadricI2" not in str(param.annotation), (module, name)
     with pytest.raises(InvalidIndex):
         Pairing(basis_quadric(4, 1, 3), default_curve(4))(-1, 2)
     caches = list(_module_caches())
@@ -573,7 +575,12 @@ def fraction_mu2_cross_check(curve, order=14):
             (framed[m].scale(c) for m, c in enumerate(poly.coeffs) if c),
         )
         zrep = TruncatedSeries.zero(truncation=order)
-        for a, b, coeff in _sym_entries(q):
+        for a, b, coeff in (
+            (a, b, c)
+            for a, row in enumerate(q.sym_tensor())
+            for b, c in enumerate(row)
+            if c
+        ):
             term = products.get((a, b))
             if term is None:
                 term = products[(a, b)] = second[a] * expansions[b]
