@@ -87,7 +87,6 @@ from .rho import (  # noqa: E402
     AsymptoticCertificate,
     Certifier,
     CupRank,
-    DerivativePairing,
     DiagonalResult,
     Functional,
     HyperplaneResult,

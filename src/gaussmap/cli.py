@@ -25,12 +25,7 @@ from .gaussian import (
     rank_formula,
     rank_table,
 )
-from .quadrics import (
-    basis_quadric,
-    quadric_from_a,
-    quadric_from_vector,
-    vector_to_json,
-)
+from .quadrics import basis_quadric, quadric_from_a, vector_to_json
 from .rationals import rat_from_string
 from .reports import (
     RunConfig,
@@ -246,7 +241,7 @@ def parse_quadric_argument(spec: str, genus: int):
                     f"kernel basis index {index} outside "
                     f"0..{len(level.basis) - 1}"
                 )
-            return quadric_from_vector(genus, level.basis[index])
+            return level.quadrics[index]
         entries = json.loads(spec)
         if not isinstance(entries, dict) or not entries:
             raise UsageError(

@@ -52,7 +52,7 @@ from .errors import (
     TooFewBranchPoints,
 )
 from .poly import Poly
-from .rationals import numerators, rat_from_string, rat_to_string
+from .rationals import as_rational, numerators, rat_to_string
 from .series import TruncatedSeries
 
 
@@ -109,11 +109,7 @@ def new_curve(points) -> Curve:
     Requirements: at least 8 points (genus >= 3), an even count, all
     distinct, and the first one exactly 0 (the base Weierstrass point).
     """
-    values = tuple(
-        p if isinstance(p, Fraction) else
-        rat_from_string(p) if isinstance(p, str) else Fraction(p)
-        for p in points
-    )
+    values = tuple(map(as_rational, points))
     if len(values) < 8:
         raise TooFewBranchPoints(
             f"need at least 8 branch points (genus >= 3), got {len(values)}"

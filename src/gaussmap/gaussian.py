@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .curve import Curve, canonical_derivatives
@@ -54,9 +54,9 @@ from .poly import Poly, falling
 from .quadrics import (
     QuadricI2,
     pair_slots,
+    quadric_from_vector,
     quadric_space_dimension,
     sym_pairs,
-    vector_to_json,
     wedge_pairs,
 )
 
@@ -79,9 +79,6 @@ class EquationSystem:
     genus: int
     level: int
     rows: tuple[Vector, ...]
-    row_labels: tuple[int, ...]
-    pair_counts: tuple[tuple[int, int], ...]
-    expected_rank_increment: int
 
 
 def _level_rows(genus: int, k: int) -> list[SparseRow]:
@@ -102,21 +99,14 @@ def _level_rows(genus: int, k: int) -> list[SparseRow]:
 def kernel_equations(genus: int, k: int) -> EquationSystem:
     if k < 1:
         raise IndexOutOfRange(f"level must be at least 1, got {k}")
-    pairs = sym_pairs(genus)
-    hi = 2 * genus - 3
-    counts = tuple(
-        (l, sum(1 for (i, j) in pairs if i + j == l)) for l in range(3, hi + 1)
-    )
+    ncols = len(sym_pairs(genus))
     return EquationSystem(
         genus=genus,
         level=k,
         rows=tuple(
-            tuple(Fraction(row.get(c, 0)) for c in range(len(pairs)))
+            tuple(Fraction(row.get(c, 0)) for c in range(ncols))
             for row in _level_rows(genus, k)
         ),
-        row_labels=tuple(range(max(3, 2 * k - 1), hi + 1)),
-        pair_counts=counts,
-        expected_rank_increment=2 * genus - (4 * k + 1),
     )
 
 
@@ -125,10 +115,17 @@ def kernel_equations(genus: int, k: int) -> EquationSystem:
 
 @dataclass(frozen=True)
 class KernelLevel:
+    genus: int
     k: int
     dimension: int
     rank: int
     basis: tuple[Vector, ...]
+
+    @cached_property
+    def quadrics(self) -> tuple[QuadricI2, ...]:
+        """The basis vectors as quadrics, made once per level (the chain is
+        held per genus by `kernel_via_equations`)."""
+        return tuple(quadric_from_vector(self.genus, vec) for vec in self.basis)
 
 
 @dataclass(frozen=True)
@@ -142,18 +139,6 @@ class KernelChain:
             if lv.k == k:
                 return lv
         raise IndexOutOfRange(f"chain has no level {k}")
-
-    def to_json(self) -> dict:
-        levels = [
-            {
-                "k": lv.k,
-                "dimension": lv.dimension,
-                "rank": lv.rank,
-                "basis": [vector_to_json(self.genus, vec) for vec in lv.basis],
-            }
-            for lv in self.levels
-        ]
-        return {"genus": self.genus, "method": self.method, "levels": levels}
 
 
 def max_level(genus: int) -> int:
@@ -183,11 +168,20 @@ def kernel_via_equations(genus: int, k_max: int | None = None) -> KernelChain:
         basis = kernel_basis(rows, dim)
         levels.append(
             KernelLevel(
-                k=k, dimension=len(basis), rank=previous - len(basis), basis=basis
+                genus=genus,
+                k=k,
+                dimension=len(basis),
+                rank=previous - len(basis),
+                basis=basis,
             )
         )
         previous = len(basis)
     return KernelChain(genus=genus, method="equations", levels=tuple(levels))
+
+
+def _falling_table(genus: int, bound: int) -> list[list[int]]:
+    """falling(a, h) at [a][h] for every row index a and order h <= bound."""
+    return [[falling(a, h) for h in range(bound + 1)] for a in range(genus)]
 
 
 def _oracle_rows(genus: int, bound: int) -> tuple[list[SparseRow], list[int]]:
@@ -201,7 +195,7 @@ def _oracle_rows(genus: int, bound: int) -> tuple[list[SparseRow], list[int]]:
     x-degree e and order h+n reads only the pairs with i + j = e + h + n + 1.
     """
     by_weight = _by_weight(sym_pairs(genus))
-    fall = [[falling(a, h) for h in range(bound + 1)] for a in range(genus)]
+    fall = _falling_table(genus, bound)
     rows: list[SparseRow] = []
     ends: list[int] = []
     for total in range(bound + 1):
@@ -246,13 +240,12 @@ def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
     (h, n) in ``orders``, as integers over the tensor's denominator."""
     genus = q.genus
     entries, den = q.tensor
+    fall = _falling_table(genus, max(map(max, orders), default=0))
     out = []
     for h, n in orders:
-        fh = [falling(a, h) for a in range(genus)]
-        fn = [falling(b, n) for b in range(genus)]
         coeffs = [0] * (2 * genus - 1)
         for alpha, beta, c in entries:
-            t = fh[alpha] * fn[beta]
+            t = fall[alpha][h] * fall[beta][n]
             if t:
                 coeffs[alpha + beta - h - n] += c * t
         out.append(coeffs)
@@ -463,7 +456,7 @@ def _odd_rows(genus: int, bound: int) -> list[SparseRow]:
     """Sparse integer rows of the odd identities, h > n, h + n <= bound; the
     row of x-degree e reads only the wedge pairs with i + j = e + h + n."""
     by_weight = _by_weight(wedge_pairs(genus))
-    fall = [[falling(a, h) for h in range(bound + 1)] for a in range(genus)]
+    fall = _falling_table(genus, bound)
     rows: list[SparseRow] = []
     for total in range(1, bound + 1):
         for n in range(0, (total + 1) // 2):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import IndexOutOfRange
-from .rationals import numerators, rat_from_string, rat_to_string
+from .rationals import as_rational, numerators, rat_to_string
 
 
 # sym_pairs and wedge_pairs are made once per genus; the genus cap bounds both
@@ -174,9 +174,7 @@ def quadric_from_a(genus: int, entries) -> QuadricI2:
             i, j = int(parts[0]), int(parts[1])
         else:
             i, j = key
-        if isinstance(value, str):
-            value = rat_from_string(value)
-        coords[_pair_index(genus, i, j)] = Fraction(value)
+        coords[_pair_index(genus, i, j)] = as_rational(value)
     return QuadricI2(genus=genus, a_coords=tuple(coords))
 
 

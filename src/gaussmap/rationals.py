@@ -34,6 +34,18 @@ def rat_from_string(text: str) -> Fraction:
         raise InvalidIndex(f"not a rational literal: {text!r}") from exc
 
 
+def as_rational(value) -> Fraction:
+    """An exact rational from a `Fraction`, an `int` or a ``"p/q"`` string.
+
+    Floats and booleans (as JSON decodes them) are refused, not rounded.
+    """
+    if isinstance(value, str):
+        return rat_from_string(value)
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise InvalidIndex(f"not an exact rational: {value!r}")
+
+
 def numerators(values) -> tuple[list[int], int]:
     """Integer numerators of these rationals over their least common denominator."""
     den = lcm(*(v.denominator for v in values))

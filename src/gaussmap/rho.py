@@ -21,11 +21,11 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
   `rho_reduction_vector` alike.
 
 One `Pairing` value per quadric and curve computes each entry of D once
-and serves every reader of it: the threshold scans, the pairing tables and
-the rho evaluations. It works over the integers: the tensor C is the
-quadric's `QuadricI2.tensor`, and the jet columns are integers over one
-denominator per column, held by a `JetColumns` value that every pairing of
-one `Pairing.family` shares. Only even orders are scanned (the odd jet
+and serves every reader of it: the threshold scans and the rho
+evaluations. It works over the integers: the tensor C is the quadric's
+`QuadricI2.tensor`, and the jet columns are integers over one denominator
+per column, held by a `JetColumns` value that every pairing of one
+`Pairing.family` shares. Only even orders are scanned (the odd jet
 columns are checked to vanish instead), and a watermark keeps a scanned
 zero prefix from being walked twice. The isotropy suite, route one of the
 x-chart cross-check, the witness and diagonal functionals and each
@@ -37,7 +37,10 @@ that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
-routine from their pair, domain basis and rho values. Neither is cached:
+routine from their pair, domain basis and rho values. The hyperplane
+A_{k,0} is cut from the witness values alone: it reads neither the
+witness's reduction vector, closed form and display form nor the b-support
+check, which only the witness report prints. Neither functional is cached:
 one `Certifier` value per curve builds each level's diagonal functional
 once and serves every direction certified on that curve. The only
 module-level cache is the basis quadric data of the x-chart cross-check,
@@ -120,31 +123,6 @@ class ThresholdInfo:
     threshold: int
     at_cap: bool
     first_nonzero: tuple[int, int, Fraction] | None
-
-
-@dataclass(frozen=True)
-class DerivativePairing:
-    """Full pairing table of one quadric on one curve up to a total order."""
-
-    quadric: str
-    curve: str
-    bound: int
-    entries: tuple[tuple[int, int, Fraction], ...]
-    threshold: int
-    at_cap: bool
-    first_nonzero: tuple[int, int, Fraction] | None
-
-    def to_json(self) -> dict:
-        return {
-            "quadric": self.quadric,
-            "curve": self.curve,
-            "bound": self.bound,
-            "threshold": self.threshold,
-            "at_cap": self.at_cap,
-            "nonzero_entries": {
-                f"{h},{l}": rat_to_string(v) for (h, l, v) in self.entries
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -331,25 +309,6 @@ class Pairing:
             info = self.threshold(2 * cap)
         return info
 
-    def table(self, bound: int) -> DerivativePairing:
-        self.columns.extend(bound)
-        entries = []
-        for total in range(0, bound + 1, 2):
-            for h in _even_orders(total):
-                value = self(h, total - h)
-                if value:
-                    entries.append((h, total - h, value))
-        first = entries[0] if entries else None
-        return DerivativePairing(
-            quadric=self.quadric.label(),
-            curve=self.curve.label(),
-            bound=bound,
-            entries=tuple(entries),
-            threshold=bound if first is None else first[0] + first[1] - 1,
-            at_cap=first is None,
-            first_nonzero=first,
-        )
-
     def rho(self, n, r) -> RhoValue:
         """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i), licensed by the threshold.
 
@@ -507,11 +466,6 @@ def _require_level(genus: int, k: int) -> None:
         )
 
 
-def _kernel_quadrics(genus: int, k: int) -> tuple[QuadricI2, ...]:
-    level = kernel_via_equations(genus).level(k)
-    return tuple(quadric_from_vector(genus, vec) for vec in level.basis)
-
-
 @dataclass(frozen=True)
 class IsotropyResult:
     genus: int
@@ -520,47 +474,34 @@ class IsotropyResult:
     basis_size: int
     thresholds: tuple[ThresholdInfo, ...]
     pair_values: tuple[tuple[int, int, int, Fraction], ...]
-    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """Every threshold reaches 4k+3 and every licensed pair vanishes."""
+        return all(
+            info.threshold >= 4 * self.k + 3 for info in self.thresholds
+        ) and not any(value for *_, value in self.pair_values)
 
 
 def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
     """All licensed rho pairs with odd total <= 4k+3 vanish on Ker mu_2k."""
     _require_level(genus, k)
-    quads = _kernel_quadrics(genus, k)
+    quads = kernel_via_equations(genus).level(k).quadrics
     pairings = Pairing.family(quads, curve)
-    failures = []
-    thresholds = []
-    for index, pairing in enumerate(pairings):
-        info = pairing.threshold_with_policy(k)
-        thresholds.append(info)
-        if info.threshold < 4 * k + 3:
-            failures.append(
-                f"basis[{index}] threshold {info.threshold} < {4 * k + 3}"
-            )
+    thresholds = tuple(pairing.threshold_with_policy(k) for pairing in pairings)
     checks = []
     for index, pairing in enumerate(pairings):
         for n in range(1, 4 * k + 4, 2):
             for r in range(n, 4 * k + 4 - n, 2):
                 with _licensed():
-                    value = pairing.rho(n, r).value
-                checks.append((index, n, r, value))
-                if value:
-                    failures.append(
-                        f"basis[{index}] rho(xi^{n}, xi^{r}) = "
-                        f"{rat_to_string(value)} != 0"
-                    )
+                    checks.append((index, n, r, pairing.rho(n, r).value))
     return IsotropyResult(
         genus=genus,
         k=k,
         curve=curve.label(),
         basis_size=len(quads),
-        thresholds=tuple(thresholds),
+        thresholds=thresholds,
         pair_values=tuple(checks),
-        failures=tuple(failures),
     )
 
 
@@ -752,6 +693,20 @@ def _witness_display_form(
     return tuple(out), tuple(factors)
 
 
+def _witness_values(
+    genus: int, k: int, curve: Curve
+) -> tuple[tuple[QuadricI2, ...], tuple[Fraction, ...]]:
+    """The Ker mu_2k basis quadrics and their licensed rho(xi^{2k+3} (.)
+    xi^{2k+1}) values: all that the cut of A_{k,0} reads."""
+    _require_level(genus, k)
+    quads = kernel_via_equations(genus).level(k).quadrics
+    with _licensed():
+        values = tuple(
+            p.rho(2 * k + 3, 2 * k + 1).value for p in Pairing.family(quads, curve)
+        )
+    return quads, values
+
+
 def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     """The xi^{2k+3} (.) xi^{2k+1} evaluation as a functional on Ker mu_2k.
 
@@ -759,12 +714,8 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     quadric, and the textbook display form is compared as a functional on
     the kernel.
     """
-    _require_level(genus, k)
-    quads = _kernel_quadrics(genus, k)
-    n, r = 2 * k + 3, 2 * k + 1
-    with _licensed():
-        values = tuple(p.rho(n, r).value for p in Pairing.family(quads, curve))
-    f = _functional(genus, curve, (n, r), "kernel", quads, values)
+    quads, values = _witness_values(genus, k, curve)
+    f = _functional(genus, curve, (2 * k + 3, 2 * k + 1), "kernel", quads, values)
     display, factors = _witness_display_form(curve, genus, k)
     display_values = tuple(
         sum((c * q.b(*pair) for c, pair in zip(display, f.support)), ZERO)
@@ -790,7 +741,6 @@ class HyperplaneResult:
     genus: int
     k: int
     curve: str
-    functional: Functional
     basis: tuple[QuadricI2, ...]
     vectors: tuple[Vector, ...]
     dimension: int
@@ -829,25 +779,23 @@ def _restrict_to_functional_kernel(
 def witness_hyperplane(genus: int, k: int, curve: Curve) -> HyperplaneResult:
     """A_{k,0}: the kernel of the witness functional inside Ker mu_2k.
 
-    The cut is the single rho row; that every support coordinate then
-    vanishes on the result (the textbook description of A_{k,0} by the
-    equations a_{u,2k+3-u} = 0) is asserted as a consequence, not imposed.
+    The cut is the single row of witness values; that every support
+    coordinate then vanishes on the result (the textbook description of
+    A_{k,0} by the equations a_{u,2k+3-u} = 0) is asserted as a
+    consequence, not imposed.
     """
-    functional = witness_functional(genus, k, curve)
+    _, values = _witness_values(genus, k, curve)
     level = kernel_via_equations(genus).level(k)
-    ncols = len(sym_pairs(genus))
     vectors = _restrict_to_functional_kernel(
-        level.basis, functional.values, ncols
+        level.basis, values, len(sym_pairs(genus))
     )
     quads = tuple(quadric_from_vector(genus, vec) for vec in vectors)
-    support_vanish = all(
-        q.b(*pair) == 0 for q in quads for pair in functional.support
-    )
+    support = _support(genus, k, 2 * genus - 2 * k - 3)
+    support_vanish = all(q.b(*pair) == 0 for q in quads for pair in support)
     return HyperplaneResult(
         genus=genus,
         k=k,
         curve=curve.label(),
-        functional=functional,
         basis=quads,
         vectors=vectors,
         dimension=len(vectors),
@@ -937,26 +885,6 @@ class AsymptoticCertificate:
                 )
         elif self.verdict != "asymptotic":
             raise InvalidIndex(f"unknown verdict {self.verdict!r}")
-
-    def to_json(self) -> dict:
-        out = {
-            "genus": self.genus,
-            "curve": self.curve,
-            "direction": [rat_to_string(c) for c in self.direction],
-            "verdict": self.verdict,
-            "top_order": self.top_order,
-            "cross_terms": [
-                {"n": n, "r": r, "value": rat_to_string(v)}
-                for (n, r, v) in self.cross_terms
-            ],
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-            out["witness_pair_value"] = rat_to_string(self.witness_pair_value)
-            out["total_value"] = rat_to_string(self.total_value)
-        if self.basis_zero_count is not None:
-            out["basis_zero_count"] = self.basis_zero_count
-        return out
 
 
 def direction_length(genus: int) -> int:
@@ -1097,17 +1025,6 @@ class CupRank:
     rank_bound_ok: bool
     predicted_kernel_indices: tuple[int, ...]
     containment_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "genus": self.genus,
-            "rank": self.rank,
-            "rank_bound_ok": self.rank_bound_ok,
-            "kernel_dimension": len(self.kernel),
-            "predicted_kernel_indices": list(self.predicted_kernel_indices),
-            "containment_ok": self.containment_ok,
-        }
 
 
 def cup_rank(curve: Curve, n: int) -> CupRank:

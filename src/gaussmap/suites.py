@@ -23,7 +23,6 @@ from .gaussian import (
     kernel_via_polynomial_oracle,
     max_level,
 )
-from .quadrics import quadric_from_vector
 from .rationals import rat_to_string, random_direction
 from .reports import CheckItem, RunConfig, VerificationReport, check
 from .rho import (
@@ -147,10 +146,7 @@ def _suite_factorization(
     items = []
     chain = kernel_via_equations(genus)
     for level_k in _schiffer_levels(genus, k):
-        quads = [
-            quadric_from_vector(genus, vec)
-            for vec in chain.level(level_k).basis
-        ]
+        quads = chain.level(level_k).quadrics
         try:
             results = [factorization_check(q, level_k) for q in quads]
         except Falsified as exc:
@@ -182,10 +178,7 @@ def _suite_b_support(genus: int, k: int | None) -> list[CheckItem]:
         tuple(range(0, max_level(genus) + 1)) if k is None else (k,)
     )
     for level_k in levels:
-        quads = [
-            quadric_from_vector(genus, vec)
-            for vec in chain.level(level_k).basis
-        ]
+        quads = chain.level(level_k).quadrics
         checks_ = [b_support_check(q, level_k) for q in quads]
         offenders = sum(len(c.offenders) for c in checks_)
         items.append(

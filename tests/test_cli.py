@@ -224,6 +224,22 @@ def test_rho_malformed_quadric_is_usage_error(capsys):
         assert code == 2, bad
 
 
+@pytest.mark.parametrize("inexact", ["0.1", "true"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--curve", '{"branch_points": [0, %s, 2, 3, 4, 5, 6, 7]}', "--quadric", "basis:1,2"),
+        ("--g", "3", "--quadric", '{"1,2": %s}'),
+    ],
+    ids=["curve", "quadric"],
+)
+def test_json_floats_and_booleans_are_usage_errors(capsys, flags, inexact):
+    argv = [flag % inexact if "%s" in flag else flag for flag in flags]
+    code, out, err = run(capsys, "rho", *argv, "--pair", "1", "1")
+    assert code == 2 and out == ""
+    assert "not an exact rational" in err
+
+
 def test_rho_even_pair_is_usage_error(capsys):
     code, _, err = run(
         capsys,

@@ -314,14 +314,6 @@ def test_threshold_respects_the_cap_and_flags_it():
     assert Pairing(basis_quadric(5, 1, 2), default_curve(5)).threshold(4).threshold == 3
 
 
-def test_pairing_table_lists_only_nonzero_entries():
-    c = default_curve(3)
-    table = Pairing(basis_quadric(3, 1, 2), c).table(6)
-    assert table.threshold == 3
-    assert all(v != 0 for (_, _, v) in table.entries)
-    assert all(h + l > 3 for (h, l, _) in table.entries)
-
-
 # -- licensed values -----------------------------------------------------------------
 
 
@@ -406,6 +398,54 @@ def test_isotropy_holds_at_small_desk_scale():
     assert result.ok and result.basis_size == 1
     assert result.thresholds[0].threshold == 7
     assert all(v == 0 for (_, _, _, v) in result.pair_values)
+
+
+def test_isotropy_fails_on_a_short_threshold_or_a_nonzero_pair():
+    result = isotropy_suite(5, 1, default_curve(5))
+    info = result.thresholds[0]
+    short = dataclasses.replace(info, threshold=4 * result.k + 2)
+    assert not dataclasses.replace(result, thresholds=(short,)).ok
+    index, n, r, _ = result.pair_values[0]
+    nonzero = ((index, n, r, F(1, 7)),) + result.pair_values[1:]
+    assert not dataclasses.replace(result, pair_values=nonzero).ok
+
+
+def test_level_quadrics_are_the_basis_vectors_built_once(monkeypatch):
+    for genus in range(3, 10):
+        for level in kernel_via_equations(genus).levels:
+            assert level.quadrics == tuple(
+                quadric_from_vector(genus, vec) for vec in level.basis
+            )
+    seen = []
+    original = Pairing.family.__func__
+
+    def recorded(cls, quads, curve):
+        seen.append(quads)
+        return original(cls, quads, curve)
+
+    monkeypatch.setattr(Pairing, "family", classmethod(recorded))
+    for _ in range(2):
+        config = RunConfig(command="verify", genus_min=7, genus_max=7, samples=0)
+        assert verify_theorem("T6.5", config).passed
+    for k in (0, 1, 2):
+        quads = kernel_via_equations(7).level(k).quadrics
+        assert sum(q is quads for q in seen) == 2
+
+
+def test_the_hyperplane_cut_reads_only_the_witness_values(monkeypatch, capsys):
+    def refuse(*args):
+        raise RuntimeError("the witness report was built")
+
+    monkeypatch.setattr(rho, "_witness_display_form", refuse)
+    monkeypatch.setattr(rho, "b_support_check", refuse)
+    for argv in (
+        ("verify", "--theorem", "T6.9", "--g", "3..7"),
+        ("scan", "--g", "4..6", "--samples", "3"),
+    ):
+        assert main(list(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+    with pytest.raises(RuntimeError, match="witness report"):
+        main(["verify", "--theorem", "T6.6", "--g", "4", "--samples", "0"])
 
 
 def test_witness_functional_on_the_genus_three_quadric():
