@@ -59,7 +59,7 @@ from .gaussian import (
     rank_table,
     wronskian_rank_oracle,
 )
-from .linalg import RatMatrix, kernel_basis, matrix_rank, rref
+from .linalg import kernel_basis, rref
 from .poly import Poly, falling, poly_derivative
 from .quadrics import (
     QuadricI2,
@@ -103,7 +103,6 @@ from .rho import (  # noqa: E402
     direction_length,
     isotropy_suite,
     mu2_cross_check,
-    pairing_reduction,
     rho_pair,
     rho_reduction_vector,
     witness_functional,

@@ -49,7 +49,7 @@ from .errors import (
     NotInKernel,
     NotInPreviousKernel,
 )
-from .linalg import RatMatrix, SparseRow, Vector, kernel_basis, matrix_rank
+from .linalg import SparseRow, Vector, kernel_basis, rref, sparse_row
 from .poly import Poly, falling
 from .quadrics import (
     QuadricI2,
@@ -518,4 +518,5 @@ def wronskian_rank_oracle(genus: int, curve: Curve) -> int:
                 )
             row.append(acc)
         rows.append(row)
-    return matrix_rank(RatMatrix.from_rows(rows, ncols=len(pairs)))
+    _, pivots = rref([sparse_row(row) for row in rows], len(pairs))
+    return len(pivots)

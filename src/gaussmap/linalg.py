@@ -1,28 +1,27 @@
 """Exact linear algebra over the rationals.
 
-``rref`` and ``kernel_basis`` take sparse integer rows (``{column: int}``
-dicts without zero entries) and a column count; a `RatMatrix` is turned into
-such rows once, each scaled by the lcm of its denominators, which leaves the
-row space unchanged. The columns are split into blocks, the connected
-components of the graph joining each row to the columns where it is nonzero.
-A matrix is the direct sum of its blocks, so its RREF is the union of
-theirs, ordered by pivot column; the Gaussian-map systems are graded by
-weight, so one large elimination becomes many small ones.
+``rref`` and ``kernel_basis`` take one input form: sparse integer rows
+(``{column: int}`` dicts; a zero entry joins nothing) and a column count.
+`sparse_row` turns a rational vector into such a row, scaled by the lcm of
+its denominators, which leaves the row space unchanged. The columns are
+split into blocks, the connected components of the graph joining each row
+to the columns where it is nonzero. A matrix is the direct sum of its
+blocks, so its RREF is the union of theirs, ordered by pivot column; the
+Gaussian-map systems are graded by weight, so one large elimination becomes
+many small ones. The rank is the number of pivots.
 
-Each block, dense over its own columns, and each matrix given to
-``matrix_rank`` is eliminated fraction-free in the style of Bareiss (the
-two-by-two determinant update with exact division by the previous pivot);
-``rref`` back-substitutes in integers too, and each output entry is one
-`Fraction`. Pivoting is deterministic (first nonzero entry in column order),
-so every result is a pure function of the input, and kernel bases are in
-reduced row-echelon normal form: two routes that compute the same subspace
-produce identical tuples.
+Each block, dense over its own columns, is eliminated fraction-free in the
+style of Bareiss (the two-by-two determinant update with exact division by
+the previous pivot); ``rref`` back-substitutes in integers too, and each
+output entry is one `Fraction`. Pivoting is deterministic (first nonzero
+entry in column order), so every result is a pure function of the input,
+and kernel bases are in reduced row-echelon normal form: two routes that
+compute the same subspace produce identical tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -38,39 +37,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable rational matrix (tuple of row tuples)."""
-
-    rows: tuple[Vector, ...]
-    ncols: int
-
-    @classmethod
-    def from_rows(cls, rows, ncols: int | None = None) -> "RatMatrix":
-        frozen = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-            for row in rows
-        )
-        if frozen:
-            width = len(frozen[0])
-            if any(len(r) != width for r in frozen):
-                raise IndexOutOfRange("ragged rows in matrix")
-            if ncols is not None and ncols != width:
-                raise IndexOutOfRange("declared ncols does not match rows")
-            ncols = width
-        elif ncols is None:
-            raise IndexOutOfRange("empty matrix needs an explicit column count")
-        return cls(rows=frozen, ncols=ncols)
-
-
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    """Each row times the lcm of its denominators, divided by its gcd."""
-    out: list[list[int]] = []
-    for row in m.rows:
-        ints, _ = numerators(row)
-        g = gcd(*ints)
-        out.append([v // g for v in ints] if g > 1 else ints)
-    return out
+def sparse_row(vector: Sequence[Fraction]) -> SparseRow:
+    """The nonzero numerators of ``vector`` over its least common denominator."""
+    ints, _ = numerators(vector)
+    return {c: x for c, x in enumerate(ints) if x}
 
 
 def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -140,28 +110,14 @@ def _blocks(rows: Sequence[SparseRow], ncols: int) -> list[tuple[list[int], list
     return [(cols, block_rows[root]) for root, cols in columns.items()]
 
 
-def _sparse_rows(m, ncols: int | None) -> tuple[Sequence[SparseRow], int]:
-    if isinstance(m, RatMatrix):
-        rows = [{c: v for c, v in enumerate(r) if v} for r in _integer_rows(m)]
-        return rows, m.ncols
+def rref(
+    rows: Sequence[SparseRow], ncols: int | None = None
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row-echelon form (nonzero rows only) and pivot columns of
+    sparse integer rows with their column count; the rank is the number of
+    pivots."""
     if ncols is None:
         raise IndexOutOfRange("sparse rows need an explicit column count")
-    return m, ncols
-
-
-def matrix_rank(m: RatMatrix) -> int:
-    if not m.rows:
-        return 0
-    _, pivots = _echelon(_integer_rows(m), m.ncols)
-    return len(pivots)
-
-
-def rref(
-    m: RatMatrix | Sequence[SparseRow], ncols: int | None = None
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row-echelon form (nonzero rows only) and pivot columns of a
-    `RatMatrix`, or of sparse integer rows with their column count."""
-    rows, ncols = _sparse_rows(m, ncols)
     placed: list[tuple[int, Vector]] = []
     for cols, block in _blocks(rows, ncols):
         ech, pivots = _echelon(block, len(cols))
@@ -185,19 +141,16 @@ def rref(
     return tuple(row for _, row in placed), tuple(p for p, _ in placed)
 
 
-def kernel_basis(
-    m: RatMatrix | Sequence[SparseRow], ncols: int | None = None
-) -> tuple[Vector, ...]:
-    """Canonical basis of the right kernel of ``m`` (taken as by `rref`).
+def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> tuple[Vector, ...]:
+    """Canonical basis of the right kernel of ``rows`` (taken as by `rref`).
 
-    It is read off the RREF of ``m`` with its columns in reverse order,
+    It is read off the RREF of the rows with its columns in reverse order,
     where each free column f gives the kernel vector with 1 at f, 0 at the
     other free columns and minus column f of the RREF at the pivots, all of
     which precede f. In the original order each such vector leads with its
     1, at a column where all the others are 0: sorted by that column, they
     are the RREF of the kernel.
     """
-    rows, ncols = _sparse_rows(m, ncols)
     last = ncols - 1
     reduced, pivots = rref([{last - c: x for c, x in r.items()} for r in rows], ncols)
     columns = list(zip(*reduced)) or [()] * ncols
@@ -212,12 +165,6 @@ def kernel_basis(
                     v[last - p] = -x
             vectors.append(tuple(v))
     return tuple(vectors)
-
-
-def canonicalize_span(vectors: list[Vector] | tuple[Vector, ...], ncols: int) -> tuple[Vector, ...]:
-    """Reduced row-echelon normal form of the span of ``vectors``."""
-    reduced, _ = rref(RatMatrix.from_rows(vectors, ncols))
-    return reduced
 
 
 def dot(u: Vector, v: Vector) -> Fraction:

@@ -17,8 +17,7 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
 * W(a, b) is the antisymmetrised pairing of the omega-frame functions; it
   drives the closed-form coefficient vectors of the witness and diagonal
   functionals through the product rule for g_{alpha} = x * (omega part),
-  which `_product_rule` expands once for `pairing_reduction` and
-  `rho_reduction_vector` alike.
+  which `_product_rule` expands for `rho_reduction_vector`.
 
 One `Pairing` value per quadric and curve computes each entry of D once
 and serves every reader of it: the threshold scans and the rho
@@ -80,7 +79,7 @@ from .errors import (
     ThresholdNotExtended,
 )
 from .gaussian import b_support_check, kernel_via_equations, mu_eval_polynomial
-from .linalg import RatMatrix, Vector, canonicalize_span, dot, kernel_basis, matrix_rank
+from .linalg import Vector, dot, kernel_basis, rref, sparse_row
 from .quadrics import (
     QuadricI2,
     basis_quadric,
@@ -414,23 +413,6 @@ def _product_rule(sigma, h: int, l: int):
             yield -Fraction(comb(l, d), 2) * sigma[d], h, l - d
 
 
-def omega_wronskian_sum(q: QuadricI2, curve: Curve, a: int, b: int) -> Fraction:
-    """W(a, b): antisymmetrised omega-pairing, from the canonical table."""
-    table = canonical_derivatives(curve, max(a, b))
-    wedge = _wedge(table, q.genus, a, b)
-    return sum((c * w for c, w in zip(q.b_coords(), wedge) if c), ZERO)
-
-
-def pairing_reduction(q: QuadricI2, curve: Curve, h: int, l: int) -> Fraction:
-    """D(h, l) recomputed through the product rule in decomposable form.
-
-    This is the identity behind the witness coefficient formulas and must
-    agree with `derivative_sum` exactly.
-    """
-    terms = _product_rule(x_derivatives(curve, max(h, l)), h, l)
-    return sum((w * omega_wronskian_sum(q, curve, a, b) for w, a, b in terms), ZERO)
-
-
 def rho_reduction_vector(
     curve: Curve, genus: int, n: int, r: int
 ) -> dict[tuple[int, int], Fraction]:
@@ -718,8 +700,7 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     f = _functional(genus, curve, (2 * k + 3, 2 * k + 1), "kernel", quads, values)
     display, factors = _witness_display_form(curve, genus, k)
     display_values = tuple(
-        sum((c * q.b(*pair) for c, pair in zip(display, f.support)), ZERO)
-        for q in quads
+        dot(display, tuple(q.b(*pair) for pair in f.support)) for q in quads
     )
     constant = _single_constant(values, display_values)
     return replace(
@@ -764,16 +745,31 @@ def _restrict_to_functional_kernel(
     values: tuple[Fraction, ...],
     ncols: int,
 ) -> tuple[Vector, ...]:
-    """Canonical basis of {sum c_i B_i : sum c_i values_i = 0}."""
-    if not domain_vectors:
-        return ()
-    row = RatMatrix.from_rows([tuple(values)], ncols=len(values))
-    columns = tuple(zip(*domain_vectors))
-    lifted = [
-        tuple(dot(coeffs, column) for column in columns)
-        for coeffs in kernel_basis(row)
-    ]
-    return canonicalize_span(lifted, ncols)
+    """Canonical basis of {sum c_i B_i : sum c_i values_i = 0}.
+
+    Each B_i is taken as the integer row d_i B_i, whose value is d_i
+    values_i, with numerator u_i. With p the first i where u_i != 0, the
+    rows u_p d_j B_j - u_j d_p B_p (j != p) span the cut, and `rref` gives
+    its unique reduced basis; if every value is zero the cut is the span of
+    the domain itself.
+    """
+    scaled = [numerators(vec) for vec in domain_vectors]
+    u, _ = numerators([den * value for (_, den), value in zip(scaled, values)])
+    rows = [{c: x for c, x in enumerate(ints) if x} for ints, _ in scaled]
+    p = next((i for i, x in enumerate(u) if x), None)
+    if p is not None:
+        pivot, u_p = rows[p], u[p]
+        cut = []
+        for j, (u_j, row) in enumerate(zip(u, rows)):
+            if j != p:
+                combined = {c: u_p * x for c, x in row.items()}
+                if u_j:
+                    for c, x in pivot.items():
+                        combined[c] = combined.get(c, 0) - u_j * x
+                cut.append(combined)
+        rows = cut
+    reduced, _ = rref(rows, ncols)
+    return reduced
 
 
 def witness_hyperplane(genus: int, k: int, curve: Curve) -> HyperplaneResult:
@@ -1050,9 +1046,9 @@ def cup_rank(curve: Curve, n: int) -> CupRank:
                     total += comb(n - 1, c) * table[i][c] * table[j][n - 1 - c]
             row.append(total / scale)
         rows.append(tuple(row))
-    matrix = RatMatrix.from_rows(rows, ncols=genus)
-    rank = matrix_rank(matrix)
-    kernel = kernel_basis(matrix)
+    sparse = [sparse_row(row) for row in rows]
+    rank = len(rref(sparse, genus)[1])
+    kernel = kernel_basis(sparse, genus)
     predicted = tuple(i for i in range(genus) if 2 * i >= n)
     containment = all(
         all(rows[a][i] == 0 for a in range(genus)) for i in predicted

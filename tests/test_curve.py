@@ -255,17 +255,13 @@ def _x_series_w(curve, order_w):
     return x
 
 
-def _canonical_rows_w(curve, order_w):
-    """w-expansions of the canonical frame functions x^i x'/z, i = 0..g-1.
+def _canonical_rows_w(x, genus, order_w):
+    """w-expansions of the canonical frame functions x^i x'/z, i = 0..g-1,
+    from the solved series x, known through w-order order_w + 1.
 
     In w-form: x'/z = 2 dX/dw, so row i is X^i * 2X'(w). Row i has exact
     w-valuation i (z-valuation 2i), which is asserted.
     """
-    genus = curve.genus
-    # every row's w-valuation (at most genus) must be visible at the
-    # working order, whatever jet range the caller asked for
-    order_w = max(order_w, genus + 2)
-    x = _x_series_w(curve, order_w + 1)
     base = x.derivative().scale(2).truncate(order_w)
     rows = []
     power = TruncatedSeries.make((Fraction(1),), None)
@@ -291,9 +287,13 @@ def assert_jets_match_oracle(curve, order_w):
     """x, canonical and omega jet tables equal the Newton route's at w-order order_w."""
     genus = curve.genus
     top = 2 * order_w - 2
-    x = _x_series_w(curve, order_w)
-    rows = _canonical_rows_w(curve, order_w)
-    assert x_derivatives(curve, top) == _oracle_jets(x, top)
+    # One solve serves both tables: its coefficients are unique, and its
+    # residual check at the larger order implies the one at order_w. Every
+    # row's w-valuation (at most genus) must be visible at the rows' order.
+    rows_order = max(order_w, genus + 2)
+    x = _x_series_w(curve, rows_order + 1)
+    rows = _canonical_rows_w(x, genus, rows_order)
+    assert x_derivatives(curve, top) == _oracle_jets(x.truncate(order_w), top)
     assert canonical_derivatives(curve, top) == tuple(
         _oracle_jets(row, top) for row in rows
     )

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussmap
@@ -30,6 +30,7 @@ from gaussmap.curve import (
     expand_canonical,
     new_curve,
     random_curve,
+    x_derivatives,
     x_of_z,
 )
 from gaussmap.errors import BeyondThreshold, GaussmapError, IdentityFailed, InvalidIndex
@@ -52,18 +53,17 @@ from gaussmap.rho import (
     direction_length,
     isotropy_suite,
     mu2_cross_check,
-    omega_wronskian_sum,
-    pairing_reduction,
     rho_pair,
     rho_reduction_vector,
     threshold_info,
     witness_functional,
     witness_hyperplane,
 )
-from gaussmap.rho import _licensed
+from gaussmap.rho import _licensed, _restrict_to_functional_kernel, _witness_values
 from gaussmap.reports import RunConfig
 from gaussmap.series import TruncatedSeries
 from gaussmap.suites import curve_panel, verify_theorem
+from test_linalg import naive_kernel, naive_rref
 
 F = Fraction
 
@@ -264,6 +264,23 @@ def test_suites_leave_nothing_behind_per_curve():
         run(theorem, 100, 1)
         gc.collect()
         assert len(gc.get_objects()) - before < 1000, theorem
+
+
+def omega_wronskian_sum(q, curve, a, b):
+    """W(a, b): the antisymmetrised omega-pairing, from the canonical table."""
+    table = canonical_derivatives(curve, max(a, b))
+    wedge = rho._wedge(table, q.genus, a, b)
+    return sum((c * w for c, w in zip(q.b_coords(), wedge) if c), F(0))
+
+
+def pairing_reduction(q, curve, h, l):
+    """D(h, l) recomputed through the product rule in decomposable form.
+
+    This is the identity behind the witness coefficient formulas; it
+    expands through the same `_product_rule` as `rho_reduction_vector`.
+    """
+    terms = rho._product_rule(x_derivatives(curve, max(h, l)), h, l)
+    return sum((w * omega_wronskian_sum(q, curve, a, b) for w, a, b in terms), F(0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -484,6 +501,77 @@ def test_witness_hyperplane_cuts_exactly_one_dimension():
     assert h.codimension_ok and h.support_coordinates_vanish
     h61 = witness_hyperplane(6, 1, default_curve(6))
     assert h61.dimension == 2
+
+
+def dense_cut(domain, values, ncols):
+    """The dense route of the cut: the naive kernel of the one row of
+    values, each kernel vector lifted as a plain sum of the domain vectors,
+    and the naive RREF of the lifts."""
+    if not domain:
+        return ()
+    lifts = [
+        [sum((c * vec[col] for c, vec in zip(coeffs, domain)), F(0))
+         for col in range(ncols)]
+        for coeffs in naive_kernel([list(values)], len(values))
+    ]
+    return naive_rref(lifts, ncols)[0]
+
+
+cut_rats = st.one_of(st.just(F(0)), st.fractions(-20, 20, max_denominator=9))
+
+
+@st.composite
+def cut_cases(draw):
+    ncols = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 4))
+    domain = draw(
+        st.lists(
+            st.lists(cut_rats, min_size=ncols, max_size=ncols).map(tuple),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    values = draw(st.lists(cut_rats, min_size=n, max_size=n))
+    return tuple(domain), tuple(values), ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut_cases())
+@example(((), (), 3))  # an empty domain
+@example(  # every value zero
+    (((F(1), F(2), F(0)), (F(0), F(1, 3), F(-1)), (F(1), F(0), F(5))), (F(0),) * 3, 3)
+)
+@example(  # the first nonzero value last
+    (((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))),
+     (F(0), F(0), F(-3, 4)), 3)
+)
+@example(  # mixed denominators and signs
+    (((F(1, 2), F(-1, 3)), (F(3, 4), F(5)), (F(-2, 7), F(1))),
+     (F(0), F(2, 5), F(-3, 2)), 2)
+)
+def test_the_integer_cut_equals_the_dense_route(case):
+    domain, values, ncols = case
+    assert _restrict_to_functional_kernel(domain, values, ncols) == dense_cut(
+        domain, values, ncols
+    )
+
+
+@pytest.mark.parametrize(
+    "genus",
+    [*range(3, 10),
+     *(pytest.param(g, marks=pytest.mark.frontier) for g in range(10, 13))],
+)
+def test_hyperplanes_equal_the_dense_route(genus):
+    ncols = len(sym_pairs(genus))
+    for curve in curve_panel(genus, 3, 1):
+        for k in range((genus - 3) // 2 + 1):
+            d = diagonal_functional(genus, k, curve)
+            _, values = _witness_values(genus, k, curve)
+            domain = kernel_via_equations(genus).level(k).basis
+            assert d.hyperplane.vectors == dense_cut(domain, values, ncols), (genus, k)
+            assert d.a00_vectors == dense_cut(
+                d.hyperplane.vectors, d.functional.values, ncols
+            ), (genus, k)
 
 
 def test_diagonal_functional_and_second_hyperplane():
