@@ -59,6 +59,14 @@ def hard_genus_cap() -> int:
     return cap
 
 
+def sample_count(text: str) -> int:
+    """A `--samples` value: a non-negative integer (0 draws none)."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {count}")
+    return count
+
+
 def parse_genus_range(text: str, cap: int) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -350,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of {', '.join(THEOREM_IDS)}",
     )
     p.add_argument("--k", type=int, help="restrict to one level")
-    p.add_argument("--samples", type=int, help="random curves or directions")
+    p.add_argument("--samples", type=sample_count, help="random curves or directions")
     p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.set_defaults(handler=cmd_verify)
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scan", help="asymptotic classification of invariant directions"
     )
     common(p)
-    p.add_argument("--samples", type=int, help="random directions per genus")
+    p.add_argument("--samples", type=sample_count, help="random directions per genus")
     p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.set_defaults(handler=cmd_scan)

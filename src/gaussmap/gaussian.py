@@ -127,6 +127,12 @@ class KernelLevel:
         held per genus by `kernel_via_equations`)."""
         return tuple(quadric_from_vector(self.genus, vec) for vec in self.basis)
 
+    @cached_property
+    def b_support_ok(self) -> bool:
+        """Every basis quadric passes `b_support_check`: checked once per
+        level, not per curve, since the check reads no curve."""
+        return all(b_support_check(q, self.k).ok for q in self.quadrics)
+
 
 @dataclass(frozen=True)
 class KernelChain:

@@ -14,42 +14,39 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
 * The vanishing threshold of a quadric is the largest m with D(h, l) = 0
   for every h + l <= m; evaluating rho on xi^n (.) xi^r is licensed only
   when n + r <= threshold + 1, otherwise `BeyondThreshold` is raised.
-* W(a, b) is the antisymmetrised pairing of the omega-frame functions; it
-  drives the closed-form coefficient vectors of the witness and diagonal
-  functionals through the product rule for g_{alpha} = x * (omega part),
-  which `_product_rule` expands for `rho_reduction_vector`.
+* W(a, b) is the antisymmetrised pairing of the omega-frame functions; the
+  product rule for g_{alpha} = x * (omega part) (`_product_rule`) turns
+  the rho formula into a vector in b-coordinates (`rho_reduction_vector`).
 
-One `Pairing` value per quadric and curve computes each entry of D once
-and serves every reader of it: the threshold scans and the rho
-evaluations. It works over the integers: the tensor C is the quadric's
-`QuadricI2.tensor`, and the jet columns are integers over one denominator
-per column, held by a `JetColumns` value that every pairing of one
-`Pairing.family` shares. Only even orders are scanned (the odd jet
-columns are checked to vanish instead), and a watermark keeps a scanned
-zero prefix from being walked twice. The isotropy suite, route one of the
-x-chart cross-check, the witness and diagonal functionals and each
-`Certifier` build their pairings as one family; `diagonal_functional`
-returns the pairings of the A_{k,0} basis so that the certificates
-evaluate their cross terms on the witness's own pairing.
-`derivative_sum`, `threshold_info` and `rho_pair` are one-call wrappers
-that build a fresh `Pairing`.
+The jet columns are integers over one denominator per column, held by a
+`JetColumns` value that the pairings of one `Pairing.family` share; odd
+columns are checked to vanish, not stored. One `Pairing` per quadric and
+curve works over them and the quadric's integer tensor: each entry of D is
+made once for the threshold scans and the rho evaluations, a watermark
+keeps a scanned zero prefix from being walked twice, and each licensed rho
+value is kept per (n, r) (a refused or failed evaluation is not kept, so
+it raises again on every call). The reduction vector reads the even
+integer columns too: its W(a, b) products are summed as integers over one
+common denominator, and the functionals check it against their rho values
+by cross-multiplying. `derivative_sum`, `threshold_info` and `rho_pair`
+are one-call wrappers that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
-routine from their pair, domain basis and rho values. The hyperplane
-A_{k,0} is cut from the witness values alone: it reads neither the
-witness's reduction vector, closed form and display form nor the b-support
-check, which only the witness report prints. Neither functional is cached:
-one `Certifier` value per curve builds each level's diagonal functional
-once and serves every direction certified on that curve. The only
+routine. The hyperplane A_{k,0} is cut from the witness values alone; the
+reduction vector, closed form, display form and b-support check (made
+once per level) are read only by the witness report. One `Certifier` per
+curve builds each level's diagonal functional once and evaluates every
+certificate's cross terms on the witness's own pairing. The only
 module-level cache is the basis quadric data of the x-chart cross-check,
 keyed on the genus alone; no cache is keyed on a curve or a quadric.
 
 An exact identity that fails here (the two endpoint sums of a rho value,
-a value forced to zero) raises `IdentityFailed`, a `Falsified` error.
-Where a statement under test licenses a pair (the isotropy, witness and
-certificate computations), a `BeyondThreshold` refutes that statement and
-is raised as `PairNotLicensed`, also a `Falsified` error.
+a value forced to zero, an odd jet column) raises `IdentityFailed`, a
+`Falsified` error. Where a statement under test licenses a pair (the
+isotropy, witness and certificate computations), a `BeyondThreshold`
+refutes that statement and is raised as `PairNotLicensed`, also a
+`Falsified` error.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .curve import (
@@ -78,7 +75,7 @@ from .errors import (
     PairNotLicensed,
     ThresholdNotExtended,
 )
-from .gaussian import b_support_check, kernel_via_equations, mu_eval_polynomial
+from .gaussian import KernelLevel, kernel_via_equations, mu_eval_polynomial
 from .linalg import Vector, dot, kernel_basis, rref, sparse_row
 from .quadrics import (
     QuadricI2,
@@ -199,14 +196,12 @@ class JetColumns:
 class Pairing:
     """The pairing matrix D = T^t C T of one quadric on one curve.
 
-    C is the quadric's symmetric tensor, read row by row from its integer
-    entries over one denominator (`QuadricI2.tensor`), and column T_l holds
-    the l-th jets of the canonical frame functions as integers over den[l]
-    (a `JetColumns`, which the pairings
-    of one `family` share). So D(h, l) is the integer dot product
-    S(h, l) = T_h . V_l with V_l = C T_l, over the product of the three
-    denominators. Each V_l and each S(h, l) is made once (D is symmetric);
-    a Fraction is made only for an entry handed out by `__call__`.
+    C is the quadric's integer tensor (`QuadricI2.tensor`) and column T_l
+    holds the l-th jets as integers over den[l] (a `JetColumns`), so D(h, l)
+    is the integer dot product S(h, l) = T_h . V_l with V_l = C T_l, over
+    the product of the three denominators. Each V_l and each S(h, l) is
+    made once (D is symmetric); a Fraction is made only for an entry handed
+    out by `__call__`.
 
     The threshold scan and the blocking scan of `rho` visit only even
     orders, totals upward and h from total/2 up, through one shared search
@@ -229,6 +224,7 @@ class Pairing:
         self._vectors: dict[int, tuple[int, ...]] = {}
         self._sums: dict[tuple[int, int], int] = {}
         self._entries: dict[tuple[int, int], Fraction] = {}
+        self._rhos: dict[tuple[int, int], RhoValue] = {}
         self._zero_through = -1
         self._first: tuple[int, int, Fraction] | None = None
 
@@ -315,10 +311,15 @@ class Pairing:
         n + r to vanish; if one does not, the formula is simply not
         available and `BeyondThreshold` is raised (never silently
         extrapolated). The sum is computed from both endpoints and must
-        agree. The total n + r is even, so only even j contribute.
+        agree. The total n + r is even, so only even j contribute. A value
+        is kept per (n, r) once made; a failed evaluation is not kept, so it
+        raises again on every call.
         """
         n = _odd_order(n)
         r = _odd_order(r)
+        known = self._rhos.get((n, r))
+        if known is not None:
+            return known
         m1 = n + r
         first = self._first_nonzero(m1 - 1)
         if first is not None:
@@ -352,7 +353,10 @@ class Pairing:
                 "vanishing pairings at the pair total must force a zero value"
             )
         licensing = m1 if saturated else m1 - 1
-        return RhoValue(n=n, r=r, value=value, licensing_threshold=licensing)
+        known = self._rhos[(n, r)] = RhoValue(
+            n=n, r=r, value=value, licensing_threshold=licensing
+        )
+        return known
 
 
 @contextmanager
@@ -383,23 +387,8 @@ def rho_pair(q: QuadricI2, curve: Curve, n, r) -> RhoValue:
 # -- omega-frame pairings and the exact reduction of D(h, l) -------------------
 
 
-def _wedge(table, genus: int, a: int, b: int) -> list[Fraction]:
-    """W(a, b) of each b-coordinate pair (i, j), in `sym_pairs` order.
-
-    The omega-frame function of omega_m coincides with the canonical frame
-    function of alpha_{g-m-1} (the model has t * omega_m = alpha_{g-m-1}
-    on the nose), so row g-m-1 of the canonical table supplies the jets.
-    """
-    omega_a = [table[genus - 1 - m][a] for m in range(genus)]
-    omega_b = [table[genus - 1 - m][b] for m in range(genus)]
-    return [
-        omega_a[i] * omega_b[j] - omega_a[j] * omega_b[i]
-        for (i, j) in sym_pairs(genus)
-    ]
-
-
 def _product_rule(sigma, h: int, l: int):
-    """(weight, a, b) with D(h, l) = sum weight * W(a, b).
+    """(weight, a, b) with 2 D(h, l) = sum weight * W(a, b).
 
     Writing each canonical function as x * (omega function) or (omega
     function) and expanding the h-th and l-th derivatives of the products
@@ -407,10 +396,49 @@ def _product_rule(sigma, h: int, l: int):
     """
     for c in range(2, h + 1, 2):
         if sigma[c]:
-            yield Fraction(comb(h, c), 2) * sigma[c], h - c, l
+            yield comb(h, c) * sigma[c], h - c, l
     for d in range(2, l + 1, 2):
         if sigma[d]:
-            yield -Fraction(comb(l, d), 2) * sigma[d], h, l - d
+            yield -comb(l, d) * sigma[d], h, l - d
+
+
+def _reduction(
+    curve: Curve, genus: int, n: int, r: int
+) -> tuple[dict[tuple[int, int], int], int]:
+    """`rho_reduction_vector` as integer numerators over one denominator.
+
+    Only even j contribute: at odd j each W(a, b) pairs two odd jet
+    columns, which `JetColumns.extend` checks to vanish. Each weight
+    w_j sigma_c / (den_a den_b) goes onto one common denominator. As
+    t * omega_m = alpha_{g-m-1} on the nose, W(a, b) at pair (i, j) reads
+    rows s = g-1-i and t = g-1-j of the jet columns T, and the weighted sum
+    of every W(a, b) there is sum_a T_a[s] V_a[t] - T_a[t] V_a[s], with V_a
+    the weighted sum of the T_b paired with T_a.
+    """
+    m1 = n + r
+    a_end = min(n, r)
+    columns = JetColumns(curve)
+    columns.extend(m1)
+    num, den = columns.num, columns.den
+    sigma, sigma_den = numerators(x_derivatives(curve, m1))
+    terms = []
+    for j in range(0, a_end, 2):
+        scale = factorial(j) * factorial(m1 - j)
+        for weight, a, b in _product_rule(sigma, m1 - j, j):
+            terms.append(((a_end - j) * weight, scale * den[a] * den[b], a, b))
+    common = lcm(*(d for _, d, _, _ in terms))
+    inner: dict[int, list[int]] = {}
+    for weight, d, a, b in terms:
+        weight *= common // d
+        acc = inner.setdefault(a, [0] * genus)
+        for row, x in enumerate(num[b]):
+            if x:
+                acc[row] += weight * x
+    vec = {}
+    for i, j in sym_pairs(genus):
+        s, t = genus - 1 - i, genus - 1 - j
+        vec[(i, j)] = sum(num[a][s] * v[t] - num[a][t] * v[s] for a, v in inner.items())
+    return vec, 2 * sigma_den * common
 
 
 def rho_reduction_vector(
@@ -422,20 +450,8 @@ def rho_reduction_vector(
     weights); restricting to a kernel merely kills the spillover entries.
     The shorter endpoint of the evaluation formula is used.
     """
-    m1 = n + r
-    a_end = min(n, r)
-    sigma = x_derivatives(curve, m1)
-    table = canonical_derivatives(curve, m1)
-    pairs = sym_pairs(genus)
-    vec = dict.fromkeys(pairs, ZERO)
-    for j in range(a_end):
-        w = Fraction(a_end - j, factorial(j) * factorial(m1 - j))
-        for weight, a, b in _product_rule(sigma, m1 - j, j):
-            weight *= w
-            for pair, value in zip(pairs, _wedge(table, genus, a, b)):
-                if value:
-                    vec[pair] += weight * value
-    return vec
+    vec, den = _reduction(curve, genus, n, r)
+    return {pair: Fraction(v, den) if v else ZERO for pair, v in vec.items()}
 
 
 # -- isotropy ------------------------------------------------------------------
@@ -557,22 +573,12 @@ class Functional:
 def _single_constant(
     values: tuple[Fraction, ...], reference: tuple[Fraction, ...]
 ) -> Fraction | None:
-    """c with values = c * reference, if one exists (None otherwise)."""
-    constant = None
-    for v, ref in zip(values, reference):
-        if ref == 0:
-            if v != 0:
-                return None
-            continue
-        ratio = v / ref
-        if constant is None:
-            constant = ratio
-        elif constant != ratio:
-            return None
-    if constant is None:
-        # reference vanishes identically; only the zero functional matches
-        return ZERO if not any(values) else None
-    return constant
+    """c with values = c * reference, if one exists (None otherwise); 0 when
+    both vanish identically."""
+    if any(v and not ref for v, ref in zip(values, reference)):
+        return None
+    ratios = {v / ref for v, ref in zip(values, reference) if ref}
+    return None if len(ratios) > 1 else next(iter(ratios), ZERO)
 
 
 def _support(genus: int, k: int, total: int) -> tuple[tuple[int, int], ...]:
@@ -622,14 +628,23 @@ def _functional(
     """
     n, r = pair
     k = (n - 3) // 2
-    vec = rho_reduction_vector(curve, genus, n, r)
+    vec, den = _reduction(curve, genus, n, r)
     total = 2 * genus - (n + r) // 2 - 1
     support = _support(genus, k, total)
-    coefficients = tuple(vec[p] for p in support)
+    coefficients = tuple(Fraction(vec[p], den) for p in support)
     closed = _closed_form(curve, genus, n + r, support)
+    # b(i, j) = -a(g-j, g-i): the a-slot that each nonzero entry meets
+    pairs = sym_pairs(genus)
+    slots = {p: pairs.index((genus - p[1], genus - p[0])) for p in vec if vec[p]}
 
-    def value_on(q: QuadricI2, pairs) -> Fraction:
-        return sum((vec[p] * q.b(*p) for p in pairs if vec[p]), ZERO)
+    def reduces(q: QuadricI2, value: Fraction) -> bool:
+        """The vector gives `value` on q in full and trimmed to the support,
+        compared as numerators over den * E, E the lcm of q's a-coordinates."""
+        a, scale = numerators(q.a_coords)
+        full = -sum(vec[p] * a[slot] for p, slot in slots.items())
+        trimmed = -sum(vec[p] * a[slots[p]] for p in support if p in slots)
+        target = value.numerator * den * scale
+        return full == trimmed and full * value.denominator == target
 
     return Functional(
         genus=genus,
@@ -646,10 +661,7 @@ def _functional(
         support_ok=all(vec[p] == 0 for p in vec if p[0] + p[1] < total),
         coefficients_nonzero=all(coefficients),
         closed_form_ok=coefficients == closed,
-        reduction_ok=all(
-            value_on(q, vec) == value == value_on(q, support)
-            for q, value in zip(basis, values)
-        ),
+        reduction_ok=all(reduces(q, value) for q, value in zip(basis, values)),
     )
 
 
@@ -668,35 +680,35 @@ def _witness_display_form(
             * omega[genus - u - 1][2 * u - 2]
         )
         out.append(product * Fraction(factor, 2 * factorial(4 * k + 4 - 2 * u)))
-    product = (
-        omega[genus - k - 2 - 1][2 * k + 2] * omega[genus - k - 1 - 1][2 * k]
-    )
+    product = omega[genus - k - 3][2 * k + 2] * omega[genus - k - 2][2 * k]
     out.append(-product / (2 * factorial(2 * k + 2)))
     return tuple(out), tuple(factors)
 
 
 def _witness_values(
     genus: int, k: int, curve: Curve
-) -> tuple[tuple[QuadricI2, ...], tuple[Fraction, ...]]:
-    """The Ker mu_2k basis quadrics and their licensed rho(xi^{2k+3} (.)
-    xi^{2k+1}) values: all that the cut of A_{k,0} reads."""
+) -> tuple[KernelLevel, tuple[Fraction, ...]]:
+    """The Ker mu_2k level and the licensed rho(xi^{2k+3} (.) xi^{2k+1})
+    values of its basis quadrics: all that the cut of A_{k,0} reads."""
     _require_level(genus, k)
-    quads = kernel_via_equations(genus).level(k).quadrics
+    level = kernel_via_equations(genus).level(k)
     with _licensed():
         values = tuple(
-            p.rho(2 * k + 3, 2 * k + 1).value for p in Pairing.family(quads, curve)
+            p.rho(2 * k + 3, 2 * k + 1).value
+            for p in Pairing.family(level.quadrics, curve)
         )
-    return quads, values
+    return level, values
 
 
 def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     """The xi^{2k+3} (.) xi^{2k+1} evaluation as a functional on Ker mu_2k.
 
     Its reduction also requires the b-support check of every kernel
-    quadric, and the textbook display form is compared as a functional on
-    the kernel.
+    quadric (made once per level), and the textbook display form is
+    compared as a functional on the kernel.
     """
-    quads, values = _witness_values(genus, k, curve)
+    level, values = _witness_values(genus, k, curve)
+    quads = level.quadrics
     f = _functional(genus, curve, (2 * k + 3, 2 * k + 1), "kernel", quads, values)
     display, factors = _witness_display_form(curve, genus, k)
     display_values = tuple(
@@ -705,8 +717,7 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     constant = _single_constant(values, display_values)
     return replace(
         f,
-        reduction_ok=f.reduction_ok
-        and all(b_support_check(q, k).ok for q in quads),
+        reduction_ok=f.reduction_ok and level.b_support_ok,
         display_form=display,
         display_factors=factors,
         display_domain_constant=constant,
@@ -780,8 +791,7 @@ def witness_hyperplane(genus: int, k: int, curve: Curve) -> HyperplaneResult:
     A_{k,0} by the equations a_{u,2k+3-u} = 0) is asserted as a
     consequence, not imposed.
     """
-    _, values = _witness_values(genus, k, curve)
-    level = kernel_via_equations(genus).level(k)
+    level, values = _witness_values(genus, k, curve)
     vectors = _restrict_to_functional_kernel(
         level.basis, values, len(sym_pairs(genus))
     )
@@ -842,11 +852,8 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
                 f"order {2 * n} is not licensed"
             )
     values = tuple(pairing.rho(n, n).value for pairing in pairings)
-    functional = _functional(
-        genus, curve, (n, n), "hyperplane", hyper.basis, values
-    )
-    ncols = len(sym_pairs(genus))
-    a00 = _restrict_to_functional_kernel(hyper.vectors, values, ncols)
+    functional = _functional(genus, curve, (n, n), "hyperplane", hyper.basis, values)
+    a00 = _restrict_to_functional_kernel(hyper.vectors, values, len(sym_pairs(genus)))
     return DiagonalResult(
         functional=functional,
         hyperplane=hyper,
@@ -937,11 +944,8 @@ class Certifier:
                 self._basis = Pairing.family(
                     (basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus)), curve
                 )
-            checks = []
-            for pairing in self._basis:
-                with _licensed():
-                    value = pairing.rho(1, 1).value
-                checks.append(value)
+            with _licensed():
+                checks = [pairing.rho(1, 1).value for pairing in self._basis]
             if any(checks):
                 raise IdentityFailed(
                     "rho(Q)(xi^1 (.) xi^1) must vanish at a Weierstrass point"
@@ -961,34 +965,30 @@ class Certifier:
 
         k = top
         diag = self._diagonal(k - 1)
-        witness = None
-        pair_value = None
-        for q, pairing, value in zip(
+        for witness, pairing, pair_value in zip(
             diag.hyperplane.basis, diag.pairings, diag.functional.values
         ):
-            if value:
-                witness = q
-                pair_value = value
+            if pair_value:
                 break
-        if witness is None:
+        else:
             raise NoWitnessFound(
                 f"the diagonal functional vanishes on all of A_{{{k - 1},0}} "
                 f"for genus {genus}; no certificate witness exists"
             )
         present = [idx for idx, c in enumerate(direction) if c]
         cross = []
-        for pos, i in enumerate(present):
-            for j in present[pos:]:
-                if (i, j) == (k, k):
-                    continue
-                with _licensed():
+        with _licensed():
+            for pos, i in enumerate(present):
+                for j in present[pos:]:
+                    if (i, j) == (k, k):
+                        continue
                     value = pairing.rho(2 * i + 1, 2 * j + 1).value
-                cross.append((2 * i + 1, 2 * j + 1, value))
-                if value:
-                    raise IdentityFailed(
-                        f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
-                        "must vanish below the witness threshold"
-                    )
+                    cross.append((2 * i + 1, 2 * j + 1, value))
+                    if value:
+                        raise IdentityFailed(
+                            f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
+                            "must vanish below the witness threshold"
+                        )
         total = direction[top] ** 2 * pair_value
         return AsymptoticCertificate(
             genus=genus,

@@ -248,6 +248,24 @@ def test_rho_even_pair_is_usage_error(capsys):
     assert code == 2 and "odd" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--g", "5", "--samples", "-3"),
+        ("verify", "--theorem", "T6.12", "--g", "5", "--samples", "-1"),
+        ("verify", "--theorem", "R4.1", "--g", "4", "--samples", "-2"),
+    ],
+)
+def test_a_negative_sample_count_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--samples: must not be negative" in err
+    assert "Traceback" not in err
+    # zero stays a valid count
+    code, out, _ = run(capsys, *argv[:-1], "0")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 # -- scan ----------------------------------------------------------------------------
 
 

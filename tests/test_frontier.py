@@ -6,7 +6,8 @@ The `frontier` marker is deselected by default (see pyproject.toml). These
 recompute, through the API, the rank and kernel-dimension laws with literal
 agreement of the two kernel routes at genus 20, 30 and 40, and the
 factorization (L3.4) and decomposable-support (L6.2) statements at genus 20
-and 25.
+and 25. The witness path (T6.6 and T6.9 at genus 15) must print the bytes
+pinned by the stdout digests in ``golden/witness_sha256.json``.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from gaussmap.gaussian import (
 )
 from gaussmap.reports import RunConfig
 from gaussmap.suites import verify_theorem
+from test_golden import DIGEST_RUNS, FRONTIER_CAP, pinned_digest, stdout_digest
 
 pytestmark = pytest.mark.frontier
 
@@ -43,3 +45,9 @@ def test_kernel_statements_hold_against_their_closed_forms(theorem, genus):
     report = verify_theorem(theorem, config)
     failing = [f"{c.item}: {c.got}" for c in report.checks if not c.ok]
     assert report.checks and not failing, failing
+
+
+@pytest.mark.parametrize("command", DIGEST_RUNS["frontier"])
+def test_witness_path_past_the_cap_matches_its_digest(command, monkeypatch):
+    monkeypatch.setenv("GAUSSMAP_MAX_GENUS", FRONTIER_CAP)
+    assert stdout_digest(command) == pinned_digest("frontier", command)

@@ -7,8 +7,12 @@ every level at genus 3..9 (coefficients, closed forms, rho values and the
 A_{k,0} and A_{k,0,0} bases), the report of every theorem suite for
 genus 3..7, one seeded direction scan, and single
 ``rho`` values: licensed zero and nonzero values and ``BeyondThreshold``
-payloads. Reruns of one build are already checked to agree elsewhere; these
-files also catch a change that alters an answer the same way on every run.
+payloads. ``witness_sha256.json`` pins the witness path above genus 7 by
+the stdout SHA-256 of ``T6.6``, ``T6.9``, ``T6.12`` and a scan at genus
+8..12 (checked here), and of ``T6.6`` and ``T6.9`` at genus 15 past the
+default cap (checked in ``test_frontier.py``). Reruns of one build are
+already checked to agree elsewhere; these files also catch a change that
+alters an answer the same way on every run.
 
 Regenerate them only for an intended, documented output change (say what
 changed and why in CHANGES.md):
@@ -17,6 +21,7 @@ changed and why in CHANGES.md):
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -46,6 +51,17 @@ RHO_CASES = (
     ("g7_kernel2-0_7-7", "7", "kernel:2,0", ("7", "7")),
 )
 RHO_CURVE = ("g4_curve_basis1-3_1-3", "0,1/2,-3,2,5/3,7,-1,4,9,11", "basis:1,3", ("1", "3"))
+DIGESTS = os.path.join(GOLDEN, "witness_sha256.json")
+# section -> the CLI calls whose stdout digests it pins; the frontier
+# section runs with GAUSSMAP_MAX_GENUS raised to FRONTIER_CAP
+DIGEST_RUNS = {
+    "tier1": tuple(
+        f"verify --theorem {theorem} --g 8..12" for theorem in ("T6.6", "T6.9", "T6.12")
+    )
+    + ("scan --g 8..12 --samples 100 --seed 0",),
+    "frontier": ("verify --theorem T6.6 --g 15", "verify --theorem T6.9 --g 15"),
+}
+FRONTIER_CAP = "60"
 
 
 def cli_stdout(*argv):
@@ -107,6 +123,16 @@ def cases():
     return out
 
 
+def stdout_digest(command):
+    """SHA-256 of the stdout of one CLI call, given as one string."""
+    return hashlib.sha256(cli_stdout(*command.split()).encode()).hexdigest()
+
+
+def pinned_digest(section, command):
+    with open(DIGESTS, encoding="utf-8") as handle:
+        return json.load(handle)[section][command]
+
+
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_output_matches_golden_bytes(name):
     with open(os.path.join(GOLDEN, name), "rb") as handle:
@@ -114,8 +140,20 @@ def test_output_matches_golden_bytes(name):
     assert cases()[name]().encode() == expected
 
 
+@pytest.mark.parametrize("command", DIGEST_RUNS["tier1"])
+def test_witness_path_matches_its_digest(command):
+    assert stdout_digest(command) == pinned_digest("tier1", command)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for name, produce in cases().items():
         with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as handle:
             handle.write(produce())
+    os.environ["GAUSSMAP_MAX_GENUS"] = FRONTIER_CAP
+    digests = {
+        section: {command: stdout_digest(command) for command in commands}
+        for section, commands in DIGEST_RUNS.items()
+    }
+    with open(DIGESTS, "w", encoding="utf-8", newline="") as handle:
+        handle.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")

@@ -16,6 +16,7 @@ import pkgutil
 import random
 from fractions import Fraction
 from functools import reduce
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,8 @@ from gaussmap.curve import (
 )
 from gaussmap.errors import BeyondThreshold, GaussmapError, IdentityFailed, InvalidIndex
 from gaussmap.gaussian import (
+    KernelLevel,
+    b_support_check,
     kernel_dimension_formula,
     kernel_via_equations,
     mu_eval_polynomial,
@@ -203,7 +206,9 @@ def test_threshold_and_rho_do_not_depend_on_the_call_order():
             assert [_scan_outcome(pairing, n, r) for n, r in pairs] == outcomes
 
 
-def test_a_nonzero_odd_jet_column_fails_the_pairing(monkeypatch):
+@pytest.fixture
+def odd_column_fault(monkeypatch):
+    """Jet tables read through `rho` carry a nonzero entry in odd column 3."""
     original = rho.canonical_derivatives
 
     def patched(curve, order):
@@ -213,11 +218,21 @@ def test_a_nonzero_odd_jet_column_fails_the_pairing(monkeypatch):
         return tuple(tuple(r) for r in rows)
 
     monkeypatch.setattr(rho, "canonical_derivatives", patched)
+
+
+def test_a_nonzero_odd_jet_column_fails_the_pairing(odd_column_fault):
     c = default_curve(4)
     with pytest.raises(IdentityFailed, match="jet column 3"):
         Pairing(basis_quadric(4, 1, 3), c).threshold(6)
     with pytest.raises(IdentityFailed, match="jet column 3"):
         JetColumns(c).extend(3)
+
+
+def test_a_nonzero_odd_jet_column_fails_the_reduction_vector(odd_column_fault):
+    # the vector skips odd j, so only the column check can see this
+    for genus, n, r in ((4, 3, 1), (5, 3, 3), (7, 5, 3)):
+        with pytest.raises(IdentityFailed, match="jet column 3"):
+            rho_reduction_vector(default_curve(genus), genus, n, r)
 
 
 def _module_caches():
@@ -266,10 +281,25 @@ def test_suites_leave_nothing_behind_per_curve():
         assert len(gc.get_objects()) - before < 1000, theorem
 
 
+def fraction_wedge(table, genus, a, b):
+    """W(a, b) of each b-coordinate pair (i, j), in `sym_pairs` order.
+
+    The omega-frame function of omega_m coincides with the canonical frame
+    function of alpha_{g-m-1} (the model has t * omega_m = alpha_{g-m-1}
+    on the nose), so row g-m-1 of the `Fraction` table supplies the jets.
+    """
+    omega_a = [table[genus - 1 - m][a] for m in range(genus)]
+    omega_b = [table[genus - 1 - m][b] for m in range(genus)]
+    return [
+        omega_a[i] * omega_b[j] - omega_a[j] * omega_b[i]
+        for (i, j) in sym_pairs(genus)
+    ]
+
+
 def omega_wronskian_sum(q, curve, a, b):
     """W(a, b): the antisymmetrised omega-pairing, from the canonical table."""
     table = canonical_derivatives(curve, max(a, b))
-    wedge = rho._wedge(table, q.genus, a, b)
+    wedge = fraction_wedge(table, q.genus, a, b)
     return sum((c * w for c, w in zip(q.b_coords(), wedge) if c), F(0))
 
 
@@ -280,7 +310,96 @@ def pairing_reduction(q, curve, h, l):
     expands through the same `_product_rule` as `rho_reduction_vector`.
     """
     terms = rho._product_rule(x_derivatives(curve, max(h, l)), h, l)
-    return sum((w * omega_wronskian_sum(q, curve, a, b) for w, a, b in terms), F(0))
+    return sum((w * omega_wronskian_sum(q, curve, a, b) for w, a, b in terms), F(0)) / 2
+
+
+def fraction_reduction_vector(curve, genus, n, r):
+    """The `Fraction` route of `rho_reduction_vector`: every j, odd ones
+    too, and every W(a, b) from the `Fraction` jet table."""
+    m1 = n + r
+    a_end = min(n, r)
+    sigma = x_derivatives(curve, m1)
+    table = canonical_derivatives(curve, m1)
+    pairs = sym_pairs(genus)
+    vec = dict.fromkeys(pairs, F(0))
+    for j in range(a_end):
+        w = F(a_end - j, 2 * factorial(j) * factorial(m1 - j))
+        for weight, a, b in rho._product_rule(sigma, m1 - j, j):
+            for pair, value in zip(pairs, fraction_wedge(table, genus, a, b)):
+                if value:
+                    vec[pair] += w * weight * value
+    return vec
+
+
+def oracle_curves(genus):
+    """The default curve and two seeded random curves."""
+    return (
+        default_curve(genus),
+        random_curve(genus, random.Random(100 + genus)),
+        random_curve(genus, random.Random(200 + genus)),
+    )
+
+
+@pytest.mark.parametrize("genus", range(3, 13))
+def test_the_reduction_vector_equals_the_fraction_route(genus):
+    # keys, their order and values, at both pairs of every level
+    for curve in oracle_curves(genus):
+        for k in range((genus - 3) // 2 + 1):
+            for n, r in ((2 * k + 3, 2 * k + 1), (2 * k + 3, 2 * k + 3)):
+                vec = rho_reduction_vector(curve, genus, n, r)
+                expected = fraction_reduction_vector(curve, genus, n, r)
+                assert list(vec.items()) == list(expected.items()), (genus, k, n, r)
+
+
+def fraction_route_fields(f, curve):
+    """The fields of a `Functional` that its reduction vector decides,
+    rebuilt from the `Fraction` route with `Fraction` sums."""
+    vec = fraction_reduction_vector(curve, f.genus, *f.pair)
+    total = 2 * f.genus - sum(f.pair) // 2 - 1
+    coefficients = tuple(vec[p] for p in f.support)
+
+    def value_on(q, pairs):
+        return sum((vec[p] * q.b(*p) for p in pairs if vec[p]), F(0))
+
+    return dict(
+        coefficients=coefficients,
+        support_ok=all(vec[p] == 0 for p in vec if p[0] + p[1] < total),
+        coefficients_nonzero=all(coefficients),
+        closed_form_ok=coefficients == f.closed_form,
+        reduction_ok=all(
+            value_on(q, vec) == value == value_on(q, f.support)
+            for q, value in zip(f.basis, f.values)
+        ),
+    )
+
+
+@pytest.mark.parametrize("genus", range(3, 10))
+def test_the_functionals_equal_the_fraction_route(genus):
+    for curve in oracle_curves(genus):
+        for k in range((genus - 3) // 2 + 1):
+            w = witness_functional(genus, k, curve)
+            fields = fraction_route_fields(w, curve)
+            fields["reduction_ok"] = fields["reduction_ok"] and all(
+                b_support_check(q, k).ok for q in w.basis
+            )
+            assert w == dataclasses.replace(w, **fields), (genus, k)
+            d = diagonal_functional(genus, k, curve).functional
+            assert d == dataclasses.replace(d, **fraction_route_fields(d, curve))
+            # a value off by 1/7 fails the reduction check on both routes
+            if d.basis:
+                values = (d.values[0] + F(1, 7),) + d.values[1:]
+                bad = rho._functional(genus, curve, d.pair, d.domain, d.basis, values)
+                assert not bad.reduction_ok
+                assert bad == dataclasses.replace(bad, **fraction_route_fields(bad, curve))
+            # off the kernel the spillover entries count: the values of the
+            # full vector on the basis quadrics Q_ij fail the trimmed check
+            quads = tuple(basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus))
+            vec = fraction_reduction_vector(curve, genus, *d.pair)
+            full = tuple(sum((vec[p] * q.b(*p) for p in vec), F(0)) for q in quads)
+            off = rho._functional(genus, curve, d.pair, d.domain, quads, full)
+            spill = any(vec[p] for p in vec if p not in d.support)
+            assert off.reduction_ok is not spill
+            assert off == dataclasses.replace(off, **fraction_route_fields(off, curve))
 
 
 @settings(max_examples=20, deadline=None)
@@ -369,6 +488,34 @@ def test_even_or_negative_orders_are_rejected():
             rho_pair(q, c, n, r)
 
 
+def test_a_second_rho_call_returns_an_equal_value():
+    c = default_curve(5)
+    q = genus5_kernel_generator()
+    pairing = Pairing(q, c)
+    first = pairing.rho(3, 5)
+    assert pairing.rho(3, 5) == first == Pairing(q, c).rho(3, 5)
+    assert pairing.rho(SchifferIndex(3), 5) == first
+    assert pairing.rho(5, 3) == Pairing(q, c).rho(5, 3)
+
+
+def test_a_blocked_pair_raises_on_every_call():
+    pairing = Pairing(basis_quadric(3, 1, 2), default_curve(3))
+    assert pairing.rho(1, 3).value == F(-1, 322620641280000)
+    for _ in range(3):
+        with pytest.raises(BeyondThreshold) as excinfo:
+            pairing.rho(3, 3)
+        assert excinfo.value.payload()["first_nonzero"]["h"] == 2
+
+
+def test_even_or_negative_orders_are_rejected_once_values_are_kept():
+    pairing = Pairing(basis_quadric(3, 1, 2), default_curve(3))
+    pairing.rho(1, 1)
+    pairing.rho(1, 3)
+    for n, r in ((2, 2), (1, 2), (0, 1), (-1, 3), (-1, -1), (3, -1)):
+        with pytest.raises(InvalidIndex):
+            pairing.rho(n, r)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_zero_verdicts_are_curve_independent(seed):
@@ -454,7 +601,7 @@ def test_the_hyperplane_cut_reads_only_the_witness_values(monkeypatch, capsys):
         raise RuntimeError("the witness report was built")
 
     monkeypatch.setattr(rho, "_witness_display_form", refuse)
-    monkeypatch.setattr(rho, "b_support_check", refuse)
+    monkeypatch.setattr(KernelLevel, "b_support_ok", property(refuse))
     for argv in (
         ("verify", "--theorem", "T6.9", "--g", "3..7"),
         ("scan", "--g", "4..6", "--samples", "3"),
