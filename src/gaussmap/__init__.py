@@ -46,6 +46,7 @@ from .gaussian import (
     RankTable,
     b_support_check,
     factorization_check,
+    falling,
     is_in_kernel,
     kernel_dimension_formula,
     kernel_equations,
@@ -60,7 +61,6 @@ from .gaussian import (
     wronskian_rank_oracle,
 )
 from .linalg import kernel_basis, rref
-from .poly import Poly, falling, poly_derivative
 from .quadrics import (
     QuadricI2,
     basis_quadric,

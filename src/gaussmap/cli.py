@@ -131,9 +131,12 @@ def resolve_scope(args, cap: int) -> tuple[int, int, Curve | None, str]:
 def emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
 
 # -- subcommands -----------------------------------------------------------------

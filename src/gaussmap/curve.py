@@ -51,7 +51,6 @@ from .errors import (
     InvalidIndex,
     TooFewBranchPoints,
 )
-from .poly import Poly
 from .rationals import as_rational, numerators, rat_to_string
 from .series import TruncatedSeries
 
@@ -66,7 +65,7 @@ class Curve:
     def genus(self) -> int:
         return len(self.branch_points) // 2 - 1
 
-    def moduli_polynomial(self) -> Poly:
+    def moduli_polynomial(self) -> TruncatedSeries:
         """G(x) = prod over nonzero branch points of (x - t_i).
 
         With t_i = p_i / q_i, G is the integer product of the (q_i x - p_i)
@@ -78,8 +77,7 @@ class Curve:
             p, q = t.numerator, t.denominator
             coeffs = [q * a - p * b for a, b in zip([0] + coeffs, coeffs + [0])]
             scale *= q
-        # monic, so already normalised
-        return Poly(tuple(Fraction(c, scale) for c in coeffs))
+        return TruncatedSeries.make((Fraction(c, scale) for c in coeffs), None)
 
     def g_at_zero(self) -> Fraction:
         acc = Fraction(1)

@@ -50,7 +50,6 @@ from .errors import (
     NotInPreviousKernel,
 )
 from .linalg import SparseRow, Vector, kernel_basis, rref, sparse_row
-from .poly import Poly, falling
 from .quadrics import (
     QuadricI2,
     pair_slots,
@@ -59,6 +58,15 @@ from .quadrics import (
     sym_pairs,
     wedge_pairs,
 )
+from .series import TruncatedSeries
+
+
+def falling(n: int, k: int) -> int:
+    """Falling factorial n*(n-1)*...*(n-k+1); zero when k > n >= 0."""
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
 
 
 def _by_weight(pairs) -> dict[int, list[tuple[int, int, int]]]:
@@ -160,15 +168,13 @@ def rank_formula(genus: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def kernel_via_equations(genus: int, k_max: int | None = None) -> KernelChain:
+def kernel_via_equations(genus: int) -> KernelChain:
     """Kernel chain of the even Gaussian maps, closed-form equations route."""
-    if k_max is None:
-        k_max = max_level(genus)
     dim = quadric_space_dimension(genus)
     previous = genus * (genus + 1) // 2  # mu_0 is defined on Sym^2 of g sections
     rows: list[SparseRow] = []
     levels = []
-    for k in range(k_max + 1):
+    for k in range(max_level(genus) + 1):
         if k:
             rows.extend(_level_rows(genus, k))
         basis = kernel_basis(rows, dim)
@@ -258,12 +264,12 @@ def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
     return out, den
 
 
-def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, Poly]]:
+def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, TruncatedSeries]]:
     """Nonzero identity polynomials sum c_ab f^(h) f^(n) for h+n <= bound."""
     orders = [(t - n, n) for t in range(bound + 1) for n in range(t // 2 + 1)]
     identities, den = _identity_coeffs(q, orders)
     return [
-        (h, n, Poly.from_coeffs(Fraction(c, den) for c in coeffs))
+        (h, n, TruncatedSeries.make((Fraction(c, den) for c in coeffs), None))
         for (h, n), coeffs in zip(orders, identities)
         if any(coeffs)
     ]
@@ -289,14 +295,12 @@ class RankRow:
 @dataclass(frozen=True)
 class RankTable:
     rows: tuple[RankRow, ...]
-    domain_zero_from: tuple[tuple[int, int], ...]
 
 
 def rank_table(g_min: int, g_max: int, k_filter: int | None = None) -> RankTable:
     if g_min < 3 or g_max < g_min:
         raise IndexOutOfRange(f"bad genus range {g_min}..{g_max}")
     rows: list[RankRow] = []
-    notes: list[tuple[int, int]] = []
     for genus in range(g_min, g_max + 1):
         chain = kernel_via_equations(genus)
         for lv in chain.levels:
@@ -312,21 +316,22 @@ def rank_table(g_min: int, g_max: int, k_filter: int | None = None) -> RankTable
                     rank_formula_ok=ok,
                 )
             )
-        notes.append((genus, max_level(genus) + 1))
-    return RankTable(rows=tuple(rows), domain_zero_from=tuple(notes))
+    return RankTable(rows=tuple(rows))
 
 
 # -- evaluation polynomials and the factorization identity -------------------
 
 
-def _mu_representative(q: QuadricI2, k: int, n: int) -> Poly:
+def _mu_representative(q: QuadricI2, k: int, n: int) -> TruncatedSeries:
     """(-1)^n sum c_ab f_a^(2k-n) f_b^(n): the representative with n
     derivatives on the second factor."""
     (coeffs,), den = _identity_coeffs(q, [(2 * k - n, n)])
-    return Poly.from_coeffs(Fraction(-c if n % 2 else c, den) for c in coeffs)
+    return TruncatedSeries.make((Fraction(-c if n % 2 else c, den) for c in coeffs), None)
 
 
-def mu_eval_polynomial(q: QuadricI2, k: int, check_membership: bool = True) -> Poly:
+def mu_eval_polynomial(
+    q: QuadricI2, k: int, check_membership: bool = True
+) -> TruncatedSeries:
     """x-chart polynomial representing mu_2k on a quadric.
 
     On the correct domain (the previous kernel) the representatives with
@@ -354,8 +359,8 @@ def mu_eval_polynomial(q: QuadricI2, k: int, check_membership: bool = True) -> P
 class FactorizationCheck:
     genus: int
     k: int
-    lhs: Poly
-    rhs: Poly
+    lhs: TruncatedSeries
+    rhs: TruncatedSeries
     constant: Fraction | None
     proportional: bool
     zero_iff_zero: bool
@@ -379,7 +384,7 @@ def factorization_check(q: QuadricI2, k: int) -> FactorizationCheck:
     if not is_in_kernel(q, k):
         raise NotInKernel(f"quadric is not in Ker mu_{2 * k}")
     genus = q.genus
-    lhs = Poly.monomial(2) * mu_eval_polynomial(q, k + 1, check_membership=False)
+    lhs = TruncatedSeries.monomial(2) * mu_eval_polynomial(q, k + 1, check_membership=False)
     coeffs = [Fraction(0)] * (2 * genus)
     for (i, j), a in zip(sym_pairs(genus), q.a_coords):
         if a == 0:
@@ -388,19 +393,19 @@ def factorization_check(q: QuadricI2, k: int) -> FactorizationCheck:
         if t:
             exponent = i + j - 2 * k - 1
             coeffs[exponent] += a * t
-    rhs = Poly.from_coeffs(coeffs).scale(k + 1)
-    if rhs.is_zero() or lhs.is_zero():
+    rhs = TruncatedSeries.make(coeffs, None).scale(k + 1)
+    if not (lhs.coeffs and rhs.coeffs):
         return FactorizationCheck(
             genus=genus,
             k=k,
             lhs=lhs,
             rhs=rhs,
             constant=None,
-            proportional=lhs.is_zero() and rhs.is_zero(),
-            zero_iff_zero=lhs.is_zero() == rhs.is_zero(),
+            proportional=not (lhs.coeffs or rhs.coeffs),
+            zero_iff_zero=bool(lhs.coeffs) == bool(rhs.coeffs),
         )
-    pivot = next(e for e in range(rhs.degree + 1) if rhs.coefficient(e) != 0)
-    constant = lhs.coefficient(pivot) / rhs.coefficient(pivot)
+    pivot = next(e for e, c in enumerate(rhs.coeffs) if c)
+    constant = lhs.coefficient(pivot) / rhs.coeffs[pivot]
     return FactorizationCheck(
         genus=genus,
         k=k,

@@ -1,9 +1,13 @@
-"""Truncated power series with explicit, load-bearing truncation orders.
+"""The one exact coefficient type: polynomials and truncated power series.
 
 A series is a dense coefficient tuple plus a truncation order N meaning
 "coefficients of z^e for e < N are exact; nothing is known from z^N on".
-``truncation = None`` marks an exactly known polynomial-like series (all
-omitted coefficients are exactly zero).
+``truncation = None`` marks an exact polynomial: every omitted coefficient
+is exactly zero and trailing zeros are stripped, so equal coefficient
+tuples are equal polynomials and the zero polynomial has no coefficients.
+The x-chart identities (the mu_2k evaluation polynomials, the oracle
+residuals, the factorization check) and the moduli polynomial G(x) are
+exact series of this kind.
 
 Two rules are enforced rather than documented away:
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfRange
-from .poly import Poly
+from .rationals import rat_to_string
 
 
 def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -211,13 +215,22 @@ class TruncatedSeries:
             out.append(-acc * inv0)
         return TruncatedSeries.make(out, order)
 
-    def compose_poly(self, p: Poly) -> "TruncatedSeries":
-        """Evaluate the polynomial ``p`` at this series (Horner)."""
+    def compose_poly(self, p: "TruncatedSeries") -> "TruncatedSeries":
+        """Evaluate the exact polynomial ``p`` at this series (Horner)."""
         acc = TruncatedSeries.make((), self.truncation)
         for c in reversed(p.coeffs):
             acc = acc * self
             acc = acc + TruncatedSeries.make((c,), acc.truncation)
         return acc
+
+    def to_string(self) -> str:
+        """``c0 + c1*x + c2*x^2 + ...`` without the zero terms; ``0`` if none."""
+        terms = [
+            rat_to_string(c) + ("" if e == 0 else "*x" if e == 1 else f"*x^{e}")
+            for e, c in enumerate(self.coeffs)
+            if c
+        ]
+        return " + ".join(terms) or "0"
 
     def derivative_at_zero(self, order: int) -> Fraction:
         """Exact value of the order-th derivative at z = 0."""

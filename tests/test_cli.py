@@ -12,7 +12,7 @@ import pytest
 import gaussmap.gaussian as gaussian
 import gaussmap.rho as rho
 from gaussmap.cli import main
-from gaussmap.poly import Poly
+from gaussmap.series import TruncatedSeries
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -307,6 +307,21 @@ def test_scan_writes_deterministic_output_files(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, target, reason",
+    [
+        (("verify", "--theorem", "T3.1", "--g", "3"), "missing/x.json", "No such file or directory"),
+        (("rank-table", "--g", "3..4"), "", "Is a directory"),
+    ],
+)
+def test_an_unwritable_out_path_is_a_usage_error(capsys, tmp_path, argv, target, reason):
+    # exit 1 means a falsified check; a file that cannot be written is exit 2
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"gaussmap: error: cannot write --out {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [("scan", "--g", "3"), ("verify", "--theorem", "T6.12", "--g", "3")],
 )
@@ -411,7 +426,7 @@ def test_a_representative_mismatch_is_a_failing_item(capsys, monkeypatch):
 
     def skewed(q, k, n):
         p = original(q, k, n)
-        return p + Poly.monomial(0) if n else p
+        return p + TruncatedSeries.monomial(0) if n else p
 
     monkeypatch.setattr(gaussian, "_mu_representative", skewed)
     # the cross-check builds mu_2 of the basis quadrics once per genus
@@ -419,9 +434,8 @@ def test_a_representative_mismatch_is_a_failing_item(capsys, monkeypatch):
     for theorem in ("L3.4", "T6.5"):
         code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "4", "--samples", "0")
         assert code == 1 and "Traceback" not in err
-        failing = [c for c in json.loads(out)["checks"] if not c["ok"]]
-        assert failing
-        assert all("representative mismatch" in c["got"] for c in failing)
+        failing = [c["got"] for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failing == ["representative mismatch for mu_2: n=0 gives -1, n=1 gives 0"]
 
 
 class _Vanishing(Fraction):

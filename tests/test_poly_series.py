@@ -1,4 +1,4 @@
-"""Exact polynomial and truncated-power-series arithmetic."""
+"""Exact polynomial (``truncation=None``) and truncated-power-series arithmetic."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussmap.errors import IndexOutOfRange
-from gaussmap.poly import Poly, falling, poly_derivative
+from gaussmap.gaussian import falling
 from gaussmap.series import TruncatedSeries
 
 F = Fraction
@@ -18,7 +18,7 @@ coeff_lists = st.lists(small_rats, min_size=0, max_size=6)
 
 
 def poly(coeffs):
-    return Poly.from_coeffs([F(c) for c in coeffs])
+    return TruncatedSeries.make([F(c) for c in coeffs], None)
 
 
 def series(coeffs, truncation=8):
@@ -42,25 +42,14 @@ def test_polynomial_ring_identities():
 @given(coeff_lists, coeff_lists)
 def test_product_derivative_obeys_leibniz(a, b):
     p, q = poly(a), poly(b)
-    lhs = poly_derivative(p * q)
-    rhs = poly_derivative(p) * q + p * poly_derivative(q)
+    lhs = (p * q).derivative()
+    rhs = p.derivative() * q + p * q.derivative()
     assert lhs == rhs
 
 
-@settings(max_examples=50, deadline=None)
-@given(coeff_lists, st.integers(min_value=0, max_value=4))
-def test_iterated_derivative_matches_single_call(a, order):
-    p = poly(a)
-    step = p
-    for _ in range(order):
-        step = poly_derivative(step)
-    assert step == poly_derivative(p, order)
-
-
 def test_monomial_derivative_produces_falling_factorial():
-    p = Poly.monomial(7)
-    d = poly_derivative(p, 3)
-    assert d.coefficient(4) == falling(7, 3)
+    d = TruncatedSeries.monomial(7).derivative().derivative().derivative()
+    assert d == TruncatedSeries.monomial(4, falling(7, 3))
     assert falling(7, 3) == 7 * 6 * 5
 
 
@@ -76,9 +65,9 @@ def test_falling_factorial_matches_factorial_quotient(n, k):
 
 
 def test_polynomial_string_rendering_is_exact():
-    p = poly([F(1, 2), 0, -3])
-    text = p.to_string()
-    assert "1/2" in text and "x^2" in text
+    assert poly([F(1, 2), 0, -3]).to_string() == "1/2 + -3*x^2"
+    assert poly([0, F(-2, 3), 0, 5]).to_string() == "-2/3*x + 5*x^3"
+    assert poly([]).to_string() == "0"
 
 
 # -- truncated series --------------------------------------------------------------
