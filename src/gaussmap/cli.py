@@ -10,6 +10,7 @@ outcome, still 0), 1 = some check was falsified, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -128,13 +129,14 @@ def resolve_scope(args, cap: int) -> tuple[int, int, Curve | None, str]:
     raise UsageError("--g (or --curve) is required")
 
 
-def emit(text: str, out_path: str | None) -> None:
+def open_output(out_path: str | None):
+    """Stdout, or the `--out` file opened before anything is computed, so an
+    unwritable path is a usage error at once; like a shell redirection, the
+    file is created (or emptied) before the run."""
     if out_path is None:
-        sys.stdout.write(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return open(out_path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
@@ -142,7 +144,7 @@ def emit(text: str, out_path: str | None) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_rank_table(args, cap: int) -> int:
+def cmd_rank_table(args, cap: int, out) -> int:
     lo, hi, _, _ = resolve_scope(args, cap)
     if args.k is not None and not 0 <= args.k <= max_level(hi):
         raise UsageError(
@@ -162,7 +164,7 @@ def cmd_rank_table(args, cap: int) -> int:
     if not table.rows:
         raise UsageError(f"no (g,k) rows in range with --k {args.k}")
     if args.format == "csv":
-        emit(rank_table_csv(table), args.out)
+        out.write(rank_table_csv(table))
     else:
         items = [
             check(
@@ -183,11 +185,11 @@ def cmd_rank_table(args, cap: int) -> int:
             seed=None,
             config=config.to_json(),
         )
-        emit(report.render(args.format).decode(), args.out)
+        out.write(report.render(args.format).decode())
     return 0 if all(row.rank_formula_ok for row in table.rows) else 1
 
 
-def cmd_kernel(args, cap: int) -> int:
+def cmd_kernel(args, cap: int, out) -> int:
     lo, hi, _, _ = resolve_scope(args, cap)
     if lo != hi:
         raise UsageError("kernel expects a single genus, not a range")
@@ -214,11 +216,11 @@ def cmd_kernel(args, cap: int) -> int:
     vectors = basis if basis is not None else oracle_basis
     payload["dimension"] = len(vectors)
     payload["basis"] = [vector_to_json(genus, vec) for vec in vectors]
-    emit(canonical_json_bytes(payload).decode(), args.out)
+    out.write(canonical_json_bytes(payload).decode())
     return 0 if agree else 1
 
 
-def cmd_verify(args, cap: int) -> int:
+def cmd_verify(args, cap: int, out) -> int:
     lo, hi, curve, source = resolve_scope(args, cap)
     config = RunConfig(
         command="verify",
@@ -232,7 +234,7 @@ def cmd_verify(args, cap: int) -> int:
         output_path=args.out,
     )
     report = verify_theorem(args.theorem, config, curve)
-    emit(report.render(args.format).decode(), args.out)
+    out.write(report.render(args.format).decode())
     if report.timing_seconds is not None:
         print(f"# elapsed {report.timing_seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
@@ -265,7 +267,7 @@ def parse_quadric_argument(spec: str, genus: int):
         raise UsageError(f"bad --quadric value {spec!r}: {exc}") from None
 
 
-def cmd_rho(args, cap: int) -> int:
+def cmd_rho(args, cap: int, out) -> int:
     lo, hi, curve, source = resolve_scope(args, cap)
     if lo != hi:
         raise UsageError("rho expects a single genus, not a range")
@@ -284,14 +286,14 @@ def cmd_rho(args, cap: int) -> int:
         value = rho_pair(quadric, curve, n, r)
     except BeyondThreshold as exc:
         base["error"] = exc.payload()
-        emit(canonical_json_bytes(base).decode(), args.out)
+        out.write(canonical_json_bytes(base).decode())
         return 0
     base.update(value.to_json())
-    emit(canonical_json_bytes(base).decode(), args.out)
+    out.write(canonical_json_bytes(base).decode())
     return 0
 
 
-def cmd_scan(args, cap: int) -> int:
+def cmd_scan(args, cap: int, out) -> int:
     lo, hi, curve, source = resolve_scope(args, cap)
     config = RunConfig(
         command="scan",
@@ -304,7 +306,7 @@ def cmd_scan(args, cap: int) -> int:
         output_path=args.out,
     )
     report = scan_report(config, curve)
-    emit(report.render(args.format).decode(), args.out)
+    out.write(report.render(args.format).decode())
     if report.timing_seconds is not None:
         print(f"# elapsed {report.timing_seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
@@ -404,7 +406,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cap = hard_genus_cap()
-        code = args.handler(args, cap)
+        with open_output(args.out) as out:
+            code = args.handler(args, cap, out)
     except UsageError as exc:
         print(f"gaussmap: error: {exc}", file=sys.stderr)
         return 2

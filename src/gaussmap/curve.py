@@ -29,9 +29,15 @@ so Y in Z[[s]] and Y_n = -sum_{m=1}^{min(2g+1, n)} c_m [s^(n-m)] Y^(m+1)
 its powers and these integer rows one coefficient at a time from stored
 state, so a larger order never restarts the solve; each new coefficient
 is also checked against x * G(x) = w through a Horner evaluation that
-does not use the power table. Only the coefficients handed out become
-Fractions, and each is made once per curve. The module-level readers
-below are thin views of ``curve.jets``.
+does not use the power table. The module-level readers below are thin
+views of ``curve.jets``.
+
+`Jets.columns` is the integer jet store of the curve, read by every
+pairing, reduction vector and cross-check on it and by
+`canonical_derivatives`: jet column n = 2m has entries
+2 E^(m+1) n! row_i[m-i] gh_0^i over gh_0^(2m+1), read straight off the
+rows and reduced by one gcd, with no Fraction made; each odd column is
+checked to vanish.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -173,9 +179,9 @@ class Jets:
     The integer state (Y, its powers Y^0..Y^(2g+2), the canonical rows
     [s^m] Y^i (sY)' and the Horner stages of the residual check) grows one
     coefficient at a time; a power Y^k with k >= g, read only by the lift,
-    is kept through s^(n+2-k) once Y_n is known. The Fraction coefficients
-    and jets handed out are kept, so every table is a prefix of any later,
-    larger one.
+    is kept through s^(n+2-k) once Y_n is known. The Fractions of x and the
+    integer jet columns (`columns`), from which every canonical and omega
+    table is read, are kept, so each table is a prefix of any later one.
     """
 
     def __init__(self, curve: Curve) -> None:
@@ -191,8 +197,8 @@ class Jets:
         self._horner: list[list[int]] = [[] for _ in ghat]
         self._rows: list[list[int]] = [[] for _ in range(curve.genus)]
         self._x: list[Fraction] = []
-        self._canonical_w: list[list[Fraction]] = [[] for _ in range(curve.genus)]
-        self._canonical: list[list[Fraction]] = [[] for _ in range(curve.genus)]
+        self._num: list[tuple[int, ...]] = []
+        self._den: list[int] = []
 
     def _extend(self, count: int) -> None:
         """Know Y_0 .. Y_(count-1), the rows as far, and the powers as far as
@@ -249,44 +255,64 @@ class Jets:
         return tuple(out[:count])
 
     def canonical_w(self, count: int) -> tuple[tuple[Fraction, ...], ...]:
-        """w-coefficients of x^i x'/z, i = 0..g-1, w^0 .. w^(count-1).
+        """w-coefficients of x^i x'/z, i = 0..g-1, w^0 .. w^(count-1)."""
+        rows, den = self.z_rows(2 * count - 1)
+        return tuple(tuple(Fraction(c, den) for c in row[::2]) for row in rows)
 
-        Row i at w^n is 2 E^(n+1) [s^(n-i)] (Y^i (sY)') / gh_0^(2n+1-i).
+    def z_rows(self, count: int) -> tuple[list[list[int]], int]:
+        """The z^0 .. z^(count-1) coefficients (jet n over n!) of x^i x'/z,
+        i = 0..g-1, as integer rows over one denominator, from `columns`."""
+        num, den = self.columns(count - 1)
+        evens = range(0, count, 2)
+        common = lcm(*(den[n] * factorial(n) for n in evens))
+        rows = [[0] * count for _ in self._rows]
+        for n in evens:
+            scale = common // (den[n] * factorial(n))
+            for row, c in zip(rows, num[n]):
+                row[n] = c * scale
+        return rows, common
+
+    def _column(self, n: int) -> tuple[list[int], int]:
+        """Jet column n of the canonical table over one denominator, not
+        reduced (all 0 at odd n): at n = 2m, entry i is n! times the w^m
+        coefficient 2 E^(m+1) [s^(m-i)] (Y^i (sY)') / gh_0^(2m+1-i) of row i."""
+        if n % 2:
+            return [0] * len(self._rows), 1
+        m = n // 2
+        self._extend(m + 1)
+        g0 = self._g0
+        scale = 2 * self._scale ** (m + 1) * factorial(n)
+        return [
+            scale * row[m - i] * g0**i if i <= m else 0
+            for i, row in enumerate(self._rows)
+        ], g0 ** (2 * m + 1)
+
+    def columns(self, order: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Every jet column through `order`: numerators ``num[n]`` over the
+        positive denominator ``den[n]``, in lowest terms (all 0 at odd n).
+
+        The lists are the store itself and only grow; an odd column with a
+        nonzero entry raises `IdentityFailed`.
         """
-        self._extend(count)
-        for i, (out, row) in enumerate(zip(self._canonical_w, self._rows)):
-            for n in range(len(out), count):
-                out.append(
-                    ZERO if n < i else
-                    Fraction(
-                        2 * self._scale ** (n + 1) * row[n - i],
-                        self._g0 ** (2 * n + 1 - i),
-                    )
+        num, den = self._num, self._den
+        for n in range(len(num), order + 1):
+            column, d = self._column(n)
+            if n % 2 and any(column):
+                raise IdentityFailed(
+                    f"jet column {n} is nonzero: the frame functions are not even"
                 )
-        return tuple(tuple(out[:count]) for out in self._canonical_w)
-
-    @property
-    def canonical_order(self) -> int:
-        """The largest jet order of the canonical table made so far (-1: none)."""
-        return len(self._canonical[0]) - 1
-
-    def canonical(self, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Row i, column h: d^h/dz^h at 0 of x^i x'/z."""
-        start = len(self._canonical[0])
-        if max_order >= start:
-            coeffs = self.canonical_w(max_order // 2 + 1)
-            for out, row in zip(self._canonical, coeffs):
-                out.extend(_jet(row, h) for h in range(start, max_order + 1))
-        return tuple(tuple(out[: max_order + 1]) for out in self._canonical)
-
-
-def _jet(coeffs_w, h: int) -> Fraction:
-    """The h-th z-derivative at 0 of the even series with these w-coefficients."""
-    return ZERO if h % 2 else coeffs_w[h // 2] * factorial(h)
+            common = gcd(d, *column) if d > 0 else -gcd(d, *column)
+            num.append(tuple(c // common for c in column))
+            den.append(d // common)
+        return num, den
 
 
 def _jets(coeffs_w, max_order: int) -> tuple[Fraction, ...]:
-    return tuple(_jet(coeffs_w, h) for h in range(max_order + 1))
+    """The z-derivatives at 0, orders 0..max_order, of the even series with
+    these w-coefficients."""
+    return tuple(
+        ZERO if h % 2 else coeffs_w[h // 2] * factorial(h) for h in range(max_order + 1)
+    )
 
 
 def _z_series(coeffs_w, order: int) -> TruncatedSeries:
@@ -349,12 +375,17 @@ def expand_omega(curve: Curve, k: int, order: int) -> LocalFrameExpansion:
 
 
 def canonical_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact jets: row i, column h holds d^h/dz^h at 0 of x^i x'/z.
+    """Exact jets: row i, column h holds d^h/dz^h at 0 of x^i x'/z, read
+    from the jet store.
 
     Odd columns vanish identically (the functions are even); they are
     stored anyway so callers can index by derivative order directly.
     """
-    return curve.jets.canonical(max_order)
+    num, den = curve.jets.columns(max_order)
+    return tuple(
+        tuple(Fraction(t[i], d) for t, d in zip(num[: max_order + 1], den))
+        for i in range(curve.genus)
+    )
 
 
 def omega_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -264,12 +264,17 @@ def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
     return out, den
 
 
+def _exact(coeffs: list[int], den: int) -> TruncatedSeries:
+    """The exact polynomial with these integer coefficients over `den`."""
+    return TruncatedSeries.make((Fraction(c, den) for c in coeffs), None)
+
+
 def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, TruncatedSeries]]:
     """Nonzero identity polynomials sum c_ab f^(h) f^(n) for h+n <= bound."""
     orders = [(t - n, n) for t in range(bound + 1) for n in range(t // 2 + 1)]
     identities, den = _identity_coeffs(q, orders)
     return [
-        (h, n, TruncatedSeries.make((Fraction(c, den) for c in coeffs), None))
+        (h, n, _exact(coeffs, den))
         for (h, n), coeffs in zip(orders, identities)
         if any(coeffs)
     ]
@@ -322,17 +327,19 @@ def rank_table(g_min: int, g_max: int, k_filter: int | None = None) -> RankTable
 # -- evaluation polynomials and the factorization identity -------------------
 
 
-def _mu_representative(q: QuadricI2, k: int, n: int) -> TruncatedSeries:
+def _mu_representative(q: QuadricI2, k: int, n: int) -> list[int]:
     """(-1)^n sum c_ab f_a^(2k-n) f_b^(n): the representative with n
-    derivatives on the second factor."""
-    (coeffs,), den = _identity_coeffs(q, [(2 * k - n, n)])
-    return TruncatedSeries.make((Fraction(-c if n % 2 else c, den) for c in coeffs), None)
+    derivatives on the second factor, as integer x-coefficients over the
+    tensor's denominator."""
+    (coeffs,), _ = _identity_coeffs(q, [(2 * k - n, n)])
+    return [-c for c in coeffs] if n % 2 else coeffs
 
 
-def mu_eval_polynomial(
+def mu_coefficients(
     q: QuadricI2, k: int, check_membership: bool = True
-) -> TruncatedSeries:
-    """x-chart polynomial representing mu_2k on a quadric.
+) -> tuple[list[int], int]:
+    """mu_2k on a quadric as integer x-coefficients (lowest first) over the
+    tensor's denominator.
 
     On the correct domain (the previous kernel) the representatives with
     n in {0, k, 2k} derivatives on the second factor coincide; this is
@@ -344,15 +351,23 @@ def mu_eval_polynomial(
         raise NotInPreviousKernel(
             f"quadric is not in the level-{k - 1} kernel; mu_{2 * k} undefined on it"
         )
+    den = q.tensor[1]
     first = _mu_representative(q, k, 0)
     for n in sorted({k, 2 * k} - {0}):
         p = _mu_representative(q, k, n)
         if p != first:
             raise IdentityFailed(
-                f"representative mismatch for mu_{2 * k}: n=0 gives {first.to_string()}, "
-                f"n={n} gives {p.to_string()}"
+                f"representative mismatch for mu_{2 * k}: n=0 gives "
+                f"{_exact(first, den).to_string()}, n={n} gives {_exact(p, den).to_string()}"
             )
-    return first
+    return first, den
+
+
+def mu_eval_polynomial(
+    q: QuadricI2, k: int, check_membership: bool = True
+) -> TruncatedSeries:
+    """x-chart polynomial representing mu_2k on a quadric (`mu_coefficients`)."""
+    return _exact(*mu_coefficients(q, k, check_membership))
 
 
 @dataclass(frozen=True)

@@ -132,13 +132,16 @@ class QuadricI2:
         return vector_to_json(self.genus, self.a_coords)
 
     def label(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j), coeff in zip(sym_pairs(self.genus), self.a_coords):
-            if coeff != 0:
-                parts.append(f"{rat_to_string(coeff)}*Q[{i},{j}]")
-        return " + ".join(parts)
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        parts = [
+            f"{rat_to_string(coeff)}*Q[{i},{j}]"
+            for (i, j), coeff in zip(sym_pairs(self.genus), self.a_coords)
+            if coeff
+        ]
+        return " + ".join(parts) or "0"
 
 
 def _check_pair(genus: int, i: int, j: int) -> None:

@@ -18,18 +18,19 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
   product rule for g_{alpha} = x * (omega part) (`_product_rule`) turns
   the rho formula into a vector in b-coordinates (`rho_reduction_vector`).
 
-The jet columns are integers over one denominator per column, held by a
-`JetColumns` value that the pairings of one `Pairing.family` share; odd
-columns are checked to vanish, not stored. One `Pairing` per quadric and
-curve works over them and the quadric's integer tensor: each entry of D is
-made once for the threshold scans and the rho evaluations, a watermark
-keeps a scanned zero prefix from being walked twice, and each licensed rho
-value is kept per (n, r) (a refused or failed evaluation is not kept, so
-it raises again on every call). The reduction vector reads the even
-integer columns too: its W(a, b) products are summed as integers over one
-common denominator, and the functionals check it against their rho values
-by cross-multiplying. `derivative_sum`, `threshold_info` and `rho_pair`
-are one-call wrappers that build a fresh `Pairing`.
+The jet columns are integers over one denominator per column, read from
+the curve's one jet store (`curve.Jets.columns`), which checks every odd
+column to vanish. One `Pairing` per quadric and curve works over them and
+the quadric's integer tensor: each entry of D is made once for the
+threshold scans and the rho evaluations, a watermark keeps a scanned zero
+prefix from being walked twice, and each licensed rho value is kept per
+(n, r) (a refused or failed evaluation is not kept, so it raises again on
+every call). The isotropy suite scans a whole level's family at once for
+its least threshold. The reduction vector and the x-chart cross-check
+read the same store: the W(a, b) products are summed as integers over one
+common denominator, and the functionals check the vector against their
+rho values by cross-multiplying. `derivative_sum`, `threshold_info` and
+`rho_pair` are one-call wrappers that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
@@ -61,7 +62,6 @@ from operator import mul
 from .curve import (
     Curve,
     canonical_derivatives,
-    expand_canonical,
     omega_derivatives,
     x_derivatives,
     x_of_z,
@@ -75,7 +75,7 @@ from .errors import (
     PairNotLicensed,
     ThresholdNotExtended,
 )
-from .gaussian import KernelLevel, kernel_via_equations, mu_eval_polynomial
+from .gaussian import KernelLevel, kernel_via_equations, mu_coefficients
 from .linalg import Vector, dot, kernel_basis, rref, sparse_row
 from .quadrics import (
     QuadricI2,
@@ -156,65 +156,41 @@ def _even_orders(total: int) -> range:
     return range(half + half % 2, total + 1, 2)
 
 
-class JetColumns:
-    """The even jet columns of one curve as integers, shared by its pairings.
-
-    Column n holds the n-th jets of the canonical frame functions as
-    integer numerators ``num[n]`` over the one denominator ``den[n]``. The
-    table is read through `canonical_derivatives`, again only when a larger
-    order is asked for, and then with every column the curve already holds.
-    The odd columns are not stored: each is checked to vanish instead.
-    """
-
-    def __init__(self, curve: Curve) -> None:
-        self.curve = curve
-        self.num: list[tuple[int, ...]] = []  # empty at odd n
-        self.den: list[int] = []
-
-    def extend(self, order: int) -> None:
-        """Know every column through `order`."""
-        start = len(self.num)
-        if order < start:
-            return
-        order = max(order, self.curve.jets.canonical_order)
-        table = canonical_derivatives(self.curve, order)
-        for n in range(start, order + 1):
-            column = [row[n] for row in table]
-            if n % 2:
-                if any(column):
-                    raise IdentityFailed(
-                        f"jet column {n} is nonzero: the frame functions are not even"
-                    )
-                self.num.append(())
-                self.den.append(1)
-            else:
-                nums, den = numerators(column)
-                self.num.append(tuple(nums))
-                self.den.append(den)
+def _scan(pairings, jets, start: int, limit: int):
+    """The first nonzero S(h, l) with start <= h + l <= limit, as (pairing,
+    h, l), or None: totals upward, then the pairings in order, then h from
+    total/2 up. Odd totals vanish; reaching one checks its jet column."""
+    for total in range(start, limit + 1):
+        if total % 2:
+            jets.columns(total)
+            continue
+        for pairing in pairings:
+            for h in _even_orders(total):
+                if pairing._sum(h, total - h):
+                    return pairing, h, total - h
+    return None
 
 
 class Pairing:
     """The pairing matrix D = T^t C T of one quadric on one curve.
 
     C is the quadric's integer tensor (`QuadricI2.tensor`) and column T_l
-    holds the l-th jets as integers over den[l] (a `JetColumns`), so D(h, l)
+    holds the l-th jets as integers over den[l] (`Jets.columns`), so D(h, l)
     is the integer dot product S(h, l) = T_h . V_l with V_l = C T_l, over
     the product of the three denominators. Each V_l and each S(h, l) is
     made once (D is symmetric); a Fraction is made only for an entry handed
     out by `__call__`.
 
     The threshold scan and the blocking scan of `rho` visit only even
-    orders, totals upward and h from total/2 up, through one shared search
-    for the first nonzero entry. A watermark records that every entry of
-    total <= m vanishes, so no later scan walks that prefix again.
+    orders, totals upward and h from total/2 up, through `_scan`, the
+    search for the first nonzero entry that the isotropy suite's family
+    scan shares. A watermark records that every entry of total <= m
+    vanishes, so no later scan walks that prefix again.
     """
 
-    def __init__(
-        self, q: QuadricI2, curve: Curve, columns: JetColumns | None = None
-    ) -> None:
+    def __init__(self, q: QuadricI2, curve: Curve) -> None:
         self.quadric = q
-        self.curve = curve
-        self.columns = JetColumns(curve) if columns is None else columns
+        self.jets = curve.jets
         entries, self._den = q.tensor
         rows: dict[int, list[tuple[int, int]]] = {}
         for a, b, c in entries:
@@ -230,22 +206,20 @@ class Pairing:
 
     @classmethod
     def family(cls, quads, curve: Curve) -> tuple["Pairing", ...]:
-        """One pairing per quadric, all reading one set of jet columns."""
-        columns = JetColumns(curve)
-        return tuple(cls(q, curve, columns) for q in quads)
+        """One pairing per quadric, all reading the curve's one jet store."""
+        return tuple(cls(q, curve) for q in quads)
 
     def _sum(self, h: int, l: int) -> int:
-        """S(h, l) for even h >= l >= 0."""
+        """S(h, l) for h >= l >= 0 (0 at an odd order: odd columns vanish)."""
         value = self._sums.get((h, l))
         if value is None:
-            columns = self.columns
-            columns.extend(h)
+            num = self.jets.columns(h)[0]
             vector = self._vectors.get(l)
             if vector is None:
-                t = columns.num[l]
+                t = num[l]
                 vector = tuple(sum(c * t[b] for b, c in row) for row in self._rows)
                 self._vectors[l] = vector
-            t = columns.num[h]
+            t = num[h]
             value = sum(t[a] * v for a, v in zip(self._support, vector) if v)
             self._sums[(h, l)] = value
         return value
@@ -259,31 +233,23 @@ class Pairing:
             return value
         if l < 0:
             raise InvalidIndex("derivative orders must be non-negative")
-        if h % 2 or l % 2:
-            self.columns.extend(h)
-            value = ZERO
-        else:
-            s = self._sum(h, l)
-            den = self.columns.den
-            value = Fraction(s, self._den * den[h] * den[l]) if s else ZERO
+        s = self._sum(h, l)
+        den = self.jets.columns(h)[1]
+        value = Fraction(s, self._den * den[h] * den[l]) if s else ZERO
         self._entries[(h, l)] = value
         return value
 
     def _first_nonzero(self, limit: int) -> tuple[int, int, Fraction] | None:
         """The first nonzero D(h, l) with h + l <= limit in scan order, if any."""
         first = self._first
-        if first is not None:
-            return first if first[0] + first[1] <= limit else None
-        for total in range(self._zero_through + 1, limit + 1):
-            if total % 2:
-                self.columns.extend(total)
+        if first is None and limit > self._zero_through:
+            found = _scan((self,), self.jets, self._zero_through + 1, limit)
+            if found is None:
+                self._zero_through = limit
             else:
-                for h in _even_orders(total):
-                    if self._sum(h, total - h):
-                        self._first = (h, total - h, self(h, total - h))
-                        return self._first
-            self._zero_through = total
-        return None
+                _, h, l = found
+                first = self._first = (h, l, self(h, l))
+        return first if first and first[0] + first[1] <= limit else None
 
     def threshold(self, cap: int) -> ThresholdInfo:
         """Largest m <= cap with D(h, l) = 0 for all h + l <= m."""
@@ -295,14 +261,6 @@ class Pairing:
         return ThresholdInfo(
             threshold=first[0] + first[1] - 1, at_cap=False, first_nonzero=first
         )
-
-    def threshold_with_policy(self, k: int) -> ThresholdInfo:
-        """Threshold scan with the default cap 4k+8, auto-raised once to 2*(4k+8)."""
-        cap = 4 * k + 8
-        info = self.threshold(cap)
-        if info.at_cap:
-            info = self.threshold(2 * cap)
-        return info
 
     def rho(self, n, r) -> RhoValue:
         """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i), licensed by the threshold.
@@ -408,7 +366,7 @@ def _reduction(
     """`rho_reduction_vector` as integer numerators over one denominator.
 
     Only even j contribute: at odd j each W(a, b) pairs two odd jet
-    columns, which `JetColumns.extend` checks to vanish. Each weight
+    columns, which the jet store checks to vanish. Each weight
     w_j sigma_c / (den_a den_b) goes onto one common denominator. As
     t * omega_m = alpha_{g-m-1} on the nose, W(a, b) at pair (i, j) reads
     rows s = g-1-i and t = g-1-j of the jet columns T, and the weighted sum
@@ -417,9 +375,7 @@ def _reduction(
     """
     m1 = n + r
     a_end = min(n, r)
-    columns = JetColumns(curve)
-    columns.extend(m1)
-    num, den = columns.num, columns.den
+    num, den = curve.jets.columns(m1)
     sigma, sigma_den = numerators(x_derivatives(curve, m1))
     terms = []
     for j in range(0, a_end, 2):
@@ -470,15 +426,29 @@ class IsotropyResult:
     k: int
     curve: str
     basis_size: int
-    thresholds: tuple[ThresholdInfo, ...]
+    threshold: ThresholdInfo  # the least over the basis
     pair_values: tuple[tuple[int, int, int, Fraction], ...]
 
     @property
     def ok(self) -> bool:
         """Every threshold reaches 4k+3 and every licensed pair vanishes."""
-        return all(
-            info.threshold >= 4 * self.k + 3 for info in self.thresholds
-        ) and not any(value for *_, value in self.pair_values)
+        return self.threshold.threshold >= 4 * self.k + 3 and not any(
+            value for *_, value in self.pair_values
+        )
+
+
+def _family_threshold(
+    pairings: tuple[Pairing, ...], curve: Curve, k: int
+) -> ThresholdInfo:
+    """The least threshold of a family, under the cap 4k+8 raised once to
+    2(4k+8): the even totals are walked upward across every pairing, and
+    the first nonzero entry (in family order, then scan order) ends the
+    scan: the pairing that holds it has the least threshold."""
+    cap = 2 * (4 * k + 8)
+    found = _scan(pairings, curve.jets, 0, cap)
+    if found is None:
+        return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
+    return found[0].threshold(cap)
 
 
 def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
@@ -486,7 +456,7 @@ def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
     _require_level(genus, k)
     quads = kernel_via_equations(genus).level(k).quadrics
     pairings = Pairing.family(quads, curve)
-    thresholds = tuple(pairing.threshold_with_policy(k) for pairing in pairings)
+    threshold = _family_threshold(pairings, curve, k)
     checks = []
     for index, pairing in enumerate(pairings):
         for n in range(1, 4 * k + 4, 2):
@@ -498,7 +468,7 @@ def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
         k=k,
         curve=curve.label(),
         basis_size=len(quads),
-        thresholds=thresholds,
+        threshold=threshold,
         pair_values=tuple(checks),
     )
 
@@ -1027,32 +997,22 @@ def cup_rank(curve: Curve, n: int) -> CupRank:
     """Rank and kernel of cup product with xi_p^n on the canonical space.
 
     The pairing matrix is P_ij = (f_i f_j)^(n-1)(0) / (n-1)! over the
-    canonical frame functions; its rank is at most n and its kernel
+    canonical frame functions, the z^(n-1) coefficient of f_i f_j, formed
+    over the integers from the jet store (one common scale changes neither
+    its rank nor its kernel); its rank is at most n and its kernel
     contains every alpha_i with 2i >= n (those classes extend across p
     with a zero of order at least n).
     """
     genus = curve.genus
     if n < 1 or n > genus:
         raise InvalidIndex(f"cup order must lie in 1..{genus}, got {n}")
-    table = canonical_derivatives(curve, n - 1)
-    scale = factorial(n - 1)
-    rows = []
-    for i in range(genus):
-        row = []
-        for j in range(genus):
-            total = ZERO
-            for c in range(n):
-                if table[i][c] and table[j][n - 1 - c]:
-                    total += comb(n - 1, c) * table[i][c] * table[j][n - 1 - c]
-            row.append(total / scale)
-        rows.append(tuple(row))
-    sparse = [sparse_row(row) for row in rows]
+    rows, _ = curve.jets.z_rows(n)
+    matrix = [[sum(map(mul, a, b[::-1])) for b in rows] for a in rows]
+    sparse = [sparse_row(row) for row in matrix]
     rank = len(rref(sparse, genus)[1])
     kernel = kernel_basis(sparse, genus)
     predicted = tuple(i for i in range(genus) if 2 * i >= n)
-    containment = all(
-        all(rows[a][i] == 0 for a in range(genus)) for i in predicted
-    )
+    containment = all(all(row[i] == 0 for row in matrix) for i in predicted)
     return CupRank(
         n=n,
         genus=genus,
@@ -1107,18 +1067,18 @@ def _times(a: list[int], b: list[int], cap: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _cross_check_quadrics(genus: int) -> tuple[tuple[QuadricI2, tuple, int], ...]:
+def _cross_check_quadrics(genus: int) -> tuple[tuple[QuadricI2, tuple], ...]:
     """The curve-independent half of the cross-check, built once per genus:
     each basis quadric Q with mu_2(Q) as its nonzero integer coefficients
-    (m, numerator) over one denominator.
+    (m, numerator) over the denominator of Q's tensor.
 
-    `mu_eval_polynomial` makes its membership and representative checks here.
+    `mu_coefficients` makes its membership and representative checks here.
     """
     out = []
     for (i, j) in sym_pairs(genus):
         q = basis_quadric(genus, i, j)
-        poly, poly_den = numerators(mu_eval_polynomial(q, 1).coeffs)
-        out.append((q, tuple((m, c) for m, c in enumerate(poly) if c), poly_den))
+        poly, _ = mu_coefficients(q, 1)
+        out.append((q, tuple((m, c) for m, c in enumerate(poly) if c)))
     return tuple(out)
 
 
@@ -1129,7 +1089,8 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     the x-chart polynomial representative of mu_2(Q), composes it with the
     local coordinate and multiplies by the frame transition into the
     z-chart; the resulting series must both vanish at p and agree with the
-    z-chart representative built directly from the canonical expansions.
+    z-chart representative built directly from the canonical expansions,
+    read as integers from the curve's jet store.
 
     Both series are exact integer dot products: the composite of
     mu_2(Q) = sum c_m x^m over the columns x^m * frame, the representative
@@ -1159,15 +1120,7 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
         scale = x_den ** (top - m)
         column[:] = [c * scale for c in column]
     column_den = x_den ** (4 + top)
-    width = max(order + 2, 2 * genus + 1)
-    rows, row_den = numerators(
-        [
-            c
-            for i in range(genus)
-            for c in expand_canonical(curve, i, width).series.coeffs[: order + 2]
-        ]
-    )
-    rows = [rows[i * (order + 2) : (i + 1) * (order + 2)] for i in range(genus)]
+    rows, row_den = curve.jets.z_rows(order + 2)
     second = [
         [(n + 2) * (n + 1) * row[n + 2] for n in range(order)] for row in rows
     ]
@@ -1179,14 +1132,13 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     agree = []
     compared = order
     quads = _cross_check_quadrics(genus)
-    pairings = Pairing.family((q for q, *_ in quads), curve)
-    for (q, poly, poly_den), pairing in zip(quads, pairings):
+    pairings = Pairing.family((q for q, _ in quads), curve)
+    for (q, poly), pairing in zip(quads, pairings):
         labels.append(q.label())
         with _licensed():
             rho_values.append(pairing.rho(1, 1).value)
-        entries, tensor_den = q.tensor
         terms = []
-        for a, b, coeff in entries:
+        for a, b, coeff in q.tensor[0]:
             term = products.get((a, b))
             if term is None:
                 term = products[(a, b)] = _times(second[a], rows[b][:order], order)
@@ -1201,12 +1153,11 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
             sum(c * columns[m][e] for m, c in poly) for e in range(limit)
         ]
         zrep = [sum(c * term[e] for c, term in terms) for e in range(limit)]
-        # composite_e / (poly_den column_den) = zrep_e / (tensor_den product_den)
-        left = tensor_den * product_den
-        right = poly_den * column_den
+        # composite_e / (den column_den) = zrep_e / (den product_den), with
+        # den the denominator of Q's tensor
         vanishes.append(composite[0] == 0)
         agree.append(
-            all(composite[e] * left == zrep[e] * right for e in range(limit))
+            all(composite[e] * product_den == zrep[e] * column_den for e in range(limit))
         )
     if compared < 5:
         raise InvalidIndex("cross-check order too small to be meaningful")

@@ -208,17 +208,14 @@ def _suite_isotropy(
             )
             if result is None:
                 continue
-            min_threshold = min(
-                (info.threshold for info in result.thresholds), default=None
-            )
+            min_threshold = result.threshold.threshold
             items.append(
                 check(
                     f"g={genus} k={level_k} thresholds on {curve.label()}",
                     f">= {4 * level_k + 3}",
                     f"min {min_threshold} over {result.basis_size} basis "
                     "elements",
-                    min_threshold is None
-                    or min_threshold >= 4 * level_k + 3,
+                    min_threshold >= 4 * level_k + 3,
                 )
             )
             nonzero = sum(1 for *_, v in result.pair_values if v)

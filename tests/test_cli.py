@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import gaussmap.cli as cli
 import gaussmap.gaussian as gaussian
 import gaussmap.rho as rho
 from gaussmap.cli import main
-from gaussmap.series import TruncatedSeries
+from gaussmap.curve import Jets
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -322,6 +323,29 @@ def test_an_unwritable_out_path_is_a_usage_error(capsys, tmp_path, argv, target,
 
 
 @pytest.mark.parametrize(
+    "argv, computes",
+    [
+        (("verify", "--theorem", "T6.9", "--g", "20"), "verify_theorem"),
+        (("scan", "--g", "20", "--samples", "100"), "scan_report"),
+    ],
+)
+def test_an_unwritable_out_path_fails_before_anything_is_computed(
+    capsys, tmp_path, monkeypatch, argv, computes
+):
+    def refuse(*args):
+        raise AssertionError("the report was computed before --out was opened")
+
+    monkeypatch.setattr(cli, computes, refuse)
+    monkeypatch.setenv("GAUSSMAP_MAX_GENUS", "60")
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"gaussmap: error: cannot write --out {path}: No such file or directory\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [("scan", "--g", "3"), ("verify", "--theorem", "T6.12", "--g", "3")],
 )
@@ -346,15 +370,19 @@ def test_genus_three_scan_ends_with_no_random_directions(argv):
 
 
 def patch_jet(monkeypatch, row):
-    """Add 1/7 to the 0th jet of canonical frame function ``row``."""
-    original = rho.canonical_derivatives
+    """Add 1/7 to the 0th jet of canonical frame function ``row`` in the
+    source of the curve's jet store."""
+    original = Jets._column
 
-    def patched(curve, order):
-        rows = [list(r) for r in original(curve, order)]
-        rows[row][0] += Fraction(1, 7)
-        return tuple(tuple(r) for r in rows)
+    def patched(jets, n):
+        column, den = original(jets, n)
+        if n == 0:
+            column = [7 * x for x in column]
+            column[row] += den
+            den *= 7
+        return column, den
 
-    monkeypatch.setattr(rho, "canonical_derivatives", patched)
+    monkeypatch.setattr(Jets, "_column", patched)
 
 
 @pytest.fixture
@@ -425,8 +453,9 @@ def test_a_representative_mismatch_is_a_failing_item(capsys, monkeypatch):
     original = gaussian._mu_representative
 
     def skewed(q, k, n):
-        p = original(q, k, n)
-        return p + TruncatedSeries.monomial(0) if n else p
+        # one more in the constant term of every representative but n = 0
+        coeffs = original(q, k, n)
+        return [coeffs[0] + q.tensor[1], *coeffs[1:]] if n else coeffs
 
     monkeypatch.setattr(gaussian, "_mu_representative", skewed)
     # the cross-check builds mu_2 of the basis quadrics once per genus

@@ -6,8 +6,8 @@ The `frontier` marker is deselected by default (see pyproject.toml). These
 recompute, through the API, the rank and kernel-dimension laws with literal
 agreement of the two kernel routes at genus 20, 30 and 40, and the
 factorization (L3.4) and decomposable-support (L6.2) statements at genus 20
-and 25. T6.6 and T6.9 at genus 15, and L3.4 and L6.2 at genus 20 and 25,
-must print the bytes pinned by the stdout digests in
+and 25. T6.5 at genus 15 and 20, T6.6 and T6.9 at genus 15, and L3.4 and
+L6.2 at genus 20 and 25, must print the bytes pinned by the stdout digests in
 ``golden/witness_sha256.json``.
 """
 

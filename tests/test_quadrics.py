@@ -130,6 +130,13 @@ def test_label_lists_nonzero_terms():
     assert zero.label() == "0" and zero.is_zero()
 
 
+def test_a_quadric_renders_its_label_once():
+    q = quadric_from_a(5, {(1, 3): F(2, 3), (3, 4): F(-5)})
+    assert q.label() is q.label()
+    assert q.label() == "2/3*Q[1,3] + -5*Q[3,4]"
+    assert q == quadric_from_a(5, q.to_json())
+
+
 def test_combine_is_exact_linear_combination():
     g = 5
     q1 = basis_quadric(g, 1, 2)

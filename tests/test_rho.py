@@ -26,6 +26,7 @@ import gaussmap
 import gaussmap.rho as rho
 from gaussmap.cli import main
 from gaussmap.curve import (
+    Jets,
     canonical_derivatives,
     default_curve,
     expand_canonical,
@@ -44,7 +45,6 @@ from gaussmap.gaussian import (
 )
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
 from gaussmap.rho import (
-    JetColumns,
     Mu2CrossCheck,
     Pairing,
     RhoValue,
@@ -62,7 +62,12 @@ from gaussmap.rho import (
     witness_functional,
     witness_hyperplane,
 )
-from gaussmap.rho import _licensed, _restrict_to_functional_kernel, _witness_values
+from gaussmap.rho import (
+    _family_threshold,
+    _licensed,
+    _restrict_to_functional_kernel,
+    _witness_values,
+)
 from gaussmap.reports import RunConfig
 from gaussmap.series import TruncatedSeries
 from gaussmap.suites import curve_panel, verify_theorem
@@ -144,7 +149,7 @@ def _non_integer_curve(genus, rng, positive):
 
 
 def test_a_pairing_family_equals_the_plain_double_sum_to_order_24():
-    # several quadrics share one set of jet columns; every entry through
+    # several quadrics share the curve's one jet store; every entry through
     # order 24, asked for in a scrambled order, equals
     # sum_ab c_ab g_a^(h)(0) g_b^(l)(0) over the Fraction tensor and table
     rng = random.Random(5)
@@ -157,7 +162,7 @@ def test_a_pairing_family_equals_the_plain_double_sum_to_order_24():
         quads = [quadric_from_vector(genus, v) for v in coords]
         quads.append(basis_quadric(genus, 1, genus - 1))
         pairings = Pairing.family(quads, c)
-        assert len({id(p.columns) for p in pairings}) == 1
+        assert all(p.jets is c.jets for p in pairings)
         table = canonical_derivatives(c, 24)
         cells = [(h, l) for h in range(25) for l in range(25)]
         rng.shuffle(cells)
@@ -208,16 +213,18 @@ def test_threshold_and_rho_do_not_depend_on_the_call_order():
 
 @pytest.fixture
 def odd_column_fault(monkeypatch):
-    """Jet tables read through `rho` carry a nonzero entry in odd column 3."""
-    original = rho.canonical_derivatives
+    """The jet store's source gives a nonzero entry in odd column 3."""
+    original = Jets._column
 
-    def patched(curve, order):
-        rows = [list(r) for r in original(curve, order)]
-        if order >= 3:
-            rows[1][3] += F(1, 7)
-        return tuple(tuple(r) for r in rows)
+    def patched(jets, n):
+        column, den = original(jets, n)
+        if n == 3:
+            column = [7 * x for x in column]
+            column[1] += den
+            den *= 7
+        return column, den
 
-    monkeypatch.setattr(rho, "canonical_derivatives", patched)
+    monkeypatch.setattr(Jets, "_column", patched)
 
 
 def test_a_nonzero_odd_jet_column_fails_the_pairing(odd_column_fault):
@@ -225,7 +232,7 @@ def test_a_nonzero_odd_jet_column_fails_the_pairing(odd_column_fault):
     with pytest.raises(IdentityFailed, match="jet column 3"):
         Pairing(basis_quadric(4, 1, 3), c).threshold(6)
     with pytest.raises(IdentityFailed, match="jet column 3"):
-        JetColumns(c).extend(3)
+        default_curve(4).jets.columns(3)
 
 
 def test_a_nonzero_odd_jet_column_fails_the_reduction_vector(odd_column_fault):
@@ -433,10 +440,20 @@ def test_wronskian_sum_is_antisymmetric_in_the_orders():
 # -- thresholds ----------------------------------------------------------------------
 
 
+def threshold_with_policy(pairing, k):
+    """One quadric's threshold scan with the cap 4k+8, raised once to
+    2(4k+8): the oracle of the isotropy suite's family scan."""
+    cap = 4 * k + 8
+    info = pairing.threshold(cap)
+    if info.at_cap:
+        info = pairing.threshold(2 * cap)
+    return info
+
+
 def test_threshold_of_the_genus_five_kernel_generator():
     c = default_curve(5)
     q = genus5_kernel_generator()
-    info = Pairing(q, c).threshold_with_policy(1)
+    info = threshold_with_policy(Pairing(q, c), 1)
     assert info.threshold == 7 and not info.at_cap
     h, l, value = info.first_nonzero
     assert (h, l) == (4, 4)
@@ -560,18 +577,62 @@ def test_reduction_vector_represents_the_endpoint_formula_on_the_basis():
 def test_isotropy_holds_at_small_desk_scale():
     result = isotropy_suite(5, 1, default_curve(5))
     assert result.ok and result.basis_size == 1
-    assert result.thresholds[0].threshold == 7
+    assert result.threshold.threshold == 7
     assert all(v == 0 for (_, _, _, v) in result.pair_values)
 
 
 def test_isotropy_fails_on_a_short_threshold_or_a_nonzero_pair():
     result = isotropy_suite(5, 1, default_curve(5))
-    info = result.thresholds[0]
-    short = dataclasses.replace(info, threshold=4 * result.k + 2)
-    assert not dataclasses.replace(result, thresholds=(short,)).ok
+    short = dataclasses.replace(result.threshold, threshold=4 * result.k + 2)
+    assert not dataclasses.replace(result, threshold=short).ok
     index, n, r, _ = result.pair_values[0]
     nonzero = ((index, n, r, F(1, 7)),) + result.pair_values[1:]
     assert not dataclasses.replace(result, pair_values=nonzero).ok
+
+
+@pytest.mark.parametrize("genus", range(3, 10))
+def test_the_family_scan_gives_the_least_per_quadric_threshold(genus):
+    # the default curve and two seeded panels; the family minimum is the
+    # first quadric's own threshold info among those that reach it
+    curves = curve_panel(genus, 0, 2) + curve_panel(genus, 7, 2)[1:]
+    for curve in curves:
+        for k in range((genus - 3) // 2 + 1):
+            quads = kernel_via_equations(genus).level(k).quadrics
+            oracle = [threshold_with_policy(Pairing(q, curve), k) for q in quads]
+            least = min(info.threshold for info in oracle)
+            result = isotropy_suite(genus, k, curve)
+            assert result.threshold.threshold == least
+            assert result.threshold == next(i for i in oracle if i.threshold == least)
+
+
+def test_a_nonzero_entry_in_a_later_quadric_fails_the_isotropy_item(
+    monkeypatch, capsys
+):
+    # S(4, 2) of the second Ker mu_2 quadric at genus 7 (total 6 <= 4k+2)
+    # gains 1/7 while the first quadric's pairings stay exact: the family
+    # scan must reach it, and the suite's item must fail
+    genus, k = 7, 1
+    target = kernel_via_equations(genus).level(k).quadrics[1]
+    original = Pairing._sum
+
+    def skewed(self, h, l):
+        value = original(self, h, l)
+        if self.quadric == target and (h, l) == (4, 2):
+            return value + F(1, 7)
+        return value
+
+    monkeypatch.setattr(Pairing, "_sum", skewed)
+    curve = default_curve(genus)
+    pairings = Pairing.family(kernel_via_equations(genus).level(k).quadrics, curve)
+    info = _family_threshold(pairings, curve, k)
+    assert (info.threshold, info.first_nonzero[:2]) == (5, (4, 2))
+    code = main(
+        ["verify", "--theorem", "T6.5", "--g", str(genus), "--k", str(k), "--samples", "0"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    failing = [c["item"] for c in json.loads(captured.out)["checks"] if not c["ok"]]
+    assert failing == [f"g=7 k=1 licensed odd pairs vanish on {curve.label()}"]
 
 
 def test_level_quadrics_are_the_basis_vectors_built_once(monkeypatch):
@@ -931,20 +992,17 @@ def test_cross_check_orders_follow_the_fraction_route():
 
 @pytest.fixture
 def skewed_expansion(monkeypatch):
-    """Add 1/7 to the w-coefficient of alpha_0's frame function that the
+    """Add 1/7 to the z^2 coefficient of alpha_0's frame function that the
     z-chart representative reads through e_0'' and e_0."""
-    original = rho.expand_canonical
+    original = Jets.z_rows
 
-    def skewed(curve, i, order):
-        expansion = original(curve, i, order)
-        if i:
-            return expansion
-        coeffs = list(expansion.series.coeffs)
-        coeffs[2] += Fraction(1, 7)
-        series = TruncatedSeries.make(coeffs, expansion.series.truncation)
-        return dataclasses.replace(expansion, series=series)
+    def skewed(jets, count):
+        rows, den = original(jets, count)
+        rows = [[7 * c for c in row] for row in rows]
+        rows[0][2] += den
+        return rows, 7 * den
 
-    monkeypatch.setattr(rho, "expand_canonical", skewed)
+    monkeypatch.setattr(Jets, "z_rows", skewed)
 
 
 def test_a_skewed_canonical_coefficient_breaks_the_frame_agreement(skewed_expansion):
