@@ -49,7 +49,7 @@ from .errors import (
     NotInKernel,
     NotInPreviousKernel,
 )
-from .linalg import SparseRow, Vector, kernel_basis, rref, sparse_row
+from .linalg import SparseRow, Vector, kernel_basis, kernel_chain, rref, sparse_row
 from .quadrics import (
     QuadricI2,
     pair_slots,
@@ -169,7 +169,12 @@ def rank_formula(genus: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def kernel_via_equations(genus: int) -> KernelChain:
-    """Kernel chain of the even Gaussian maps, closed-form equations route."""
+    """Kernel chain of the even Gaussian maps, closed-form equations route.
+
+    Each level is its own `kernel_basis` of the stacked rows, while the
+    oracle route reduces each row once (`kernel_chain`): the two routes reach
+    their tuples by different elimination orders, so a fault in state carried
+    between levels cannot give both the same wrong answer."""
     dim = quadric_space_dimension(genus)
     previous = genus * (genus + 1) // 2  # mu_0 is defined on Sym^2 of g sections
     rows: list[SparseRow] = []
@@ -231,12 +236,12 @@ def _oracle_rows(genus: int, bound: int) -> tuple[list[SparseRow], list[int]]:
 @lru_cache(maxsize=None)
 def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Vector, ...], ...]:
     """Oracle kernels of levels 0..k_max from one build of the identity rows:
-    level k is the kernel of the prefix of orders <= 2k+1."""
-    dim = quadric_space_dimension(genus)
+    level k is the kernel of the orders <= 2k+1, and since the kernels are
+    nested, `kernel_chain` reduces each identity row once."""
     rows, ends = _oracle_rows(genus, 2 * k_max + 1)
-    return tuple(
-        kernel_basis(rows[: ends[2 * k + 1]], dim)
-        for k in range(k_max + 1)
+    cuts = [0] + [ends[2 * k + 1] for k in range(k_max + 1)]
+    return kernel_chain(
+        [rows[a:b] for a, b in zip(cuts, cuts[1:])], quadric_space_dimension(genus)
     )
 
 

@@ -1,28 +1,29 @@
 """Exact linear algebra over the rationals.
 
-``rref`` and ``kernel_basis`` take one input form: sparse integer rows
-(``{column: int}`` dicts; a zero entry joins nothing) and a column count.
-`sparse_row` turns a rational vector into such a row, scaled by the lcm of
-its denominators, which leaves the row space unchanged. The columns are
-split into blocks, the connected components of the graph joining each row
-to the columns where it is nonzero. A matrix is the direct sum of its
-blocks, so its RREF is the union of theirs, ordered by pivot column; the
-Gaussian-map systems are graded by weight, so one large elimination becomes
-many small ones. The rank is the number of pivots.
+``rref``, ``kernel_basis`` and ``kernel_chain`` take one input form: sparse
+integer rows (``{column: int}`` dicts; a zero entry joins nothing) and a
+column count. `sparse_row` turns a rational vector into such a row, scaled
+by the lcm of its denominators, which leaves the row space unchanged. The
+columns are split into blocks, the connected components of the graph
+joining each row to the columns where it is nonzero. A matrix is the direct
+sum of its blocks, so its RREF is the union of theirs, ordered by pivot
+column; the Gaussian-map systems are graded by weight, so one large
+elimination becomes many small ones. The rank is the number of pivots.
 
-Each block, dense over its own columns, is eliminated fraction-free in the
-style of Bareiss (the two-by-two determinant update with exact division by
-the previous pivot); ``rref`` back-substitutes in integers too, and each
-output entry is one `Fraction`. Pivoting is deterministic (first nonzero
-entry in column order), so every result is a pure function of the input,
-and kernel bases are in reduced row-echelon normal form: two routes that
-compute the same subspace produce identical tuples.
+There is one exact elimination: each block keeps its RREF as a store of
+primitive integer rows with a positive pivot, which a row joins by the
+fraction-free two-by-two step (`_add`). ``rref`` reads the store once, each
+entry one `Fraction`; ``kernel_chain`` reads the kernels of growing sets of
+rows off one store per block, so each row is reduced once. The RREF of a
+row space is unique, so kernel bases are in reduced row-echelon normal
+form: two routes that compute the same subspace produce identical tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .errors import IndexOutOfRange
@@ -43,41 +44,12 @@ def sparse_row(vector: Sequence[Fraction]) -> SparseRow:
     return {c: x for c, x in enumerate(ints) if x}
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns echelon rows and pivot columns."""
-    nrows = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            factor = rows[i][c]
-            if factor == 0 and piv == prev:
-                continue
-            for j in range(c + 1, ncols):
-                rows[i][j] = (piv * rows[i][j] - factor * rows[r][j]) // prev
-            rows[i][c] = 0
-        pivots.append(c)
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def _blocks(rows: Sequence[SparseRow], ncols: int) -> list[tuple[list[int], list[list[int]]]]:
-    """Connected blocks: each block's columns (ascending) and its rows, made
-    dense over those columns and divided by their gcd. Zero entries join
-    nothing, so zero rows and columns no row touches lie in no block."""
+def _blocks(
+    rows: Sequence[SparseRow], ncols: int
+) -> list[tuple[list[int], list[tuple[int, list[int]]]]]:
+    """Connected blocks: each block's columns (ascending) and its rows, each
+    with its index in ``rows``, made dense over those columns. Zero entries
+    join nothing, so zero rows and columns no row touches lie in no block."""
     parent: dict[int, int] = {}
 
     def find(c: int) -> int:
@@ -87,10 +59,10 @@ def _blocks(rows: Sequence[SparseRow], ncols: int) -> list[tuple[list[int], list
         return c
 
     supported = []
-    for row in rows:
+    for index, row in enumerate(rows):
         support = [c for c, x in row.items() if x]
         if support:
-            supported.append((support[0], row))
+            supported.append((index, support[0], row))
             for c in support:
                 parent.setdefault(c, c)
             root = find(support[0])
@@ -101,13 +73,35 @@ def _blocks(rows: Sequence[SparseRow], ncols: int) -> list[tuple[list[int], list
     columns: dict[int, list[int]] = {}
     for c in sorted(parent):
         columns.setdefault(find(c), []).append(c)
-    block_rows: dict[int, list[list[int]]] = {root: [] for root in columns}
-    for first, row in supported:
+    block_rows: dict[int, list[tuple[int, list[int]]]] = {root: [] for root in columns}
+    for index, first, row in supported:
         root = find(first)
-        dense = [row.get(c, 0) for c in columns[root]]
-        g = gcd(*dense)
-        block_rows[root].append([v // g for v in dense] if g > 1 else dense)
+        block_rows[root].append((index, [row.get(c, 0) for c in columns[root]]))
     return [(cols, block_rows[root]) for root, cols in columns.items()]
+
+
+def _add(store: dict[int, list[int]], row: list[int]) -> None:
+    """Add a dense integer row to a block's store: its RREF as primitive
+    integer rows with a positive pivot, keyed by pivot column. The row is
+    cross-multiplied against each pivot row it meets, and a nonzero
+    remainder joins under its first nonzero column, which is then cleared
+    from the other rows. A full store takes no more rows."""
+    if len(store) == len(row):
+        return
+    for p, pivot_row in store.items():
+        if f := row[p]:
+            a = pivot_row[p]
+            row = [a * x - f * y for x, y in zip(row, pivot_row)]
+    if not (g := gcd(*row)):
+        return
+    p = next(c for c, x in enumerate(row) if x)
+    row = [x // g for x in row] if row[p] > 0 else [x // -g for x in row]
+    for q, other in store.items():
+        if f := other[p]:
+            other = [row[p] * x - f * y for x, y in zip(other, row)]
+            g = gcd(*other)
+            store[q] = [x // g for x in other] if g > 1 else other
+    store[p] = row
 
 
 def rref(
@@ -120,18 +114,10 @@ def rref(
         raise IndexOutOfRange("sparse rows need an explicit column count")
     placed: list[tuple[int, Vector]] = []
     for cols, block in _blocks(rows, ncols):
-        ech, pivots = _echelon(block, len(cols))
-        # Back-substitution in integers: row i of the RREF is ech[i] divided
-        # by its pivot entry; a changed row is divided by its gcd.
-        for i in reversed(range(len(pivots))):
-            row, c = ech[i], pivots[i]
-            for above in range(i):
-                f = ech[above][c]
-                if f:
-                    upper = [row[c] * a - f * b for a, b in zip(ech[above], row)]
-                    g = gcd(*upper)
-                    ech[above] = [v // g for v in upper] if g > 1 else upper
-        for p, row in zip(pivots, ech):
+        store: dict[int, list[int]] = {}
+        for _, row in block:
+            _add(store, row)
+        for p, row in store.items():
             full = [ZERO] * ncols
             for c, x in zip(cols, row):
                 if x:
@@ -149,22 +135,51 @@ def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> tuple[Vector, ...]:
     other free columns and minus column f of the RREF at the pivots, all of
     which precede f. In the original order each such vector leads with its
     1, at a column where all the others are 0: sorted by that column, they
-    are the RREF of the kernel.
-    """
+    are the RREF of the kernel."""
     last = ncols - 1
     reduced, pivots = rref([{last - c: x for c, x in r.items()} for r in rows], ncols)
-    columns = list(zip(*reduced)) or [()] * ncols
     pivot_set = set(pivots)
     vectors: list[Vector] = []
     for f in reversed(range(ncols)):
         if f not in pivot_set:
             v = [ZERO] * ncols
             v[last - f] = ONE
-            for p, x in zip(pivots, columns[f]):
-                if x is not ZERO:
-                    v[last - p] = -x
+            for p, row in zip(pivots, reduced):
+                if row[f] is not ZERO:
+                    v[last - p] = -row[f]
             vectors.append(tuple(v))
     return tuple(vectors)
+
+
+def kernel_chain(
+    levels: Sequence[Sequence[SparseRow]], ncols: int
+) -> tuple[tuple[Vector, ...], ...]:
+    """``kernel_basis`` of the rows of levels 0..i, for every i. The columns
+    are split into blocks once, in the reversed order ``kernel_basis`` reads;
+    each row joins its block's store once, and after each level every free
+    column of a block is read off its store as there."""
+    last = ncols - 1
+    ends = list(accumulate(map(len, levels)))
+    found: list[list[tuple[int, Vector]]] = [[] for _ in levels]
+    untouched = set(range(ncols))
+    flipped = [{last - c: x for c, x in row.items()} for level in levels for row in level]
+    for cols, block in _blocks(flipped, ncols):
+        untouched.difference_update(last - c for c in cols)
+        store: dict[int, list[int]] = {}
+        i = 0
+        for level, end in enumerate(ends):
+            while i < len(block) and block[i][0] < end:
+                _add(store, block[i][1])
+                i += 1
+            for f in (f for f in range(len(cols)) if f not in store):
+                v = [ZERO] * ncols
+                v[last - cols[f]] = ONE
+                for p, row in store.items():
+                    if row[f]:
+                        v[last - cols[p]] = Fraction(-row[f], row[p])
+                found[level].append((last - cols[f], tuple(v)))
+    units = [(c, tuple(ONE if j == c else ZERO for j in range(ncols))) for c in untouched]
+    return tuple(tuple(v for _, v in sorted(vs + units)) for vs in found)
 
 
 def dot(u: Vector, v: Vector) -> Fraction:

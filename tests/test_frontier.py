@@ -4,11 +4,11 @@
 
 The `frontier` marker is deselected by default (see pyproject.toml). These
 recompute, through the API, the rank and kernel-dimension laws with literal
-agreement of the two kernel routes at genus 20, 30 and 40, and the
+agreement of the two kernel routes at genus 20, 30, 40 and 50, and the
 factorization (L3.4) and decomposable-support (L6.2) statements at genus 20
-and 25. T6.5 at genus 15 and 20, T6.6 and T6.9 at genus 15, and L3.4 and
-L6.2 at genus 20 and 25, must print the bytes pinned by the stdout digests in
-``golden/witness_sha256.json``.
+and 25. T6.5 at genus 15 and 20, T6.6 and T6.9 at genus 15, L3.4 and L6.2 at
+genus 20 and 25, and T3.1 at genus 20, 30, 40 and 50, must print the bytes
+pinned by the stdout digests in ``golden/witness_sha256.json``.
 """
 
 import pytest
@@ -27,7 +27,7 @@ from test_golden import DIGEST_RUNS, FRONTIER_CAP, pinned_digest, stdout_digest
 pytestmark = pytest.mark.frontier
 
 
-@pytest.mark.parametrize("genus", [20, 30, 40])
+@pytest.mark.parametrize("genus", [20, 30, 40, 50])
 def test_rank_law_and_literal_route_agreement(genus):
     chain = kernel_via_equations(genus)
     assert [lv.k for lv in chain.levels] == list(range(max_level(genus) + 1))

@@ -31,7 +31,14 @@ from gaussmap.gaussian import (
     rank_table,
     wronskian_rank_oracle,
 )
-from gaussmap.quadrics import basis_quadric, combine, quadric_from_vector, sym_pairs
+from gaussmap.linalg import kernel_basis
+from gaussmap.quadrics import (
+    basis_quadric,
+    combine,
+    quadric_from_vector,
+    quadric_space_dimension,
+    sym_pairs,
+)
 from gaussmap.series import TruncatedSeries
 
 F = Fraction
@@ -77,6 +84,18 @@ def test_equation_kernels_match_polynomial_oracle_through_genus_seven():
         chain = kernel_via_equations(genus)
         for lv in chain.levels:
             assert lv.basis == kernel_via_polynomial_oracle(genus, lv.k)
+
+
+def test_oracle_chain_equals_one_elimination_per_prefix():
+    """The old schedule, each prefix of identity rows eliminated from scratch,
+    is the reference for the incremental chain."""
+    for genus in range(3, 13):
+        k_max = max_level(genus)
+        rows, ends = gaussian._oracle_rows(genus, 2 * k_max + 1)
+        dim = quadric_space_dimension(genus)
+        assert gaussian._oracle_chain(genus, k_max) == tuple(
+            kernel_basis(rows[: ends[2 * k + 1]], dim) for k in range(k_max + 1)
+        ), genus
 
 
 def test_known_kernel_generator_at_genus_five():

@@ -70,7 +70,8 @@ DIGEST_RUNS = {
         f"verify --theorem {theorem} --g {genus}"
         for theorem in ("L3.4", "L6.2")
         for genus in (20, 25)
-    ),
+    )
+    + tuple(f"verify --theorem T3.1 --g {genus}" for genus in (20, 30, 40, 50)),
 }
 FRONTIER_CAP = "60"
 

@@ -1,7 +1,7 @@
 """Exact linear algebra: ranks, reduced echelon forms, kernels, spans."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gaussmap.errors import IndexOutOfRange
 from gaussmap.gaussian import kernel_equations, kernel_via_equations, max_level
-from gaussmap.linalg import _blocks, dot, kernel_basis, rref, sparse_row
+from gaussmap.linalg import _add, _blocks, dot, kernel_basis, kernel_chain, rref, sparse_row
 
 F = Fraction
 
@@ -172,11 +172,60 @@ def test_explicit_zero_entries_never_merge_blocks(case, data):
 
 
 def test_an_explicit_zero_leaves_columns_apart_and_untouched():
-    assert _blocks([{0: 2, 1: 0}, {1: 3}], 3) == [([0], [[1]]), ([1], [[1]])]
+    assert _blocks([{0: 2, 1: 0}, {1: 3}], 3) == [([0], [(0, [2])]), ([1], [(1, [3])])]
     assert kernel_basis([{0: 2, 2: 0}], 3) == (
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
     )
+
+
+@st.composite
+def kernel_levels(draw):
+    """Levels of integer rows and their width. Levels may be empty, rows may
+    be zero or carry explicit zero entries, and a row may combine two rows of
+    earlier levels, so that it depends on them."""
+    ncols = draw(st.integers(1, 7))
+    entries = st.integers(-4, 4)
+    levels, earlier = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        level = []
+        for _ in range(draw(st.integers(0, 3))):
+            if earlier and draw(st.booleans()):
+                a, b = draw(st.sampled_from(earlier)), draw(st.sampled_from(earlier))
+                x, y = draw(entries), draw(entries)
+                row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in range(ncols)}
+            else:
+                row = {c: draw(entries) for c in draw(st.sets(st.integers(0, ncols - 1)))}
+            level.append(row)
+        earlier += level
+        levels.append(level)
+    return levels, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_levels())
+# After an empty level: rows leading left of the first pivot in either column
+# order, a row that depends on the first level, and a zero row.
+@example(([[{1: 1, 2: 1}], [], [{0: 1, 1: 0}, {3: 2, 2: 0}, {1: -2, 2: -2}, {}]], 4))
+def test_kernel_chain_gives_the_kernel_of_every_prefix(case):
+    levels, ncols = case
+    chain = kernel_chain(levels, ncols)
+    assert len(chain) == len(levels)
+    rows = []
+    for level, kernel in zip(levels, chain):
+        rows += level
+        dense = [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
+        assert kernel == kernel_basis(rows, ncols) == naive_kernel(dense, ncols)
+    # One store over all the rows: primitive rows with a positive pivot,
+    # zero left of it and at every other pivot, are the RREF.
+    store = {}
+    for row in rows:
+        _add(store, [row.get(c, 0) for c in range(ncols)])
+    for p, row in store.items():
+        assert gcd(*row) == 1 and row[p] > 0 and not any(row[:p])
+        assert not any(row[q] for q in store if q != p)
+    reduced = tuple(tuple(F(x, row[p]) for x in row) for p, row in sorted(store.items()))
+    assert (reduced, tuple(sorted(store))) == naive_rref(dense, ncols)
 
 
 def test_sparse_rows_are_checked_against_the_column_count():
