@@ -29,7 +29,9 @@ produce canonical (reduced row-echelon) bases, so agreement is literal tuple
 equality.
 
 Odd maps act on the exterior square of the canonical space and are
-handled by ``odd_kernel_and_rank`` (x-chart equations) and
+handled by ``odd_kernel_and_rank`` (x-chart identities, from the same row
+builder as the oracle route with the slots (i, j, 1), (j, i, -1) of
+alpha_i ^ alpha_j, its domain and kernel read off one elimination) and
 ``wronskian_rank_oracle`` (exact jets of Wronskians at the base point —
 a genuinely different computation on a concrete curve).
 """
@@ -171,10 +173,13 @@ def rank_formula(genus: int, k: int) -> int:
 def kernel_via_equations(genus: int) -> KernelChain:
     """Kernel chain of the even Gaussian maps, closed-form equations route.
 
-    Each level is its own `kernel_basis` of the stacked rows, while the
-    oracle route reduces each row once (`kernel_chain`): the two routes reach
-    their tuples by different elimination orders, so a fault in state carried
-    between levels cannot give both the same wrong answer."""
+    Each level is its own `kernel_basis` of the stacked rows, a fresh store
+    per level, while the oracle route reduces each identity row once into
+    one incremental store (`kernel_chain`). Both read their kernels through
+    the one store reader, which `test_linalg` checks against a naive
+    `Fraction` Gauss-Jordan; the routes stay independent through their rows
+    and through the fresh against the incremental store, so a fault in state
+    carried between levels cannot give both the same wrong answer."""
     dim = quadric_space_dimension(genus)
     previous = genus * (genus + 1) // 2  # mu_0 is defined on Sym^2 of g sections
     rows: list[SparseRow] = []
@@ -196,22 +201,29 @@ def kernel_via_equations(genus: int) -> KernelChain:
     return KernelChain(genus=genus, method="equations", levels=tuple(levels))
 
 
-def _falling_table(genus: int, bound: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _falling_table(genus: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """falling(a, h) at [a][h] for every row index a and order h <= bound."""
-    return [[falling(a, h) for h in range(bound + 1)] for a in range(genus)]
+    return tuple(tuple(falling(a, h) for h in range(bound + 1)) for a in range(genus))
 
 
-def _oracle_rows(genus: int, bound: int) -> tuple[list[SparseRow], list[int]]:
-    """Rows of the raw identity system: all (h, n) with h >= n, h+n <= bound,
-    every x-degree; entries are twice the per-basis-quadric constraint
-    coefficients, as sparse integer rows.
+def _identity_rows(genus: int, bound: int, pairs, slots) -> tuple[list[SparseRow], list[int]]:
+    """Rows of the raw identity system sum c_ab f_a^(h) f_b^(n) == 0: all
+    (h, n) with h >= n, h+n <= bound, every x-degree, as sparse integer rows
+    over ``pairs``, where column (i, j) has the tensor slots (a, b, weight)
+    ``slots(i, j)``; the slot sum a + b is the same for every slot of a
+    column.
 
     Rows come in increasing order h+n, so the rows of any smaller bound are
-    a prefix; the second list holds, for each order, where its rows end.
-    Every tensor slot of Q_ij has alpha + beta = i + j - 1, so the row of
-    x-degree e and order h+n reads only the pairs with i + j = e + h + n + 1.
+    a prefix; the second list holds, for each order, where its rows end. The
+    row of x-degree e and order h+n reads only the columns of slot sum
+    e + h + n. Zero rows are dropped, among them every row with h = n when
+    the slots are antisymmetric.
     """
-    by_weight = _by_weight(sym_pairs(genus))
+    by_sum: dict[int, list[tuple[int, tuple[tuple[int, int, int], ...]]]] = {}
+    for col, (i, j) in enumerate(pairs):
+        column = slots(i, j)
+        by_sum.setdefault(column[0][0] + column[0][1], []).append((col, column))
     fall = _falling_table(genus, bound)
     rows: list[SparseRow] = []
     ends: list[int] = []
@@ -220,10 +232,10 @@ def _oracle_rows(genus: int, bound: int) -> tuple[list[SparseRow], list[int]]:
             h = total - n
             for e in range(0, 2 * genus - 1 - total):
                 row: SparseRow = {}
-                for col, i, j in by_weight.get(e + total + 1, ()):
+                for col, column in by_sum.get(e + total, ()):
                     value = sum(
                         weight * fall[alpha][h] * fall[beta][n]
-                        for alpha, beta, weight in pair_slots(i, j)
+                        for alpha, beta, weight in column
                     )
                     if value:
                         row[col] = value
@@ -238,7 +250,7 @@ def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Vector, ...], ...]:
     """Oracle kernels of levels 0..k_max from one build of the identity rows:
     level k is the kernel of the orders <= 2k+1, and since the kernels are
     nested, `kernel_chain` reduces each identity row once."""
-    rows, ends = _oracle_rows(genus, 2 * k_max + 1)
+    rows, ends = _identity_rows(genus, 2 * k_max + 1, sym_pairs(genus), pair_slots)
     cuts = [0] + [ends[2 * k + 1] for k in range(k_max + 1)]
     return kernel_chain(
         [rows[a:b] for a, b in zip(cuts, cuts[1:])], quadric_space_dimension(genus)
@@ -483,24 +495,9 @@ class OddMapResult:
     basis: tuple[Vector, ...]
 
 
-def _odd_rows(genus: int, bound: int) -> list[SparseRow]:
-    """Sparse integer rows of the odd identities, h > n, h + n <= bound; the
-    row of x-degree e reads only the wedge pairs with i + j = e + h + n."""
-    by_weight = _by_weight(wedge_pairs(genus))
-    fall = _falling_table(genus, bound)
-    rows: list[SparseRow] = []
-    for total in range(1, bound + 1):
-        for n in range(0, (total + 1) // 2):
-            h = total - n
-            for e in range(0, 2 * genus - 1 - total):
-                row: SparseRow = {}
-                for col, i, j in by_weight.get(e + total, ()):
-                    value = fall[i][h] * fall[j][n] - fall[i][n] * fall[j][h]
-                    if value:
-                        row[col] = value
-                if row:
-                    rows.append(row)
-    return rows
+def _wedge_slots(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """The slots (a, b, weight) of alpha_i ^ alpha_j."""
+    return ((i, j, 1), (j, i, -1))
 
 
 def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
@@ -508,19 +505,21 @@ def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
 
     The order must be odd; the map of order m is defined on the kernel
     of the order-(m-2) map (the full exterior square for m = 1), and its
-    kernel is cut out by the x-chart identities with h + n <= m + 1.
+    kernel is cut out by the x-chart identities with h + n <= m + 1. Both
+    kernels are read off one elimination of the identity rows.
     """
     if order < 1 or order % 2 == 0:
         raise InvalidIndex(f"odd map order must be odd and positive, got {order}")
     dim = genus * (genus - 1) // 2
-    kernel = kernel_basis(_odd_rows(genus, order + 1), dim)
-    previous_dim = len(kernel_basis(_odd_rows(genus, order - 1), dim))
+    rows, ends = _identity_rows(genus, order + 1, wedge_pairs(genus), _wedge_slots)
+    cut = ends[order - 1]
+    domain, kernel = kernel_chain([rows[:cut], rows[cut:]], dim)
     return OddMapResult(
         genus=genus,
         order=order,
-        domain_dim=previous_dim,
+        domain_dim=len(domain),
         kernel_dim=len(kernel),
-        rank=previous_dim - len(kernel),
+        rank=len(domain) - len(kernel),
         basis=kernel,
     )
 

@@ -12,11 +12,13 @@ elimination becomes many small ones. The rank is the number of pivots.
 
 There is one exact elimination: each block keeps its RREF as a store of
 primitive integer rows with a positive pivot, which a row joins by the
-fraction-free two-by-two step (`_add`). ``rref`` reads the store once, each
-entry one `Fraction`; ``kernel_chain`` reads the kernels of growing sets of
-rows off one store per block, so each row is reduced once. The RREF of a
-row space is unique, so kernel bases are in reduced row-echelon normal
-form: two routes that compute the same subspace produce identical tuples.
+fraction-free two-by-two step (`_add`). There are two readers of the
+store. ``rref`` reads it once, each entry one `Fraction`; ``kernel_chain``
+reads the kernels of growing sets of rows off one store per block, so each
+row is reduced once, and ``kernel_basis`` is one level of ``kernel_chain``.
+The RREF of a row space is unique, so kernel bases are in reduced
+row-echelon normal form: two routes that compute the same subspace produce
+identical tuples.
 """
 
 from __future__ import annotations
@@ -128,36 +130,25 @@ def rref(
 
 
 def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> tuple[Vector, ...]:
-    """Canonical basis of the right kernel of ``rows`` (taken as by `rref`).
-
-    It is read off the RREF of the rows with its columns in reverse order,
-    where each free column f gives the kernel vector with 1 at f, 0 at the
-    other free columns and minus column f of the RREF at the pivots, all of
-    which precede f. In the original order each such vector leads with its
-    1, at a column where all the others are 0: sorted by that column, they
-    are the RREF of the kernel."""
-    last = ncols - 1
-    reduced, pivots = rref([{last - c: x for c, x in r.items()} for r in rows], ncols)
-    pivot_set = set(pivots)
-    vectors: list[Vector] = []
-    for f in reversed(range(ncols)):
-        if f not in pivot_set:
-            v = [ZERO] * ncols
-            v[last - f] = ONE
-            for p, row in zip(pivots, reduced):
-                if row[f] is not ZERO:
-                    v[last - p] = -row[f]
-            vectors.append(tuple(v))
-    return tuple(vectors)
+    """Canonical basis of the right kernel of ``rows`` (taken as by `rref`):
+    one level of `kernel_chain`."""
+    return kernel_chain([rows], ncols)[0]
 
 
 def kernel_chain(
     levels: Sequence[Sequence[SparseRow]], ncols: int
 ) -> tuple[tuple[Vector, ...], ...]:
-    """``kernel_basis`` of the rows of levels 0..i, for every i. The columns
-    are split into blocks once, in the reversed order ``kernel_basis`` reads;
-    each row joins its block's store once, and after each level every free
-    column of a block is read off its store as there."""
+    """Canonical bases of the right kernels of the rows of levels 0..i, for
+    every i.
+
+    Each is read off the RREF of its rows with the columns in reverse
+    order, where each free column f gives the kernel vector with 1 at f, 0
+    at the other free columns and minus column f of the RREF at the pivots,
+    all of which precede f. In the original order each such vector leads
+    with its 1, at a column where all the others are 0: sorted by that
+    column, they are the RREF of the kernel. The reversed columns are split
+    into blocks once; each row joins its block's store once, and after each
+    level every free column of a block is read off its store."""
     last = ncols - 1
     ends = list(accumulate(map(len, levels)))
     found: list[list[tuple[int, Vector]]] = [[] for _ in levels]

@@ -76,7 +76,7 @@ from .errors import (
     ThresholdNotExtended,
 )
 from .gaussian import KernelLevel, kernel_via_equations, mu_coefficients
-from .linalg import Vector, dot, kernel_basis, rref, sparse_row
+from .linalg import Vector, dot, kernel_basis, rref
 from .quadrics import (
     QuadricI2,
     basis_quadric,
@@ -1008,9 +1008,8 @@ def cup_rank(curve: Curve, n: int) -> CupRank:
         raise InvalidIndex(f"cup order must lie in 1..{genus}, got {n}")
     rows, _ = curve.jets.z_rows(n)
     matrix = [[sum(map(mul, a, b[::-1])) for b in rows] for a in rows]
-    sparse = [sparse_row(row) for row in matrix]
-    rank = len(rref(sparse, genus)[1])
-    kernel = kernel_basis(sparse, genus)
+    kernel = kernel_basis([{c: x for c, x in enumerate(row) if x} for row in matrix], genus)
+    rank = genus - len(kernel)
     predicted = tuple(i for i in range(genus) if 2 * i >= n)
     containment = all(all(row[i] == 0 for row in matrix) for i in predicted)
     return CupRank(

@@ -5,7 +5,8 @@ the rank/dimension laws and the two independent kernel routes to genus 12
 (and through the API to genus 16, above the command line's default cap),
 the factorization/isotropy/witness/hyperplane statements to genus 9 on the
 default curve plus three seeded random curves per genus, the certificate
-scan for genus 4..9, cup ranks and the cross-chart comparison to genus 9,
+scan for genus 4..9, the cup-rank law to genus 12 on the default curve and
+one seeded random curve per genus, the cross-chart comparison to genus 9,
 and byte-identical rerun determinism for the report layer.
 """
 
@@ -13,7 +14,7 @@ import random
 from fractions import Fraction
 
 from gaussmap.cli import main
-from gaussmap.curve import default_curve
+from gaussmap.curve import default_curve, random_curve
 from gaussmap.gaussian import (
     kernel_dimension_formula,
     kernel_via_equations,
@@ -159,12 +160,17 @@ def test_asymptotic_certificates_for_sampled_directions():
 
 
 def test_cup_product_rank_bound_and_kernel_containment():
-    for genus in range(3, 10):
-        curve = default_curve(genus)
-        for n in range(1, genus + 1):
-            result = cup_rank(curve, n)
-            assert result.rank <= n, (genus, n)
-            assert result.rank_bound_ok and result.containment_ok, (genus, n)
+    """The rank is (n + 1) / 2 for odd n and 0 for even n, on the default
+    curve and on one seeded random curve per genus."""
+    for genus in range(3, 13):
+        rng = random.Random(SEED * 1000003 + genus)
+        for curve in (default_curve(genus), random_curve(genus, rng)):
+            for n in range(1, genus + 1):
+                result = cup_rank(curve, n)
+                expected = (n + 1) // 2 if n % 2 else 0
+                assert result.rank == expected, (genus, n, curve.label())
+                assert result.rank <= n, (genus, n)
+                assert result.rank_bound_ok and result.containment_ok, (genus, n)
 
 
 def test_first_vanishing_cross_checked_in_the_other_chart():

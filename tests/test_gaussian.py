@@ -35,11 +35,14 @@ from gaussmap.linalg import kernel_basis
 from gaussmap.quadrics import (
     basis_quadric,
     combine,
+    pair_slots,
     quadric_from_vector,
     quadric_space_dimension,
     sym_pairs,
+    wedge_pairs,
 )
 from gaussmap.series import TruncatedSeries
+from test_linalg import naive_kernel
 
 F = Fraction
 
@@ -91,7 +94,9 @@ def test_oracle_chain_equals_one_elimination_per_prefix():
     is the reference for the incremental chain."""
     for genus in range(3, 13):
         k_max = max_level(genus)
-        rows, ends = gaussian._oracle_rows(genus, 2 * k_max + 1)
+        rows, ends = gaussian._identity_rows(
+            genus, 2 * k_max + 1, sym_pairs(genus), pair_slots
+        )
         dim = quadric_space_dimension(genus)
         assert gaussian._oracle_chain(genus, k_max) == tuple(
             kernel_basis(rows[: ends[2 * k + 1]], dim) for k in range(k_max + 1)
@@ -262,6 +267,35 @@ def test_first_odd_map_rank_agrees_with_wronskian_jets():
         expected = odd_kernel_and_rank(genus, 1).rank
         assert wronskian_rank_oracle(genus, default_curve(genus)) == expected
         assert wronskian_rank_oracle(genus, random_curve(genus, rng)) == expected
+
+
+def test_odd_maps_form_a_chain_read_off_one_elimination():
+    """Each odd map is defined on the kernel of the one before it, and the
+    first kernel is the naive Gauss-Jordan kernel of the dense odd rows."""
+    for genus in range(3, 13):
+        dim = genus * (genus - 1) // 2
+        previous = None
+        order = 1
+        while (result := odd_kernel_and_rank(genus, order)).domain_dim:
+            expected = dim if order == 1 else previous.kernel_dim
+            assert result.domain_dim == expected, (genus, order)
+            assert result.rank == result.domain_dim - result.kernel_dim
+            previous = result
+            order += 2
+        assert order > 1, genus
+        if genus <= 6:
+            # x^e coefficient of alpha_i ^ alpha_j under f^(h) f^(n) - f^(n) f^(h)
+            dense = [
+                [
+                    F(falling(i, h) * falling(j, n) - falling(i, n) * falling(j, h))
+                    if i + j == e + h + n
+                    else F(0)
+                    for i, j in wedge_pairs(genus)
+                ]
+                for h, n in ((1, 0), (2, 0))
+                for e in range(2 * genus)
+            ]
+            assert odd_kernel_and_rank(genus, 1).basis == naive_kernel(dense, dim)
 
 
 def test_odd_map_rejects_even_orders():

@@ -16,7 +16,7 @@ import pkgutil
 import random
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -862,6 +862,26 @@ def test_cup_product_ranks_at_genus_five():
         assert result.predicted_kernel_indices == tuple(
             i for i in range(5) if 2 * i >= n
         )
+
+
+def test_cup_product_kernel_matches_naive_elimination():
+    """The one-elimination kernel against the naive Gauss-Jordan kernel of
+    the dense pairing matrix, formed from the `Fraction` jet table by the
+    Leibniz rule: (f_i f_j)^(n-1)(0) = sum_c C(n-1, c) f_i^(c) f_j^(n-1-c)."""
+    for genus in (5, 7):
+        curve = default_curve(genus)
+        table = canonical_derivatives(curve, genus)
+        for n in range(1, genus + 1):
+            dense = [
+                [
+                    sum(comb(n - 1, c) * a[c] * b[n - 1 - c] for c in range(n))
+                    for b in table
+                ]
+                for a in table
+            ]
+            result = cup_rank(curve, n)
+            assert result.kernel == naive_kernel(dense, genus), (genus, n)
+            assert result.rank == genus - len(result.kernel)
 
 
 def test_cup_product_order_is_validated():
