@@ -51,7 +51,7 @@ from .errors import (
     NotInKernel,
     NotInPreviousKernel,
 )
-from .linalg import SparseRow, Vector, kernel_basis, kernel_chain, rref, sparse_row
+from .linalg import ONE, ZERO, SparseRow, Vector, kernel_chain, rref, sparse_row
 from .quadrics import (
     QuadricI2,
     pair_slots,
@@ -59,6 +59,7 @@ from .quadrics import (
     quadric_space_dimension,
     sym_pairs,
     wedge_pairs,
+    wedge_slots,
 )
 from .series import TruncatedSeries
 
@@ -68,14 +69,6 @@ def falling(n: int, k: int) -> int:
     out = 1
     for i in range(k):
         out *= n - i
-    return out
-
-
-def _by_weight(pairs) -> dict[int, list[tuple[int, int, int]]]:
-    """(column, i, j) of each index pair, grouped by the weight i + j."""
-    out: dict[int, list[tuple[int, int, int]]] = {}
-    for col, (i, j) in enumerate(pairs):
-        out.setdefault(i + j, []).append((col, i, j))
     return out
 
 
@@ -94,15 +87,11 @@ class EquationSystem:
 def _level_rows(genus: int, k: int) -> list[SparseRow]:
     """The level-k equations as sparse integer rows, one per weight l from
     max(3, 2k-1) to 2g-3 (empty where every coefficient vanishes)."""
-    by_weight = _by_weight(sym_pairs(genus))
-    rows: list[SparseRow] = []
-    for l in range(max(3, 2 * k - 1), 2 * genus - 2):
-        row: SparseRow = {}
-        for col, i, j in by_weight.get(l, ()):
-            coeff = (j - i) * falling(i, k - 1) * falling(j, k - 1)
-            if coeff:
-                row[col] = coeff
-        rows.append(row)
+    low = max(3, 2 * k - 1)
+    rows: list[SparseRow] = [{} for _ in range(low, 2 * genus - 2)]
+    for col, (i, j) in enumerate(sym_pairs(genus)):
+        if i + j >= low and (coeff := (j - i) * falling(i, k - 1) * falling(j, k - 1)):
+            rows[i + j - low][col] = coeff
     return rows
 
 
@@ -169,17 +158,34 @@ def rank_formula(genus: int, k: int) -> int:
     return 2 * genus - (4 * k + 1)
 
 
+def _kernel_off_rref(rows: list[SparseRow], dim: int) -> tuple[Vector, ...]:
+    """The canonical kernel basis of ``rows``, read as `kernel_chain` reads
+    it (columns reversed), but off the dense `rref` instead of the store."""
+    last = dim - 1
+    reduced, pivots = rref([{last - c: x for c, x in r.items()} for r in rows], dim)
+    vectors: list[Vector] = []
+    for f in sorted(set(range(dim)).difference(pivots), reverse=True):
+        v = [ZERO] * dim
+        v[last - f] = ONE
+        for p, row in zip(pivots, reduced):
+            if row[f] is not ZERO:
+                v[last - p] = -row[f]
+        vectors.append(tuple(v))
+    return tuple(vectors)
+
+
 @lru_cache(maxsize=None)
 def kernel_via_equations(genus: int) -> KernelChain:
     """Kernel chain of the even Gaussian maps, closed-form equations route.
 
-    Each level is its own `kernel_basis` of the stacked rows, a fresh store
-    per level, while the oracle route reduces each identity row once into
-    one incremental store (`kernel_chain`). Both read their kernels through
-    the one store reader, which `test_linalg` checks against a naive
-    `Fraction` Gauss-Jordan; the routes stay independent through their rows
-    and through the fresh against the incremental store, so a fault in state
-    carried between levels cannot give both the same wrong answer."""
+    Each level is read off a fresh `rref` of the stacked rows
+    (`_kernel_off_rref`); the oracle route reduces each identity row once
+    into one incremental store and reads it through `kernel_chain`. The
+    routes share only `linalg`'s block split and fraction-free step, and
+    differ in their rows, in a fresh store per level against one carried
+    across levels, and in the reader, so no fault in one of these can give
+    both the same wrong answer. `test_linalg` checks both readers against
+    each other and a naive `Fraction` Gauss-Jordan on the level equations."""
     dim = quadric_space_dimension(genus)
     previous = genus * (genus + 1) // 2  # mu_0 is defined on Sym^2 of g sections
     rows: list[SparseRow] = []
@@ -187,7 +193,7 @@ def kernel_via_equations(genus: int) -> KernelChain:
     for k in range(max_level(genus) + 1):
         if k:
             rows.extend(_level_rows(genus, k))
-        basis = kernel_basis(rows, dim)
+        basis = _kernel_off_rref(rows, dim)
         levels.append(
             KernelLevel(
                 genus=genus,
@@ -210,9 +216,8 @@ def _falling_table(genus: int, bound: int) -> tuple[tuple[int, ...], ...]:
 def _identity_rows(genus: int, bound: int, pairs, slots) -> tuple[list[SparseRow], list[int]]:
     """Rows of the raw identity system sum c_ab f_a^(h) f_b^(n) == 0: all
     (h, n) with h >= n, h+n <= bound, every x-degree, as sparse integer rows
-    over ``pairs``, where column (i, j) has the tensor slots (a, b, weight)
-    ``slots(i, j)``; the slot sum a + b is the same for every slot of a
-    column.
+    over ``pairs``, where column (i, j) has the tensor slots
+    ``slots(i, j)`` (`pair_slots` or `wedge_slots`).
 
     Rows come in increasing order h+n, so the rows of any smaller bound are
     a prefix; the second list holds, for each order, where its rows end. The
@@ -495,11 +500,6 @@ class OddMapResult:
     basis: tuple[Vector, ...]
 
 
-def _wedge_slots(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
-    """The slots (a, b, weight) of alpha_i ^ alpha_j."""
-    return ((i, j, 1), (j, i, -1))
-
-
 def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
     """Kernel and rank of the odd Gaussian map of the given order.
 
@@ -511,7 +511,7 @@ def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
     if order < 1 or order % 2 == 0:
         raise InvalidIndex(f"odd map order must be odd and positive, got {order}")
     dim = genus * (genus - 1) // 2
-    rows, ends = _identity_rows(genus, order + 1, wedge_pairs(genus), _wedge_slots)
+    rows, ends = _identity_rows(genus, order + 1, wedge_pairs(genus), wedge_slots)
     cut = ends[order - 1]
     domain, kernel = kernel_chain([rows[:cut], rows[cut:]], dim)
     return OddMapResult(

@@ -16,6 +16,8 @@ fraction-free two-by-two step (`_add`). There are two readers of the
 store. ``rref`` reads it once, each entry one `Fraction`; ``kernel_chain``
 reads the kernels of growing sets of rows off one store per block, so each
 row is reduced once, and ``kernel_basis`` is one level of ``kernel_chain``.
+(The equations route of `gaussian` reads its kernels off ``rref`` on
+purpose, so the two routes share no kernel reader.)
 The RREF of a row space is unique, so kernel bases are in reduced
 row-echelon normal form: two routes that compute the same subspace produce
 identical tuples.

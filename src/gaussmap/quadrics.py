@@ -56,9 +56,16 @@ def wedge_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+# A slot (a, b, weight) is a tensor entry alpha_a (x) alpha_b of a basis
+# column; all slots of one column share the sum a + b.
 def pair_slots(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
-    """The slots (a, b, weight) of twice the symmetric tensor of Q_ij."""
+    """The slots of twice the symmetric tensor of Q_ij (sum i + j - 1)."""
     return ((i, j - 1, 1), (j - 1, i, 1), (j, i - 1, -1), (i - 1, j, -1))
+
+
+def wedge_slots(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """The slots of alpha_i ^ alpha_j (sum i + j)."""
+    return ((i, j, 1), (j, i, -1))
 
 
 def quadric_space_dimension(genus: int) -> int:

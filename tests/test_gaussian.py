@@ -270,32 +270,35 @@ def test_first_odd_map_rank_agrees_with_wronskian_jets():
 
 
 def test_odd_maps_form_a_chain_read_off_one_elimination():
-    """Each odd map is defined on the kernel of the one before it, and the
-    first kernel is the naive Gauss-Jordan kernel of the dense odd rows."""
-    for genus in range(3, 13):
+    """Each odd map of order m is defined on the kernel of the identities of
+    order <= m-1 and its kernel is cut out by those of order <= m+1: both are
+    checked against the naive Gauss-Jordan kernel of dense odd rows built
+    from `falling` alone."""
+
+    def dense(genus, top):
+        # x^e coefficient of alpha_i ^ alpha_j under f^(h) f^(n) - f^(n) f^(h),
+        # h > n and h + n <= top
+        orders = [(t - n, n) for t in range(top + 1) for n in range((t + 1) // 2)]
+        return [
+            [
+                F(falling(i, h) * falling(j, n) - falling(i, n) * falling(j, h))
+                if i + j == e + h + n
+                else F(0)
+                for i, j in wedge_pairs(genus)
+            ]
+            for h, n in orders
+            for e in range(2 * genus)
+        ]
+
+    for genus in range(3, 7):
         dim = genus * (genus - 1) // 2
-        previous = None
         order = 1
         while (result := odd_kernel_and_rank(genus, order)).domain_dim:
-            expected = dim if order == 1 else previous.kernel_dim
-            assert result.domain_dim == expected, (genus, order)
-            assert result.rank == result.domain_dim - result.kernel_dim
-            previous = result
+            domain = naive_kernel(dense(genus, order - 1), dim)
+            assert result.domain_dim == len(domain), (genus, order)
+            assert result.basis == naive_kernel(dense(genus, order + 1), dim), (genus, order)
             order += 2
         assert order > 1, genus
-        if genus <= 6:
-            # x^e coefficient of alpha_i ^ alpha_j under f^(h) f^(n) - f^(n) f^(h)
-            dense = [
-                [
-                    F(falling(i, h) * falling(j, n) - falling(i, n) * falling(j, h))
-                    if i + j == e + h + n
-                    else F(0)
-                    for i, j in wedge_pairs(genus)
-                ]
-                for h, n in ((1, 0), (2, 0))
-                for e in range(2 * genus)
-            ]
-            assert odd_kernel_and_rank(genus, 1).basis == naive_kernel(dense, dim)
 
 
 def test_odd_map_rejects_even_orders():

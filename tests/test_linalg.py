@@ -244,9 +244,10 @@ def test_dense_level_equations_cut_out_the_equation_route_kernels():
         for k in range(max_level(genus) + 1):
             if k:
                 rows.extend(kernel_equations(genus, k).rows)
-            assert kernel_basis(sparse(rows), dim) == (
-                kernel_via_equations(genus).level(k).basis
-            ), (genus, k)
+            basis = kernel_via_equations(genus).level(k).basis
+            assert kernel_basis(sparse(rows), dim) == basis, (genus, k)
+            if genus <= 8:
+                assert naive_kernel(rows, dim) == basis, (genus, k)
 
 
 def test_rank_of_identity_and_zero():
