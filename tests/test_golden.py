@@ -9,10 +9,10 @@ genus 3..7, one seeded direction scan, and single
 ``rho`` values: licensed zero and nonzero values and ``BeyondThreshold``
 payloads. ``witness_sha256.json`` pins the runs above genus 7 by the
 stdout SHA-256 of every theorem suite and a scan at genus 8..12 (checked
-here), and of ``T6.5`` at genus 15 and 20, ``T6.6`` and ``T6.9`` at genus
-15, ``L3.4`` and ``L6.2`` at genus 20 and 25, ``L3.4`` at genus 30,
-``T3.1`` at genus 20, 30, 40 and 50 and ``R4.1`` at genus 20, 30 and 40
-past the default cap (checked in ``test_frontier.py``).
+here), and of ``T6.5`` at genus 15, 20, 25 and 30, ``T6.6`` and ``T6.9``
+at genus 15, ``L3.4`` and ``L6.2`` at genus 20 and 25, ``L3.4`` at genus
+30, ``T3.1`` at genus 20, 30, 40 and 50 and ``R4.1`` at genus 20, 30 and
+40 past the default cap (checked in ``test_frontier.py``).
 Reruns of one build are
 already checked to agree elsewhere; these files also catch a change that
 alters an answer the same way on every run.
@@ -65,7 +65,10 @@ DIGEST_RUNS = {
     + ("scan --g 8..12 --samples 100 --seed 0",),
     "frontier": tuple(
         f"verify --theorem {theorem} --g {genus}"
-        for theorem, genus in (("T6.5", 15), ("T6.5", 20), ("T6.6", 15), ("T6.9", 15))
+        for theorem, genus in (
+            ("T6.5", 15), ("T6.5", 20), ("T6.5", 25), ("T6.5", 30),
+            ("T6.6", 15), ("T6.9", 15),
+        )
     )
     + tuple(
         f"verify --theorem {theorem} --g {genus}"
