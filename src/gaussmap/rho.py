@@ -26,11 +26,12 @@ threshold scans and the rho evaluations, a watermark keeps a scanned zero
 prefix from being walked twice, and each licensed rho value is kept per
 (n, r) (a refused or failed evaluation is not kept, so it raises again on
 every call). The isotropy suite scans a whole level's family at once for
-its least threshold. The reduction vector and the x-chart cross-check
-read the same store: the W(a, b) products are summed as integers over one
-common denominator, and the functionals check the vector against their
-rho values by cross-multiplying. `derivative_sum`, `threshold_info` and
-`rho_pair` are one-call wrappers that build a fresh `Pairing`.
+its least threshold T, which forces every pair with n + r <= T to 0. The
+reduction vector and the x-chart cross-check read the same store: the
+W(a, b) products are summed as integers over one common denominator, and
+the functionals check the vector against their rho values by
+cross-multiplying. `derivative_sum`, `threshold_info` and `rho_pair` are
+one-call wrappers that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
@@ -64,7 +65,6 @@ from .curve import (
     canonical_derivatives,
     omega_derivatives,
     x_derivatives,
-    x_of_z,
 )
 from .errors import (
     BeyondThreshold,
@@ -428,6 +428,8 @@ class IsotropyResult:
     basis_size: int
     threshold: ThresholdInfo  # the least over the basis
     pair_values: tuple[tuple[int, int, int, Fraction], ...]
+    # one per kernel basis quadric, kept for later rho evaluations
+    pairings: tuple[Pairing, ...] = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -452,17 +454,22 @@ def _family_threshold(
 
 
 def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
-    """All licensed rho pairs with odd total <= 4k+3 vanish on Ker mu_2k."""
+    """All licensed rho pairs with odd total <= 4k+3 vanish on Ker mu_2k.
+
+    A pair at or below the family threshold is its forced zero; only the
+    pairs above it go through `Pairing.rho`, which may refuse them."""
     _require_level(genus, k)
     quads = kernel_via_equations(genus).level(k).quadrics
     pairings = Pairing.family(quads, curve)
     threshold = _family_threshold(pairings, curve, k)
+    forced = threshold.threshold
     checks = []
-    for index, pairing in enumerate(pairings):
-        for n in range(1, 4 * k + 4, 2):
-            for r in range(n, 4 * k + 4 - n, 2):
-                with _licensed():
-                    checks.append((index, n, r, pairing.rho(n, r).value))
+    with _licensed():
+        for index, pairing in enumerate(pairings):
+            for n in range(1, 4 * k + 4, 2):
+                for r in range(n, 4 * k + 4 - n, 2):
+                    value = ZERO if n + r <= forced else pairing.rho(n, r).value
+                    checks.append((index, n, r, value))
     return IsotropyResult(
         genus=genus,
         k=k,
@@ -470,6 +477,7 @@ def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
         basis_size=len(quads),
         threshold=threshold,
         pair_values=tuple(checks),
+        pairings=pairings,
     )
 
 
@@ -1045,21 +1053,18 @@ class Mu2CrossCheck:
         )
 
 
-def _valuation(coeffs: list[int]) -> int:
-    """First nonzero index; the truncation (the length) if none is known."""
-    return next((e for e, c in enumerate(coeffs) if c), len(coeffs))
-
-
 def _times(a: list[int], b: list[int], cap: int) -> list[int]:
     """a * b for series known through their lengths, kept through the
-    truncation min(N_a + val(b), N_b + val(a)) but at most `cap` terms.
+    truncation min(N_a + val(b), N_b + val(a)) but at most `cap` terms
+    (a valuation is the length if no nonzero term is known).
 
     Capping both operands and the product at `cap` gives the product's
     truncation capped at `cap` exactly, so nothing beyond `cap` is made.
     Beyond its length a factor is unknown, but there it only meets known
     zeros of the other factor, so it is padded with zeros.
     """
-    width = min(cap, len(a) + _valuation(b), len(b) + _valuation(a))
+    val_a, val_b = (next((e for e, c in enumerate(s) if c), len(s)) for s in (a, b))
+    width = min(cap, len(a) + val_b, len(b) + val_a)
     a = a[:width] + [0] * (width - len(a))
     b = b[:width] + [0] * (width - len(b))
     return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(width)]
@@ -1081,57 +1086,49 @@ def _cross_check_quadrics(genus: int) -> tuple[tuple[QuadricI2, tuple], ...]:
     return tuple(out)
 
 
-def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
+def mu2_cross_check(
+    curve: Curve, order: int = 14, pairings: tuple[Pairing, ...] | None = None
+) -> Mu2CrossCheck:
     """rho(Q)(xi^1 (.) xi^1) = 0 against the x-chart value of mu_2(Q) at p.
 
-    Route one is the licensed derivative-pairing formula.  Route two takes
-    the x-chart polynomial representative of mu_2(Q), composes it with the
-    local coordinate and multiplies by the frame transition into the
-    z-chart; the resulting series must both vanish at p and agree with the
-    z-chart representative built directly from the canonical expansions,
-    read as integers from the curve's jet store.
+    Route one is the licensed derivative-pairing formula, on `pairings` if
+    given (the Q_ij on this curve in order, as the isotropy suite's Ker mu_0
+    family; anything else raises `InvalidIndex`). Route two composes the
+    x-chart representative of mu_2(Q) with x, times the frame x'^2 (x'/z)^2;
+    it must vanish at p and agree with sum c_ab e_a'' e_b (`Jets.z_rows`).
 
-    Both series are exact integer dot products: the composite of
-    mu_2(Q) = sum c_m x^m over the columns x^m * frame, the representative
-    sum c_ab e_a'' e_b over the products e_a'' e_b, each family made once
-    per curve over one common denominator. The truncation of every series
-    follows the `TruncatedSeries` product rule, capped at `order` (nothing
-    from z^order on is compared), and the coefficients are compared by
-    cross-multiplying.
+    Every series is even in z, so it is made in w = z^2 (x from `Jets.x_w`,
+    the frame as w (x'/z)^4): the odd z-coefficients, 0 by construction, are
+    not compared. Both sides are integer dot products over the columns
+    x^m * frame (column m over x_den^(4+m), raised to the quadric's top
+    exponent) and the products e_a'' e_b, made once per curve by `_times` in
+    w up to z^order; `compared_orders` counts z-orders.
     """
     genus = curve.genus
-    xs, x_den = numerators(x_of_z(curve, order).coeffs)
-    xprime = [n * c for n, c in enumerate(xs)][1:]
-    if xprime[:1] != [0]:
-        raise IndexOutOfRange(
-            f"x' is not divisible by z at truncation order {len(xprime)}"
-        )
-    frame = _times(xprime, xprime, order)
-    for _ in range(2):
-        frame = _times(frame, xprime[1:], order)
-    # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2);
-    # column m is over x_den^(4+m), so bring all to x_den^(4+top)
-    columns = [frame]
+    if order < 2:
+        raise IndexOutOfRange(f"x'/z is not known at truncation order {order}")
+    cap = (order + 1) // 2  # w^e is z^(2e), compared for 2e < order
+    xs, x_den = numerators(curve.jets.x_w(cap))
+    slope = [2 * n * c for n, c in enumerate(xs)][1:]  # x'/z
+    square = _times(slope, slope, cap)
+    # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2)
+    columns = [([0] + _times(square, square, cap))[:cap]]
     for _ in range(2 * genus - 2):
-        columns.append(_times(columns[-1], xs, order))
-    top = len(columns) - 1
-    for m, column in enumerate(columns):
-        scale = x_den ** (top - m)
-        column[:] = [c * scale for c in column]
-    column_den = x_den ** (4 + top)
+        columns.append(_times(columns[-1], xs, cap))
+    powers = [x_den**e for e in range(len(columns) + 4)]
     rows, row_den = curve.jets.z_rows(order + 2)
-    second = [
-        [(n + 2) * (n + 1) * row[n + 2] for n in range(order)] for row in rows
-    ]
+    second = [[(e + 2) * (e + 1) * row[e + 2] for e in range(0, order, 2)] for row in rows]
+    evens = [row[0:order:2] for row in rows]
     products: dict[tuple[int, int], list[int]] = {}
     product_den = row_den * row_den
-    labels = []
-    rho_values = []
-    vanishes = []
-    agree = []
-    compared = order
     quads = _cross_check_quadrics(genus)
-    pairings = Pairing.family((q for q, _ in quads), curve)
+    if pairings is None:
+        pairings = Pairing.family((q for q, _ in quads), curve)
+    paired = [(pairing.quadric.tensor, pairing.jets) for pairing in pairings]
+    if paired != [(q.tensor, curve.jets) for q, _ in quads]:
+        raise InvalidIndex(f"the cross-check needs the Q_ij pairings on {curve.label()}")
+    labels, rho_values, vanishes, agree = [], [], [], []
+    compared = cap
     for (q, poly), pairing in zip(quads, pairings):
         labels.append(q.label())
         with _licensed():
@@ -1140,24 +1137,21 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
         for a, b, coeff in q.tensor[0]:
             term = products.get((a, b))
             if term is None:
-                term = products[(a, b)] = _times(second[a], rows[b][:order], order)
+                term = products[(a, b)] = _times(second[a], evens[b], cap)
             terms.append((coeff, term))
-        limit = min(
-            [len(columns[m]) for m, _ in poly]
-            + [order]
-            + [len(term) for _, term in terms]
-        )
+        limit = min([len(columns[m]) for m, _ in poly] + [len(t) for _, t in terms])
         compared = min(compared, limit)
-        composite = [
-            sum(c * columns[m][e] for m, c in poly) for e in range(limit)
-        ]
+        top = poly[-1][0]
+        scaled = [(columns[m], c * powers[top - m]) for m, c in poly]
+        composite = [sum(c * column[e] for column, c in scaled) for e in range(limit)]
         zrep = [sum(c * term[e] for c, term in terms) for e in range(limit)]
-        # composite_e / (den column_den) = zrep_e / (den product_den), with
-        # den the denominator of Q's tensor
+        # composite_e / x_den^(4+top) = zrep_e / product_den, both over Q's den
+        column_den = powers[4 + top]
         vanishes.append(composite[0] == 0)
         agree.append(
             all(composite[e] * product_den == zrep[e] * column_den for e in range(limit))
         )
+    compared = min(order, 2 * compared)
     if compared < 5:
         raise InvalidIndex("cross-check order too small to be meaningful")
     return Mu2CrossCheck(

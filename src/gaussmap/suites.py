@@ -197,8 +197,9 @@ def _suite_isotropy(
     genus: int, k: int | None, curves: tuple[Curve, ...]
 ) -> list[CheckItem]:
     items = []
+    level0 = [None] * len(curves)  # each curve's Ker mu_0 pairings
     for level_k in _schiffer_levels(genus, k):
-        for curve in curves:
+        for index, curve in enumerate(curves):
             vanish = (
                 f"g={genus} k={level_k} licensed odd pairs vanish on "
                 f"{curve.label()}"
@@ -208,6 +209,8 @@ def _suite_isotropy(
             )
             if result is None:
                 continue
+            if level_k == 0:
+                level0[index] = result.pairings
             min_threshold = result.threshold.threshold
             items.append(
                 check(
@@ -228,13 +231,15 @@ def _suite_isotropy(
                 )
             )
     if k is None or k == 0:
-        for curve in curves:
+        for curve, pairings in zip(curves, level0):
             label = (
                 f"g={genus} x-chart cross-check of the first vanishing "
                 f"on {curve.label()}"
             )
             expected = "both routes vanish and frames agree"
-            cc = _attempt(items, label, expected, lambda: mu2_cross_check(curve))
+            cc = _attempt(
+                items, label, expected, lambda: mu2_cross_check(curve, pairings=pairings)
+            )
             if cc is None:
                 continue
             items.append(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gaussmap import gaussian
 from gaussmap.curve import default_curve, random_curve
 from gaussmap.errors import (
+    IdentityFailed,
     IndexOutOfRange,
     InvalidIndex,
     NotInKernel,
@@ -24,6 +25,7 @@ from gaussmap.gaussian import (
     kernel_via_equations,
     kernel_via_polynomial_oracle,
     max_level,
+    mu_coefficients,
     mu_eval_polynomial,
     odd_kernel_and_rank,
     oracle_residuals,
@@ -213,6 +215,13 @@ def test_evaluation_polynomial_vanishes_exactly_on_the_next_kernel():
         assert not mu_eval_polynomial(q, 1).coeffs
     outside = basis_quadric(genus, 1, 2)
     assert mu_eval_polynomial(outside, 1).coeffs
+
+
+def test_a_representative_mismatch_off_the_domain_is_refused():
+    # Q_{2,5} is outside Ker mu_4 at genus 7: the representatives with
+    # n = 0, 3 and 6 derivatives on the second factor agree, n = 1 does not
+    with pytest.raises(IdentityFailed, match="n=1"):
+        mu_coefficients(basis_quadric(7, 2, 5), 3, check_membership=False)
 
 
 # -- the factorization of the next even map ------------------------------------------

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import gaussmap
 import gaussmap.rho as rho
+import gaussmap.suites as suites
 from gaussmap.cli import main
 from gaussmap.curve import (
     Jets,
@@ -635,6 +636,24 @@ def test_a_nonzero_entry_in_a_later_quadric_fails_the_isotropy_item(
     assert failing == [f"g=7 k=1 licensed odd pairs vanish on {curve.label()}"]
 
 
+@pytest.mark.parametrize("genus", range(3, 10))
+def test_forced_pair_values_equal_fresh_rho_evaluations(genus):
+    # the suite records every pair with n + r <= the family threshold as
+    # the forced zero; fresh pairings, with no family scan, evaluate each
+    # pair through Pairing.rho
+    curves = curve_panel(genus, 0, 2) + curve_panel(genus, 7, 2)[1:]
+    for curve in curves:
+        for k in range((genus - 3) // 2 + 1):
+            result = isotropy_suite(genus, k, curve)
+            quads = kernel_via_equations(genus).level(k).quadrics
+            fresh = [Pairing(q, curve) for q in quads]
+            assert result.pair_values == tuple(
+                (index, n, r, fresh[index].rho(n, r).value)
+                for index, n, r, _ in result.pair_values
+            )
+            assert len(result.pair_values) == len(quads) * (k + 1) ** 2
+
+
 def test_level_quadrics_are_the_basis_vectors_built_once(monkeypatch):
     for genus in range(3, 10):
         for level in kernel_via_equations(genus).levels:
@@ -998,7 +1017,7 @@ def test_cross_check_equals_the_fraction_route_on_rational_branch_points(points)
 
 def test_cross_check_orders_follow_the_fraction_route():
     curve = random_curve(5, random.Random(11))
-    for order in (5, 6, 9, 15, 22):
+    for order in range(5, 23):
         result = mu2_cross_check(curve, order)
         assert result.compared_orders == order
         assert result == fraction_mu2_cross_check(curve, order)
@@ -1008,6 +1027,55 @@ def test_cross_check_orders_follow_the_fraction_route():
         with pytest.raises(GaussmapError) as slow:
             fraction_mu2_cross_check(curve, order)
         assert type(fast.value) is type(slow.value)
+
+
+@pytest.mark.parametrize("genus", range(3, 13))
+def test_the_cross_check_quadrics_are_the_ker_mu0_basis(genus):
+    quads = tuple(q for q, _ in rho._cross_check_quadrics(genus))
+    assert kernel_via_equations(genus).level(0).quadrics == quads
+
+
+def test_the_cross_check_reads_the_suites_ker_mu0_pairings(monkeypatch):
+    # one family per curve for Ker mu_0, built by the isotropy suite; the
+    # cross-check evaluates rho(xi^1, xi^1) on it instead of a second one
+    genus = 7
+    level0 = kernel_via_equations(genus).level(0).quadrics
+    built = []
+    original = Pairing.family.__func__
+
+    def recorded(cls, quads, curve):
+        pairings = original(cls, quads, curve)
+        built.append((tuple(p.quadric for p in pairings), curve))
+        return pairings
+
+    monkeypatch.setattr(Pairing, "family", classmethod(recorded))
+    handed = []
+    original_check = rho.mu2_cross_check
+
+    def cross_check(curve, order=14, pairings=None):
+        handed.append(pairings)
+        return original_check(curve, order, pairings)
+
+    monkeypatch.setattr(suites, "mu2_cross_check", cross_check)
+    assert main(["verify", "--theorem", "T6.5", "--g", str(genus)]) == 0
+    curves = [curve for quads, curve in built if quads == level0]
+    assert len(curves) == len(set(curves)) == len(handed) > 1
+    assert all(pairings is not None for pairings in handed)
+
+
+def test_handed_pairings_must_be_the_basis_quadrics_on_the_curve():
+    curve = default_curve(5)
+    quads = kernel_via_equations(5).level(0).quadrics
+    pairings = Pairing.family(quads, curve)
+    assert mu2_cross_check(curve, pairings=pairings) == mu2_cross_check(curve)
+    for wrong in (
+        pairings[::-1],
+        pairings[1:],
+        Pairing.family((quads[1],) + quads[1:], curve),
+        Pairing.family(quads, random_curve(5, random.Random(3))),
+    ):
+        with pytest.raises(InvalidIndex):
+            mu2_cross_check(curve, pairings=wrong)
 
 
 @pytest.fixture
