@@ -8,7 +8,8 @@ agreement of the two kernel routes at genus 20, 30, 40 and 50, and the
 factorization (L3.4) and decomposable-support (L6.2) statements at genus 20
 and 25. T6.5 at genus 15, 20, 25 and 30, T6.6 and T6.9 at genus 15, L3.4
 and L6.2 at genus 20 and 25, L3.4 at genus 30, T3.1 at genus 20, 30, 40 and
-50, and R4.1 at genus 20, 30 and 40, must print the bytes pinned by the
+50, R4.1 at genus 20, 30 and 40, and T6.12 (20 samples) at genus 15 and
+20, must print the bytes pinned by the
 stdout digests in ``golden/witness_sha256.json``.
 """
 

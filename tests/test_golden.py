@@ -11,8 +11,9 @@ payloads. ``witness_sha256.json`` pins the runs above genus 7 by the
 stdout SHA-256 of every theorem suite and a scan at genus 8..12 (checked
 here), and of ``T6.5`` at genus 15, 20, 25 and 30, ``T6.6`` and ``T6.9``
 at genus 15, ``L3.4`` and ``L6.2`` at genus 20 and 25, ``L3.4`` at genus
-30, ``T3.1`` at genus 20, 30, 40 and 50 and ``R4.1`` at genus 20, 30 and
-40 past the default cap (checked in ``test_frontier.py``).
+30, ``T3.1`` at genus 20, 30, 40 and 50, ``R4.1`` at genus 20, 30 and 40,
+and ``T6.12`` (20 samples) at genus 15 and 20 past the default cap
+(checked in ``test_frontier.py``).
 Reruns of one build are
 already checked to agree elsewhere; these files also catch a change that
 alters an answer the same way on every run.
@@ -77,7 +78,10 @@ DIGEST_RUNS = {
     )
     + ("verify --theorem L3.4 --g 30",)
     + tuple(f"verify --theorem T3.1 --g {genus}" for genus in (20, 30, 40, 50))
-    + tuple(f"verify --theorem R4.1 --g {genus}" for genus in (20, 30, 40)),
+    + tuple(f"verify --theorem R4.1 --g {genus}" for genus in (20, 30, 40))
+    + tuple(
+        f"verify --theorem T6.12 --g {genus} --samples 20" for genus in (15, 20)
+    ),
 }
 FRONTIER_CAP = "60"
 
