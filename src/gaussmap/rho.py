@@ -38,8 +38,8 @@ diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
 routine. The hyperplane A_{k,0} is cut from the witness values alone; the
 reduction vector, closed form, display form and b-support check (made
 once per level) are read only by the witness report. One `Certifier` per
-curve builds each level's diagonal functional once and evaluates every
-certificate's cross terms on the witness's own pairing. The only
+curve builds each level's certificate table once, with the witness's
+cross terms, and reads every certificate from it. The only
 module-level cache is the basis quadric data of the x-chart cross-check,
 keyed on the genus alone; no cache is keyed on a curve or a quadric.
 
@@ -68,6 +68,7 @@ from .curve import (
 )
 from .errors import (
     BeyondThreshold,
+    Falsified,
     IdentityFailed,
     IndexOutOfRange,
     InvalidIndex,
@@ -197,6 +198,7 @@ class Pairing:
             rows.setdefault(a, []).append((b, c))
         self._support = tuple(rows)
         self._rows = tuple(map(tuple, rows.values()))
+        self._num, self._dens = self.jets.columns(-1)  # the store, grown by `columns`
         self._vectors: dict[int, tuple[int, ...]] = {}
         self._sums: dict[tuple[int, int], int] = {}
         self._entries: dict[tuple[int, int], Fraction] = {}
@@ -213,7 +215,7 @@ class Pairing:
         """S(h, l) for h >= l >= 0 (0 at an odd order: odd columns vanish)."""
         value = self._sums.get((h, l))
         if value is None:
-            num = self.jets.columns(h)[0]
+            num = self._num if h < len(self._num) else self.jets.columns(h)[0]
             vector = self._vectors.get(l)
             if vector is None:
                 t = num[l]
@@ -234,8 +236,7 @@ class Pairing:
         if l < 0:
             raise InvalidIndex("derivative orders must be non-negative")
         s = self._sum(h, l)
-        den = self.jets.columns(h)[1]
-        value = Fraction(s, self._den * den[h] * den[l]) if s else ZERO
+        value = Fraction(s, self._den * self._dens[h] * self._dens[l]) if s else ZERO
         self._entries[(h, l)] = value
         return value
 
@@ -795,8 +796,6 @@ class DiagonalResult:
     a00_vectors: tuple[Vector, ...]
     a00_dimension: int
     codimension: int
-    # one per hyperplane basis quadric, kept for later rho evaluations
-    pairings: tuple[Pairing, ...] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         genus = self.functional.genus
@@ -809,8 +808,11 @@ class DiagonalResult:
         }
 
 
-def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
-    """The xi^{2k+3} (.) xi^{2k+3} evaluation on A_{k,0}, and A_{k,0,0}.
+def _diagonal_values(
+    genus: int, k: int, curve: Curve
+) -> tuple[HyperplaneResult, tuple[Pairing, ...], tuple[Fraction, ...]]:
+    """A_{k,0}, the pairings of its basis and their xi^{2k+3} (.) xi^{2k+3}
+    values: all that a certificate reads.
 
     Members of A_{k,0} must have their vanishing threshold extended by
     two orders before the diagonal pair is licensed; a member that fails
@@ -829,7 +831,13 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
                 f"{rat_to_string(value)}; the diagonal evaluation at "
                 f"order {2 * n} is not licensed"
             )
-    values = tuple(pairing.rho(n, n).value for pairing in pairings)
+    return hyper, pairings, tuple(pairing.rho(n, n).value for pairing in pairings)
+
+
+def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
+    """The xi^{2k+3} (.) xi^{2k+3} evaluation on A_{k,0}, and A_{k,0,0}."""
+    hyper, _, values = _diagonal_values(genus, k, curve)
+    n = 2 * k + 3
     functional = _functional(genus, curve, (n, n), "hyperplane", hyper.basis, values)
     a00 = _restrict_to_functional_kernel(hyper.vectors, values, len(sym_pairs(genus)))
     return DiagonalResult(
@@ -838,7 +846,6 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
         a00_vectors=a00,
         a00_dimension=len(a00),
         codimension=hyper.dimension - len(a00),
-        pairings=pairings,
     )
 
 
@@ -876,24 +883,55 @@ def direction_length(genus: int) -> int:
 class Certifier:
     """Asymptotic certificates of directions on one curve.
 
-    A direction of top order 2k+1 >= 3 is certified through A_{k-1,0} and
-    its diagonal functional; each level's `DiagonalResult` is built once,
-    on first use, and serves every later direction on the curve. So do the
-    pairings of the basis quadrics Q_ij that certify a pure xi^1 direction.
+    A direction of top order 2k+3 reads its present pairs from level k's
+    table, built once from A_{k,0} and its diagonal values alone; a level
+    whose build raises a `Falsified` error keeps it for all its directions.
+    The Q_ij pairings that certify a pure xi^1 direction are built once too.
     """
 
     def __init__(self, curve: Curve) -> None:
         self.curve = curve
-        self._diagonals: dict[int, DiagonalResult] = {}
+        self._tables: dict[int, tuple | Falsified] = {}
         self._basis: tuple[Pairing, ...] = ()
 
-    def _diagonal(self, k: int) -> DiagonalResult:
-        """`diagonal_functional` at level k on this curve."""
-        result = self._diagonals.get(k)
-        if result is None:
-            result = diagonal_functional(self.curve.genus, k, self.curve)
-            self._diagonals[k] = result
-        return result
+    def table(self, k: int) -> tuple[QuadricI2, Fraction, dict]:
+        """Level k's (witness, value, cross): the first A_{k,0} basis quadric
+        Q_w with a nonzero value rho(Q_w)(xi^{2k+3} (.) xi^{2k+3}), that
+        value, and each licensed rho(Q_w)(xi^{2i+1} (.) xi^{2j+1}) for
+        0 <= i <= k, i <= j <= k+1, or the `Falsified` error it raised."""
+        table = self._tables.get(k)
+        if table is None:
+            try:
+                table = self._tables[k] = self._build(k)
+            except Falsified as exc:
+                table = self._tables[k] = exc
+        if isinstance(table, Falsified):
+            raise type(table)(*table.args)
+        return table
+
+    def universal(self, k: int) -> bool:
+        """Level k's verdict: a nonzero witness value, every cross entry 0."""
+        _, value, cross = self.table(k)
+        return bool(value) and all(v == 0 for v in cross.values())
+
+    def _build(self, k: int) -> tuple[QuadricI2, Fraction, dict]:
+        hyper, pairings, values = _diagonal_values(self.curve.genus, k, self.curve)
+        found = [t for t in zip(hyper.basis, pairings, values) if t[2]]
+        if not found:
+            raise NoWitnessFound(
+                f"the diagonal functional vanishes on all of A_{{{k},0}} "
+                f"for genus {self.curve.genus}; no certificate witness exists"
+            )
+        witness, pairing, value = found[0]
+        cross = {}
+        for i in range(k + 1):
+            for j in range(i, k + 2):
+                try:
+                    with _licensed():
+                        cross[(i, j)] = pairing.rho(2 * i + 1, 2 * j + 1).value
+                except Falsified as exc:
+                    cross[(i, j)] = exc
+        return witness, value, cross
 
     def classify(self, lambdas) -> AsymptoticCertificate:
         """Certify a direction sum(lambda_i xi^{2i+1}) asymptotic or not.
@@ -901,10 +939,10 @@ class Certifier:
         A pure xi^1 direction is certified asymptotic by checking the
         licensed zero rho(Q)(xi^1 (.) xi^1) = 0 on every basis quadric.
         Any direction with top odd order 2k+1 >= 3 is certified
-        not_asymptotic through one witness quadric in A_{k-1,0} off the
-        diagonal hyperplane: all its licensed cross pairs are exact zeros
-        and the (2k+1, 2k+1) value is exactly nonzero, so the full
-        evaluation is lambda_top^2 times it.
+        not_asymptotic through its level's witness quadric in A_{k-1,0}:
+        all its licensed cross pairs are exact zeros and the
+        (2k+1, 2k+1) value is exactly nonzero, so the full evaluation is
+        lambda_top^2 times it.
         """
         curve = self.curve
         genus = curve.genus
@@ -942,31 +980,20 @@ class Certifier:
             )
 
         k = top
-        diag = self._diagonal(k - 1)
-        for witness, pairing, pair_value in zip(
-            diag.hyperplane.basis, diag.pairings, diag.functional.values
-        ):
-            if pair_value:
-                break
-        else:
-            raise NoWitnessFound(
-                f"the diagonal functional vanishes on all of A_{{{k - 1},0}} "
-                f"for genus {genus}; no certificate witness exists"
-            )
+        witness, pair_value, table = self.table(k - 1)
         present = [idx for idx, c in enumerate(direction) if c]
         cross = []
-        with _licensed():
-            for pos, i in enumerate(present):
-                for j in present[pos:]:
-                    if (i, j) == (k, k):
-                        continue
-                    value = pairing.rho(2 * i + 1, 2 * j + 1).value
-                    cross.append((2 * i + 1, 2 * j + 1, value))
-                    if value:
-                        raise IdentityFailed(
-                            f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
-                            "must vanish below the witness threshold"
-                        )
+        for pos, i in enumerate(present[:-1]):  # (k, k) is the witness value
+            for j in present[pos:]:
+                value = table[(i, j)]
+                if isinstance(value, Falsified):
+                    raise type(value)(*value.args)
+                cross.append((2 * i + 1, 2 * j + 1, value))
+                if value:
+                    raise IdentityFailed(
+                        f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
+                        "must vanish below the witness threshold"
+                    )
         total = direction[top] ** 2 * pair_value
         return AsymptoticCertificate(
             genus=genus,

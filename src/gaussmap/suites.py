@@ -446,7 +446,7 @@ def _suite_certificates(
     for i in range(length - 1):
         double = tuple(1 if j in (i, i + 1) else 0 for j in range(length))
         corner.append((double, "not_asymptotic"))
-    # one per curve and suite call: each diagonal functional is built once
+    # one per curve and suite call: each level's table is built once
     certifiers = [Certifier(curve) for curve in curves]
     for certifier in certifiers:
         for direction, expected in corner:

@@ -475,15 +475,13 @@ class _Vanishing(Fraction):
 
 
 def test_a_certificate_without_a_nonzero_witness_is_a_failing_item(capsys, monkeypatch):
-    original = rho.diagonal_functional
+    original = rho._diagonal_values
 
     def broken(genus, k, curve):
-        result = original(genus, k, curve)
-        values = tuple(_Vanishing(v) if v else v for v in result.functional.values)
-        functional = dataclasses.replace(result.functional, values=values)
-        return dataclasses.replace(result, functional=functional)
+        hyper, pairings, values = original(genus, k, curve)
+        return hyper, pairings, tuple(_Vanishing(v) if v else v for v in values)
 
-    monkeypatch.setattr(rho, "diagonal_functional", broken)
+    monkeypatch.setattr(rho, "_diagonal_values", broken)
     code, out, err = run(capsys, "scan", "--g", "4", "--samples", "3")
     assert code == 1 and "Traceback" not in err
     report = json.loads(out)
@@ -491,6 +489,62 @@ def test_a_certificate_without_a_nonzero_witness_is_a_failing_item(capsys, monke
     assert failing
     assert all("needs a nonzero witness" in c["got"] for c in failing)
     assert any("direction (1,0)" in c["item"] and c["ok"] for c in report["checks"])
+
+
+def _scanned_directions(out):
+    """(present coefficient indices, check) of each direction item of a scan."""
+    for c in json.loads(out)["checks"]:
+        if " direction (" in c["item"]:
+            coeffs = c["item"].split("(")[1].split(")")[0].split(",")
+            yield [i for i, x in enumerate(coeffs) if x != "0"], c
+
+
+def test_a_perturbed_table_entry_fails_exactly_the_directions_that_read_it(
+    capsys, monkeypatch
+):
+    original = rho.Certifier._build
+
+    def perturbed(self, k):
+        witness, value, cross = original(self, k)
+        if k == 1:
+            cross = {**cross, (0, 1): cross[(0, 1)] + Fraction(1, 7)}
+        return witness, value, cross
+
+    monkeypatch.setattr(rho.Certifier, "_build", perturbed)
+    code, out, err = run(capsys, "scan", "--g", "6", "--samples", "20")
+    assert code == 1 and "Traceback" not in err
+    reads = 0
+    for present, c in _scanned_directions(out):
+        # top order 5 is level 1; (0, 1) is the pair (xi^1, xi^3)
+        read = present[-1] == 2 and present[:2] == [0, 1]
+        reads += read
+        assert c["ok"] != read, c["item"]
+        if read:
+            assert c["got"] == (
+                "licensed cross pair (xi^1, xi^3) must vanish below the witness threshold"
+            )
+    assert reads
+
+
+def test_a_level_that_fails_to_build_fails_each_of_its_directions(capsys, monkeypatch):
+    original = rho._diagonal_values
+    built = []
+    message = "A_{1,0} basis[0] has D(8,4) = 1/7; the diagonal evaluation at order 10 is not licensed"
+
+    def refused(genus, k, curve):
+        built.append(k)
+        if k == 1:
+            raise rho.ThresholdNotExtended(message)
+        return original(genus, k, curve)
+
+    monkeypatch.setattr(rho, "_diagonal_values", refused)
+    code, out, err = run(capsys, "scan", "--g", "6", "--samples", "20")
+    assert code == 1 and "Traceback" not in err
+    assert sorted(built) == [0, 1]
+    for present, c in _scanned_directions(out):
+        assert c["ok"] == (present[-1] < 2), c["item"]
+        if present[-1] == 2:
+            assert c["got"] == message
 
 
 # -- argparse-level usage errors -----------------------------------------------------

@@ -46,6 +46,7 @@ from gaussmap.gaussian import (
 )
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
 from gaussmap.rho import (
+    Certifier,
     Mu2CrossCheck,
     Pairing,
     RhoValue,
@@ -808,10 +809,6 @@ def test_diagonal_functional_and_second_hyperplane():
     assert d.functional.closed_form_ok
     assert d.codimension == 1
     assert d.a00_dimension == 4
-    # the pairings ride along for later rho evaluations, outside eq and repr
-    assert [p.quadric for p in d.pairings] == list(d.hyperplane.basis)
-    assert "pairings" not in repr(d)
-    assert dataclasses.replace(d, pairings=()) == d
     empty = diagonal_functional(3, 0, default_curve(3))
     assert empty.functional.support == ()
     assert empty.codimension == 0
@@ -849,19 +846,50 @@ def test_higher_top_order_direction_carries_a_nonzero_witness():
     assert all(v == 0 for (_, _, v) in mixed.cross_terms)
 
 
-def test_a_certificate_suite_builds_each_diagonal_once(monkeypatch):
+def test_a_certificate_suite_builds_each_level_once(monkeypatch):
     built = []
-    original = rho.diagonal_functional
+    original = rho._diagonal_values
 
     def counted(genus, k, curve):
         built.append((genus, k))
         return original(genus, k, curve)
 
-    monkeypatch.setattr(rho, "diagonal_functional", counted)
+    monkeypatch.setattr(rho, "_diagonal_values", counted)
     config = RunConfig(command="verify", genus_min=6, genus_max=7, samples=100)
     assert verify_theorem("T6.12", config).passed
     # one curve per genus, 100 directions each: one build per level
     assert built == [(6, 0), (6, 1), (7, 0), (7, 1)]
+
+
+def _levels(genus):
+    """Each level k that some direction's top order 2k+3 reaches, with the
+    pairs (i, j) of its table: 0 <= i <= k, i <= j <= k+1."""
+    for k in range(direction_length(genus) - 1):
+        yield k, {(i, j) for i in range(k + 1) for j in range(i, k + 2)}
+
+
+@pytest.mark.parametrize("genus", range(4, 13))
+def test_every_level_proves_every_direction_not_asymptotic(genus):
+    # the default curve to g=12, two seeded curves to g=9
+    seeded = [random_curve(genus, random.Random(s)) for s in (3, 4)] if genus <= 9 else []
+    for curve in [default_curve(genus), *seeded]:
+        certifier = Certifier(curve)
+        for k, pairs in _levels(genus):
+            witness, value, cross = certifier.table(k)
+            assert set(cross) == pairs and value and witness is not None
+            assert certifier.universal(k), (genus, k, curve.label())
+
+
+def test_a_perturbed_table_entry_fails_the_verdict(monkeypatch):
+    original = rho.Certifier._build
+
+    def perturbed(self, k):
+        witness, value, cross = original(self, k)
+        return witness, value, {**cross, (0, 1): cross[(0, 1)] + F(1, 7)}
+
+    monkeypatch.setattr(rho.Certifier, "_build", perturbed)
+    certifier = Certifier(default_curve(6))
+    assert [certifier.universal(k) for k, _ in _levels(6)] == [False, False]
 
 
 def test_direction_vector_length_is_validated():
