@@ -1,6 +1,5 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
-import dataclasses
 import json
 import os
 import subprocess
