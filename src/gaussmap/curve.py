@@ -43,7 +43,6 @@ checked to vanish.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
@@ -58,11 +57,11 @@ from .errors import (
     TooFewBranchPoints,
 )
 from .rationals import as_rational, numerators, rat_to_string
+from .record import Record
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     """Immutable hyperelliptic curve given by its branch points."""
 
     branch_points: tuple[Fraction, ...]
@@ -329,8 +328,7 @@ def x_of_z(curve: Curve, order: int) -> TruncatedSeries:
     return _z_series(curve.jets.x_w((order + 1) // 2), order)
 
 
-@dataclass(frozen=True)
-class LocalFrameExpansion:
+class LocalFrameExpansion(Record):
     """A section's local function at p in a stated frame, as a z-series."""
 
     frame: str

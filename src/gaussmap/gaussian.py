@@ -38,7 +38,6 @@ a genuinely different computation on a concrete curve).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -61,6 +60,7 @@ from .quadrics import (
     wedge_pairs,
     wedge_slots,
 )
+from .record import Record
 from .series import TruncatedSeries
 
 
@@ -75,8 +75,7 @@ def falling(n: int, k: int) -> int:
 # -- closed-form level equations --------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(Record):
     """The level-k linear system cutting Ker mu_2k inside Ker mu_{2k-2}."""
 
     genus: int
@@ -112,8 +111,7 @@ def kernel_equations(genus: int, k: int) -> EquationSystem:
 # -- kernel chains -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelLevel:
+class KernelLevel(Record):
     genus: int
     k: int
     dimension: int
@@ -133,8 +131,7 @@ class KernelLevel:
         return all(b_support_check(q, self.k).ok for q in self.quadrics)
 
 
-@dataclass(frozen=True)
-class KernelChain:
+class KernelChain(Record):
     genus: int
     method: str
     levels: tuple[KernelLevel, ...]
@@ -310,8 +307,7 @@ def is_in_kernel(q: QuadricI2, k: int) -> bool:
 # -- rank table --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankRow:
+class RankRow(Record):
     genus: int
     k: int
     rank: int
@@ -319,8 +315,7 @@ class RankRow:
     rank_formula_ok: bool
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(Record):
     rows: tuple[RankRow, ...]
 
 
@@ -393,8 +388,7 @@ def mu_eval_polynomial(
     return _exact(*mu_coefficients(q, k, check_membership))
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
+class FactorizationCheck(Record):
     genus: int
     k: int
     lhs: TruncatedSeries
@@ -458,8 +452,7 @@ def factorization_check(q: QuadricI2, k: int) -> FactorizationCheck:
 # -- support of kernel quadrics in decomposable coordinates ------------------
 
 
-@dataclass(frozen=True)
-class BSupportCheck:
+class BSupportCheck(Record):
     genus: int
     k: int
     bound: int
@@ -491,8 +484,7 @@ def b_support_check(q: QuadricI2, k: int) -> BSupportCheck:
 # -- odd maps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OddMapResult:
+class OddMapResult(Record):
     genus: int
     order: int
     domain_dim: int

@@ -27,12 +27,12 @@ Three derived presentations are used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import IndexOutOfRange
 from .rationals import as_rational, numerators, rat_to_string
+from .record import Record
 
 
 # sym_pairs and wedge_pairs are made once per genus; the genus cap bounds both
@@ -81,8 +81,7 @@ def vector_to_json(genus: int, vector) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class QuadricI2:
+class QuadricI2(Record):
     """A quadric through the canonical curve, in exact a-coordinates."""
 
     genus: int

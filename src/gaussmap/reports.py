@@ -9,14 +9,13 @@ kept out of the canonical payload (it goes to stderr at the CLI layer).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import InvalidIndex
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Echoable description of one CLI invocation."""
 
     command: str
@@ -52,8 +51,7 @@ class RunConfig:
         return out
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     """One verified fact: what was checked, what was expected, what came out."""
 
     item: str
@@ -74,8 +72,7 @@ def check(item: str, expected: str, got: str, ok: bool) -> CheckItem:
     return CheckItem(item=item, expected=expected, got=got, ok=ok)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Suite outcome; fails exactly when some item failed.
 
     `timing_seconds` is informational and deliberately excluded from the
@@ -89,7 +86,7 @@ class VerificationReport:
     curve: object
     checks: tuple[CheckItem, ...]
     seed: int | None
-    config: dict = field(default_factory=dict)
+    config: dict
     version: str = __version__
     timing_seconds: float | None = None
 

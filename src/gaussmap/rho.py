@@ -54,7 +54,6 @@ refutes that statement and is raised as `PairNotLicensed`, also a
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -86,6 +85,7 @@ from .quadrics import (
     vector_to_json,
 )
 from .rationals import numerators, rat_to_string
+from .record import Record, replace
 
 ZERO = Fraction(0)
 
@@ -93,8 +93,7 @@ ZERO = Fraction(0)
 # -- Schiffer indices -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchifferIndex:
+class SchifferIndex(Record):
     """Order of an invariant higher Schiffer variation xi_p^n (n odd)."""
 
     n: int
@@ -115,15 +114,13 @@ def _odd_order(n) -> int:
 # -- the pairing matrix and licensed evaluation of rho ---------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdInfo:
+class ThresholdInfo(Record):
     threshold: int
     at_cap: bool
     first_nonzero: tuple[int, int, Fraction] | None
 
 
-@dataclass(frozen=True)
-class RhoValue:
+class RhoValue(Record):
     """Exact rho evaluation: the true value is `value * 2*pi*i`."""
 
     n: int
@@ -421,8 +418,7 @@ def _require_level(genus: int, k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IsotropyResult:
+class IsotropyResult(Record, hidden=("pairings",)):
     genus: int
     k: int
     curve: str
@@ -430,7 +426,7 @@ class IsotropyResult:
     threshold: ThresholdInfo  # the least over the basis
     pair_values: tuple[tuple[int, int, int, Fraction], ...]
     # one per kernel basis quadric, kept for later rho evaluations
-    pairings: tuple[Pairing, ...] = field(compare=False, repr=False)
+    pairings: tuple[Pairing, ...]
 
     @property
     def ok(self) -> bool:
@@ -485,8 +481,7 @@ def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
 # -- the witness functional and its closed form --------------------------------
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """A rho evaluation as a linear functional in b-coordinates.
 
     `coefficients` is the machine vector: the entries of the exact
@@ -707,8 +702,7 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
 # -- hyperplanes A_{k,0} and A_{k,0,0} ------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperplaneResult:
+class HyperplaneResult(Record):
     genus: int
     k: int
     curve: str
@@ -789,8 +783,7 @@ def witness_hyperplane(genus: int, k: int, curve: Curve) -> HyperplaneResult:
     )
 
 
-@dataclass(frozen=True)
-class DiagonalResult:
+class DiagonalResult(Record):
     functional: Functional
     hyperplane: HyperplaneResult
     a00_vectors: tuple[Vector, ...]
@@ -852,8 +845,7 @@ def diagonal_functional(genus: int, k: int, curve: Curve) -> DiagonalResult:
 # -- asymptotic certificates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticCertificate:
+class AsymptoticCertificate(Record):
     genus: int
     curve: str
     direction: tuple[Fraction, ...]
@@ -1017,8 +1009,7 @@ def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
 # -- cup products with Schiffer variations --------------------------------------
 
 
-@dataclass(frozen=True)
-class CupRank:
+class CupRank(Record):
     n: int
     genus: int
     rank: int
@@ -1061,8 +1052,7 @@ def cup_rank(curve: Curve, n: int) -> CupRank:
 # -- independent x-chart cross-check of the first vanishing ---------------------
 
 
-@dataclass(frozen=True)
-class Mu2CrossCheck:
+class Mu2CrossCheck(Record):
     genus: int
     curve: str
     quadrics: tuple[str, ...]

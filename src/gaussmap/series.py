@@ -23,11 +23,11 @@ its truncation order, since no finite amount of known data determines it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfRange
 from .rationals import rat_to_string
+from .record import Record
 
 
 def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -37,8 +37,7 @@ def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return coeffs[:n]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     coeffs: tuple[Fraction, ...]
     truncation: int | None
 

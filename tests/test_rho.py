@@ -7,7 +7,6 @@ value would depend on the chosen coordinate and BeyondThreshold is
 raised instead.
 """
 
-import dataclasses
 import gc
 import importlib
 import inspect
@@ -45,6 +44,7 @@ from gaussmap.gaussian import (
     mu_eval_polynomial,
 )
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
+from gaussmap.record import replace
 from gaussmap.rho import (
     Certifier,
     Mu2CrossCheck,
@@ -391,15 +391,15 @@ def test_the_functionals_equal_the_fraction_route(genus):
             fields["reduction_ok"] = fields["reduction_ok"] and all(
                 b_support_check(q, k).ok for q in w.basis
             )
-            assert w == dataclasses.replace(w, **fields), (genus, k)
+            assert w == replace(w, **fields), (genus, k)
             d = diagonal_functional(genus, k, curve).functional
-            assert d == dataclasses.replace(d, **fraction_route_fields(d, curve))
+            assert d == replace(d, **fraction_route_fields(d, curve))
             # a value off by 1/7 fails the reduction check on both routes
             if d.basis:
                 values = (d.values[0] + F(1, 7),) + d.values[1:]
                 bad = rho._functional(genus, curve, d.pair, d.domain, d.basis, values)
                 assert not bad.reduction_ok
-                assert bad == dataclasses.replace(bad, **fraction_route_fields(bad, curve))
+                assert bad == replace(bad, **fraction_route_fields(bad, curve))
             # off the kernel the spillover entries count: the values of the
             # full vector on the basis quadrics Q_ij fail the trimmed check
             quads = tuple(basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus))
@@ -408,7 +408,7 @@ def test_the_functionals_equal_the_fraction_route(genus):
             off = rho._functional(genus, curve, d.pair, d.domain, quads, full)
             spill = any(vec[p] for p in vec if p not in d.support)
             assert off.reduction_ok is not spill
-            assert off == dataclasses.replace(off, **fraction_route_fields(off, curve))
+            assert off == replace(off, **fraction_route_fields(off, curve))
 
 
 @settings(max_examples=20, deadline=None)
@@ -585,11 +585,11 @@ def test_isotropy_holds_at_small_desk_scale():
 
 def test_isotropy_fails_on_a_short_threshold_or_a_nonzero_pair():
     result = isotropy_suite(5, 1, default_curve(5))
-    short = dataclasses.replace(result.threshold, threshold=4 * result.k + 2)
-    assert not dataclasses.replace(result, threshold=short).ok
+    short = replace(result.threshold, threshold=4 * result.k + 2)
+    assert not replace(result, threshold=short).ok
     index, n, r, _ = result.pair_values[0]
     nonzero = ((index, n, r, F(1, 7)),) + result.pair_values[1:]
-    assert not dataclasses.replace(result, pair_values=nonzero).ok
+    assert not replace(result, pair_values=nonzero).ok
 
 
 @pytest.mark.parametrize("genus", range(3, 10))
