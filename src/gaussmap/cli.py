@@ -315,7 +315,12 @@ def cmd_scan(args, cap: int, out) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("rank-table", "kernel", "verify", "rho", "scan")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with `only`, that subcommand's arguments
+    alone (the usage still names every subcommand)."""
     parser = argparse.ArgumentParser(
         prog="gaussmap",
         description=(
@@ -323,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
             "for the Gaussian maps of hyperelliptic curves."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def common(p, with_curve=True):
         p.add_argument("--g", help="genus N or range A..B")
@@ -337,71 +343,67 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", help="write output to this path")
 
-    p = sub.add_parser("rank-table", help="rank/kernel-dimension table")
-    common(p, with_curve=False)
-    p.add_argument("--k", type=int, help="restrict to one level")
-    p.add_argument(
-        "--format", choices=("csv", "json", "md"), default="csv"
-    )
-    p.set_defaults(handler=cmd_rank_table)
+    if only in (None, "rank-table"):
+        p = sub.add_parser("rank-table", help="rank/kernel-dimension table")
+        common(p, with_curve=False)
+        p.add_argument("--k", type=int, help="restrict to one level")
+        p.add_argument("--format", choices=("csv", "json", "md"), default="csv")
+        p.set_defaults(handler=cmd_rank_table)
 
-    p = sub.add_parser("kernel", help="canonical kernel basis at one level")
-    common(p, with_curve=False)
-    p.add_argument("--k", type=int, required=True, help="level of mu_2k")
-    p.add_argument(
-        "--method",
-        choices=("equations", "oracle", "both"),
-        default="equations",
-    )
-    p.add_argument("--format", choices=("json",), default="json")
-    p.set_defaults(handler=cmd_kernel)
+    if only in (None, "kernel"):
+        p = sub.add_parser("kernel", help="canonical kernel basis at one level")
+        common(p, with_curve=False)
+        p.add_argument("--k", type=int, required=True, help="level of mu_2k")
+        p.add_argument(
+            "--method", choices=("equations", "oracle", "both"), default="equations"
+        )
+        p.add_argument("--format", choices=("json",), default="json")
+        p.set_defaults(handler=cmd_kernel)
 
-    p = sub.add_parser("verify", help="run one theorem suite")
-    common(p)
-    p.add_argument(
-        "--theorem", required=True, choices=THEOREM_IDS, metavar="ID",
-        help=f"one of {', '.join(THEOREM_IDS)}",
-    )
-    p.add_argument("--k", type=int, help="restrict to one level")
-    p.add_argument("--samples", type=sample_count, help="random curves or directions")
-    p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
-    p.add_argument("--format", choices=("json", "md"), default="json")
-    p.set_defaults(handler=cmd_verify)
+    if only in (None, "verify"):
+        p = sub.add_parser("verify", help="run one theorem suite")
+        common(p)
+        p.add_argument(
+            "--theorem", required=True, choices=THEOREM_IDS, metavar="ID",
+            help=f"one of {', '.join(THEOREM_IDS)}",
+        )
+        p.add_argument("--k", type=int, help="restrict to one level")
+        p.add_argument("--samples", type=sample_count, help="random curves or directions")
+        p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
+        p.add_argument("--format", choices=("json", "md"), default="json")
+        p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("rho", help="one exact second-fundamental-form value")
-    common(p)
-    p.add_argument(
-        "--quadric",
-        required=True,
-        help='basis:i,j | kernel:k,index | JSON {"i,j": "p/q", ...}',
-    )
-    p.add_argument(
-        "--pair",
-        nargs=2,
-        type=int,
-        required=True,
-        metavar=("N", "R"),
-        help="odd Schiffer orders",
-    )
-    p.add_argument("--format", choices=("json",), default="json")
-    p.set_defaults(handler=cmd_rho)
+    if only in (None, "rho"):
+        p = sub.add_parser("rho", help="one exact second-fundamental-form value")
+        common(p)
+        p.add_argument(
+            "--quadric", required=True,
+            help='basis:i,j | kernel:k,index | JSON {"i,j": "p/q", ...}',
+        )
+        p.add_argument(
+            "--pair", nargs=2, type=int, required=True, metavar=("N", "R"),
+            help="odd Schiffer orders",
+        )
+        p.add_argument("--format", choices=("json",), default="json")
+        p.set_defaults(handler=cmd_rho)
 
-    p = sub.add_parser(
-        "scan", help="asymptotic classification of invariant directions"
-    )
-    common(p)
-    p.add_argument("--samples", type=sample_count, help="random directions per genus")
-    p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
-    p.add_argument("--format", choices=("json", "md"), default="json")
-    p.set_defaults(handler=cmd_scan)
+    if only in (None, "scan"):
+        p = sub.add_parser("scan", help="asymptotic classification of invariant directions")
+        common(p)
+        p.add_argument("--samples", type=sample_count, help="random directions per genus")
+        p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
+        p.add_argument("--format", choices=("json", "md"), default="json")
+        p.set_defaults(handler=cmd_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(only).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -33,8 +33,8 @@ does not use the power table. The module-level readers below are thin
 views of ``curve.jets``.
 
 `Jets.columns` is the integer jet store of the curve, read by every
-pairing, reduction vector and cross-check on it and by
-`canonical_derivatives`: jet column n = 2m has entries
+pairing and reduction vector on it and by `canonical_derivatives` (the
+x-chart cross-check reads Y, (sY)' and the rows through `Jets.lift`): jet column n = 2m has entries
 2 E^(m+1) n! row_i[m-i] gh_0^i over gh_0^(2m+1), read straight off the
 rows and reduced by one gcd, with no Fraction made; each odd column is
 checked to vanish.
@@ -240,6 +240,12 @@ class Jets:
             raise IdentityFailed(
                 f"x * G(x) = z^2 fails at z^{2 * n + 2}: the local solve is wrong"
             )
+
+    def lift(self, count: int) -> tuple[int, list[int], list[int], list[list[int]]]:
+        """gh_0 and the stored Y, (sY)' and rows [s^n] Y^i (sY)' (x = gh_0 s Y),
+        known through s^(count-1); the lists only grow and may run longer."""
+        self._extend(count)
+        return self._g0, self._y, self._dy, self._rows
 
     def x_w(self, count: int) -> tuple[Fraction, ...]:
         """w-coefficients of x, w^0 .. w^(count-1): E^n Y_(n-1) / gh_0^(2n-1)."""

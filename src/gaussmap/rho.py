@@ -27,10 +27,10 @@ prefix from being walked twice, and each licensed rho value is kept per
 (n, r) (a refused or failed evaluation is not kept, so it raises again on
 every call). The isotropy suite scans a whole level's family at once for
 its least threshold T, which forces every pair with n + r <= T to 0. The
-reduction vector and the x-chart cross-check read the same store: the
-W(a, b) products are summed as integers over one common denominator, and
-the functionals check the vector against their rho values by
-cross-multiplying. `derivative_sum`, `threshold_info` and `rho_pair` are
+reduction vector reads the same store: the W(a, b) products are summed as
+integers over one common denominator, and the functionals check the
+vector against their rho values by cross-multiplying. The x-chart
+cross-check reads the lift's integer series (`Jets.lift`). `derivative_sum`, `threshold_info` and `rho_pair` are
 one-call wrappers that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
@@ -61,6 +61,7 @@ from operator import mul
 
 from .curve import (
     Curve,
+    _convolve,
     canonical_derivatives,
     omega_derivatives,
     x_derivatives,
@@ -99,16 +100,17 @@ class SchifferIndex(Record):
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.n % 2 == 0:
-            raise InvalidIndex(
-                f"Schiffer order must be an odd positive integer, got {self.n}"
-            )
+        _odd_order(self.n)
 
 
 def _odd_order(n) -> int:
+    """The order of a `SchifferIndex`, or int(n) checked to be odd and positive."""
     if isinstance(n, SchifferIndex):
         return n.n
-    return SchifferIndex(int(n)).n
+    n = int(n)
+    if n < 1 or n % 2 == 0:
+        raise InvalidIndex(f"Schiffer order must be an odd positive integer, got {n}")
+    return n
 
 
 # -- the pairing matrix and licensed evaluation of rho ---------------------------
@@ -1070,21 +1072,9 @@ class Mu2CrossCheck(Record):
         )
 
 
-def _times(a: list[int], b: list[int], cap: int) -> list[int]:
-    """a * b for series known through their lengths, kept through the
-    truncation min(N_a + val(b), N_b + val(a)) but at most `cap` terms
-    (a valuation is the length if no nonzero term is known).
-
-    Capping both operands and the product at `cap` gives the product's
-    truncation capped at `cap` exactly, so nothing beyond `cap` is made.
-    Beyond its length a factor is unknown, but there it only meets known
-    zeros of the other factor, so it is padded with zeros.
-    """
-    val_a, val_b = (next((e for e, c in enumerate(s) if c), len(s)) for s in (a, b))
-    width = min(cap, len(a) + val_b, len(b) + val_a)
-    a = a[:width] + [0] * (width - len(a))
-    b = b[:width] + [0] * (width - len(b))
-    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(width)]
+def _product(a: list[int], b: list[int], width: int) -> list[int]:
+    """The first `width` coefficients of a * b, both known that far."""
+    return [_convolve(a, b, n) for n in range(width)]
 
 
 @lru_cache(maxsize=None)
@@ -1111,33 +1101,43 @@ def mu2_cross_check(
     Route one is the licensed derivative-pairing formula, on `pairings` if
     given (the Q_ij on this curve in order, as the isotropy suite's Ker mu_0
     family; anything else raises `InvalidIndex`). Route two composes the
-    x-chart representative of mu_2(Q) with x, times the frame x'^2 (x'/z)^2;
-    it must vanish at p and agree with sum c_ab e_a'' e_b (`Jets.z_rows`).
+    x-chart representative sum c_m x^m of mu_2(Q) with x, times the frame
+    x'^2 (x'/z)^2; it must vanish at p and agree with sum n_ab e_a'' e_b,
+    e_a = x^a x'/z (c_m and n_ab over the denominator of Q's tensor).
 
-    Every series is even in z, so it is made in w = z^2 (x from `Jets.x_w`,
-    the frame as w (x'/z)^4): the odd z-coefficients, 0 by construction, are
-    not compared. Both sides are integer dot products over the columns
-    x^m * frame (column m over x_den^(4+m), raised to the quadric's top
-    exponent) and the products e_a'' e_b, made once per curve by `_times` in
-    w up to z^order; `compared_orders` counts z-orders.
+    Every series is even in z and is made in the lift's variable
+    s = E w / gh_0^2, w = z^2, from `Jets.lift` (E = `Jets._scale`,
+    gh_0 = `Jets._g0`): x = gh_0 s Y, Y in Z[[s]], and R_a = Y^a (sY)'.
+    For every e < cap = (order + 1) // 2 it checks
+
+        sum_m 4 c_m gh_0^(m+2) [s^e] (s^(m+1) Y^m ((sY)')^4)
+            = sum_ab n_ab gh_0^(a+b) [s^e] (A_a B_b),
+
+    A_a[e] = (2e+2)(2e+1) R_a[e+1-a], B_b[e] = R_b[e-b] (0 at a negative
+    index). This is the w^e coefficient of the x-chart identity times the
+    nonzero constant (gh_0^2 / E)^e gh_0^4 / (4 E^3), so each verdict is the
+    same; the odd z-coefficients, 0 by construction, are not compared. The
+    x side reads Y and (sY)', the z side the rows; the columns x^m * frame
+    and the products e_a'' e_b are made once per curve, all at width cap.
+    `compared_orders` counts z-orders.
     """
     genus = curve.genus
     if order < 2:
         raise IndexOutOfRange(f"x'/z is not known at truncation order {order}")
-    cap = (order + 1) // 2  # w^e is z^(2e), compared for 2e < order
-    xs, x_den = numerators(curve.jets.x_w(cap))
-    slope = [2 * n * c for n, c in enumerate(xs)][1:]  # x'/z
-    square = _times(slope, slope, cap)
-    # x^m * frame for every exponent of a mu_2 polynomial (degree <= 2g-2)
-    columns = [([0] + _times(square, square, cap))[:cap]]
+    cap = (order + 1) // 2  # s^e is z^(2e), compared for 2e < order
+    curve.jets.columns(order + 1)  # checks the odd jet columns this far
+    g0, y, dy, rows = curve.jets.lift(cap + 1)
+    # x = gh_0 s Y and x^m * frame, frame = 4 gh_0^2 s (sY)'^4, for every
+    # exponent of a mu_2 polynomial (degree <= 2g-2)
+    xs = [0] + [g0 * c for c in y[: cap - 1]]
+    square = _product(dy, dy, cap - 1)
+    columns = [[0] + [4 * g0 * g0 * c for c in _product(square, square, cap - 1)]]
     for _ in range(2 * genus - 2):
-        columns.append(_times(columns[-1], xs, cap))
-    powers = [x_den**e for e in range(len(columns) + 4)]
-    rows, row_den = curve.jets.z_rows(order + 2)
-    second = [[(e + 2) * (e + 1) * row[e + 2] for e in range(0, order, 2)] for row in rows]
-    evens = [row[0:order:2] for row in rows]
+        columns.append(_product(columns[-1], xs, cap))
+    # e_a = (gh_0 s)^a R_a through s^cap (up to 2 gh_0 lambda), and e_a''
+    evens = [[g0**a * c for c in ([0] * a + row)[: cap + 1]] for a, row in enumerate(rows)]
+    second = [[(2 * e + 2) * (2 * e + 1) * even[e + 1] for e in range(cap)] for even in evens]
     products: dict[tuple[int, int], list[int]] = {}
-    product_den = row_den * row_den
     quads = _cross_check_quadrics(genus)
     if pairings is None:
         pairings = Pairing.family((q for q, _ in quads), curve)
@@ -1145,7 +1145,6 @@ def mu2_cross_check(
     if paired != [(q.tensor, curve.jets) for q, _ in quads]:
         raise InvalidIndex(f"the cross-check needs the Q_ij pairings on {curve.label()}")
     labels, rho_values, vanishes, agree = [], [], [], []
-    compared = cap
     for (q, poly), pairing in zip(quads, pairings):
         labels.append(q.label())
         with _licensed():
@@ -1154,22 +1153,12 @@ def mu2_cross_check(
         for a, b, coeff in q.tensor[0]:
             term = products.get((a, b))
             if term is None:
-                term = products[(a, b)] = _times(second[a], evens[b], cap)
+                term = products[(a, b)] = _product(second[a], evens[b], cap)
             terms.append((coeff, term))
-        limit = min([len(columns[m]) for m, _ in poly] + [len(t) for _, t in terms])
-        compared = min(compared, limit)
-        top = poly[-1][0]
-        scaled = [(columns[m], c * powers[top - m]) for m, c in poly]
-        composite = [sum(c * column[e] for column, c in scaled) for e in range(limit)]
-        zrep = [sum(c * term[e] for c, term in terms) for e in range(limit)]
-        # composite_e / x_den^(4+top) = zrep_e / product_den, both over Q's den
-        column_den = powers[4 + top]
+        composite = [sum(c * columns[m][e] for m, c in poly) for e in range(cap)]
         vanishes.append(composite[0] == 0)
-        agree.append(
-            all(composite[e] * product_den == zrep[e] * column_den for e in range(limit))
-        )
-    compared = min(order, 2 * compared)
-    if compared < 5:
+        agree.append(composite == [sum(c * term[e] for c, term in terms) for e in range(cap)])
+    if order < 5:
         raise InvalidIndex("cross-check order too small to be meaningful")
     return Mu2CrossCheck(
         genus=genus,
@@ -1178,5 +1167,5 @@ def mu2_cross_check(
         rho_values=tuple(rho_values),
         x_chart_vanishes=tuple(vanishes),
         frames_agree=tuple(agree),
-        compared_orders=compared,
+        compared_orders=order,
     )

@@ -558,3 +558,37 @@ def test_missing_required_flags_exit_two(capsys):
     capsys.readouterr()
     assert main(["verify", "--theorem", "T6.5"]) == 2  # no --g, no --curve
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["nope"],
+        ["verify"],
+        ["verify", "--bogus"],
+        ["verify", "--theorem", "T3.1", "--bogus"],
+        ["verify", "-h"],
+        ["scan", "--samples", "-1"],
+    ],
+)
+def test_the_subcommand_parser_prints_what_the_full_parser_prints(
+    capsys, monkeypatch, argv
+):
+    built = []
+    original = cli.build_parser
+
+    def recorded(only=None):
+        built.append(only)
+        return original(only)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    lazy = (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: original())
+    full = (main(argv), *capsys.readouterr())
+    assert lazy == full
+    assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+    if argv[:3] == ["verify", "--theorem", "T3.1"]:
+        # an unknown option is reported with the top-level usage
+        assert "usage: gaussmap [-h] {rank-table,kernel,verify,rho,scan} ...\n" in lazy[2]

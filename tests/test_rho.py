@@ -1106,28 +1106,39 @@ def test_handed_pairings_must_be_the_basis_quadrics_on_the_curve():
             mu2_cross_check(curve, pairings=wrong)
 
 
-@pytest.fixture
-def skewed_expansion(monkeypatch):
-    """Add 1/7 to the z^2 coefficient of alpha_0's frame function that the
-    z-chart representative reads through e_0'' and e_0."""
-    original = Jets.z_rows
+def skew_lift(monkeypatch, part):
+    """Add 1 at s^1 to a copy of one series that `Jets.lift` hands the
+    cross-check: Y or (sY)' (read by the x side) or the row R_0 (read by
+    the z side, where [s^1] R_0 carries the z^2 coefficient of alpha_0's
+    frame function through e_0'' and e_0). The jet store is left as it is."""
+    original = Jets.lift
 
     def skewed(jets, count):
-        rows, den = original(jets, count)
-        rows = [[7 * c for c in row] for row in rows]
-        rows[0][2] += den
-        return rows, 7 * den
+        g0, y, dy, rows = original(jets, count)
+        y, dy, rows = list(y), list(dy), [list(row) for row in rows]
+        {"Y": y, "(sY)'": dy, "R_0": rows[0]}[part][1] += 1
+        return g0, y, dy, rows
 
-    monkeypatch.setattr(Jets, "z_rows", skewed)
+    monkeypatch.setattr(Jets, "lift", skewed)
 
 
-def test_a_skewed_canonical_coefficient_breaks_the_frame_agreement(skewed_expansion):
+@pytest.fixture
+def skewed_expansion(monkeypatch):
+    skew_lift(monkeypatch, "R_0")
+
+
+@pytest.fixture(params=["Y", "(sY)'"])
+def skewed_x_side(monkeypatch, request):
+    skew_lift(monkeypatch, request.param)
+
+
+def assert_only_the_frames_disagree():
     result = mu2_cross_check(default_curve(4))
     assert False in result.frames_agree and not result.ok
     assert all(result.x_chart_vanishes) and not any(result.rho_values)
 
 
-def test_a_skewed_canonical_coefficient_is_a_failing_item(skewed_expansion, capsys):
+def assert_only_the_cross_check_item_fails(capsys):
     code = main(["verify", "--theorem", "T6.5", "--g", "4", "--samples", "0"])
     captured = capsys.readouterr()
     assert code == 1 and "Traceback" not in captured.err
@@ -1136,3 +1147,19 @@ def test_a_skewed_canonical_coefficient_is_a_failing_item(skewed_expansion, caps
         "g=4 x-chart cross-check of the first vanishing on "
         "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
     ]
+
+
+def test_a_skewed_canonical_coefficient_breaks_the_frame_agreement(skewed_expansion):
+    assert_only_the_frames_disagree()
+
+
+def test_a_skewed_canonical_coefficient_is_a_failing_item(skewed_expansion, capsys):
+    assert_only_the_cross_check_item_fails(capsys)
+
+
+def test_a_skewed_x_side_series_breaks_the_frame_agreement(skewed_x_side):
+    assert_only_the_frames_disagree()
+
+
+def test_a_skewed_x_side_series_is_a_failing_item(skewed_x_side, capsys):
+    assert_only_the_cross_check_item_fails(capsys)
