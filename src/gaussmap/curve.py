@@ -34,10 +34,10 @@ views of ``curve.jets``.
 
 `Jets.columns` is the integer jet store of the curve, read by every
 pairing and reduction vector on it and by `canonical_derivatives` (the
-x-chart cross-check reads Y, (sY)' and the rows through `Jets.lift`): jet column n = 2m has entries
-2 E^(m+1) n! row_i[m-i] gh_0^i over gh_0^(2m+1), read straight off the
-rows and reduced by one gcd, with no Fraction made; each odd column is
-checked to vanish.
+x-chart cross-check reads Y, (sY)' and the rows through `Jets.lift`):
+jet column n = 2m has entries 2 E^(m+1) n! row_i[m-i] gh_0^i over
+gh_0^(2m+1), read straight off the rows and reduced by one gcd, with no
+Fraction made; each odd column is checked to vanish.
 """
 
 from __future__ import annotations

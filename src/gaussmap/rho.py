@@ -28,10 +28,10 @@ prefix from being walked twice, and each licensed rho value is kept per
 every call). The isotropy suite scans a whole level's family at once for
 its least threshold T, which forces every pair with n + r <= T to 0. The
 reduction vector reads the same store: the W(a, b) products are summed as
-integers over one common denominator, and the functionals check the
-vector against their rho values by cross-multiplying. The x-chart
-cross-check reads the lift's integer series (`Jets.lift`). `derivative_sum`, `threshold_info` and `rho_pair` are
-one-call wrappers that build a fresh `Pairing`.
+integers over one common denominator, and the functionals check the vector
+against their rho values by cross-multiplying; the x-chart cross-check
+reads the lift's series (`Jets.lift`). `derivative_sum`, `threshold_info`
+and `rho_pair` are one-call wrappers that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
