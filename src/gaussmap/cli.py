@@ -1,20 +1,23 @@
 """Command-line harness for the exact Gaussian-map computations.
 
-Subcommands: `rank-table`, `kernel`, `verify`, `rho`, `scan`.  Output goes
-to stdout (or `--out PATH`) and is byte-identical across reruns of the same
-configuration; wall-clock timing is printed to stderr only.  Exit codes:
-0 = all checks pass (a BeyondThreshold payload from `rho` is a legitimate
-outcome, still 0), 1 = some check was falsified, 2 = usage error.
+Subcommands: `rank-table`, `kernel`, `verify`, `rho`, `scan`, with options
+declared once in `COMMANDS`: `parse_strict` reads well-formed calls, and the
+argparse parser built from it (imported only then) all others and every help
+text and usage error.  Output goes to stdout (or `--out PATH`) and is
+byte-identical across reruns of the same configuration; wall-clock timing is
+printed to stderr only.  Exit codes: 0 = all checks pass (a BeyondThreshold
+payload from `rho` is a legitimate outcome, still 0), 1 = some check was
+falsified, 2 = usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .curve import Curve, curve_from_json, default_curve, new_curve
 from .errors import BeyondThreshold, Falsified, GaussmapError
@@ -64,6 +67,8 @@ def sample_count(text: str) -> int:
     """A `--samples` value: a non-negative integer (0 draws none)."""
     count = int(text)
     if count < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must not be negative, got {count}")
     return count
 
@@ -155,8 +160,6 @@ def cmd_rank_table(args, cap: int, out) -> int:
         genus_min=lo,
         genus_max=hi,
         k=args.k,
-        samples=None,
-        seed=None,
         output_format=args.format,
         output_path=args.out,
     )
@@ -220,20 +223,24 @@ def cmd_kernel(args, cap: int, out) -> int:
     return 0 if agree else 1
 
 
-def cmd_verify(args, cap: int, out) -> int:
+def cmd_report(args, cap: int, out) -> int:
+    """`verify` (one theorem suite) and `scan`: a report, its time on stderr."""
     lo, hi, curve, source = resolve_scope(args, cap)
     config = RunConfig(
-        command="verify",
+        command=args.command,
         genus_min=lo,
         genus_max=hi,
-        k=args.k,
+        k=getattr(args, "k", None),
         curve_source=source,
         samples=args.samples,
         seed=args.seed,
         output_format=args.format,
         output_path=args.out,
     )
-    report = verify_theorem(args.theorem, config, curve)
+    if args.command == "scan":
+        report = scan_report(config, curve)
+    else:
+        report = verify_theorem(args.theorem, config, curve)
     out.write(report.render(args.format).decode())
     if report.timing_seconds is not None:
         print(f"# elapsed {report.timing_seconds:.3f}s", file=sys.stderr)
@@ -283,44 +290,66 @@ def cmd_rho(args, cap: int, out) -> int:
         "curve_source": source,
     }
     try:
-        value = rho_pair(quadric, curve, n, r)
+        base.update(rho_pair(quadric, curve, n, r).to_json())
     except BeyondThreshold as exc:
         base["error"] = exc.payload()
-        out.write(canonical_json_bytes(base).decode())
-        return 0
-    base.update(value.to_json())
     out.write(canonical_json_bytes(base).decode())
     return 0
-
-
-def cmd_scan(args, cap: int, out) -> int:
-    lo, hi, curve, source = resolve_scope(args, cap)
-    config = RunConfig(
-        command="scan",
-        genus_min=lo,
-        genus_max=hi,
-        curve_source=source,
-        samples=args.samples,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
-    )
-    report = scan_report(config, curve)
-    out.write(report.render(args.format).decode())
-    if report.timing_seconds is not None:
-        print(f"# elapsed {report.timing_seconds:.3f}s", file=sys.stderr)
-    return 0 if report.passed else 1
 
 
 # -- argument parsing --------------------------------------------------------------
 
 
-COMMANDS = ("rank-table", "kernel", "verify", "rho", "scan")
+G = ("--g", {"help": "genus N or range A..B"})
+CURVE = ("--curve", {"help": "branch points: JSON file, inline JSON object, or "
+                             "comma-separated rationals starting with 0"})
+OUT = ("--out", {"help": "write output to this path"})
+K = ("--k", {"type": int, "help": "restrict to one level"})
+SEED = ("--seed", {"type": int, "help": "PRNG seed (recorded)"})
+REPORT = ("--format", {"choices": ("json", "md"), "default": "json"})
+JSON = ("--format", {"choices": ("json",), "default": "json"})
+
+# subcommand -> (help, handler, options as (flag, `add_argument` keywords)):
+# the one option table, which both parsers below read
+COMMANDS = {
+    "rank-table": ("rank/kernel-dimension table", cmd_rank_table, (
+        G, OUT, K, ("--format", {"choices": ("csv", "json", "md"), "default": "csv"}),
+    )),
+    "kernel": ("canonical kernel basis at one level", cmd_kernel, (
+        G, OUT, ("--k", {"type": int, "required": True, "help": "level of mu_2k"}),
+        ("--method", {"choices": ("equations", "oracle", "both"),
+                      "default": "equations"}),
+        JSON,
+    )),
+    "verify": ("run one theorem suite", cmd_report, (
+        G, CURVE, OUT,
+        ("--theorem", {"required": True, "choices": THEOREM_IDS, "metavar": "ID",
+                       "help": f"one of {', '.join(THEOREM_IDS)}"}),
+        K, ("--samples", {"type": sample_count, "help": "random curves or directions"}),
+        SEED, REPORT,
+    )),
+    "rho": ("one exact second-fundamental-form value", cmd_rho, (
+        G, CURVE, OUT,
+        ("--quadric", {"required": True, "help": (
+            'basis:i,j | kernel:k,index | JSON {"i,j": "p/q", ...}')}),
+        ("--pair", {"nargs": 2, "type": int, "required": True, "metavar": ("N", "R"),
+                    "help": "odd Schiffer orders"}),
+        JSON,
+    )),
+    "scan": ("asymptotic classification of invariant directions", cmd_report, (
+        G, CURVE, OUT,
+        ("--samples", {"type": sample_count, "help": "random directions per genus"}),
+        SEED, REPORT,
+    )),
+}
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; with `only`, that subcommand's arguments
-    alone (the usage still names every subcommand)."""
+    """The argparse parser of `COMMANDS`, the one renderer of help texts and
+    usage errors; with `only`, that subcommand's arguments alone (the usage
+    still names every subcommand)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gaussmap",
         description=(
@@ -330,93 +359,64 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def common(p, with_curve=True):
-        p.add_argument("--g", help="genus N or range A..B")
-        if with_curve:
-            p.add_argument(
-                "--curve",
-                help=(
-                    "branch points: JSON file, inline JSON object, or "
-                    "comma-separated rationals starting with 0"
-                ),
-            )
-        p.add_argument("--out", help="write output to this path")
-
-    if only in (None, "rank-table"):
-        p = sub.add_parser("rank-table", help="rank/kernel-dimension table")
-        common(p, with_curve=False)
-        p.add_argument("--k", type=int, help="restrict to one level")
-        p.add_argument("--format", choices=("csv", "json", "md"), default="csv")
-        p.set_defaults(handler=cmd_rank_table)
-
-    if only in (None, "kernel"):
-        p = sub.add_parser("kernel", help="canonical kernel basis at one level")
-        common(p, with_curve=False)
-        p.add_argument("--k", type=int, required=True, help="level of mu_2k")
-        p.add_argument(
-            "--method", choices=("equations", "oracle", "both"), default="equations"
-        )
-        p.add_argument("--format", choices=("json",), default="json")
-        p.set_defaults(handler=cmd_kernel)
-
-    if only in (None, "verify"):
-        p = sub.add_parser("verify", help="run one theorem suite")
-        common(p)
-        p.add_argument(
-            "--theorem", required=True, choices=THEOREM_IDS, metavar="ID",
-            help=f"one of {', '.join(THEOREM_IDS)}",
-        )
-        p.add_argument("--k", type=int, help="restrict to one level")
-        p.add_argument("--samples", type=sample_count, help="random curves or directions")
-        p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
-        p.add_argument("--format", choices=("json", "md"), default="json")
-        p.set_defaults(handler=cmd_verify)
-
-    if only in (None, "rho"):
-        p = sub.add_parser("rho", help="one exact second-fundamental-form value")
-        common(p)
-        p.add_argument(
-            "--quadric", required=True,
-            help='basis:i,j | kernel:k,index | JSON {"i,j": "p/q", ...}',
-        )
-        p.add_argument(
-            "--pair", nargs=2, type=int, required=True, metavar=("N", "R"),
-            help="odd Schiffer orders",
-        )
-        p.add_argument("--format", choices=("json",), default="json")
-        p.set_defaults(handler=cmd_rho)
-
-    if only in (None, "scan"):
-        p = sub.add_parser("scan", help="asymptotic classification of invariant directions")
-        common(p)
-        p.add_argument("--samples", type=sample_count, help="random directions per genus")
-        p.add_argument("--seed", type=int, help="PRNG seed (recorded)")
-        p.add_argument("--format", choices=("json", "md"), default="json")
-        p.set_defaults(handler=cmd_scan)
-
+    for name, (help_text, handler, options) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, spec in options:
+                p.add_argument(flag, **spec)
+            p.set_defaults(handler=handler)
     return parser
+
+
+def parse_strict(argv: list[str]) -> SimpleNamespace | None:
+    """`build_parser().parse_args(argv)`, same `vars()`, for a subcommand and
+    whole `--flag value` groups: flags in full and once each, no value starting
+    with "-", values through `type` and `choices`, every required flag given.
+    Anything else is None, and argparse parses, accepts or reports it."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, options = COMMANDS[argv[0]]
+    table, given, at = dict(options), {}, 1
+    while at < len(argv):
+        flag, spec = argv[at], table.get(argv[at], {})
+        width = spec.get("nargs", 1)
+        values = argv[at + 1:at + 1 + width]
+        if not spec or flag in given or len(values) < width:
+            return None
+        if any(value.startswith("-") for value in values):
+            return None
+        try:
+            values = [spec.get("type", str)(value) for value in values]
+        except Exception:
+            return None
+        if "choices" in spec and values[0] not in spec["choices"]:
+            return None
+        given[flag] = values if "nargs" in spec else values[0]
+        at += 1 + width
+    if any(spec.get("required") and flag not in given for flag, spec in options):
+        return None
+    dests = {flag[2:]: given.get(flag, spec.get("default")) for flag, spec in options}
+    return SimpleNamespace(command=argv[0], **dests, handler=handler)
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    try:
-        args = build_parser(only).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = parse_strict(argv)
+    if args is None:
+        only = argv[0] if argv and argv[0] in COMMANDS else None
+        try:
+            args = build_parser(only).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         cap = hard_genus_cap()
         with open_output(args.out) as out:
             code = args.handler(args, cap, out)
-    except UsageError as exc:
-        print(f"gaussmap: error: {exc}", file=sys.stderr)
-        return 2
     except Falsified as exc:
         print(f"gaussmap: falsified: {exc}", file=sys.stderr)
         return 1
-    except GaussmapError as exc:
+    except (UsageError, GaussmapError) as exc:
         print(f"gaussmap: error: {exc}", file=sys.stderr)
         return 2
     print(

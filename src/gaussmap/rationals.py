@@ -9,6 +9,8 @@ No floats appear anywhere.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -17,21 +19,39 @@ from .errors import InvalidIndex
 Rational = Fraction
 
 
+def int_to_string(n: int) -> str:
+    """`str(n)` for an integer of any size: `str` refuses more digits than
+    `sys.get_int_max_str_digits()` (4,300 by default, never below 640, which no
+    2,000-bit integer has), so a longer one is split at about half its digits."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    half = n.bit_length() * 3 // 20
+    high, low = divmod(abs(n), 10**half)
+    return ("-" if n < 0 else "") + int_to_string(high) + int_to_string(low).zfill(half)
+
+
 def rat_to_string(value: Fraction) -> str:
     """Serialize a rational as ``"p"`` (integral) or ``"p/q"`` (reduced)."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return int_to_string(value.numerator)
+    return f"{int_to_string(value.numerator)}/{int_to_string(value.denominator)}"
 
 
 def rat_from_string(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` into an exact rational."""
+    """Parse ``"p"`` or ``"p/q"`` into an exact rational; an error names an
+    integer too long for the interpreter by its digit count."""
     text = text.strip()
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidIndex(f"not a rational literal: {text!r}") from exc
+        shown = repr(text if len(text) <= 40 else text[:20] + "...")
+        digits = max(map(len, re.findall(r"\d+", text)), default=0)
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none (< 3.10.7)
+        if limit and digits > limit:
+            raise InvalidIndex(f"rational literal {shown} has {digits} digits, "
+                               f"over the limit of {limit}") from None
+        raise InvalidIndex(f"not a rational literal: {shown}") from exc
 
 
 def as_rational(value) -> Fraction:

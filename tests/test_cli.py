@@ -1,12 +1,19 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussmap.cli as cli
 import gaussmap.gaussian as gaussian
@@ -14,7 +21,9 @@ import gaussmap.rho as rho
 from gaussmap.cli import main
 from gaussmap.curve import Jets
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+ELAPSED = re.compile(r"# (total )?elapsed [0-9.]+s\n")
 
 
 def run(capsys, *argv):
@@ -571,6 +580,14 @@ def test_missing_required_flags_exit_two(capsys):
         ["verify", "--theorem", "T3.1", "--bogus"],
         ["verify", "-h"],
         ["scan", "--samples", "-1"],
+        ["verify", "--the", "T3.1", "--g", "3"],
+        ["verify", "--g=3", "--theorem", "T3.1"],
+        ["verify", "--theorem", "T3.1", "--g", "3", "--g", "4"],
+        ["scan", "--seed", "-1", "--g", "6"],
+        ["scan", "--samples", " -1", "--g", "6"],
+        ["rho", "--g", "3", "--pair", "1"],
+        ["verify", "--theorem", "T9.9", "--g", "3"],
+        ["kernel", "--g", "5"],
     ],
 )
 def test_the_subcommand_parser_prints_what_the_full_parser_prints(
@@ -583,12 +600,110 @@ def test_the_subcommand_parser_prints_what_the_full_parser_prints(
         built.append(only)
         return original(only)
 
+    def untimed(code, out, err):
+        return code, out, ELAPSED.sub("", err)
+
     monkeypatch.setattr(cli, "build_parser", recorded)
-    lazy = (main(argv), *capsys.readouterr())
+    lazy = untimed(main(argv), *capsys.readouterr())
     monkeypatch.setattr(cli, "build_parser", lambda only=None: original())
-    full = (main(argv), *capsys.readouterr())
+    full = untimed(main(argv), *capsys.readouterr())
     assert lazy == full
     assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
-    if argv[:3] == ["verify", "--theorem", "T3.1"]:
+    if argv == ["verify", "--theorem", "T3.1", "--bogus"]:
         # an unknown option is reported with the top-level usage
         assert "usage: gaussmap [-h] {rank-table,kernel,verify,rho,scan} ...\n" in lazy[2]
+
+
+# -- the strict parser against argparse ---------------------------------------------
+
+
+def argparse_vars(argv):
+    """`vars()` of the full argparse parser's result, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag, _ in options})
+VALUES = ["3", "3..5", "-1", " 7", "", "T3.1", "md", "x", "5", "json", "both", "basis:1,2"]
+TOKENS = FLAGS + ["-h", "--help", "--the", "--g=5", "--"] + VALUES
+
+
+def assert_agrees(argv):
+    strict, full = cli.parse_strict(argv), argparse_vars(argv)
+    if full is None:
+        assert strict is None, argv
+    elif strict is not None:
+        assert vars(strict) == full, argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from([*cli.COMMANDS, "nope", "-h"]),
+    rest=st.lists(st.sampled_from(TOKENS), max_size=9),
+)
+def test_the_strict_parser_reads_what_argparse_reads_or_declines(command, rest):
+    assert_agrees([command, *rest])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(list(cli.COMMANDS)),
+    groups=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(VALUES)), max_size=6),
+)
+def test_flag_value_groups_are_read_like_argparse(command, groups):
+    options = cli.COMMANDS[command][2]
+    argv = [command]
+    for index, value in groups:
+        flag, spec = options[index % len(options)]
+        argv += [flag, *[value] * spec.get("nargs", 1)]
+    assert_agrees(argv)
+
+
+def well_formed_calls():
+    """Every benchmark unit, golden and digest call, and README example."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import run as bench_run
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    import test_golden
+
+    calls = [
+        list(unit.argv)
+        for workload in bench_run.WORKLOADS.values()
+        for seed in (0, 13)
+        for unit in workload.units(seed)
+    ]
+    calls += [command.split() for runs in test_golden.DIGEST_RUNS.values() for command in runs]
+    calls += [list(argv) for argv in test_golden.cli_calls().values()]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    calls += [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("gaussmap ")]
+    return calls
+
+
+def test_the_strict_parser_reads_every_documented_and_benchmarked_call():
+    calls = well_formed_calls()
+    assert len(calls) > 80
+    for argv in calls:
+        strict = cli.parse_strict(argv)
+        assert strict is not None, argv
+        assert vars(strict) == argparse_vars(argv), argv
+
+
+def test_an_over_long_rational_literal_names_its_length(capsys):
+    literal = "1" * 5000
+    code, out, err = run(
+        capsys, "rho", "--curve", f"0,{literal},2,3,4,5,6,7",
+        "--quadric", "basis:1,2", "--pair", "1", "1",
+    )
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    assert code == 2 and out == ""
+    assert f"has 5000 digits, over the limit of {limit}" in err
+    assert len(err) < 200 and literal not in err

@@ -12,8 +12,10 @@ stdout SHA-256 of every theorem suite and a scan at genus 8..12 (checked
 here), and of ``T6.5`` at genus 15, 20, 25 and 30, ``T6.6`` and ``T6.9``
 at genus 15, ``L3.4`` and ``L6.2`` at genus 20 and 25, ``L3.4`` at genus
 30, ``T3.1`` at genus 20, 30, 40 and 50, ``R4.1`` at genus 20, 30 and 40,
-and ``T6.12`` (20 samples) at genus 15 and 20 past the default cap
-(checked in ``test_frontier.py``).
+``T6.12`` (20 samples) at genus 15 and 20, and ``T6.12`` and a scan (5
+samples) at genus 38 past the default cap (checked in ``test_frontier.py``;
+the genus-38 digests were first written by the change that let integers of
+over 4,300 digits print, since the code before it exited 1 on them).
 Reruns of one build are
 already checked to agree elsewhere; these files also catch a change that
 alters an answer the same way on every run.
@@ -81,7 +83,8 @@ DIGEST_RUNS = {
     + tuple(f"verify --theorem R4.1 --g {genus}" for genus in (20, 30, 40))
     + tuple(
         f"verify --theorem T6.12 --g {genus} --samples 20" for genus in (15, 20)
-    ),
+    )
+    + ("verify --theorem T6.12 --g 38 --samples 5", "scan --g 38 --samples 5"),
 }
 FRONTIER_CAP = "60"
 
@@ -123,25 +126,30 @@ def functionals_json():
     return json.dumps(table, indent=1, sort_keys=True) + "\n"
 
 
-def cases():
-    """Golden file name -> zero-argument function producing its text."""
-    out = {"rank-table_g3-12.csv": lambda: cli_stdout("rank-table", "--g", "3..12")}
+def cli_calls():
+    """Golden file name -> the CLI call whose stdout it holds."""
+    calls = {"rank-table_g3-12.csv": ("rank-table", "--g", "3..12")}
     for k in range(max_level(KERNEL_GENUS) + 1):
         argv = ("kernel", "--g", str(KERNEL_GENUS), "--k", str(k), "--method", "both")
-        out[f"kernel_g{KERNEL_GENUS}_k{k}.json"] = lambda argv=argv: cli_stdout(*argv)
+        calls[f"kernel_g{KERNEL_GENUS}_k{k}.json"] = argv
+    for theorem in THEOREMS:
+        tag = THEOREM_GENERA.replace("..", "-")
+        calls[f"verify_{theorem}_g{tag}.json"] = (
+            "verify", "--theorem", theorem, "--g", THEOREM_GENERA
+        )
+    calls["scan_g6_seed7.json"] = SCAN
+    for tag, genus, quadric, pair in RHO_CASES:
+        calls[f"rho_{tag}.json"] = ("rho", "--g", genus, "--quadric", quadric, "--pair", *pair)
+    tag, curve, quadric, pair = RHO_CURVE
+    calls[f"rho_{tag}.json"] = ("rho", "--curve", curve, "--quadric", quadric, "--pair", *pair)
+    return calls
+
+
+def cases():
+    """Golden file name -> zero-argument function producing its text."""
+    out = {name: lambda argv=argv: cli_stdout(*argv) for name, argv in cli_calls().items()}
     out["odd_kernels_g3-9.json"] = odd_kernels_json
     out["functionals_g3-9.json"] = functionals_json
-    for theorem in THEOREMS:
-        argv = ("verify", "--theorem", theorem, "--g", THEOREM_GENERA)
-        tag = THEOREM_GENERA.replace("..", "-")
-        out[f"verify_{theorem}_g{tag}.json"] = lambda argv=argv: cli_stdout(*argv)
-    out["scan_g6_seed7.json"] = lambda: cli_stdout(*SCAN)
-    for tag, genus, quadric, pair in RHO_CASES:
-        argv = ("rho", "--g", genus, "--quadric", quadric, "--pair", *pair)
-        out[f"rho_{tag}.json"] = lambda argv=argv: cli_stdout(*argv)
-    tag, curve, quadric, pair = RHO_CURVE
-    argv = ("rho", "--curve", curve, "--quadric", quadric, "--pair", *pair)
-    out[f"rho_{tag}.json"] = lambda argv=argv: cli_stdout(*argv)
     return out
 
 

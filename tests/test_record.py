@@ -1,4 +1,5 @@
-"""`gaussmap.record.Record` against `dataclasses`, and the cold import.
+"""`gaussmap.record.Record` against `dataclasses`, and the cold import and
+calls, which load neither `dataclasses` nor `argparse`.
 
 The reference implementation lives here: `Twin` is the
 `@dataclass(frozen=True)` form of the `Sample` record, and every record
@@ -146,8 +147,24 @@ def test_real_records_keep_their_dataclass_behaviour():
         QuadricI2(genus=5, a_coords=(Fraction(1),) * 5)
 
 
+WELL_FORMED = (
+    ["verify", "--theorem", "T3.1", "--g", "3"],
+    ["scan", "--g", "4", "--samples", "2", "--seed", "1"],
+    ["rank-table", "--g", "3..4"],
+    ["kernel", "--g", "5", "--k", "1"],
+    ["rho", "--g", "3", "--quadric", "basis:1,2", "--pair", "1", "3"],
+)
+
+
 def test_the_cli_imports_without_dataclasses_inspect_or_generated_code():
-    probe = "import sys, json, gaussmap.cli; print(json.dumps(sorted(sys.modules)))"
+    # well-formed calls are read without argparse, which loads gettext and locale
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from gaussmap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {WELL_FORMED!r}]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
@@ -155,8 +172,9 @@ def test_the_cli_imports_without_dataclasses_inspect_or_generated_code():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert not loaded & {"dataclasses", "inspect"}
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(WELL_FORMED)
+    assert not set(loaded) & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     banned = re.compile(r"\b(exec|compile|eval)\(|^\s*(import|from)\s+dataclasses\b", re.M)
     offenders = [
         path.name for path in sorted(PACKAGE.rglob("*.py")) if banned.search(path.read_text())
