@@ -30,7 +30,7 @@ from .gaussian import (
     rank_table,
 )
 from .quadrics import basis_quadric, quadric_from_a, vector_to_json
-from .rationals import rat_from_string
+from .rationals import bounded_repr, check_digits, int_from_string, rat_from_string
 from .reports import (
     RunConfig,
     VerificationReport,
@@ -81,9 +81,8 @@ def parse_genus_range(text: str, cap: int) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise UsageError(
-            f"--g expects N or A..B with integers, got {text!r}"
-        ) from None
+        check_digits(text, "--g value")
+        raise UsageError(f"--g expects N or A..B with integers, got {bounded_repr(text)}") from None
     if lo < 3:
         raise UsageError(f"genus must be at least 3, got {lo}")
     if lo > hi:
@@ -100,10 +99,10 @@ def parse_curve_argument(value: str) -> Curve:
     try:
         if os.path.isfile(value):
             with open(value, encoding="utf-8") as handle:
-                return curve_from_json(json.load(handle))
+                return curve_from_json(json.load(handle, parse_int=int_from_string))
         stripped = value.strip()
         if stripped.startswith("{"):
-            return curve_from_json(json.loads(stripped))
+            return curve_from_json(json.loads(stripped, parse_int=int_from_string))
         points = [rat_from_string(tok.strip()) for tok in stripped.split(",")]
         return new_curve(points)
     except (GaussmapError, ValueError, json.JSONDecodeError) as exc:
@@ -251,18 +250,18 @@ def parse_quadric_argument(spec: str, genus: int):
     try:
         if spec.startswith("basis:"):
             i_text, j_text = spec[len("basis:"):].split(",", 1)
-            return basis_quadric(genus, int(i_text), int(j_text))
+            return basis_quadric(genus, int_from_string(i_text), int_from_string(j_text))
         if spec.startswith("kernel:"):
             k_text, idx_text = spec[len("kernel:"):].split(",", 1)
-            level = kernel_via_equations(genus).level(int(k_text))
-            index = int(idx_text)
+            level = kernel_via_equations(genus).level(int_from_string(k_text))
+            index = int_from_string(idx_text)
             if not 0 <= index < len(level.basis):
                 raise UsageError(
                     f"kernel basis index {index} outside "
                     f"0..{len(level.basis) - 1}"
                 )
             return level.quadrics[index]
-        entries = json.loads(spec)
+        entries = json.loads(spec, parse_int=int_from_string)
         if not isinstance(entries, dict) or not entries:
             raise UsageError(
                 "a-coordinate quadric JSON must be a nonempty object"
@@ -271,7 +270,7 @@ def parse_quadric_argument(spec: str, genus: int):
     except UsageError:
         raise
     except (GaussmapError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad --quadric value {spec!r}: {exc}") from None
+        raise UsageError(f"bad --quadric value {bounded_repr(spec)}: {exc}") from None
 
 
 def cmd_rho(args, cap: int, out) -> int:

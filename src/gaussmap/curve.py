@@ -29,15 +29,17 @@ so Y in Z[[s]] and Y_n = -sum_{m=1}^{min(2g+1, n)} c_m [s^(n-m)] Y^(m+1)
 its powers and these integer rows one coefficient at a time from stored
 state, so a larger order never restarts the solve; each new coefficient
 is also checked against x * G(x) = w through a Horner evaluation that
-does not use the power table. The module-level readers below are thin
-views of ``curve.jets``.
+does not use the power table.
 
-`Jets.columns` is the integer jet store of the curve, read by every
-pairing and reduction vector on it and by `canonical_derivatives` (the
-x-chart cross-check reads Y, (sY)' and the rows through `Jets.lift`):
-jet column n = 2m has entries 2 E^(m+1) n! row_i[m-i] gh_0^i over
-gh_0^(2m+1), read straight off the rows and reduced by one gcd, with no
-Fraction made; each odd column is checked to vanish.
+`Jets` holds integers only and is read three ways. `Jets.columns` is the
+integer jet store, read by every pairing and reduction vector and by
+`canonical_derivatives`: column n = 2m has entries 2 E^(m+1) n!
+row_i[m-i] gh_0^i over gh_0^(2m+1), reduced by one gcd; each odd column
+is checked to vanish. `Jets.z_rows` views it as z-coefficients over one
+denominator (`cup_rank`). `Jets.lift` hands out Y, (sY)' and the rows to
+`x_derivatives` and the x-chart cross-check. `omega_derivatives` is the
+canonical table shifted by two orders; `x_of_z`, `expand_canonical` and
+`expand_omega` read their series off these jet tables.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import (
     InvalidIndex,
     TooFewBranchPoints,
 )
-from .rationals import as_rational, numerators, rat_to_string
+from .rationals import as_rational, int_from_string, numerators, rat_to_string
 from .record import Record
 from .series import TruncatedSeries
 
@@ -148,17 +150,13 @@ def random_curve(genus: int, rng) -> Curve:
 
 def curve_from_json(data) -> Curve:
     if isinstance(data, str):
-        data = json.loads(data)
+        data = json.loads(data, parse_int=int_from_string)
     if not isinstance(data, dict) or "branch_points" not in data:
         raise InvalidIndex('curve JSON must be an object with "branch_points"')
     return new_curve(data["branch_points"])
 
 
-
-
 # -- local expansions -------------------------------------------------------
-
-ZERO = Fraction(0)
 
 
 def _hensel_weights(ghat: list[int]) -> tuple[int, ...]:
@@ -178,9 +176,9 @@ class Jets:
     The integer state (Y, its powers Y^0..Y^(2g+2), the canonical rows
     [s^m] Y^i (sY)' and the Horner stages of the residual check) grows one
     coefficient at a time; a power Y^k with k >= g, read only by the lift,
-    is kept through s^(n+2-k) once Y_n is known. The Fractions of x and the
-    integer jet columns (`columns`), from which every canonical and omega
-    table is read, are kept, so each table is a prefix of any later one.
+    is kept through s^(n+2-k) once Y_n is known. The reduced integer jet
+    columns (`columns`) are kept too, so each table is a prefix of any
+    later one. No Fraction is kept.
     """
 
     def __init__(self, curve: Curve) -> None:
@@ -195,7 +193,6 @@ class Jets:
         self._powers: list[list[int]] = [[] for _ in range(len(ghat) + 1)]
         self._horner: list[list[int]] = [[] for _ in ghat]
         self._rows: list[list[int]] = [[] for _ in range(curve.genus)]
-        self._x: list[Fraction] = []
         self._num: list[tuple[int, ...]] = []
         self._den: list[int] = []
 
@@ -247,23 +244,6 @@ class Jets:
         self._extend(count)
         return self._g0, self._y, self._dy, self._rows
 
-    def x_w(self, count: int) -> tuple[Fraction, ...]:
-        """w-coefficients of x, w^0 .. w^(count-1): E^n Y_(n-1) / gh_0^(2n-1)."""
-        out = self._x
-        if len(out) < count:
-            self._extend(count - 1)
-            for n in range(len(out), count):
-                out.append(
-                    ZERO if n == 0 else
-                    Fraction(self._scale**n * self._y[n - 1], self._g0 ** (2 * n - 1))
-                )
-        return tuple(out[:count])
-
-    def canonical_w(self, count: int) -> tuple[tuple[Fraction, ...], ...]:
-        """w-coefficients of x^i x'/z, i = 0..g-1, w^0 .. w^(count-1)."""
-        rows, den = self.z_rows(2 * count - 1)
-        return tuple(tuple(Fraction(c, den) for c in row[::2]) for row in rows)
-
     def z_rows(self, count: int) -> tuple[list[list[int]], int]:
         """The z^0 .. z^(count-1) coefficients (jet n over n!) of x^i x'/z,
         i = 0..g-1, as integer rows over one denominator, from `columns`."""
@@ -312,26 +292,16 @@ class Jets:
         return num, den
 
 
-def _jets(coeffs_w, max_order: int) -> tuple[Fraction, ...]:
-    """The z-derivatives at 0, orders 0..max_order, of the even series with
-    these w-coefficients."""
-    return tuple(
-        ZERO if h % 2 else coeffs_w[h // 2] * factorial(h) for h in range(max_order + 1)
-    )
-
-
-def _z_series(coeffs_w, order: int) -> TruncatedSeries:
-    """The even z-series with these w-coefficients, truncated at z^order."""
-    coeffs = [ZERO] * order
-    coeffs[::2] = coeffs_w[: (order + 1) // 2]
-    return TruncatedSeries.make(coeffs, order)
+def _from_jets(jets, order: int) -> TruncatedSeries:
+    """The z-series with these jets at 0, truncated at z^order."""
+    return TruncatedSeries.make((jets[h] / factorial(h) for h in range(order)), order)
 
 
 def x_of_z(curve: Curve, order: int) -> TruncatedSeries:
     """The even series x(z) to the requested z-truncation order."""
     if order < 1:
         raise IndexOutOfRange("order must be positive")
-    return _z_series(curve.jets.x_w((order + 1) // 2), order)
+    return _from_jets(x_derivatives(curve, order - 1), order)
 
 
 class LocalFrameExpansion(Record):
@@ -350,9 +320,9 @@ def expand_canonical(curve: Curve, i: int, order: int) -> LocalFrameExpansion:
         raise IndexOutOfRange(f"canonical index {i} outside 0..{genus - 1}")
     if order < 2 * i + 1:
         raise IndexOutOfRange("order too small to exhibit the vanishing order")
-    row = curve.jets.canonical_w((order + 1) // 2)[i]
+    row = canonical_derivatives(curve, order - 1)[i]
     return LocalFrameExpansion(
-        frame="dz", index=i, valuation=2 * i, series=_z_series(row, order)
+        frame="dz", index=i, valuation=2 * i, series=_from_jets(row, order)
     )
 
 
@@ -361,20 +331,18 @@ def expand_omega(curve: Curve, k: int, order: int) -> LocalFrameExpansion:
 
     omega_k = x^{g-k} dx/y carries a double zero at each point over
     x = infinity; its local function in the frame z^2 dz is
-    x^{g-k} x'/z^3, of exact order 2g-2k-2: row g-k of the canonical
-    table shifted down by one power of w.
+    x^{g-k} x'/z^3, of exact order 2g-2k-2.
     """
     genus = curve.genus
     if not 1 <= k <= genus - 1:
         raise IndexOutOfRange(f"omega index {k} outside 1..{genus - 1}")
     if order < 2 * genus - 2 * k - 1:
         raise IndexOutOfRange("order too small to exhibit the vanishing order")
-    row = curve.jets.canonical_w((order + 1) // 2 + 1)[genus - k][1:]
     return LocalFrameExpansion(
         frame="z^2 dz",
         index=k,
         valuation=2 * genus - 2 * k - 2,
-        series=_z_series(row, order),
+        series=_from_jets(omega_derivatives(curve, order - 1)[k - 1], order),
     )
 
 
@@ -393,12 +361,26 @@ def canonical_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction,
 
 
 def omega_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact jets of the omega frame functions; row k-1 is omega_k."""
+    """Exact jets of the omega frame functions; row k-1 is omega_k.
+
+    x^{g-k} x'/z^3 is row g-k of the canonical table over z^2, so its jet
+    of order h is that row's jet of order h+2 over (h+2)(h+1).
+    """
     genus = curve.genus
-    rows = curve.jets.canonical_w(max_order // 2 + 2)
-    return tuple(_jets(rows[genus - k][1:], max_order) for k in range(1, genus))
+    table = canonical_derivatives(curve, max_order + 2)
+    return tuple(
+        tuple(row[h + 2] / ((h + 2) * (h + 1)) for h in range(max_order + 1))
+        for row in table[genus - 1 : 0 : -1]
+    )
 
 
 def x_derivatives(curve: Curve, max_order: int) -> tuple[Fraction, ...]:
-    """Exact jets of the coordinate function x(z) itself at z = 0."""
-    return _jets(curve.jets.x_w(max_order // 2 + 1), max_order)
+    """Exact jets of the coordinate function x(z) itself at z = 0, read off
+    the lift: the jet of order 2n is (2n)! E^n Y_(n-1) / gh_0^(2n-1)."""
+    g0, y, _, _ = curve.jets.lift(max_order // 2)
+    scale = curve.jets._scale
+    return tuple(
+        Fraction(factorial(h) * scale ** (h // 2) * y[h // 2 - 1], g0 ** (h - 1))
+        if h and h % 2 == 0 else Fraction(0)
+        for h in range(max_order + 1)
+    )

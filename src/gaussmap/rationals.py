@@ -30,12 +30,35 @@ def int_to_string(n: int) -> str:
     return ("-" if n < 0 else "") + int_to_string(high) + int_to_string(low).zfill(half)
 
 
-def rat_to_string(value: Fraction) -> str:
+def rat_to_string(value: Fraction | int) -> str:
     """Serialize a rational as ``"p"`` (integral) or ``"p/q"`` (reduced)."""
-    value = Fraction(value)
     if value.denominator == 1:
         return int_to_string(value.numerator)
     return f"{int_to_string(value.numerator)}/{int_to_string(value.denominator)}"
+
+
+def bounded_repr(text: str) -> str:
+    """`repr` of a literal, cut to its first 20 characters past 40."""
+    return repr(text if len(text) <= 40 else text[:20] + "...")
+
+
+def check_digits(text: str, what: str) -> None:
+    """Raise `InvalidIndex` naming `what`, its digit count and the limit if
+    `text` has a run of digits longer than the interpreter reads as an int."""
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none (< 3.10.7)
+    if limit and digits > limit:
+        raise InvalidIndex(f"{what} {bounded_repr(text)} has {digits} digits, "
+                           f"over the limit of {limit}")
+
+
+def int_from_string(text: str) -> int:
+    """`int(text)` through `check_digits`; the `parse_int` of JSON inputs."""
+    try:
+        return int(text)
+    except ValueError:
+        check_digits(text, "integer literal")
+        raise
 
 
 def rat_from_string(text: str) -> Fraction:
@@ -45,13 +68,8 @@ def rat_from_string(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        shown = repr(text if len(text) <= 40 else text[:20] + "...")
-        digits = max(map(len, re.findall(r"\d+", text)), default=0)
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none (< 3.10.7)
-        if limit and digits > limit:
-            raise InvalidIndex(f"rational literal {shown} has {digits} digits, "
-                               f"over the limit of {limit}") from None
-        raise InvalidIndex(f"not a rational literal: {shown}") from exc
+        check_digits(text, "rational literal")
+        raise InvalidIndex(f"not a rational literal: {bounded_repr(text)}") from exc
 
 
 def as_rational(value) -> Fraction:

@@ -57,10 +57,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import mul
 
 from .curve import (
     Curve,
+    _convolve,
     canonical_derivatives,
     omega_derivatives,
     x_derivatives,
@@ -1034,7 +1034,7 @@ def cup_rank(curve: Curve, n: int) -> CupRank:
     if n < 1 or n > genus:
         raise InvalidIndex(f"cup order must lie in 1..{genus}, got {n}")
     rows, _ = curve.jets.z_rows(n)
-    matrix = [[sum(map(mul, a, b[::-1])) for b in rows] for a in rows]
+    matrix = [[_convolve(a, b, n - 1) for b in rows] for a in rows]
     kernel = kernel_basis([{c: x for c, x in enumerate(row) if x} for row in matrix], genus)
     rank = genus - len(kernel)
     predicted = tuple(i for i in range(genus) if 2 * i >= n)
@@ -1073,7 +1073,7 @@ class Mu2CrossCheck(Record):
 
 def _product(a: list[int], b: list[int], width: int) -> list[int]:
     """The first `width` coefficients of a * b, both known that far."""
-    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(width)]
+    return [_convolve(a, b, n) for n in range(width)]
 
 
 @lru_cache(maxsize=None)

@@ -707,3 +707,32 @@ def test_an_over_long_rational_literal_names_its_length(capsys):
     assert code == 2 and out == ""
     assert f"has 5000 digits, over the limit of {limit}" in err
     assert len(err) < 200 and literal not in err
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--theorem", "T3.1", "--g", LONG),
+        ("verify", "--theorem", "T3.1", "--g", f"3..{LONG}"),
+        ("rho", "--curve", f'{{"branch_points": [0, {LONG}, 2, 3, 4, 5, 6, 7]}}',
+         "--quadric", "basis:1,2", "--pair", "1", "1"),
+        ("rho", "--curve", "FILE", "--quadric", "basis:1,2", "--pair", "1", "1"),
+        ("rho", "--g", "4", "--quadric", f'{{"1,2": {LONG}}}', "--pair", "1", "1"),
+        ("rho", "--g", "4", "--quadric", f"basis:1,{LONG}", "--pair", "1", "1"),
+    ],
+    ids=["g", "g-range", "curve-json", "curve-file", "quadric-json", "quadric-basis"],
+)
+def test_an_over_long_integer_names_its_length(capsys, tmp_path, argv):
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    path = tmp_path / "curve.json"
+    path.write_text(f'{{"branch_points": [0, {LONG}, 2, 3, 4, 5, 6, 7]}}')
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert f"has 5000 digits, over the limit of {limit}" in err
+    assert len(err.encode()) < 300 and LONG[:100] not in err
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err

@@ -12,6 +12,7 @@ row builder x^i * 2 dx/dw; every table must agree with it exactly.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,15 @@ def test_curve_json_round_trip():
     c = default_curve(3)
     assert curve_from_json(c.to_json()) == c
     assert curve_from_json({"branch_points": ["0", "1/2", "-1", "2", "3", "4", "5", "6"]}).genus == 3
+
+
+def test_a_json_integer_over_the_digit_limit_names_its_length():
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    text = '{"branch_points": [0, %s, 2, 3, 4, 5, 6, 7]}' % ("1" * (limit + 1))
+    with pytest.raises(InvalidIndex, match=f"has {limit + 1} digits, over the limit of {limit}"):
+        curve_from_json(text)
 
 
 def test_random_curve_is_seed_deterministic():
@@ -227,6 +237,30 @@ def test_derivative_tables_are_monotone_in_order():
 # -- the independent Fraction Newton route --------------------------------------------
 
 
+def _residual_and_slope(gcoeffs, x, w):
+    """x G(x) - w and the Newton slope G(x) + x G'(x) = sum (m+1) g_m x^m at
+    x's truncation order, both read off one table of the powers of x."""
+    order = x.truncation
+    powers = [TruncatedSeries.make((Fraction(1),), order)]
+    for _ in gcoeffs:
+        powers.append((powers[-1] * x).truncate(order))
+    residual = (
+        TruncatedSeries.make(
+            [sum(c * p.coeffs[e] for c, p in zip(gcoeffs, powers[1:])) for e in range(order)],
+            order,
+        )
+        - w.truncate(order)
+    )
+    slope = TruncatedSeries.make(
+        [
+            sum((m + 1) * c * p.coeffs[e] for m, (c, p) in enumerate(zip(gcoeffs, powers)))
+            for e in range(order)
+        ],
+        order,
+    )
+    return residual, slope
+
+
 def _x_series_w(curve, order_w):
     """Solve X(w) * G(X(w)) = w by Newton iteration, in the variable w = z^2.
 
@@ -234,21 +268,16 @@ def _x_series_w(curve, order_w):
     number of correct coefficients each round; the residual is asserted
     to vanish identically at the working order before returning.
     """
-    gpoly = curve.moduli_polynomial()
-    gprime = gpoly.derivative()
-    g0 = curve.g_at_zero()
+    gcoeffs = curve.moduli_polynomial().coeffs
     w = TruncatedSeries.monomial(1, 1, truncation=order_w)
-    x = TruncatedSeries.make((Fraction(0), 1 / g0), 2)
+    x = TruncatedSeries.make((Fraction(0), 1 / curve.g_at_zero()), 2)
     correct = 2
     while correct < order_w:
         correct = min(2 * correct, order_w)
-        x = x.truncate(correct) if x.truncation > correct else TruncatedSeries.make(x.coeffs, correct)
-        gx = x.compose_poly(gpoly).truncate(correct)
-        gpx = x.compose_poly(gprime).truncate(correct)
-        residual = (x * gx - w.truncate(correct)).truncate(correct)
-        slope = (gx + x * gpx).truncate(correct)
+        x = TruncatedSeries.make(x.coeffs, correct)
+        residual, slope = _residual_and_slope(gcoeffs, x, w)
         x = (x - residual * slope.inverse(correct)).truncate(correct)
-    final = (x * x.compose_poly(gpoly).truncate(order_w) - w).truncate(order_w)
+    final, _ = _residual_and_slope(gcoeffs, x, w)
     if not final.is_zero_to_truncation():
         raise IndexOutOfRange("local solve failed to converge at the working order")
     return x
@@ -258,20 +287,19 @@ def _canonical_rows_w(x, genus, order_w):
     """w-expansions of the canonical frame functions x^i x'/z, i = 0..g-1,
     from the solved series x, known through w-order order_w + 1.
 
-    In w-form: x'/z = 2 dX/dw, so row i is X^i * 2X'(w). Row i has exact
-    w-valuation i (z-valuation 2i), which is asserted.
+    In w-form: x'/z = 2 dX/dw, so row i is X^i * 2X'(w), made as X times
+    row i-1. Row i has exact w-valuation i (z-valuation 2i), which is
+    asserted.
     """
-    base = x.derivative().scale(2).truncate(order_w)
+    row = x.derivative().scale(2).truncate(order_w)
     rows = []
-    power = TruncatedSeries.make((Fraction(1),), None)
     for i in range(genus):
-        row = (power * base).truncate(order_w)
         if row.valuation() != i:
             raise IndexOutOfRange(
                 f"canonical function {i} has unexpected vanishing order"
             )
         rows.append(row)
-        power = power * x
+        row = (row * x).truncate(order_w)
     return tuple(rows)
 
 
@@ -334,6 +362,31 @@ def test_a_larger_order_extends_the_tables_of_a_smaller_one(make):
     assert x_derivatives(curve, 44) == x_derivatives(make(), 44)
     assert omega_derivatives(curve, 36) == omega_derivatives(make(), 36)
     assert x_of_z(curve, 31) == x_of_z(make(), 31)
+
+
+def _leaves(value):
+    """The values inside nested tuples, lists and dicts."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_the_jet_state_holds_integers_only():
+    curve = random_curve(5, random.Random(4))
+    x_derivatives(curve, 12)
+    canonical_derivatives(curve, 12)
+    omega_derivatives(curve, 12)
+    x_of_z(curve, 13)
+    expand_canonical(curve, 2, 13)
+    expand_omega(curve, 2, 13)
+    leaves = list(_leaves(vars(curve.jets)))
+    assert leaves and all(type(v) is int for v in leaves)
+    assert not any(isinstance(v, Fraction) for v in leaves)
 
 
 _HENSEL_WEIGHTS = curve_module._hensel_weights
