@@ -20,7 +20,7 @@ import time
 from types import SimpleNamespace
 
 from .curve import Curve, curve_from_json, default_curve, new_curve
-from .errors import BeyondThreshold, Falsified, GaussmapError
+from .errors import BeyondThreshold, Falsified, GaussmapError, InvalidIndex
 from .gaussian import (
     kernel_dimension_formula,
     kernel_via_equations,
@@ -55,6 +55,7 @@ def hard_genus_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
+        check_digits(raw, "GAUSSMAP_MAX_GENUS")
         raise UsageError(
             f"GAUSSMAP_MAX_GENUS must be an integer, got {raw!r}"
         ) from None
@@ -63,9 +64,25 @@ def hard_genus_cap() -> int:
     return cap
 
 
+def integer(text: str) -> int:
+    """An integer option's value, `int(text)`; one longer than the interpreter
+    reads is an argparse error naming its digit count and the limit (argparse
+    names the option)."""
+    try:
+        check_digits(text)
+    except InvalidIndex as exc:
+        import argparse
+
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
+integer.__name__ = "int"  # argparse's "invalid int value: ..." reads __name__
+
+
 def sample_count(text: str) -> int:
     """A `--samples` value: a non-negative integer (0 draws none)."""
-    count = int(text)
+    count = integer(text)
     if count < 0:
         import argparse
 
@@ -303,8 +320,8 @@ G = ("--g", {"help": "genus N or range A..B"})
 CURVE = ("--curve", {"help": "branch points: JSON file, inline JSON object, or "
                              "comma-separated rationals starting with 0"})
 OUT = ("--out", {"help": "write output to this path"})
-K = ("--k", {"type": int, "help": "restrict to one level"})
-SEED = ("--seed", {"type": int, "help": "PRNG seed (recorded)"})
+K = ("--k", {"type": integer, "help": "restrict to one level"})
+SEED = ("--seed", {"type": integer, "help": "PRNG seed (recorded)"})
 REPORT = ("--format", {"choices": ("json", "md"), "default": "json"})
 JSON = ("--format", {"choices": ("json",), "default": "json"})
 
@@ -315,7 +332,7 @@ COMMANDS = {
         G, OUT, K, ("--format", {"choices": ("csv", "json", "md"), "default": "csv"}),
     )),
     "kernel": ("canonical kernel basis at one level", cmd_kernel, (
-        G, OUT, ("--k", {"type": int, "required": True, "help": "level of mu_2k"}),
+        G, OUT, ("--k", {"type": integer, "required": True, "help": "level of mu_2k"}),
         ("--method", {"choices": ("equations", "oracle", "both"),
                       "default": "equations"}),
         JSON,
@@ -331,7 +348,7 @@ COMMANDS = {
         G, CURVE, OUT,
         ("--quadric", {"required": True, "help": (
             'basis:i,j | kernel:k,index | JSON {"i,j": "p/q", ...}')}),
-        ("--pair", {"nargs": 2, "type": int, "required": True, "metavar": ("N", "R"),
+        ("--pair", {"nargs": 2, "type": integer, "required": True, "metavar": ("N", "R"),
                     "help": "odd Schiffer orders"}),
         JSON,
     )),

@@ -34,9 +34,10 @@ does not use the power table.
 `Jets` holds integers only and is read three ways. `Jets.columns` is the
 integer jet store, read by every pairing and reduction vector and by
 `canonical_derivatives`: column n = 2m has entries 2 E^(m+1) n!
-row_i[m-i] gh_0^i over gh_0^(2m+1), reduced by one gcd; each odd column
-is checked to vanish. `Jets.z_rows` views it as z-coefficients over one
-denominator (`cup_rank`). `Jets.lift` hands out Y, (sY)' and the rows to
+row_i[m-i] gh_0^i over gh_0^(2m+1), reduced by one gcd, and its last
+nonzero row is recorded (`Jets.last`); each odd column is checked to
+vanish. `Jets.z_rows` views it as z-coefficients over one denominator
+(`cup_rank`). `Jets.lift` hands out Y, (sY)' and the rows to
 `x_derivatives` and the x-chart cross-check. `omega_derivatives` is the
 canonical table shifted by two orders; `x_of_z`, `expand_canonical` and
 `expand_omega` read their series off these jet tables.
@@ -178,7 +179,9 @@ class Jets:
     coefficient at a time; a power Y^k with k >= g, read only by the lift,
     is kept through s^(n+2-k) once Y_n is known. The reduced integer jet
     columns (`columns`) are kept too, so each table is a prefix of any
-    later one. No Fraction is kept.
+    later one, and with each column the last row that is nonzero in it
+    (`last`, -1 for an all-zero column), as the store shows it rather than
+    as theory bounds it (row i has order 2i). No Fraction is kept.
     """
 
     def __init__(self, curve: Curve) -> None:
@@ -195,6 +198,7 @@ class Jets:
         self._rows: list[list[int]] = [[] for _ in range(curve.genus)]
         self._num: list[tuple[int, ...]] = []
         self._den: list[int] = []
+        self.last: list[int] = []  # per column, its last nonzero row (-1: none)
 
     def _extend(self, count: int) -> None:
         """Know Y_0 .. Y_(count-1), the rows as far, and the powers as far as
@@ -276,10 +280,11 @@ class Jets:
         """Every jet column through `order`: numerators ``num[n]`` over the
         positive denominator ``den[n]``, in lowest terms (all 0 at odd n).
 
-        The lists are the store itself and only grow; an odd column with a
-        nonzero entry raises `IdentityFailed`.
+        The lists are the store itself and only grow, and so does `last`,
+        read by the pairings' zero floor; an odd column with a nonzero entry
+        raises `IdentityFailed`.
         """
-        num, den = self._num, self._den
+        num, den, last = self._num, self._den, self.last
         for n in range(len(num), order + 1):
             column, d = self._column(n)
             if n % 2 and any(column):
@@ -289,6 +294,7 @@ class Jets:
             common = gcd(d, *column) if d > 0 else -gcd(d, *column)
             num.append(tuple(c // common for c in column))
             den.append(d // common)
+            last.append(max((i for i, c in enumerate(column) if c), default=-1))
         return num, den
 
 

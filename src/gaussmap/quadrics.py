@@ -21,8 +21,9 @@ Three derived presentations are used throughout:
   is the exact involution b_{k,h} = -a_{g-h,g-k};
 * the integer tensor (`QuadricI2.tensor`): the nonzero c-tensor entries as
   integers over one denominator, made once per quadric and read by the
-  pairing matrices, the x-chart cross-check and the polynomial identities
-  (`sym_tensor` is the `Fraction` form that tests compare against).
+  pairing matrices (through `QuadricI2.layout`, its rows and least weight),
+  the x-chart cross-check and the polynomial identities (`sym_tensor` is
+  the `Fraction` form that tests compare against).
 """
 
 from __future__ import annotations
@@ -133,6 +134,17 @@ class QuadricI2(Record):
                 for a, b, weight in pair_slots(i, j):
                     acc[(a, b)] = acc.get((a, b), 0) + weight * c
         return tuple((a, b, n) for (a, b), n in sorted(acc.items()) if n), 2 * scale
+
+    @cached_property
+    def layout(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...], int]:
+        """The tensor's rows as every pairing reads them: the rows a that hold
+        an entry, each row's entries (b, n), and the least weight w = min(a + b)
+        (2g when the tensor is empty, above the sum of any two rows)."""
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for a, b, n in self.tensor[0]:
+            rows.setdefault(a, []).append((b, n))
+        least = min((a + b for a, b, _ in self.tensor[0]), default=2 * self.genus)
+        return tuple(rows), tuple(map(tuple, rows.values())), least
 
     def to_json(self) -> dict:
         return vector_to_json(self.genus, self.a_coords)

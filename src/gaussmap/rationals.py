@@ -42,14 +42,15 @@ def bounded_repr(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:20] + "...")
 
 
-def check_digits(text: str, what: str) -> None:
-    """Raise `InvalidIndex` naming `what`, its digit count and the limit if
-    `text` has a run of digits longer than the interpreter reads as an int."""
+def check_digits(text: str, what: str = "") -> None:
+    """Raise `InvalidIndex` naming `what` (if given), the text cut by
+    `bounded_repr`, its digit count and the limit if `text` has a run of
+    digits longer than the interpreter reads as an int."""
     digits = max(map(len, re.findall(r"\d+", text)), default=0)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none (< 3.10.7)
     if limit and digits > limit:
-        raise InvalidIndex(f"{what} {bounded_repr(text)} has {digits} digits, "
-                           f"over the limit of {limit}")
+        subject = f"{what} {bounded_repr(text)}" if what else bounded_repr(text)
+        raise InvalidIndex(f"{subject} has {digits} digits, over the limit of {limit}")
 
 
 def int_from_string(text: str) -> int:

@@ -20,18 +20,24 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
 
 The jet columns are integers over one denominator per column, read from
 the curve's one jet store (`curve.Jets.columns`), which checks every odd
-column to vanish. One `Pairing` per quadric and curve works over them and
-the quadric's integer tensor: each entry of D is made once for the
-threshold scans and the rho evaluations, a watermark keeps a scanned zero
-prefix from being walked twice, and each licensed rho value is kept per
-(n, r) (a refused or failed evaluation is not kept, so it raises again on
-every call). The isotropy suite scans a whole level's family at once for
-its least threshold T, which forces every pair with n + r <= T to 0. The
-reduction vector reads the same store: the W(a, b) products are summed as
-integers over one common denominator, and the functionals check the vector
-against their rho values by cross-multiplying; the x-chart cross-check
-reads the lift's series (`Jets.lift`). `derivative_sum`, `threshold_info`
-and `rho_pair` are one-call wrappers that build a fresh `Pairing`.
+column to vanish and records each column's last nonzero row. One `Pairing`
+per quadric and curve works over them and the quadric's integer tensor,
+grouped by row once per quadric (`QuadricI2.layout`). An entry of D whose
+two columns' last nonzero rows sum to less than the quadric's least weight
+w = min(a + b) is 0 without arithmetic; that floor is read off the store,
+not off the orders of the frame functions, so a perturbed jet still shows.
+Every other entry is made once for the threshold scans and the rho
+evaluations, a watermark keeps a scanned zero prefix from being walked
+twice, and each licensed rho value is kept per (n, r) (a refused or failed
+evaluation is not kept, so it raises again on every call). The isotropy
+suite scans a whole level's family at once for its least threshold T,
+which forces every pair with n + r <= T to 0, and writes the zero prefix
+it scanned into every pairing's watermark. The reduction vector reads the
+same store: the W(a, b) products are summed as integers over one common
+denominator, and the functionals check the vector against their rho
+values by cross-multiplying; the x-chart cross-check reads the lift's
+series (`Jets.lift`). `derivative_sum`, `threshold_info` and `rho_pair`
+are one-call wrappers that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
@@ -173,12 +179,15 @@ def _scan(pairings, jets, start: int, limit: int):
 class Pairing:
     """The pairing matrix D = T^t C T of one quadric on one curve.
 
-    C is the quadric's integer tensor (`QuadricI2.tensor`) and column T_l
-    holds the l-th jets as integers over den[l] (`Jets.columns`), so D(h, l)
-    is the integer dot product S(h, l) = T_h . V_l with V_l = C T_l, over
-    the product of the three denominators. Each V_l and each S(h, l) is
-    made once (D is symmetric); a Fraction is made only for an entry handed
-    out by `__call__`.
+    C is the quadric's integer tensor (`QuadricI2.tensor`, read by row from
+    `QuadricI2.layout`) and column T_l holds the l-th jets as integers over
+    den[l] (`Jets.columns`), so D(h, l) is the integer dot product
+    S(h, l) = T_h . V_l with V_l = C T_l, over the product of the three
+    denominators. S(h, l) is 0 without V_l or a dot product when the last
+    nonzero rows of T_h and T_l (`Jets.last`) sum to less than the least
+    weight w of C; every other V_l and S(h, l) is made once (D is
+    symmetric); a Fraction is made only for an entry handed out by
+    `__call__`.
 
     The threshold scan and the blocking scan of `rho` visit only even
     orders, totals upward and h from total/2 up, through `_scan`, the
@@ -190,13 +199,10 @@ class Pairing:
     def __init__(self, q: QuadricI2, curve: Curve) -> None:
         self.quadric = q
         self.jets = curve.jets
-        entries, self._den = q.tensor
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for a, b, c in entries:
-            rows.setdefault(a, []).append((b, c))
-        self._support = tuple(rows)
-        self._rows = tuple(map(tuple, rows.values()))
+        self._den = q.tensor[1]
+        self._support, self._rows, self._least = q.layout
         self._num, self._dens = self.jets.columns(-1)  # the store, grown by `columns`
+        self._last = self.jets.last
         self._vectors: dict[int, tuple[int, ...]] = {}
         self._sums: dict[tuple[int, int], int] = {}
         self._entries: dict[tuple[int, int], Fraction] = {}
@@ -210,10 +216,13 @@ class Pairing:
         return tuple(cls(q, curve) for q in quads)
 
     def _sum(self, h: int, l: int) -> int:
-        """S(h, l) for h >= l >= 0 (0 at an odd order: odd columns vanish)."""
+        """S(h, l) for h >= l >= 0 (0 at an odd order: odd columns vanish);
+        below the least-weight floor, a 0 that is neither computed nor kept."""
+        num = self._num if h < len(self._num) else self.jets.columns(h)[0]
+        if self._last[h] + self._last[l] < self._least:
+            return 0
         value = self._sums.get((h, l))
         if value is None:
-            num = self._num if h < len(self._num) else self.jets.columns(h)[0]
             vector = self._vectors.get(l)
             if vector is None:
                 t = num[l]
@@ -443,9 +452,14 @@ def _family_threshold(
     """The least threshold of a family, under the cap 4k+8 raised once to
     2(4k+8): the even totals are walked upward across every pairing, and
     the first nonzero entry (in family order, then scan order) ends the
-    scan: the pairing that holds it has the least threshold."""
+    scan: the pairing that holds it has the least threshold. Every total
+    below that entry (or through the cap) vanishes on every pairing, and
+    goes into each watermark, so no later scan walks it again."""
     cap = 2 * (4 * k + 8)
     found = _scan(pairings, curve.jets, 0, cap)
+    zero_through = cap if found is None else found[1] + found[2] - 1
+    for pairing in pairings:
+        pairing._zero_through = max(pairing._zero_through, zero_through)
     if found is None:
         return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
     return found[0].threshold(cap)

@@ -722,13 +722,23 @@ LONG = "1" * 5000
         ("rho", "--curve", "FILE", "--quadric", "basis:1,2", "--pair", "1", "1"),
         ("rho", "--g", "4", "--quadric", f'{{"1,2": {LONG}}}', "--pair", "1", "1"),
         ("rho", "--g", "4", "--quadric", f"basis:1,{LONG}", "--pair", "1", "1"),
+        ("verify", "--theorem", "T3.1", "--g", "3", "--k", LONG),
+        ("verify", "--theorem", "T6.12", "--g", "3", "--samples", LONG),
+        ("verify", "--theorem", "T6.12", "--g", "3", "--seed", LONG),
+        ("scan", "--g", "4", "--seed", LONG),
+        ("kernel", "--g", "4", "--k", LONG),
+        ("rho", "--g", "4", "--quadric", "basis:1,2", "--pair", "1", LONG),
     ],
-    ids=["g", "g-range", "curve-json", "curve-file", "quadric-json", "quadric-basis"],
+    ids=[
+        "g", "g-range", "curve-json", "curve-file", "quadric-json", "quadric-basis",
+        "k", "samples", "verify-seed", "scan-seed", "kernel-k", "pair",
+    ],
 )
-def test_an_over_long_integer_names_its_length(capsys, tmp_path, argv):
+def test_an_over_long_integer_names_its_length(capsys, monkeypatch, tmp_path, argv):
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if not limit:
         pytest.skip("this interpreter reads integers of any length")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this width
     path = tmp_path / "curve.json"
     path.write_text(f'{{"branch_points": [0, {LONG}, 2, 3, 4, 5, 6, 7]}}')
     code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
@@ -736,3 +746,33 @@ def test_an_over_long_integer_names_its_length(capsys, tmp_path, argv):
     assert f"has 5000 digits, over the limit of {limit}" in err
     assert len(err.encode()) < 300 and LONG[:100] not in err
     assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
+def test_an_over_long_genus_cap_names_its_length(capsys, monkeypatch):
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    monkeypatch.setenv("GAUSSMAP_MAX_GENUS", LONG)
+    code, out, err = run(capsys, "rank-table", "--g", "3")
+    assert code == 2 and out == ""
+    assert err == (
+        f"gaussmap: error: GAUSSMAP_MAX_GENUS '{LONG[:20]}...' has 5000 digits, "
+        f"over the limit of {limit}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--theorem", "T3.1", "--g", "3", "--k", "x"),
+         "argument --k: invalid int value: 'x'"),
+        (("rho", "--g", "4", "--quadric", "basis:1,2", "--pair", "1", "1.5"),
+         "argument --pair: invalid int value: '1.5'"),
+        (("scan", "--g", "4", "--samples", "many"),
+         "argument --samples: invalid sample_count value: 'many'"),
+    ],
+)
+def test_a_non_integer_option_value_keeps_the_argparse_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: {message}\n")

@@ -9,16 +9,16 @@ genus 3..7, one seeded direction scan, and single
 ``rho`` values: licensed zero and nonzero values and ``BeyondThreshold``
 payloads. ``witness_sha256.json`` pins the runs above genus 7 by the
 stdout SHA-256 of every theorem suite and a scan at genus 8..12 (checked
-here), and of ``T6.5`` at genus 15, 20, 25 and 30, ``T6.6`` and ``T6.9``
-at genus 15, ``L3.4`` and ``L6.2`` at genus 20 and 25, ``L3.4`` at genus
-30, ``T3.1`` at genus 20, 30, 40 and 50, ``R4.1`` at genus 20, 30 and 40,
-``T6.12`` (20 samples) at genus 15 and 20, and ``T6.12`` and a scan (5
-samples) at genus 38 past the default cap (checked in ``test_frontier.py``;
-the genus-38 digests were first written by the change that let integers of
-over 4,300 digits print, since the code before it exited 1 on them).
-Reruns of one build are
-already checked to agree elsewhere; these files also catch a change that
-alters an answer the same way on every run.
+here), and of ``T6.5`` at genus 15, 20, 25, 30 and 40, ``T6.6`` and
+``T6.9`` at genus 15, 20 and 25, ``L3.4`` and ``L6.2`` at genus 20 and 25,
+``L3.4`` at genus 30, ``T3.1`` at genus 20, 30, 40 and 50, ``R4.1`` at
+genus 20, 30 and 40, ``T6.12`` (20 samples) at genus 15, 20 and 30, and
+``T6.12`` and a scan (5 samples) at genus 38 past the default cap (checked
+in ``test_frontier.py``; the genus-38 digests were first written by the
+change that let integers of over 4,300 digits print, since the code before
+it exited 1 on them). Reruns of one build are already checked to agree
+elsewhere; these files also catch a change that alters an answer the same
+way on every run.
 
 Regenerate them only for an intended, documented output change (say what
 changed and why in CHANGES.md):
@@ -69,8 +69,9 @@ DIGEST_RUNS = {
     "frontier": tuple(
         f"verify --theorem {theorem} --g {genus}"
         for theorem, genus in (
-            ("T6.5", 15), ("T6.5", 20), ("T6.5", 25), ("T6.5", 30),
-            ("T6.6", 15), ("T6.9", 15),
+            ("T6.5", 15), ("T6.5", 20), ("T6.5", 25), ("T6.5", 30), ("T6.5", 40),
+            ("T6.6", 15), ("T6.6", 20), ("T6.6", 25),
+            ("T6.9", 15), ("T6.9", 20), ("T6.9", 25),
         )
     )
     + tuple(
@@ -82,7 +83,7 @@ DIGEST_RUNS = {
     + tuple(f"verify --theorem T3.1 --g {genus}" for genus in (20, 30, 40, 50))
     + tuple(f"verify --theorem R4.1 --g {genus}" for genus in (20, 30, 40))
     + tuple(
-        f"verify --theorem T6.12 --g {genus} --samples 20" for genus in (15, 20)
+        f"verify --theorem T6.12 --g {genus} --samples 20" for genus in (15, 20, 30)
     )
     + ("verify --theorem T6.12 --g 38 --samples 5", "scan --g 38 --samples 5"),
 }

@@ -637,6 +637,58 @@ def test_a_nonzero_entry_in_a_later_quadric_fails_the_isotropy_item(
     assert failing == [f"g=7 k=1 licensed odd pairs vanish on {curve.label()}"]
 
 
+def test_the_zero_floor_reads_the_jet_store(monkeypatch, capsys):
+    # row 3 of jet column 2 gains 1/7, above row 1, the last that the
+    # frame functions' orders allow there: S(2, 2) of the first Ker mu_2
+    # quadric at genus 7 (least weight 4) now pairs rows 1 and 3, so a
+    # floor read off the orders would skip it and hide the fault
+    original = Jets._column
+
+    def raised(jets, n):
+        column, den = original(jets, n)
+        if n == 2:
+            column = [7 * x for x in column]
+            column[3] += den
+            den *= 7
+        return column, den
+
+    monkeypatch.setattr(Jets, "_column", raised)
+    assert default_curve(7).jets.columns(2)[0][2][3]
+    code = main(["verify", "--theorem", "T6.5", "--g", "7", "--k", "1", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    failing = [c["item"] for c in json.loads(captured.out)["checks"] if not c["ok"]]
+    assert f"g=7 k=1 licensed odd pairs vanish on {default_curve(7).label()}" in failing
+
+
+def test_the_isotropy_scans_keep_only_entries_above_the_floor(monkeypatch, capsys):
+    # every S(h, l) kept after the T6.5 suite at genus 9 has last nonzero
+    # rows of columns h and l summing to at least the quadric's least
+    # weight: all other entries are zeros that the floor returns unkept
+    made = []
+    original = Pairing.__init__
+
+    def recording(self, q, curve):
+        original(self, q, curve)
+        made.append(self)
+
+    monkeypatch.setattr(Pairing, "__init__", recording)
+    assert main(["verify", "--theorem", "T6.5", "--g", "9", "--seed", "0"]) == 0
+    capsys.readouterr()
+
+    def last_row(column):
+        return max((i for i, x in enumerate(column) if x), default=-1)
+
+    kept = 0
+    for pairing in made:
+        least = min(a + b for a, b, _ in pairing.quadric.tensor[0])
+        num, _ = pairing.jets.columns(-1)
+        for h, l in pairing._sums:
+            assert last_row(num[h]) + last_row(num[l]) >= least, (h, l)
+        kept += len(pairing._sums)
+    assert made and kept <= 20
+
+
 @pytest.mark.parametrize("genus", range(3, 10))
 def test_forced_pair_values_equal_fresh_rho_evaluations(genus):
     # the suite records every pair with n + r <= the family threshold as
