@@ -37,7 +37,6 @@ from .errors import (
     TooFewBranchPoints,
 )
 from .gaussian import (
-    EquationSystem,
     FactorizationCheck,
     KernelChain,
     KernelLevel,
@@ -49,7 +48,6 @@ from .gaussian import (
     falling,
     is_in_kernel,
     kernel_dimension_formula,
-    kernel_equations,
     kernel_via_equations,
     kernel_via_polynomial_oracle,
     max_level,

@@ -57,32 +57,36 @@ def hard_genus_cap() -> int:
     except ValueError:
         check_digits(raw, "GAUSSMAP_MAX_GENUS")
         raise UsageError(
-            f"GAUSSMAP_MAX_GENUS must be an integer, got {raw!r}"
+            f"GAUSSMAP_MAX_GENUS must be an integer, got {bounded_repr(raw)}"
         ) from None
     if cap < 3:
         raise UsageError(f"GAUSSMAP_MAX_GENUS must be at least 3, got {cap}")
     return cap
 
 
-def integer(text: str) -> int:
-    """An integer option's value, `int(text)`; one longer than the interpreter
-    reads is an argparse error naming its digit count and the limit (argparse
-    names the option)."""
+def _option_int(text: str, name: str) -> int:
+    """`int(text)` for an option of `type` `name`, or an argparse error: the
+    digit count and the limit for an integer literal too long for the
+    interpreter, else `invalid <name> value` with `bounded_repr` of it."""
     try:
-        check_digits(text)
-    except InvalidIndex as exc:
+        return int(text)
+    except ValueError:
         import argparse
 
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return int(text)
+        try:
+            check_digits(text)
+        except InvalidIndex as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"invalid {name} value: {bounded_repr(text)}") from None
 
 
-integer.__name__ = "int"  # argparse's "invalid int value: ..." reads __name__
+def integer(text: str) -> int:
+    return _option_int(text, "int")
 
 
 def sample_count(text: str) -> int:
     """A `--samples` value: a non-negative integer (0 draws none)."""
-    count = integer(text)
+    count = _option_int(text, "sample_count")
     if count < 0:
         import argparse
 
@@ -98,7 +102,8 @@ def parse_genus_range(text: str, cap: int) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        check_digits(text, "--g value")
+        for part in text.split("..", 1):
+            check_digits(part, "--g value")
         raise UsageError(f"--g expects N or A..B with integers, got {bounded_repr(text)}") from None
     if lo < 3:
         raise UsageError(f"genus must be at least 3, got {lo}")

@@ -25,8 +25,9 @@ with i + j = l, and an identity row of x-degree e and order h + n only the
 basis quadrics with i + j = e + h + n + 1. Both are built as sparse integer
 rows (the identity rows from twice the symmetric tensor, whose entries are
 +-1/2), which ``linalg`` eliminates one weight block at a time. Both routes
-produce canonical (reduced row-echelon) bases, so agreement is literal tuple
-equality.
+produce canonical (reduced row-echelon) bases of integer rows (`linalg.Row`),
+so agreement is literal row equality. A level's quadrics are its rows, and
+the factorization and support checks read a quadric's row.
 
 Odd maps act on the exterior square of the canonical space and are
 handled by ``odd_kernel_and_rank`` (x-chart identities, from the same row
@@ -40,21 +41,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from .curve import Curve, canonical_derivatives
-from .errors import (
-    IdentityFailed,
-    IndexOutOfRange,
-    InvalidIndex,
-    NotInKernel,
-    NotInPreviousKernel,
-)
-from .linalg import ONE, ZERO, SparseRow, Vector, kernel_chain, rref, sparse_row
+from .errors import IdentityFailed, IndexOutOfRange, InvalidIndex, NotInKernel, NotInPreviousKernel
+from .linalg import Row, SparseRow, kernel_chain, rref, sparse_row
 from .quadrics import (
     QuadricI2,
+    b_pairs,
     pair_slots,
-    quadric_from_vector,
     quadric_space_dimension,
     sym_pairs,
     wedge_pairs,
@@ -75,14 +70,6 @@ def falling(n: int, k: int) -> int:
 # -- closed-form level equations --------------------------------------------
 
 
-class EquationSystem(Record):
-    """The level-k linear system cutting Ker mu_2k inside Ker mu_{2k-2}."""
-
-    genus: int
-    level: int
-    rows: tuple[Vector, ...]
-
-
 def _level_rows(genus: int, k: int) -> list[SparseRow]:
     """The level-k equations as sparse integer rows, one per weight l from
     max(3, 2k-1) to 2g-3 (empty where every coefficient vanishes)."""
@@ -94,20 +81,6 @@ def _level_rows(genus: int, k: int) -> list[SparseRow]:
     return rows
 
 
-def kernel_equations(genus: int, k: int) -> EquationSystem:
-    if k < 1:
-        raise IndexOutOfRange(f"level must be at least 1, got {k}")
-    ncols = len(sym_pairs(genus))
-    return EquationSystem(
-        genus=genus,
-        level=k,
-        rows=tuple(
-            tuple(Fraction(row.get(c, 0)) for c in range(ncols))
-            for row in _level_rows(genus, k)
-        ),
-    )
-
-
 # -- kernel chains -----------------------------------------------------------
 
 
@@ -116,13 +89,13 @@ class KernelLevel(Record):
     k: int
     dimension: int
     rank: int
-    basis: tuple[Vector, ...]
+    basis: tuple[Row, ...]
 
     @cached_property
     def quadrics(self) -> tuple[QuadricI2, ...]:
-        """The basis vectors as quadrics, made once per level (the chain is
+        """The basis rows as quadrics, made once per level (the chain is
         held per genus by `kernel_via_equations`)."""
-        return tuple(quadric_from_vector(self.genus, vec) for vec in self.basis)
+        return tuple(QuadricI2(self.genus, row) for row in self.basis)
 
     @cached_property
     def b_support_ok(self) -> bool:
@@ -155,19 +128,25 @@ def rank_formula(genus: int, k: int) -> int:
     return 2 * genus - (4 * k + 1)
 
 
-def _kernel_off_rref(rows: list[SparseRow], dim: int) -> tuple[Vector, ...]:
+def _kernel_off_rref(rows: list[SparseRow], dim: int) -> tuple[Row, ...]:
     """The canonical kernel basis of ``rows``, read as `kernel_chain` reads
-    it (columns reversed), but off the dense `rref` instead of the store."""
+    it (columns reversed), but off the rows of `rref` instead of the store:
+    free column f is 1 and -x/d at each pivot whose row (over d) has x at f,
+    each entry reduced, all over the lcm of their denominators."""
     last = dim - 1
     reduced, pivots = rref([{last - c: x for c, x in r.items()} for r in rows], dim)
-    vectors: list[Vector] = []
+    met: dict[int, list[tuple[int, int, int]]] = {}
+    for p, (entries, d) in zip(pivots, reduced):
+        for c, x in entries:
+            if c != p:
+                g = gcd(x, d)
+                met.setdefault(c, []).append((last - p, -x // g, d // g))
+    vectors: list[Row] = []
     for f in sorted(set(range(dim)).difference(pivots), reverse=True):
-        v = [ZERO] * dim
-        v[last - f] = ONE
-        for p, row in zip(pivots, reduced):
-            if row[f] is not ZERO:
-                v[last - p] = -row[f]
-        vectors.append(tuple(v))
+        column = met.get(f, [])
+        den = lcm(*(d for *_, d in column))
+        entries = sorted((c, x * (den // d)) for c, x, d in column)
+        vectors.append((((last - f, den), *entries), den))
     return tuple(vectors)
 
 
@@ -248,7 +227,7 @@ def _identity_rows(genus: int, bound: int, pairs, slots) -> tuple[list[SparseRow
 
 
 @lru_cache(maxsize=None)
-def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Vector, ...], ...]:
+def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Row, ...], ...]:
     """Oracle kernels of levels 0..k_max from one build of the identity rows:
     level k is the kernel of the orders <= 2k+1, and since the kernels are
     nested, `kernel_chain` reduces each identity row once."""
@@ -259,7 +238,7 @@ def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Vector, ...], ...]:
     )
 
 
-def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Vector, ...]:
+def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Row, ...]:
     """Canonical basis of Ker mu_2k computed from raw derivative identities."""
     if k < 0:
         raise IndexOutOfRange(f"level must be nonnegative, got {k}")
@@ -417,15 +396,14 @@ def factorization_check(q: QuadricI2, k: int) -> FactorizationCheck:
         raise NotInKernel(f"quadric is not in Ker mu_{2 * k}")
     genus = q.genus
     lhs = TruncatedSeries.monomial(2) * mu_eval_polynomial(q, k + 1, check_membership=False)
-    coeffs = [Fraction(0)] * (2 * genus)
-    for (i, j), a in zip(sym_pairs(genus), q.a_coords):
-        if a == 0:
-            continue
-        t = falling(i, 2 * k + 1) - falling(j, 2 * k + 1)
-        if t:
-            exponent = i + j - 2 * k - 1
-            coeffs[exponent] += a * t
-    rhs = TruncatedSeries.make(coeffs, None).scale(k + 1)
+    pairs = sym_pairs(genus)
+    entries, den = q.row
+    coeffs = [0] * (2 * genus)
+    for c, x in entries:
+        i, j = pairs[c]
+        if t := falling(i, 2 * k + 1) - falling(j, 2 * k + 1):
+            coeffs[i + j - 2 * k - 1] += x * t
+    rhs = _exact(coeffs, den).scale(k + 1)
     if not (lhs.coeffs and rhs.coeffs):
         return FactorizationCheck(
             genus=genus,
@@ -473,11 +451,8 @@ def b_support_check(q: QuadricI2, k: int) -> BSupportCheck:
         raise NotInKernel(f"quadric is not in Ker mu_{2 * k}")
     genus = q.genus
     bound = 2 * genus - 2 * k - 3
-    offenders = tuple(
-        (i, j)
-        for (i, j) in sym_pairs(genus)
-        if i + j > bound and q.b(i, j) != 0
-    )
+    pairs = b_pairs(genus)
+    offenders = tuple(sorted(pairs[c] for c, _ in q.row[0] if sum(pairs[c]) > bound))
     return BSupportCheck(genus=genus, k=k, bound=bound, offenders=offenders)
 
 
@@ -490,7 +465,7 @@ class OddMapResult(Record):
     domain_dim: int
     kernel_dim: int
     rank: int
-    basis: tuple[Vector, ...]
+    basis: tuple[Row, ...]
 
 
 def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:

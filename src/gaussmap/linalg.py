@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-``rref``, ``kernel_basis`` and ``kernel_chain`` take one input form: sparse
-integer rows (``{column: int}`` dicts; a zero entry joins nothing) and a
-column count. `sparse_row` turns a rational vector into such a row, scaled
-by the lcm of its denominators, which leaves the row space unchanged. The
+``rref``, ``kernel_basis`` and ``kernel_chain`` take sparse integer rows
+(``{column: int}`` dicts; a zero entry joins nothing) and a column count,
+and give each vector as a `Row`: its sorted nonzero (column, numerator)
+entries over one positive denominator, primitive, so that the denominator
+is the lcm of the entries' denominators and equal rows are equal vectors.
+Each leads with its denominator, an entry of 1. `row_of` is the row of a
+rational vector, `sparse_row` its entries, `fractions` its dense view. The
 columns are split into blocks, the connected components of the graph
 joining each row to the columns where it is nonzero. A matrix is the direct
 sum of its blocks, so its RREF is the union of theirs, ordered by pivot
@@ -13,14 +16,14 @@ elimination becomes many small ones. The rank is the number of pivots.
 There is one exact elimination: each block keeps its RREF as a store of
 primitive integer rows with a positive pivot, which a row joins by the
 fraction-free two-by-two step (`_add`). There are two readers of the
-store. ``rref`` reads it once, each entry one `Fraction`; ``kernel_chain``
-reads the kernels of growing sets of rows off one store per block, so each
-row is reduced once, and ``kernel_basis`` is one level of ``kernel_chain``.
-(The equations route of `gaussian` reads its kernels off ``rref`` on
-purpose, so the two routes share no kernel reader.)
+store, and neither makes a `Fraction`. ``rref`` reads each row once, over
+its pivot; ``kernel_chain`` reads the kernels of growing sets of rows off
+one store per block, so each row is reduced once, and ``kernel_basis`` is
+one level of ``kernel_chain``. (The equations route of `gaussian` reads its
+kernels off ``rref`` on purpose, so the two routes share no kernel reader.)
 The RREF of a row space is unique, so kernel bases are in reduced
 row-echelon normal form: two routes that compute the same subspace produce
-identical tuples.
+identical rows.
 """
 
 from __future__ import annotations
@@ -28,24 +31,33 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
 from .errors import IndexOutOfRange
 from .rationals import numerators
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
+Row = tuple[tuple[tuple[int, int], ...], int]
 
-# Every zero entry of an output vector, and every pivot of a kernel vector,
-# is one of these objects, so comparing two outputs skips them by identity.
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def row_of(vector: Sequence[Fraction]) -> Row:
+    """The nonzero numerators of ``vector`` over the lcm of its denominators."""
+    ints, den = numerators(vector)
+    return tuple((c, x) for c, x in enumerate(ints) if x), den
 
 
 def sparse_row(vector: Sequence[Fraction]) -> SparseRow:
-    """The nonzero numerators of ``vector`` over its least common denominator."""
-    ints, _ = numerators(vector)
-    return {c: x for c, x in enumerate(ints) if x}
+    """The entries of `row_of` as an input row."""
+    return dict(row_of(vector)[0])
+
+
+def fractions(row: Row, ncols: int) -> Vector:
+    """The dense `Fraction` view of a row with ``ncols`` columns."""
+    out = [Fraction(0)] * ncols
+    for c, x in row[0]:
+        out[c] = Fraction(x, row[1])
+    return tuple(out)
 
 
 def _blocks(
@@ -110,28 +122,24 @@ def _add(store: dict[int, list[int]], row: list[int]) -> None:
 
 def rref(
     rows: Sequence[SparseRow], ncols: int | None = None
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+) -> tuple[tuple[Row, ...], tuple[int, ...]]:
     """Reduced row-echelon form (nonzero rows only) and pivot columns of
     sparse integer rows with their column count; the rank is the number of
     pivots."""
     if ncols is None:
         raise IndexOutOfRange("sparse rows need an explicit column count")
-    placed: list[tuple[int, Vector]] = []
+    placed: list[tuple[int, Row]] = []
     for cols, block in _blocks(rows, ncols):
         store: dict[int, list[int]] = {}
         for _, row in block:
             _add(store, row)
         for p, row in store.items():
-            full = [ZERO] * ncols
-            for c, x in zip(cols, row):
-                if x:
-                    full[c] = Fraction(x, row[p])
-            placed.append((cols[p], tuple(full)))
+            placed.append((cols[p], (tuple((c, x) for c, x in zip(cols, row) if x), row[p])))
     placed.sort(key=lambda item: item[0])
     return tuple(row for _, row in placed), tuple(p for p, _ in placed)
 
 
-def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> tuple[Vector, ...]:
+def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> tuple[Row, ...]:
     """Canonical basis of the right kernel of ``rows`` (taken as by `rref`):
     one level of `kernel_chain`."""
     return kernel_chain([rows], ncols)[0]
@@ -139,7 +147,7 @@ def kernel_basis(rows: Sequence[SparseRow], ncols: int) -> tuple[Vector, ...]:
 
 def kernel_chain(
     levels: Sequence[Sequence[SparseRow]], ncols: int
-) -> tuple[tuple[Vector, ...], ...]:
+) -> tuple[tuple[Row, ...], ...]:
     """Canonical bases of the right kernels of the rows of levels 0..i, for
     every i.
 
@@ -148,12 +156,13 @@ def kernel_chain(
     at the other free columns and minus column f of the RREF at the pivots,
     all of which precede f. In the original order each such vector leads
     with its 1, at a column where all the others are 0: sorted by that
-    column, they are the RREF of the kernel. The reversed columns are split
-    into blocks once; each row joins its block's store once, and after each
-    level every free column of a block is read off its store."""
+    column, they are the RREF of the kernel; each row is over the lcm of the
+    pivots it meets, cut by what its entries share. The reversed columns are
+    split into blocks once; each row joins its block's store once, and after
+    each level every free column of a block is read off its store."""
     last = ncols - 1
     ends = list(accumulate(map(len, levels)))
-    found: list[list[tuple[int, Vector]]] = [[] for _ in levels]
+    found: list[list[tuple[int, Row]]] = [[] for _ in levels]
     untouched = set(range(ncols))
     flipped = [{last - c: x for c, x in row.items()} for level in levels for row in level]
     for cols, block in _blocks(flipped, ncols):
@@ -165,13 +174,15 @@ def kernel_chain(
                 _add(store, block[i][1])
                 i += 1
             for f in (f for f in range(len(cols)) if f not in store):
-                v = [ZERO] * ncols
-                v[last - cols[f]] = ONE
-                for p, row in store.items():
-                    if row[f]:
-                        v[last - cols[p]] = Fraction(-row[f], row[p])
-                found[level].append((last - cols[f], tuple(v)))
-    units = [(c, tuple(ONE if j == c else ZERO for j in range(ncols))) for c in untouched]
+                met = [(cols[p], row[f], row[p]) for p, row in store.items() if row[f]]
+                den = lcm(*(d for *_, d in met))
+                entries = [(last - cols[f], den)]
+                entries += sorted((last - c, -x * (den // d)) for c, x, d in met)
+                if (g := gcd(*(x for _, x in entries))) > 1:
+                    entries = [(c, x // g) for c, x in entries]
+                    den //= g
+                found[level].append((last - cols[f], (tuple(entries), den)))
+    units = [(c, (((c, 1),), 1)) for c in untouched]
     return tuple(tuple(v for _, v in sorted(vs + units)) for vs in found)
 
 

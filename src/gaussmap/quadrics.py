@@ -10,7 +10,10 @@ convenient basis indexed by pairs 1 <= i < j <= g-1:
 basis. A quadric is stored by its exact coefficients a_ij in this basis
 ("a-coordinates", lexicographic pair order).
 
-Three derived presentations are used throughout:
+A quadric holds them as one integer row (`linalg.Row`), the form in which
+the kernels and cuts hand out their vectors; its `Fraction` coordinates,
+label and JSON are views made where a caller reads them. Three derived
+presentations are used throughout:
 
 * the symmetric tensor ("c-tensor"): the g x g symmetric matrix of
   coefficients over alpha_m (x) alpha_n, with the symmetric product
@@ -18,12 +21,14 @@ Three derived presentations are used throughout:
 * "b-coordinates": the same quadric written against the decomposable
   products s*omega_i . t*omega_j - s*omega_j . t*omega_i built from the
   degree-two pencil section s and the twisted forms; the change of basis
-  is the exact involution b_{k,h} = -a_{g-h,g-k};
+  is the exact involution b_{k,h} = -a_{g-h,g-k}, so a-column (i, j) holds
+  the b-pair (g-j, g-i) (`b_pairs`);
 * the integer tensor (`QuadricI2.tensor`): the nonzero c-tensor entries as
-  integers over one denominator, made once per quadric and read by the
-  pairing matrices (through `QuadricI2.layout`, its rows and least weight),
-  the x-chart cross-check and the polynomial identities (`sym_tensor` is
-  the `Fraction` form that tests compare against).
+  integers over twice the row's denominator, made once per quadric from
+  the row and read by the pairing matrices (through `QuadricI2.layout`,
+  its rows and least weight), the x-chart cross-check and the polynomial
+  identities (`sym_tensor` is the `Fraction` form that tests compare
+  against).
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import IndexOutOfRange
-from .rationals import as_rational, numerators, rat_to_string
+from .linalg import Row, fractions, row_of
+from .rationals import as_rational, rat_to_string
 from .record import Record
 
 
@@ -73,30 +79,36 @@ def quadric_space_dimension(genus: int) -> int:
     return (genus - 1) * (genus - 2) // 2
 
 
-def vector_to_json(genus: int, vector) -> dict:
-    """{"i,j": "p/q"} over the nonzero entries of a coordinate vector."""
-    return {
-        f"{i},{j}": rat_to_string(value)
-        for (i, j), value in zip(sym_pairs(genus), vector)
-        if value
-    }
+@lru_cache(maxsize=None)
+def b_pairs(genus: int) -> tuple[tuple[int, int], ...]:
+    """The b-pair of each a-column: (g-j, g-i) for the pair (i, j)."""
+    return tuple((genus - j, genus - i) for i, j in sym_pairs(genus))
+
+
+def vector_to_json(genus: int, row: Row) -> dict:
+    """{"i,j": "p/q"} over the nonzero entries of a coordinate row."""
+    pairs, (entries, den) = sym_pairs(genus), row
+    return {"{},{}".format(*pairs[c]): rat_to_string(Fraction(x, den)) for c, x in entries}
 
 
 class QuadricI2(Record):
-    """A quadric through the canonical curve, in exact a-coordinates."""
+    """A quadric through the canonical curve: its a-coordinates as one row."""
 
     genus: int
-    a_coords: tuple[Fraction, ...]
+    row: Row
 
     def __post_init__(self):
-        expected = quadric_space_dimension(self.genus)
-        if len(self.a_coords) != expected:
+        (entries, den), dim = self.row, quadric_space_dimension(self.genus)
+        if den < 1 or entries and not 0 <= entries[0][0] <= entries[-1][0] < dim:
             raise IndexOutOfRange(
-                f"expected {expected} coordinates for genus {self.genus}, "
-                f"got {len(self.a_coords)}"
+                f"not a row of {dim} columns over a positive denominator: {self.row}"
             )
 
-    # -- coordinate access ------------------------------------------------
+    # -- coordinate views ---------------------------------------------------
+
+    @cached_property
+    def a_coords(self) -> tuple[Fraction, ...]:
+        return fractions(self.row, quadric_space_dimension(self.genus))
 
     def a(self, i: int, j: int) -> Fraction:
         return self.a_coords[_pair_index(self.genus, i, j)]
@@ -110,7 +122,7 @@ class QuadricI2(Record):
         return tuple(self.b(k, h) for (k, h) in sym_pairs(self.genus))
 
     def is_zero(self) -> bool:
-        return not any(self.a_coords)
+        return not self.row[0]
 
     def sym_tensor(self) -> tuple[tuple[Fraction, ...], ...]:
         """Symmetric g x g coefficient matrix over alpha_m (x) alpha_n."""
@@ -126,14 +138,14 @@ class QuadricI2(Record):
     def tensor(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
         """The nonzero entries (a, b, n) of the symmetric tensor, row by row,
         as integers n = 2E c_ab over the one denominator 2E returned, E the
-        lcm of the a-coordinate denominators."""
-        nums, scale = numerators(self.a_coords)
+        row's denominator."""
+        pairs = sym_pairs(self.genus)
+        entries, den = self.row
         acc: dict[tuple[int, int], int] = {}
-        for (i, j), c in zip(sym_pairs(self.genus), nums):
-            if c:
-                for a, b, weight in pair_slots(i, j):
-                    acc[(a, b)] = acc.get((a, b), 0) + weight * c
-        return tuple((a, b, n) for (a, b), n in sorted(acc.items()) if n), 2 * scale
+        for c, x in entries:
+            for a, b, weight in pair_slots(*pairs[c]):
+                acc[(a, b)] = acc.get((a, b), 0) + weight * x
+        return tuple((a, b, n) for (a, b), n in sorted(acc.items()) if n), 2 * den
 
     @cached_property
     def layout(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...], int]:
@@ -147,18 +159,15 @@ class QuadricI2(Record):
         return tuple(rows), tuple(map(tuple, rows.values())), least
 
     def to_json(self) -> dict:
-        return vector_to_json(self.genus, self.a_coords)
+        return vector_to_json(self.genus, self.row)
 
     def label(self) -> str:
         return self._label
 
     @cached_property
     def _label(self) -> str:
-        parts = [
-            f"{rat_to_string(coeff)}*Q[{i},{j}]"
-            for (i, j), coeff in zip(sym_pairs(self.genus), self.a_coords)
-            if coeff
-        ]
+        pairs, (entries, den) = sym_pairs(self.genus), self.row
+        parts = [rat_to_string(Fraction(x, den)) + "*Q[%d,%d]" % pairs[c] for c, x in entries]
         return " + ".join(parts) or "0"
 
 
@@ -171,17 +180,13 @@ def _check_pair(genus: int, i: int, j: int) -> None:
 
 def _pair_index(genus: int, i: int, j: int) -> int:
     _check_pair(genus, i, j)
-    # pairs with first entry < i come first
-    before = sum(genus - 1 - m for m in range(1, i))
-    return before + (j - i - 1)
+    # the g-1-m pairs of each first entry m < i come first
+    return (i - 1) * (2 * genus - 2 - i) // 2 + j - i - 1
 
 
 def basis_quadric(genus: int, i: int, j: int) -> QuadricI2:
     """The basis element Q_ij."""
-    idx = _pair_index(genus, i, j)
-    coords = [Fraction(0)] * quadric_space_dimension(genus)
-    coords[idx] = Fraction(1)
-    return QuadricI2(genus=genus, a_coords=tuple(coords))
+    return QuadricI2(genus=genus, row=(((_pair_index(genus, i, j), 1),), 1))
 
 
 def quadric_from_a(genus: int, entries) -> QuadricI2:
@@ -196,23 +201,25 @@ def quadric_from_a(genus: int, entries) -> QuadricI2:
         else:
             i, j = key
         coords[_pair_index(genus, i, j)] = as_rational(value)
-    return QuadricI2(genus=genus, a_coords=tuple(coords))
+    return quadric_from_vector(genus, coords)
 
 
 def quadric_from_vector(genus: int, vector) -> QuadricI2:
-    return QuadricI2(
-        genus=genus,
-        a_coords=tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vector),
-    )
+    """The quadric with these a-coordinates, one per pair of `sym_pairs`."""
+    coords = [v if isinstance(v, Fraction) else Fraction(v) for v in vector]
+    if len(coords) != (expected := quadric_space_dimension(genus)):
+        raise IndexOutOfRange(
+            f"expected {expected} coordinates for genus {genus}, got {len(coords)}"
+        )
+    return QuadricI2(genus=genus, row=row_of(coords))
 
 
 def combine(genus: int, coefficients, quadrics) -> QuadricI2:
     """Exact linear combination of quadrics."""
-    dim = quadric_space_dimension(genus)
-    acc = [Fraction(0)] * dim
+    acc = [Fraction(0)] * quadric_space_dimension(genus)
     for coeff, q in zip(coefficients, quadrics):
         if q.genus != genus:
             raise IndexOutOfRange("cannot combine quadrics of different genus")
-        for idx in range(dim):
-            acc[idx] += Fraction(coeff) * q.a_coords[idx]
-    return QuadricI2(genus=genus, a_coords=tuple(acc))
+        for c, x in q.row[0]:
+            acc[c] += Fraction(coeff) * Fraction(x, q.row[1])
+    return quadric_from_vector(genus, acc)

@@ -42,24 +42,31 @@ def bounded_repr(text: str) -> str:
     return repr(text if len(text) <= 40 else text[:20] + "...")
 
 
-def check_digits(text: str, what: str = "") -> None:
+def check_digits(text: str, what: str = "", read=int) -> None:
     """Raise `InvalidIndex` naming `what` (if given), the text cut by
-    `bounded_repr`, its digit count and the limit if `text` has a run of
-    digits longer than the interpreter reads as an int."""
+    `bounded_repr`, its digit count and the limit if a run of its digits is
+    longer than the interpreter reads, when `read` (`int` by default) takes
+    the text with each run of digits cut to one digit."""
     digits = max(map(len, re.findall(r"\d+", text)), default=0)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none (< 3.10.7)
-    if limit and digits > limit:
-        subject = f"{what} {bounded_repr(text)}" if what else bounded_repr(text)
-        raise InvalidIndex(f"{subject} has {digits} digits, over the limit of {limit}")
+    if not limit or digits <= limit:
+        return
+    try:
+        read(re.sub(r"\d+", "1", text))
+    except ValueError:
+        return
+    subject = f"{what} {bounded_repr(text)}" if what else bounded_repr(text)
+    raise InvalidIndex(f"{subject} has {digits} digits, over the limit of {limit}")
 
 
 def int_from_string(text: str) -> int:
-    """`int(text)` through `check_digits`; the `parse_int` of JSON inputs."""
+    """`int(text)` through `check_digits`, its echo cut by `bounded_repr`;
+    the `parse_int` of JSON inputs."""
     try:
         return int(text)
     except ValueError:
         check_digits(text, "integer literal")
-        raise
+        raise ValueError(f"invalid literal for int() with base 10: {bounded_repr(text)}") from None
 
 
 def rat_from_string(text: str) -> Fraction:
@@ -69,7 +76,7 @@ def rat_from_string(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        check_digits(text, "rational literal")
+        check_digits(text, "rational literal", Fraction)
         raise InvalidIndex(f"not a rational literal: {bounded_repr(text)}") from exc
 
 

@@ -82,14 +82,8 @@ from .errors import (
     ThresholdNotExtended,
 )
 from .gaussian import KernelLevel, kernel_via_equations, mu_coefficients
-from .linalg import Vector, dot, kernel_basis, rref
-from .quadrics import (
-    QuadricI2,
-    basis_quadric,
-    quadric_from_vector,
-    sym_pairs,
-    vector_to_json,
-)
+from .linalg import Row, dot, kernel_basis, rref
+from .quadrics import QuadricI2, b_pairs, basis_quadric, sym_pairs, vector_to_json
 from .rationals import numerators, rat_to_string
 from .record import Record, replace
 
@@ -622,16 +616,16 @@ def _functional(
     support = _support(genus, k, total)
     coefficients = tuple(Fraction(vec[p], den) for p in support)
     closed = _closed_form(curve, genus, n + r, support)
-    # b(i, j) = -a(g-j, g-i): the a-slot that each nonzero entry meets
-    pairs = sym_pairs(genus)
-    slots = {p: pairs.index((genus - p[1], genus - p[0])) for p in vec if vec[p]}
+    pairs = b_pairs(genus)
 
     def reduces(q: QuadricI2, value: Fraction) -> bool:
         """The vector gives `value` on q in full and trimmed to the support,
-        compared as numerators over den * E, E the lcm of q's a-coordinates."""
-        a, scale = numerators(q.a_coords)
-        full = -sum(vec[p] * a[slot] for p, slot in slots.items())
-        trimmed = -sum(vec[p] * a[slots[p]] for p in support if p in slots)
+        compared as numerators over den * E, E the denominator of q's row:
+        b(i, j) = -a(g-j, g-i), so each a-entry meets the b-pair of its
+        column."""
+        entries, scale = q.row
+        full = -sum(vec[pairs[c]] * x for c, x in entries)
+        trimmed = -sum(vec[pairs[c]] * x for c, x in entries if pairs[c] in support)
         target = value.numerator * den * scale
         return full == trimmed and full * value.denominator == target
 
@@ -722,7 +716,7 @@ class HyperplaneResult(Record):
     k: int
     curve: str
     basis: tuple[QuadricI2, ...]
-    vectors: tuple[Vector, ...]
+    vectors: tuple[Row, ...]
     dimension: int
     codimension_ok: bool
     support_coordinates_vanish: bool
@@ -735,34 +729,34 @@ class HyperplaneResult(Record):
             "dimension": self.dimension,
             "codimension_ok": self.codimension_ok,
             "support_coordinates_vanish": self.support_coordinates_vanish,
-            "basis": [vector_to_json(self.genus, vec) for vec in self.vectors],
+            "basis": [vector_to_json(self.genus, row) for row in self.vectors],
         }
 
 
 def _restrict_to_functional_kernel(
-    domain_vectors: tuple[Vector, ...],
+    domain: tuple[Row, ...],
     values: tuple[Fraction, ...],
     ncols: int,
-) -> tuple[Vector, ...]:
+) -> tuple[Row, ...]:
     """Canonical basis of {sum c_i B_i : sum c_i values_i = 0}.
 
-    Each B_i is taken as the integer row d_i B_i, whose value is d_i
-    values_i, with numerator u_i. With p the first i where u_i != 0, the
-    rows u_p d_j B_j - u_j d_p B_p (j != p) span the cut, and `rref` gives
-    its unique reduced basis; if every value is zero the cut is the span of
-    the domain itself.
+    Each B_i is taken as the integer row d_i B_i of its entries, of value
+    v_i = d_i values_i. With p the first i where v_i != 0, the integer rows
+    num(v_p) den(v_j) d_j B_j - num(v_j) den(v_p) d_p B_p (j != p) span the
+    cut, and `rref` gives its unique reduced basis; if every value is zero
+    the cut is the span of the domain itself.
     """
-    scaled = [numerators(vec) for vec in domain_vectors]
-    u, _ = numerators([den * value for (_, den), value in zip(scaled, values)])
-    rows = [{c: x for c, x in enumerate(ints) if x} for ints, _ in scaled]
-    p = next((i for i, x in enumerate(u) if x), None)
+    scaled = [den * value for (_, den), value in zip(domain, values)]
+    rows = [dict(entries) for entries, _ in domain]
+    p = next((i for i, v in enumerate(scaled) if v), None)
     if p is not None:
-        pivot, u_p = rows[p], u[p]
+        pivot, v_p = rows[p], scaled[p]
         cut = []
-        for j, (u_j, row) in enumerate(zip(u, rows)):
+        for j, (v_j, row) in enumerate(zip(scaled, rows)):
             if j != p:
+                u_p = v_p.numerator * v_j.denominator
                 combined = {c: u_p * x for c, x in row.items()}
-                if u_j:
+                if u_j := v_j.numerator * v_p.denominator:
                     for c, x in pivot.items():
                         combined[c] = combined.get(c, 0) - u_j * x
                 cut.append(combined)
@@ -777,20 +771,20 @@ def witness_hyperplane(genus: int, k: int, curve: Curve) -> HyperplaneResult:
     The cut is the single row of witness values; that every support
     coordinate then vanishes on the result (the textbook description of
     A_{k,0} by the equations a_{u,2k+3-u} = 0) is asserted as a
-    consequence, not imposed.
+    consequence, not imposed, and read off the rows.
     """
     level, values = _witness_values(genus, k, curve)
     vectors = _restrict_to_functional_kernel(
         level.basis, values, len(sym_pairs(genus))
     )
-    quads = tuple(quadric_from_vector(genus, vec) for vec in vectors)
     support = _support(genus, k, 2 * genus - 2 * k - 3)
-    support_vanish = all(q.b(*pair) == 0 for q in quads for pair in support)
+    pairs = b_pairs(genus)
+    support_vanish = not any(pairs[c] in support for entries, _ in vectors for c, _ in entries)
     return HyperplaneResult(
         genus=genus,
         k=k,
         curve=curve.label(),
-        basis=quads,
+        basis=tuple(QuadricI2(genus, row) for row in vectors),
         vectors=vectors,
         dimension=len(vectors),
         codimension_ok=len(vectors) == level.dimension - 1,
@@ -801,7 +795,7 @@ def witness_hyperplane(genus: int, k: int, curve: Curve) -> HyperplaneResult:
 class DiagonalResult(Record):
     functional: Functional
     hyperplane: HyperplaneResult
-    a00_vectors: tuple[Vector, ...]
+    a00_vectors: tuple[Row, ...]
     a00_dimension: int
     codimension: int
 
@@ -812,7 +806,7 @@ class DiagonalResult(Record):
             "hyperplane": self.hyperplane.to_json(),
             "a00_dimension": self.a00_dimension,
             "codimension": self.codimension,
-            "a00_basis": [vector_to_json(genus, vec) for vec in self.a00_vectors],
+            "a00_basis": [vector_to_json(genus, row) for row in self.a00_vectors],
         }
 
 
@@ -1028,7 +1022,7 @@ class CupRank(Record):
     n: int
     genus: int
     rank: int
-    kernel: tuple[Vector, ...]
+    kernel: tuple[Row, ...]
     rank_bound_ok: bool
     predicted_kernel_indices: tuple[int, ...]
     containment_ok: bool

@@ -748,6 +748,46 @@ def test_an_over_long_integer_names_its_length(capsys, monkeypatch, tmp_path, ar
     assert "set_int_max_str_digits" not in err and "Traceback" not in err
 
 
+NOT_AN_INTEGER = "x" + LONG
+CUT = "'x1111111111111111111...'"
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        (None, ("scan", "--g", "4", "--samples", NOT_AN_INTEGER),
+         f"argument --samples: invalid sample_count value: {CUT}"),
+        (None, ("verify", "--theorem", "T3.1", "--g", NOT_AN_INTEGER),
+         f"--g expects N or A..B with integers, got {CUT}"),
+        (None, ("verify", "--theorem", "T3.1", "--g", f"3..{NOT_AN_INTEGER}"),
+         "--g expects N or A..B with integers, got '3..x1111111111111111...'"),
+        (None, ("verify", "--theorem", "T3.1", "--g", "3", "--k", NOT_AN_INTEGER),
+         f"argument --k: invalid int value: {CUT}"),
+        (None, ("rho", "--g", "4", "--quadric", "basis:1,2", "--pair", "1", f"1.{LONG}"),
+         "argument --pair: invalid int value: '1.111111111111111111...'"),
+        (None, ("rho", "--curve", f"0,{NOT_AN_INTEGER},2,3,4,5,6,7",
+                "--quadric", "basis:1,2", "--pair", "1", "1"),
+         f"bad --curve value: not a rational literal: {CUT}"),
+        (None, ("rho", "--g", "4", "--quadric", f"basis:1,{NOT_AN_INTEGER}", "--pair", "1", "1"),
+         "bad --quadric value 'basis:1,x11111111111...': "
+         f"invalid literal for int() with base 10: {CUT}"),
+        (NOT_AN_INTEGER, ("rank-table", "--g", "3"),
+         f"GAUSSMAP_MAX_GENUS must be an integer, got {CUT}"),
+    ],
+    ids=["samples", "g", "g-range", "k", "pair", "curve", "quadric-basis", "genus-cap"],
+)
+def test_an_over_long_non_integer_gets_the_short_message(capsys, monkeypatch, env, argv, message):
+    # a run of more digits than the interpreter reads, in a value that is not
+    # an integer whatever its length: the reason is the one a short value gets
+    monkeypatch.setenv("COLUMNS", "80")
+    if env is not None:
+        monkeypatch.setenv("GAUSSMAP_MAX_GENUS", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: {message}\n")
+    assert len(err.encode()) < 300 and "digits" not in err and "Traceback" not in err
+
+
 def test_an_over_long_genus_cap_names_its_length(capsys, monkeypatch):
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if not limit:

@@ -12,11 +12,12 @@ stdout SHA-256 of every theorem suite and a scan at genus 8..12 (checked
 here), and of ``T6.5`` at genus 15, 20, 25, 30 and 40, ``T6.6`` and
 ``T6.9`` at genus 15, 20 and 25, ``L3.4`` and ``L6.2`` at genus 20 and 25,
 ``L3.4`` at genus 30, ``T3.1`` at genus 20, 30, 40 and 50, ``R4.1`` at
-genus 20, 30 and 40, ``T6.12`` (20 samples) at genus 15, 20 and 30, and
-``T6.12`` and a scan (5 samples) at genus 38 past the default cap (checked
-in ``test_frontier.py``; the genus-38 digests were first written by the
-change that let integers of over 4,300 digits print, since the code before
-it exited 1 on them). Reruns of one build are already checked to agree
+genus 20, 30 and 40, ``T6.12`` (20 samples) at genus 15, 20, 30 and 37,
+``T6.12`` and a scan (5 samples) at genus 38, ``T6.9`` at genus 30,
+``L3.4`` at genus 40 and the ``kernel --k 5 --method both`` JSON at genus
+25 past the default cap (checked in ``test_frontier.py``; the genus-38
+digests were first written by the change that let integers of over 4,300
+digits print, since the code before it exited 1 on them). Reruns of one build are already checked to agree
 elsewhere; these files also catch a change that alters an answer the same
 way on every run.
 
@@ -37,6 +38,7 @@ import pytest
 from gaussmap.cli import main
 from gaussmap.curve import default_curve
 from gaussmap.gaussian import max_level, odd_kernel_and_rank
+from gaussmap.linalg import fractions
 from gaussmap.rationals import rat_to_string
 from gaussmap.rho import diagonal_functional, witness_functional
 
@@ -85,7 +87,13 @@ DIGEST_RUNS = {
     + tuple(
         f"verify --theorem T6.12 --g {genus} --samples 20" for genus in (15, 20, 30)
     )
-    + ("verify --theorem T6.12 --g 38 --samples 5", "scan --g 38 --samples 5"),
+    + ("verify --theorem T6.12 --g 38 --samples 5", "scan --g 38 --samples 5")
+    + (
+        "verify --theorem T6.9 --g 30",
+        "verify --theorem L3.4 --g 40",
+        "verify --theorem T6.12 --g 37 --samples 20",
+        "kernel --g 25 --k 5 --method both",
+    ),
 }
 FRONTIER_CAP = "60"
 
@@ -108,7 +116,10 @@ def odd_kernels_json():
         while (result := odd_kernel_and_rank(genus, order)).domain_dim:
             table[f"g={genus} m={order}"] = {
                 "rank": result.rank,
-                "basis": [[rat_to_string(x) for x in vec] for vec in result.basis],
+                "basis": [
+                    [rat_to_string(x) for x in fractions(row, genus * (genus - 1) // 2)]
+                    for row in result.basis
+                ],
             }
             order += 2
     return json.dumps(table, indent=1, sort_keys=True) + "\n"

@@ -8,10 +8,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussmap.errors import IndexOutOfRange
-from gaussmap.gaussian import kernel_equations, kernel_via_equations, max_level
-from gaussmap.linalg import _add, _blocks, dot, kernel_basis, kernel_chain, rref, sparse_row
+from gaussmap.gaussian import _level_rows, kernel_via_equations, max_level
+from gaussmap.linalg import (
+    _add,
+    _blocks,
+    dot,
+    fractions,
+    kernel_basis,
+    kernel_chain,
+    row_of,
+    rref,
+    sparse_row,
+)
 
 F = Fraction
+
+
+def views(rows, ncols):
+    """The dense `Fraction` view of each row, as the oracles below give them."""
+    return tuple(fractions(row, ncols) for row in rows)
+
+
+def rref_view(rows, ncols):
+    reduced, pivots = rref(rows, ncols)
+    return views(reduced, ncols), pivots
 
 
 def mat_vec(rows, v):
@@ -137,10 +157,10 @@ def permuted_block_diagonal(draw):
 @example(([], 3))
 def test_block_split_matches_plain_elimination(case):
     rows, ncols = case
-    reduced, pivots = rref(sparse(rows), ncols)
+    reduced, pivots = rref_view(sparse(rows), ncols)
     assert (reduced, pivots) == naive_rref(rows, ncols)
     assert len(pivots) == naive_rank(rows, ncols)
-    basis = kernel_basis(sparse(rows), ncols)
+    basis = views(kernel_basis(sparse(rows), ncols), ncols)
     assert basis == naive_kernel(rows, ncols)
     assert len(pivots) + len(basis) == ncols
     for vec in basis:
@@ -153,8 +173,8 @@ def test_sparse_integer_rows_give_the_plain_elimination(case, data):
     rows, ncols = case
     sparse = sparse_integer_rows(data.draw, rows)
     sparse += [{}] * data.draw(st.integers(0, 2))
-    assert rref(sparse, ncols) == naive_rref(rows, ncols)
-    assert kernel_basis(sparse, ncols) == naive_kernel(rows, ncols)
+    assert rref_view(sparse, ncols) == naive_rref(rows, ncols)
+    assert views(kernel_basis(sparse, ncols), ncols) == naive_kernel(rows, ncols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,7 +193,7 @@ def test_explicit_zero_entries_never_merge_blocks(case, data):
 
 def test_an_explicit_zero_leaves_columns_apart_and_untouched():
     assert _blocks([{0: 2, 1: 0}, {1: 3}], 3) == [([0], [(0, [2])]), ([1], [(1, [3])])]
-    assert kernel_basis([{0: 2, 2: 0}], 3) == (
+    assert views(kernel_basis([{0: 2, 2: 0}], 3), 3) == (
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
     )
@@ -215,7 +235,8 @@ def test_kernel_chain_gives_the_kernel_of_every_prefix(case):
     for level, kernel in zip(levels, chain):
         rows += level
         dense = [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
-        assert kernel == kernel_basis(rows, ncols) == naive_kernel(dense, ncols)
+        assert kernel == kernel_basis(rows, ncols)
+        assert views(kernel, ncols) == naive_kernel(dense, ncols)
     # One store over all the rows: primitive rows with a positive pivot,
     # zero left of it and at every other pivot, are the RREF.
     store = {}
@@ -226,6 +247,57 @@ def test_kernel_chain_gives_the_kernel_of_every_prefix(case):
         assert not any(row[q] for q in store if q != p)
     reduced = tuple(tuple(F(x, row[p]) for x in row) for p, row in sorted(store.items()))
     assert (reduced, tuple(sorted(store))) == naive_rref(dense, ncols)
+
+
+@st.composite
+def sparse_integer_levels(draw):
+    """Sparse integer rows with entries up to 12 in size, each times a drawn
+    factor (so input rows share factors), split into levels, and the width."""
+    ncols = draw(st.integers(1, 8))
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        level = []
+        for _ in range(draw(st.integers(0, 4))):
+            factor = draw(st.sampled_from((1, 2, -3, 6, 35)))
+            columns = draw(st.sets(st.integers(0, ncols - 1), max_size=4))
+            level.append({c: factor * draw(st.integers(-12, 12)) for c in columns})
+        levels.append(level)
+    return levels, ncols
+
+
+def assert_canonical(row, ncols):
+    """Sorted nonzero entries inside the width, leading with the positive
+    denominator, all of them sharing no prime factor."""
+    entries, den = row
+    columns = [c for c, _ in entries]
+    assert columns == sorted(set(columns)) and 0 <= columns[0] and columns[-1] < ncols
+    assert den > 0 and entries[0][1] == den and all(x for _, x in entries)
+    assert gcd(den, *(x for _, x in entries)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_integer_levels())
+@example(([[{0: 6, 1: 4}, {1: 6, 2: 9}]], 3))  # pivots 6 and 3 over shared factors
+def test_every_row_is_canonical_and_views_as_the_plain_elimination(case):
+    levels, ncols = case
+    reduced, pivots = rref([row for level in levels for row in level], ncols)
+    rows = []
+    for level, kernel in zip(levels, kernel_chain(levels, ncols)):
+        rows += level
+        dense = [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
+        for row in kernel:
+            assert_canonical(row, ncols)
+        assert views(kernel, ncols) == naive_kernel(dense, ncols)
+    for row in reduced:
+        assert_canonical(row, ncols)
+    assert (views(reduced, ncols), pivots) == naive_rref(dense, ncols)
+
+
+def test_row_of_is_the_canonical_row_of_any_rational_vector():
+    assert row_of((F(1, 2), F(0), F(-2, 3), F(5))) == (((0, 3), (2, -4), (3, 30)), 6)
+    assert row_of((F(0), F(4, 6))) == (((1, 2),), 3)
+    assert row_of((F(0), F(0))) == ((), 1)
+    assert fractions(row_of((F(3, 4), F(0), F(-1))), 3) == (F(3, 4), F(0), F(-1))
 
 
 def test_sparse_rows_are_checked_against_the_column_count():
@@ -243,11 +315,11 @@ def test_dense_level_equations_cut_out_the_equation_route_kernels():
         rows = []
         for k in range(max_level(genus) + 1):
             if k:
-                rows.extend(kernel_equations(genus, k).rows)
+                rows.extend([F(r.get(c, 0)) for c in range(dim)] for r in _level_rows(genus, k))
             basis = kernel_via_equations(genus).level(k).basis
             assert kernel_basis(sparse(rows), dim) == basis, (genus, k)
             if genus <= 8:
-                assert naive_kernel(rows, dim) == basis, (genus, k)
+                assert naive_kernel(rows, dim) == views(basis, dim), (genus, k)
 
 
 def test_rank_of_identity_and_zero():
@@ -272,7 +344,7 @@ def test_rref_pivots_are_normalized_and_cleared():
         [F(2), F(4), F(2)],
         [F(1), F(3), F(2)],
     ]
-    rows, pivots = rref(sparse(m), 3)
+    rows, pivots = rref_view(sparse(m), 3)
     assert pivots == (0, 1)
     for r, p in enumerate(pivots):
         assert rows[r][p] == 1
@@ -286,7 +358,7 @@ def test_kernel_vectors_annihilate_rows():
         [F(1), F(2), F(3), F(4)],
         [F(0), F(1), F(1), F(1)],
     ]
-    basis = kernel_basis(sparse(m), 4)
+    basis = views(kernel_basis(sparse(m), 4), 4)
     assert len(basis) == 2
     for vec in basis:
         assert all(x == 0 for x in mat_vec(m, vec))
@@ -308,7 +380,7 @@ def test_rref_of_a_span_is_basis_independent():
     b, _ = rref(sparse([tuple(3 * x for x in v2),
                         tuple(x + y for x, y in zip(v1, v2))]), 3)
     assert a == b
-    assert rref(sparse(a), 3)[0] == a
+    assert rref([dict(entries) for entries, _ in a], 3)[0] == a
 
 
 def test_dot_is_bilinear_on_samples():
@@ -369,9 +441,9 @@ def test_kernel_dimension_complements_rank(rows):
     rows = [[F(x) for x in row] for row in rows]
     basis = kernel_basis(sparse(rows), 5)
     assert rank(rows, 5) + len(basis) == 5
-    for vec in basis:
+    for vec in views(basis, 5):
         assert all(x == 0 for x in mat_vec(rows, vec))
-    assert rref(sparse(basis), 5)[0] == basis
+    assert rref([dict(entries) for entries, _ in basis], 5)[0] == basis
 
 
 def test_sparse_row_drops_zeros_over_one_common_denominator():

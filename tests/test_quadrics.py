@@ -62,7 +62,7 @@ def test_b_transform_is_an_involution():
     g = 6
     rng_coords = [F(n, 3) for n in range(1, quadric_space_dimension(g) + 1)]
     q = quadric_from_vector(g, rng_coords)
-    twice = quadric_from_vector(g, QuadricI2(g, q.b_coords()).b_coords())
+    twice = quadric_from_vector(g, quadric_from_vector(g, q.b_coords()).b_coords())
     assert twice == q
 
 
@@ -153,9 +153,12 @@ def test_b_reflection_is_linear_and_involutive(coords):
     q = quadric_from_vector(g, [F(c) for c in coords])
     b = q.b_coords()
     assert len(b) == len(q.a_coords)
-    assert QuadricI2(g, QuadricI2(g, b).b_coords()) == q
+    assert quadric_from_vector(g, quadric_from_vector(g, b).b_coords()) == q
 
 
 def test_wrong_coordinate_count_is_rejected():
     with pytest.raises(IndexOutOfRange):
-        QuadricI2(genus=5, a_coords=(F(1),) * 5)
+        quadric_from_vector(5, (F(1),) * 5)
+    for row in ((((6, 1),), 1), (((-1, 1),), 1), (((0, 1),), 0)):
+        with pytest.raises(IndexOutOfRange):
+            QuadricI2(genus=5, row=row)

@@ -144,7 +144,7 @@ def test_real_records_keep_their_dataclass_behaviour():
     assert bare == result and hash(bare) == hash(result)
     assert repr(bare) == repr(result) and "pairings" not in repr(result)
     with pytest.raises(IndexOutOfRange):
-        QuadricI2(genus=5, a_coords=(Fraction(1),) * 5)
+        QuadricI2(genus=5, row=(((6, 1),), 1))
 
 
 WELL_FORMED = (

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussmap
+import gaussmap.rationals as rationals
 import gaussmap.rho as rho
 import gaussmap.suites as suites
 from gaussmap.cli import main
@@ -43,6 +44,7 @@ from gaussmap.gaussian import (
     kernel_via_equations,
     mu_eval_polynomial,
 )
+from gaussmap.linalg import row_of
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
 from gaussmap.record import replace
 from gaussmap.rho import (
@@ -73,7 +75,8 @@ from gaussmap.rho import (
 from gaussmap.reports import RunConfig
 from gaussmap.series import TruncatedSeries
 from gaussmap.suites import curve_panel, verify_theorem
-from test_linalg import naive_kernel, naive_rref
+from test_golden import cli_stdout
+from test_linalg import naive_kernel, naive_rref, views
 
 F = Fraction
 
@@ -81,8 +84,7 @@ small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 def genus5_kernel_generator():
-    vec = kernel_via_equations(5).level(1).basis[0]
-    return quadric_from_vector(5, vec)
+    return kernel_via_equations(5).level(1).quadrics[0]
 
 
 # -- Schiffer indices ---------------------------------------------------------------
@@ -196,10 +198,7 @@ def test_threshold_and_rho_do_not_depend_on_the_call_order():
     for genus, seed in ((5, 1), (6, 2), (7, 3)):
         c = random_curve(genus, random.Random(seed))
         quads = [basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus)[:4]]
-        quads += [
-            quadric_from_vector(genus, vec)
-            for vec in kernel_via_equations(genus).level(1).basis[:2]
-        ]
+        quads += kernel_via_equations(genus).level(1).quadrics[:2]
         pairs = ((3, 5), (1, 1), (5, 5), (1, 3), (3, 3))
         for q in quads:
             pairing = Pairing(q, c)
@@ -710,8 +709,9 @@ def test_forced_pair_values_equal_fresh_rho_evaluations(genus):
 def test_level_quadrics_are_the_basis_vectors_built_once(monkeypatch):
     for genus in range(3, 10):
         for level in kernel_via_equations(genus).levels:
+            dim = len(sym_pairs(genus))
             assert level.quadrics == tuple(
-                quadric_from_vector(genus, vec) for vec in level.basis
+                quadric_from_vector(genus, vec) for vec in views(level.basis, dim)
             )
     seen = []
     original = Pairing.family.__func__
@@ -831,9 +831,33 @@ def cut_cases(draw):
 )
 def test_the_integer_cut_equals_the_dense_route(case):
     domain, values, ncols = case
-    assert _restrict_to_functional_kernel(domain, values, ncols) == dense_cut(
+    rows = tuple(map(row_of, domain))
+    assert views(_restrict_to_functional_kernel(rows, values, ncols), ncols) == dense_cut(
         domain, values, ncols
     )
+
+
+def test_kernel_rows_and_quadrics_clear_no_denominators(monkeypatch):
+    """From the elimination store to the pairings, a kernel vector, a cut
+    and a quadric are integer rows: on the certificate and diagonal paths
+    `numerators` clears no denominators of theirs. The one call left is on
+    the x-jets of the reduction vector (`_reduction`)."""
+    callers = []
+    original = rationals.numerators
+
+    def counted(values):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return original(values)
+
+    for module in (gaussmap.quadrics, rho, gaussmap.linalg):
+        if hasattr(module, "numerators"):
+            monkeypatch.setattr(module, "numerators", counted)
+    for argv in (
+        ("scan", "--g", "9", "--samples", "100", "--seed", "0"),
+        ("verify", "--theorem", "T6.9", "--g", "9", "--seed", "0"),
+    ):
+        assert cli_stdout(*argv)
+    assert callers and set(callers) == {"_reduction"}, sorted(set(callers))
 
 
 @pytest.mark.parametrize(
@@ -847,10 +871,11 @@ def test_hyperplanes_equal_the_dense_route(genus):
         for k in range((genus - 3) // 2 + 1):
             d = diagonal_functional(genus, k, curve)
             _, values = _witness_values(genus, k, curve)
-            domain = kernel_via_equations(genus).level(k).basis
-            assert d.hyperplane.vectors == dense_cut(domain, values, ncols), (genus, k)
-            assert d.a00_vectors == dense_cut(
-                d.hyperplane.vectors, d.functional.values, ncols
+            domain = views(kernel_via_equations(genus).level(k).basis, ncols)
+            hyperplane = views(d.hyperplane.vectors, ncols)
+            assert hyperplane == dense_cut(domain, values, ncols), (genus, k)
+            assert views(d.a00_vectors, ncols) == dense_cut(
+                hyperplane, d.functional.values, ncols
             ), (genus, k)
 
 
@@ -979,7 +1004,7 @@ def test_cup_product_kernel_matches_naive_elimination():
                 for a in table
             ]
             result = cup_rank(curve, n)
-            assert result.kernel == naive_kernel(dense, genus), (genus, n)
+            assert views(result.kernel, genus) == naive_kernel(dense, genus), (genus, n)
             assert result.rank == genus - len(result.kernel)
 
 
