@@ -9,17 +9,11 @@ the second fundamental form pairing on higher Schiffer variations.
 
 from .curve import (
     Curve,
-    LocalFrameExpansion,
     canonical_derivatives,
     curve_from_json,
     default_curve,
-    expand_canonical,
-    expand_omega,
     new_curve,
-    omega_derivatives,
     random_curve,
-    x_derivatives,
-    x_of_z,
 )
 from .errors import (
     BeyondThreshold,
@@ -51,7 +45,6 @@ from .gaussian import (
     kernel_via_equations,
     kernel_via_polynomial_oracle,
     max_level,
-    mu_eval_polynomial,
     odd_kernel_and_rank,
     oracle_residuals,
     rank_formula,
@@ -70,7 +63,6 @@ from .quadrics import (
     wedge_pairs,
 )
 from .rationals import Rational, rat_from_string, rat_to_string
-from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 

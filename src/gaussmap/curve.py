@@ -37,10 +37,11 @@ integer jet store, read by every pairing and reduction vector and by
 row_i[m-i] gh_0^i over gh_0^(2m+1), reduced by one gcd, and its last
 nonzero row is recorded (`Jets.last`); each odd column is checked to
 vanish. `Jets.z_rows` views it as z-coefficients over one denominator
-(`cup_rank`). `Jets.lift` hands out Y, (sY)' and the rows to
-`x_derivatives` and the x-chart cross-check. `omega_derivatives` is the
-canonical table shifted by two orders; `x_of_z`, `expand_canonical` and
-`expand_omega` read their series off these jet tables.
+(`cup_rank`). `Jets.lift` hands out Y, (sY)' and the rows to the x-jets
+of the reduction vector and to the x-chart cross-check. The moduli
+polynomial reaches `Jets` as the integers Ghat over E. The one `Fraction`
+view of the store is `canonical_derivatives`, which only
+`gaussian.wronskian_rank_oracle` and the public API read.
 """
 
 from __future__ import annotations
@@ -55,13 +56,11 @@ from .errors import (
     DuplicateBranchPoint,
     FirstBranchPointNotZero,
     IdentityFailed,
-    IndexOutOfRange,
     InvalidIndex,
     TooFewBranchPoints,
 )
-from .rationals import as_rational, int_from_string, numerators, rat_to_string
+from .rationals import as_rational, int_from_string, rat_to_string
 from .record import Record
-from .series import TruncatedSeries
 
 
 class Curve(Record):
@@ -73,11 +72,13 @@ class Curve(Record):
     def genus(self) -> int:
         return len(self.branch_points) // 2 - 1
 
-    def moduli_polynomial(self) -> TruncatedSeries:
-        """G(x) = prod over nonzero branch points of (x - t_i).
+    def moduli_polynomial(self) -> tuple[list[int], int]:
+        """G(x) = prod over nonzero branch points of (x - t_i), as integer
+        coefficients (lowest first) over one positive denominator E.
 
         With t_i = p_i / q_i, G is the integer product of the (q_i x - p_i)
-        divided once by the product of the q_i.
+        over the product of the q_i; both are divided by their one gcd, so E
+        is the lcm of the denominators of G's coefficients.
         """
         coeffs = [1]
         scale = 1
@@ -85,7 +86,8 @@ class Curve(Record):
             p, q = t.numerator, t.denominator
             coeffs = [q * a - p * b for a, b in zip([0] + coeffs, coeffs + [0])]
             scale *= q
-        return TruncatedSeries.make((Fraction(c, scale) for c in coeffs), None)
+        common = gcd(scale, *coeffs)
+        return [c // common for c in coeffs], scale // common
 
     def g_at_zero(self) -> Fraction:
         acc = Fraction(1)
@@ -185,8 +187,7 @@ class Jets:
     """
 
     def __init__(self, curve: Curve) -> None:
-        gpoly = curve.moduli_polynomial()
-        ghat, scale = numerators(gpoly.coeffs)
+        ghat, scale = curve.moduli_polynomial()
         self._ghat = ghat
         self._g0 = ghat[0]
         self._scale = scale
@@ -298,60 +299,6 @@ class Jets:
         return num, den
 
 
-def _from_jets(jets, order: int) -> TruncatedSeries:
-    """The z-series with these jets at 0, truncated at z^order."""
-    return TruncatedSeries.make((jets[h] / factorial(h) for h in range(order)), order)
-
-
-def x_of_z(curve: Curve, order: int) -> TruncatedSeries:
-    """The even series x(z) to the requested z-truncation order."""
-    if order < 1:
-        raise IndexOutOfRange("order must be positive")
-    return _from_jets(x_derivatives(curve, order - 1), order)
-
-
-class LocalFrameExpansion(Record):
-    """A section's local function at p in a stated frame, as a z-series."""
-
-    frame: str
-    index: int
-    valuation: int
-    series: TruncatedSeries
-
-
-def expand_canonical(curve: Curve, i: int, order: int) -> LocalFrameExpansion:
-    """z-expansion of x^i dx/y in the frame dz (local function x^i x'/z)."""
-    genus = curve.genus
-    if not 0 <= i <= genus - 1:
-        raise IndexOutOfRange(f"canonical index {i} outside 0..{genus - 1}")
-    if order < 2 * i + 1:
-        raise IndexOutOfRange("order too small to exhibit the vanishing order")
-    row = canonical_derivatives(curve, order - 1)[i]
-    return LocalFrameExpansion(
-        frame="dz", index=i, valuation=2 * i, series=_from_jets(row, order)
-    )
-
-
-def expand_omega(curve: Curve, k: int, order: int) -> LocalFrameExpansion:
-    """z-expansion of the twisted form omega_k in the frame z^2 dz.
-
-    omega_k = x^{g-k} dx/y carries a double zero at each point over
-    x = infinity; its local function in the frame z^2 dz is
-    x^{g-k} x'/z^3, of exact order 2g-2k-2.
-    """
-    genus = curve.genus
-    if not 1 <= k <= genus - 1:
-        raise IndexOutOfRange(f"omega index {k} outside 1..{genus - 1}")
-    if order < 2 * genus - 2 * k - 1:
-        raise IndexOutOfRange("order too small to exhibit the vanishing order")
-    return LocalFrameExpansion(
-        frame="z^2 dz",
-        index=k,
-        valuation=2 * genus - 2 * k - 2,
-        series=_from_jets(omega_derivatives(curve, order - 1)[k - 1], order),
-    )
-
-
 def canonical_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact jets: row i, column h holds d^h/dz^h at 0 of x^i x'/z, read
     from the jet store.
@@ -363,30 +310,4 @@ def canonical_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction,
     return tuple(
         tuple(Fraction(t[i], d) for t, d in zip(num[: max_order + 1], den))
         for i in range(curve.genus)
-    )
-
-
-def omega_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact jets of the omega frame functions; row k-1 is omega_k.
-
-    x^{g-k} x'/z^3 is row g-k of the canonical table over z^2, so its jet
-    of order h is that row's jet of order h+2 over (h+2)(h+1).
-    """
-    genus = curve.genus
-    table = canonical_derivatives(curve, max_order + 2)
-    return tuple(
-        tuple(row[h + 2] / ((h + 2) * (h + 1)) for h in range(max_order + 1))
-        for row in table[genus - 1 : 0 : -1]
-    )
-
-
-def x_derivatives(curve: Curve, max_order: int) -> tuple[Fraction, ...]:
-    """Exact jets of the coordinate function x(z) itself at z = 0, read off
-    the lift: the jet of order 2n is (2n)! E^n Y_(n-1) / gh_0^(2n-1)."""
-    g0, y, _, _ = curve.jets.lift(max_order // 2)
-    scale = curve.jets._scale
-    return tuple(
-        Fraction(factorial(h) * scale ** (h // 2) * y[h // 2 - 1], g0 ** (h - 1))
-        if h and h % 2 == 0 else Fraction(0)
-        for h in range(max_order + 1)
     )

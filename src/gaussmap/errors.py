@@ -32,8 +32,8 @@ class TooFewBranchPoints(GaussmapError):
 
 
 class IndexOutOfRange(GaussmapError):
-    """An index is outside its documented range (basis labels, series
-    coefficients at or beyond the truncation order, table rows)."""
+    """An index is outside its documented range (basis labels, levels,
+    orders, table rows)."""
 
 
 class NotInPreviousKernel(GaussmapError):

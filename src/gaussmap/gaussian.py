@@ -29,6 +29,12 @@ produce canonical (reduced row-echelon) bases of integer rows (`linalg.Row`),
 so agreement is literal row equality. A level's quadrics are its rows, and
 the factorization and support checks read a quadric's row.
 
+Every identity polynomial here (the oracle residuals, the mu_2k
+representatives, both sides of the factorization) is a list of integer
+x-coefficients over one denominator. The factorization compares its sides
+by cross-multiplication; a `Fraction` is made only for a value a report
+prints (the frame constant, a representative mismatch).
+
 Odd maps act on the exterior square of the canonical space and are
 handled by ``odd_kernel_and_rank`` (x-chart identities, from the same row
 builder as the oracle route with the slots (i, j, 1), (j, i, -1) of
@@ -55,8 +61,8 @@ from .quadrics import (
     wedge_pairs,
     wedge_slots,
 )
+from .rationals import poly_to_string
 from .record import Record
-from .series import TruncatedSeries
 
 
 def falling(n: int, k: int) -> int:
@@ -262,20 +268,12 @@ def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
     return out, den
 
 
-def _exact(coeffs: list[int], den: int) -> TruncatedSeries:
-    """The exact polynomial with these integer coefficients over `den`."""
-    return TruncatedSeries.make((Fraction(c, den) for c in coeffs), None)
-
-
-def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, TruncatedSeries]]:
-    """Nonzero identity polynomials sum c_ab f^(h) f^(n) for h+n <= bound."""
+def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, list[int]]]:
+    """Nonzero identity polynomials sum c_ab f^(h) f^(n) for h+n <= bound, as
+    (h, n, x-coefficients) over the tensor's denominator."""
     orders = [(t - n, n) for t in range(bound + 1) for n in range(t // 2 + 1)]
-    identities, den = _identity_coeffs(q, orders)
-    return [
-        (h, n, _exact(coeffs, den))
-        for (h, n), coeffs in zip(orders, identities)
-        if any(coeffs)
-    ]
+    identities, _ = _identity_coeffs(q, orders)
+    return [(h, n, coeffs) for (h, n), coeffs in zip(orders, identities) if any(coeffs)]
 
 
 def is_in_kernel(q: QuadricI2, k: int) -> bool:
@@ -355,23 +353,14 @@ def mu_coefficients(
         if p != first:
             raise IdentityFailed(
                 f"representative mismatch for mu_{2 * k}: n=0 gives "
-                f"{_exact(first, den).to_string()}, n={n} gives {_exact(p, den).to_string()}"
+                f"{poly_to_string(first, den)}, n={n} gives {poly_to_string(p, den)}"
             )
     return first, den
-
-
-def mu_eval_polynomial(
-    q: QuadricI2, k: int, check_membership: bool = True
-) -> TruncatedSeries:
-    """x-chart polynomial representing mu_2k on a quadric (`mu_coefficients`)."""
-    return _exact(*mu_coefficients(q, k, check_membership))
 
 
 class FactorizationCheck(Record):
     genus: int
     k: int
-    lhs: TruncatedSeries
-    rhs: TruncatedSeries
     constant: Fraction | None
     proportional: bool
     zero_iff_zero: bool
@@ -389,40 +378,35 @@ def factorization_check(q: QuadricI2, k: int) -> FactorizationCheck:
 
         sum a_ij (falling(i,2k+1) - falling(j,2k+1)) x^{i+j-2k-1},
 
-    the (2k+1)-st twisted-map polynomial of the same coordinates. The
-    exact constant is returned so callers can pin it across inputs.
+    the (2k+1)-st twisted-map polynomial of the same coordinates. Both sides
+    are integer x-coefficients, over the tensor's and the row's denominator,
+    and are compared by cross-multiplication at the lowest nonzero
+    coefficient of the right side. The exact constant is returned so
+    callers can pin it across inputs.
     """
     if not is_in_kernel(q, k):
         raise NotInKernel(f"quadric is not in Ker mu_{2 * k}")
     genus = q.genus
-    lhs = TruncatedSeries.monomial(2) * mu_eval_polynomial(q, k + 1, check_membership=False)
+    mu, lhs_den = mu_coefficients(q, k + 1, check_membership=False)
+    lhs = [0, 0, *mu]
     pairs = sym_pairs(genus)
-    entries, den = q.row
-    coeffs = [0] * (2 * genus)
+    entries, rhs_den = q.row
+    rhs = [0] * len(lhs)
     for c, x in entries:
         i, j = pairs[c]
         if t := falling(i, 2 * k + 1) - falling(j, 2 * k + 1):
-            coeffs[i + j - 2 * k - 1] += x * t
-    rhs = _exact(coeffs, den).scale(k + 1)
-    if not (lhs.coeffs and rhs.coeffs):
+            rhs[i + j - 2 * k - 1] += (k + 1) * x * t
+    pivot = next((e for e, c in enumerate(rhs) if c), None)
+    if pivot is None or not any(lhs):
+        both_zero = pivot is None and not any(lhs)
         return FactorizationCheck(
-            genus=genus,
-            k=k,
-            lhs=lhs,
-            rhs=rhs,
-            constant=None,
-            proportional=not (lhs.coeffs or rhs.coeffs),
-            zero_iff_zero=bool(lhs.coeffs) == bool(rhs.coeffs),
+            genus=genus, k=k, constant=None, proportional=both_zero, zero_iff_zero=both_zero
         )
-    pivot = next(e for e, c in enumerate(rhs.coeffs) if c)
-    constant = lhs.coefficient(pivot) / rhs.coeffs[pivot]
     return FactorizationCheck(
         genus=genus,
         k=k,
-        lhs=lhs,
-        rhs=rhs,
-        constant=constant,
-        proportional=lhs == rhs.scale(constant),
+        constant=Fraction(lhs[pivot] * rhs_den, lhs_den * rhs[pivot]),
+        proportional=all(a * rhs[pivot] == lhs[pivot] * b for a, b in zip(lhs, rhs)),
         zero_iff_zero=True,
     )
 

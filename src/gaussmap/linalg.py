@@ -34,11 +34,16 @@ from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import IndexOutOfRange
-from .rationals import numerators
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, int]
 Row = tuple[tuple[tuple[int, int], ...], int]
+
+
+def numerators(values) -> tuple[list[int], int]:
+    """Integer numerators of these rationals over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def row_of(vector: Sequence[Fraction]) -> Row:

@@ -12,7 +12,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvalidIndex
 
@@ -35,6 +34,17 @@ def rat_to_string(value: Fraction | int) -> str:
     if value.denominator == 1:
         return int_to_string(value.numerator)
     return f"{int_to_string(value.numerator)}/{int_to_string(value.denominator)}"
+
+
+def poly_to_string(coeffs, den: int) -> str:
+    """``c0 + c1*x + c2*x^2 + ...`` for integer coefficients (lowest first)
+    over ``den``, without the zero terms; ``0`` if none."""
+    terms = [
+        rat_to_string(Fraction(c, den)) + ("" if e == 0 else "*x" if e == 1 else f"*x^{e}")
+        for e, c in enumerate(coeffs)
+        if c
+    ]
+    return " + ".join(terms) or "0"
 
 
 def bounded_repr(text: str) -> str:
@@ -90,12 +100,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return Fraction(value)
     raise InvalidIndex(f"not an exact rational: {value!r}")
-
-
-def numerators(values) -> tuple[list[int], int]:
-    """Integer numerators of these rationals over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def random_direction(rng: random.Random, length: int) -> tuple[Fraction, ...]:

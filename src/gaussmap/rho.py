@@ -34,10 +34,12 @@ suite scans a whole level's family at once for its least threshold T,
 which forces every pair with n + r <= T to 0, and writes the zero prefix
 it scanned into every pairing's watermark. The reduction vector reads the
 same store: the W(a, b) products are summed as integers over one common
-denominator, and the functionals check the vector against their rho
-values by cross-multiplying; the x-chart cross-check reads the lift's
-series (`Jets.lift`). `derivative_sum`, `threshold_info` and `rho_pair`
-are one-call wrappers that build a fresh `Pairing`.
+denominator, its x-jets are read off the lift's Y (`Jets.lift`), and the
+functionals check the vector against their rho values by
+cross-multiplying. The closed and display forms read their entries off
+the jet columns and make one `Fraction` per printed entry. The x-chart
+cross-check reads the lift's series. `derivative_sum`, `threshold_info`
+and `rho_pair` are one-call wrappers that build a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
@@ -62,15 +64,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
-from .curve import (
-    Curve,
-    _convolve,
-    canonical_derivatives,
-    omega_derivatives,
-    x_derivatives,
-)
+from .curve import Curve, _convolve
 from .errors import (
     BeyondThreshold,
     Falsified,
@@ -84,7 +80,7 @@ from .errors import (
 from .gaussian import KernelLevel, kernel_via_equations, mu_coefficients
 from .linalg import Row, dot, kernel_basis, rref
 from .quadrics import QuadricI2, b_pairs, basis_quadric, sym_pairs, vector_to_json
-from .rationals import numerators, rat_to_string
+from .rationals import rat_to_string
 from .record import Record, replace
 
 ZERO = Fraction(0)
@@ -378,7 +374,19 @@ def _reduction(
     m1 = n + r
     a_end = min(n, r)
     num, den = curve.jets.columns(m1)
-    sigma, sigma_den = numerators(x_derivatives(curve, m1))
+    # the x-jet of order c = 2e is c! E^e Y_(e-1) / gh_0^(c-1), read off the
+    # lift and reduced, all over the lcm of the reduced denominators
+    g0, y, _, _ = curve.jets.lift(m1 // 2)
+    jets = {}
+    for c in range(2, m1 + 1, 2):
+        x = factorial(c) * curve.jets._scale ** (c // 2) * y[c // 2 - 1]
+        d = g0 ** (c - 1)
+        common = gcd(x, d)
+        jets[c] = x // common, d // common
+    sigma_den = lcm(*(d for _, d in jets.values()))
+    sigma = [0] * (m1 + 1)
+    for c, (x, d) in jets.items():
+        sigma[c] = x * (sigma_den // d)
     terms = []
     for j in range(0, a_end, 2):
         scale = factorial(j) * factorial(m1 - j)
@@ -578,19 +586,22 @@ def _closed_form(
 ) -> tuple[Fraction, ...]:
     """sigma_2/2 * W-product / ((2u-2)! (m1-2u)!) at each support pair (i, g-u).
 
-    The one adjacent pair, j = i + 1, is the witness's u = k+1 and is
-    halved once more.
+    sigma_2 = 2 E Y_0 / gh_0 is the second x-jet, and the W-product is row
+    m1/2 - u of jet column m1 - 2u times row u - 1 of column 2u - 2. The one
+    adjacent pair, j = i + 1, is the witness's u = k+1 and is halved once
+    more.
     """
-    table = canonical_derivatives(curve, m1)
-    sigma2 = x_derivatives(curve, 2)[2]
+    num, den = curve.jets.columns(m1)
+    g0, y, _, _ = curve.jets.lift(1)
+    half_sigma2 = curve.jets._scale * y[0]
     out = []
     for (i, j) in support:
         u = genus - j
-        wval = table[m1 // 2 - u][m1 - 2 * u] * table[u - 1][2 * u - 2]
-        denom = 2 * factorial(2 * u - 2) * factorial(m1 - 2 * u)
+        a, b = m1 - 2 * u, 2 * u - 2
+        denom = g0 * den[a] * den[b] * factorial(a) * factorial(b)
         if j == i + 1:
             denom *= 2
-        out.append(sigma2 * wval / denom)
+        out.append(Fraction(half_sigma2 * num[a][m1 // 2 - u] * num[b][u - 1], denom))
     return tuple(out)
 
 
@@ -649,22 +660,26 @@ def _functional(
 
 
 def _witness_display_form(
-    curve: Curve, genus: int, k: int
+    curve: Curve, k: int
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """The textbook coefficient shape with the odd cubic integer factors."""
-    omega = omega_derivatives(curve, 4 * k + 4)
+    """The textbook coefficient shape with the odd cubic integer factors,
+    read off the jet columns."""
+    num, den = curve.jets.columns(4 * k + 4)
+
+    def omega(i: int, h: int) -> tuple[int, int]:
+        """Jet h of the omega-frame function x^i x'/z^3: row i of column
+        h + 2 over (h + 2)(h + 1)."""
+        return num[h + 2][i], den[h + 2] * (h + 2) * (h + 1)
+
     out = []
     factors = []
     for u in range(1, k + 1):
         factor = -8 * u**3 + 8 * u**2 * (k + 1) - 4 * k * u - (2 * k + 3)
         factors.append(factor)
-        product = (
-            omega[genus - 2 * k - 3 + u - 1][4 * k + 4 - 2 * u]
-            * omega[genus - u - 1][2 * u - 2]
-        )
-        out.append(product * Fraction(factor, 2 * factorial(4 * k + 4 - 2 * u)))
-    product = omega[genus - k - 3][2 * k + 2] * omega[genus - k - 2][2 * k]
-    out.append(-product / (2 * factorial(2 * k + 2)))
+        (a, da), (b, db) = omega(2 * k + 3 - u, 4 * k + 4 - 2 * u), omega(u, 2 * u - 2)
+        out.append(Fraction(factor * a * b, 2 * da * db * factorial(4 * k + 4 - 2 * u)))
+    (a, da), (b, db) = omega(k + 2, 2 * k + 2), omega(k + 1, 2 * k)
+    out.append(Fraction(-a * b, 2 * da * db * factorial(2 * k + 2)))
     return tuple(out), tuple(factors)
 
 
@@ -693,7 +708,7 @@ def witness_functional(genus: int, k: int, curve: Curve) -> Functional:
     level, values = _witness_values(genus, k, curve)
     quads = level.quadrics
     f = _functional(genus, curve, (2 * k + 3, 2 * k + 1), "kernel", quads, values)
-    display, factors = _witness_display_form(curve, genus, k)
+    display, factors = _witness_display_form(curve, k)
     display_values = tuple(
         dot(display, tuple(q.b(*pair) for pair in f.support)) for q in quads
     )

@@ -1,33 +1,32 @@
-"""The one exact coefficient type: polynomials and truncated power series.
+"""`Fraction` reference oracles: exact polynomials, truncated power series
+and the jet views of a curve built on them.
 
-A series is a dense coefficient tuple plus a truncation order N meaning
-"coefficients of z^e for e < N are exact; nothing is known from z^N on".
-``truncation = None`` marks an exact polynomial: every omitted coefficient
-is exactly zero and trailing zeros are stripped, so equal coefficient
-tuples are equal polynomials and the zero polynomial has no coefficients.
-The x-chart identities (the mu_2k evaluation polynomials, the oracle
-residuals, the factorization check) and the moduli polynomial G(x) are
-exact series of this kind.
+The program computes on integer coefficient lists over one denominator and
+makes a `Fraction` only where a report prints a value. The tests compare it
+against this module, which does the same mathematics the plain way:
 
-Two rules are enforced rather than documented away:
-
-* reading a coefficient at or beyond the truncation order is a hard
-  error, never silently zero;
-* products carry the exact truncation order
-  min(N_a + val(b), N_b + val(a)) — multiplying by a high-valuation
-  series genuinely extends the trustworthy range, and nothing else does.
-
-Valuation (order of vanishing) fails loudly on a series that is zero to
-its truncation order, since no finite amount of known data determines it.
+* `TruncatedSeries` is a dense `Fraction` coefficient tuple plus a
+  truncation order N meaning "coefficients of z^e for e < N are exact;
+  nothing is known from z^N on". ``truncation = None`` marks an exact
+  polynomial: every omitted coefficient is exactly zero and trailing zeros
+  are stripped, so equal coefficient tuples are equal polynomials. Reading
+  a coefficient at or beyond the truncation order is a hard error, and a
+  product carries the exact truncation order
+  min(N_a + val(b), N_b + val(a)).
+* `x_derivatives`, `omega_derivatives`, `x_of_z`, `expand_canonical` and
+  `expand_omega` are `Fraction` views of a curve's jets: the x-jets off the
+  lift's Y (`Jets.lift`), the rest off `curve.canonical_derivatives`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .errors import IndexOutOfRange
-from .rationals import rat_to_string
-from .record import Record
+from gaussmap.curve import Curve, canonical_derivatives
+from gaussmap.errors import IndexOutOfRange
+from gaussmap.rationals import rat_to_string
+from gaussmap.record import Record
 
 
 def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -64,8 +63,6 @@ class TruncatedSeries(Record):
             raise IndexOutOfRange("monomial exponent must be nonnegative")
         return cls.make((Fraction(0),) * exponent + (Fraction(coeff),), truncation)
 
-    # -- access -----------------------------------------------------------
-
     def coefficient(self, exponent: int) -> Fraction:
         if exponent < 0:
             raise IndexOutOfRange("negative series exponent")
@@ -98,8 +95,6 @@ class TruncatedSeries(Record):
     def is_zero_to_truncation(self) -> bool:
         return not any(self.coeffs)
 
-    # -- arithmetic --------------------------------------------------------
-
     @staticmethod
     def _min_trunc(a: int | None, b: int | None) -> int | None:
         if a is None:
@@ -120,9 +115,6 @@ class TruncatedSeries(Record):
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self.scale(-1)
 
     def scale(self, factor) -> "TruncatedSeries":
         factor = Fraction(factor)
@@ -189,11 +181,8 @@ class TruncatedSeries(Record):
         return TruncatedSeries.make((Fraction(0),) * k + self.coeffs, trunc)
 
     def inverse(self, order: int) -> "TruncatedSeries":
-        """Multiplicative inverse to the given truncation order.
-
-        Requires a unit (nonzero constant term) and enough known
-        coefficients.
-        """
+        """Multiplicative inverse to the given truncation order; needs a unit
+        (nonzero constant term) and enough known coefficients."""
         if order < 1:
             raise IndexOutOfRange("inverse needs a positive truncation order")
         if self.truncation is not None and self.truncation < order:
@@ -233,8 +222,69 @@ class TruncatedSeries(Record):
 
     def derivative_at_zero(self, order: int) -> Fraction:
         """Exact value of the order-th derivative at z = 0."""
-        coeff = self.coefficient(order)
-        fact = 1
-        for i in range(2, order + 1):
-            fact *= i
-        return coeff * fact
+        return self.coefficient(order) * factorial(order)
+
+
+def poly(coeffs, den: int = 1) -> TruncatedSeries:
+    """The exact polynomial with these coefficients (lowest first) over ``den``."""
+    return TruncatedSeries.make((Fraction(c, den) for c in coeffs), None)
+
+
+# -- Fraction views of a curve's jets ------------------------------------------------
+
+
+def _from_jets(jets, order: int) -> TruncatedSeries:
+    """The z-series with these jets at 0, truncated at z^order."""
+    return TruncatedSeries.make((jets[h] / factorial(h) for h in range(order)), order)
+
+
+def x_derivatives(curve: Curve, max_order: int) -> tuple[Fraction, ...]:
+    """Jets of the coordinate function x(z) at z = 0, read off the lift:
+    the jet of order 2n is (2n)! E^n Y_(n-1) / gh_0^(2n-1)."""
+    g0, y, _, _ = curve.jets.lift(max_order // 2)
+    scale = curve.jets._scale
+    return tuple(
+        Fraction(factorial(h) * scale ** (h // 2) * y[h // 2 - 1], g0 ** (h - 1))
+        if h and h % 2 == 0 else Fraction(0)
+        for h in range(max_order + 1)
+    )
+
+
+def omega_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Jets of the omega frame functions; row k-1 is omega_k.
+
+    x^{g-k} x'/z^3 is row g-k of the canonical table over z^2, so its jet
+    of order h is that row's jet of order h+2 over (h+2)(h+1).
+    """
+    table = canonical_derivatives(curve, max_order + 2)
+    return tuple(
+        tuple(row[h + 2] / ((h + 2) * (h + 1)) for h in range(max_order + 1))
+        for row in table[curve.genus - 1 : 0 : -1]
+    )
+
+
+def x_of_z(curve: Curve, order: int) -> TruncatedSeries:
+    """The even series x(z) to the requested z-truncation order."""
+    if order < 1:
+        raise IndexOutOfRange("order must be positive")
+    return _from_jets(x_derivatives(curve, order - 1), order)
+
+
+def expand_canonical(curve: Curve, i: int, order: int) -> TruncatedSeries:
+    """z-expansion of x^i dx/y in the frame dz (local function x^i x'/z)."""
+    if not 0 <= i <= curve.genus - 1:
+        raise IndexOutOfRange(f"canonical index {i} outside 0..{curve.genus - 1}")
+    if order < 2 * i + 1:
+        raise IndexOutOfRange("order too small to exhibit the vanishing order")
+    return _from_jets(canonical_derivatives(curve, order - 1)[i], order)
+
+
+def expand_omega(curve: Curve, k: int, order: int) -> TruncatedSeries:
+    """z-expansion of the twisted form omega_k = x^{g-k} dx/y in the frame
+    z^2 dz: the local function x^{g-k} x'/z^3, of exact order 2g-2k-2."""
+    genus = curve.genus
+    if not 1 <= k <= genus - 1:
+        raise IndexOutOfRange(f"omega index {k} outside 1..{genus - 1}")
+    if order < 2 * genus - 2 * k - 1:
+        raise IndexOutOfRange("order too small to exhibit the vanishing order")
+    return _from_jets(omega_derivatives(curve, order - 1)[k - 1], order)

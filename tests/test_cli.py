@@ -475,6 +475,27 @@ def test_a_representative_mismatch_is_a_failing_item(capsys, monkeypatch):
         assert failing == ["representative mismatch for mu_2: n=0 gives -1, n=1 gives 0"]
 
 
+def test_a_non_proportional_factorization_is_a_failing_item(capsys, monkeypatch):
+    """x^2 mu_4(Q) of one Ker mu_0 basis quadric Q gains x^2: every
+    representative of mu_4(Q) gains the same 1, so they still agree, and
+    the constant at the pivot stays 1, so only proportionality can fail."""
+    original = gaussian._mu_representative
+    target = gaussian.kernel_via_equations(4).level(0).quadrics[0]
+
+    def skewed(q, k, n):
+        coeffs = original(q, k, n)
+        return [coeffs[0] + q.tensor[1], *coeffs[1:]] if k == 1 and q == target else coeffs
+
+    monkeypatch.setattr(gaussian, "_mu_representative", skewed)
+    code, out, err = run(capsys, "verify", "--theorem", "L3.4", "--g", "4", "--samples", "0")
+    assert code == 1 and "Traceback" not in err
+    failing = [(c["item"], c["got"]) for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failing == [
+        ("g=4 k=0 factorization on [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]",
+         "3 basis elements, frame constant 1")
+    ]
+
+
 class _Vanishing(Fraction):
     """A nonzero value whose multiples vanish: a broken witness value."""
 

@@ -7,7 +7,9 @@ z-derivatives at 0 with odd columns identically zero.
 
 The program solves x * G(x) = z^2 over the integers by Hensel lifting.
 The independent route kept here is a Fraction Newton iteration with the
-row builder x^i * 2 dx/dw; every table must agree with it exactly.
+row builder x^i * 2 dx/dw; every table must agree with it exactly. The
+program's one `Fraction` jet view is `canonical_derivatives`; the x-jets,
+the omega table and the z-series come from the test-side `series_oracle`.
 """
 
 import math
@@ -25,13 +27,8 @@ from gaussmap.curve import (
     canonical_derivatives,
     curve_from_json,
     default_curve,
-    expand_canonical,
-    expand_omega,
     new_curve,
-    omega_derivatives,
     random_curve,
-    x_derivatives,
-    x_of_z,
 )
 from gaussmap.errors import (
     DuplicateBranchPoint,
@@ -41,7 +38,16 @@ from gaussmap.errors import (
     InvalidIndex,
     TooFewBranchPoints,
 )
-from gaussmap.series import TruncatedSeries
+from test_golden import cli_stdout
+from series_oracle import (
+    TruncatedSeries,
+    expand_canonical,
+    expand_omega,
+    omega_derivatives,
+    poly,
+    x_derivatives,
+    x_of_z,
+)
 
 F = Fraction
 
@@ -95,7 +101,7 @@ def test_moduli_polynomial_equals_the_product_of_linear_factors(genus):
         expected = TruncatedSeries.make((1,), None)
         for t in curve.branch_points[1:]:
             expected = expected * TruncatedSeries.make((-t, 1), None)
-        assert curve.moduli_polynomial() == expected
+        assert poly(*curve.moduli_polynomial()) == expected
 
 
 def test_a_curve_renders_its_label_once():
@@ -110,7 +116,7 @@ def test_a_curve_renders_its_label_once():
 def branch_identity_holds(curve, order=13):
     """x(z) * G(x(z)) == z^2 exactly, coefficient by coefficient."""
     x = x_of_z(curve, order)
-    lhs = x * x.compose_poly(curve.moduli_polynomial())
+    lhs = x * x.compose_poly(poly(*curve.moduli_polynomial()))
     return all(
         lhs.coefficient(i) == (1 if i == 2 else 0)
         for i in range(lhs.truncation)
@@ -156,13 +162,13 @@ def test_x_derivatives_match_the_series_jets():
 
 def test_canonical_expansions_scale_by_powers_of_x():
     c = default_curve(3)
-    base = expand_canonical(c, 0, 13).series
+    base = expand_canonical(c, 0, 13)
     x = x_of_z(c, 13)
     for i in range(1, c.genus):
         expected = base
         for _ in range(i):
             expected = expected * x
-        got = expand_canonical(c, i, 13).series
+        got = expand_canonical(c, i, 13)
         bound = min(expected.truncation, got.truncation)
         assert all(
             got.coefficient(n) == expected.coefficient(n) for n in range(bound)
@@ -172,9 +178,7 @@ def test_canonical_expansions_scale_by_powers_of_x():
 def test_canonical_expansion_valuation_doubles_the_index():
     c = default_curve(4)
     for i in range(c.genus):
-        exp = expand_canonical(c, i, 2 * c.genus + 3)
-        assert exp.valuation == 2 * i
-        assert exp.series.valuation() == 2 * i
+        assert expand_canonical(c, i, 2 * c.genus + 3).valuation() == 2 * i
 
 
 def test_canonical_expansion_needs_enough_orders():
@@ -191,7 +195,7 @@ def test_derivative_table_matches_series_derivatives():
     for i in range(c.genus):
         exp = expand_canonical(c, i, 11)
         for order in range(11):
-            assert table[i][order] == exp.series.derivative_at_zero(order)
+            assert table[i][order] == exp.derivative_at_zero(order)
 
 
 def test_derivative_table_odd_columns_vanish():
@@ -206,7 +210,7 @@ def test_derivative_table_leading_entries_are_nonzero():
     table = canonical_derivatives(c, 8)
     for i in range(c.genus):
         assert table[i][2 * i] != 0
-        lead = expand_canonical(c, i, 2 * i + 1).series.coefficient(2 * i)
+        lead = expand_canonical(c, i, 2 * i + 1).coefficient(2 * i)
         assert table[i][2 * i] == math.factorial(2 * i) * lead
 
 
@@ -215,13 +219,12 @@ def test_twisted_expansion_is_the_double_pole_shift_of_a_canonical_row():
     g = c.genus
     for k in range(1, g):
         omega = expand_omega(c, k, 11)
-        assert omega.valuation == 2 * g - 2 * k - 2
-        assert omega.series.valuation() == omega.valuation
-        alpha = expand_canonical(c, g - k, 13).series
+        assert omega.valuation() == 2 * g - 2 * k - 2
+        alpha = expand_canonical(c, g - k, 13)
         shifted = alpha.shift_down(2)
-        bound = min(shifted.truncation, omega.series.truncation)
+        bound = min(shifted.truncation, omega.truncation)
         assert all(
-            omega.series.coefficient(n) == shifted.coefficient(n)
+            omega.coefficient(n) == shifted.coefficient(n)
             for n in range(bound)
         )
 
@@ -268,7 +271,7 @@ def _x_series_w(curve, order_w):
     number of correct coefficients each round; the residual is asserted
     to vanish identically at the working order before returning.
     """
-    gcoeffs = curve.moduli_polynomial().coeffs
+    gcoeffs = poly(*curve.moduli_polynomial()).coeffs
     w = TruncatedSeries.monomial(1, 1, truncation=order_w)
     x = TruncatedSeries.make((Fraction(0), 1 / curve.g_at_zero()), 2)
     correct = 2
@@ -387,6 +390,30 @@ def test_the_jet_state_holds_integers_only():
     leaves = list(_leaves(vars(curve.jets)))
     assert leaves and all(type(v) is int for v in leaves)
     assert not any(isinstance(v, Fraction) for v in leaves)
+
+
+def test_the_suites_read_no_fraction_jet_view(monkeypatch):
+    """`canonical_derivatives`, the one `Fraction` view of the jets left in
+    `curve`, stays off the computing paths: with it raising wherever it is
+    bound, the witness and factorization runs print the same bytes."""
+    runs = (
+        ("verify", "--theorem", "T6.9", "--g", "9", "--seed", "0"),
+        ("verify", "--theorem", "L3.4", "--g", "9"),
+    )
+
+    def refused(*args):
+        raise AssertionError("a Fraction jet view was read")
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gaussmap" and (
+                getattr(module, "canonical_derivatives", None) is canonical_derivatives
+            ):
+                patch.setattr(module, "canonical_derivatives", refused)
+        assert curve_module.canonical_derivatives is refused
+        patched = [cli_stdout(*argv) for argv in runs]
+    assert patched == [cli_stdout(*argv) for argv in runs]
+    assert "gaussmap.series" not in sys.modules
 
 
 _HENSEL_WEIGHTS = curve_module._hensel_weights

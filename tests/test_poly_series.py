@@ -1,4 +1,6 @@
-"""Exact polynomial (``truncation=None``) and truncated-power-series arithmetic."""
+"""The `Fraction` oracle's exact polynomial (``truncation=None``) and
+truncated-power-series arithmetic, and the integer polynomial printer
+checked against it."""
 
 import math
 from fractions import Fraction
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from gaussmap.errors import IndexOutOfRange
 from gaussmap.gaussian import falling
-from gaussmap.series import TruncatedSeries
+from gaussmap.rationals import poly_to_string
+from series_oracle import TruncatedSeries
 
 F = Fraction
 
@@ -68,6 +71,16 @@ def test_polynomial_string_rendering_is_exact():
     assert poly([F(1, 2), 0, -3]).to_string() == "1/2 + -3*x^2"
     assert poly([0, F(-2, 3), 0, 5]).to_string() == "-2/3*x + 5*x^3"
     assert poly([]).to_string() == "0"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-10**30, 10**30) | st.just(0), max_size=8),
+    st.integers(1, 10**6) | st.just(1),
+)
+def test_the_integer_printer_renders_what_the_oracle_renders(coeffs, den):
+    expected = TruncatedSeries.make((F(c, den) for c in coeffs), None).to_string()
+    assert poly_to_string(coeffs, den) == expected
 
 
 # -- truncated series --------------------------------------------------------------

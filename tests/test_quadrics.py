@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussmap.errors import IndexOutOfRange
-from gaussmap.rationals import numerators
+from gaussmap.linalg import numerators
 from gaussmap.quadrics import (
     QuadricI2,
     basis_quadric,

@@ -22,27 +22,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussmap
-import gaussmap.rationals as rationals
 import gaussmap.rho as rho
 import gaussmap.suites as suites
 from gaussmap.cli import main
-from gaussmap.curve import (
-    Jets,
-    canonical_derivatives,
-    default_curve,
-    expand_canonical,
-    new_curve,
-    random_curve,
-    x_derivatives,
-    x_of_z,
-)
+from gaussmap.curve import Jets, canonical_derivatives, default_curve, new_curve, random_curve
 from gaussmap.errors import BeyondThreshold, GaussmapError, IdentityFailed, InvalidIndex
 from gaussmap.gaussian import (
     KernelLevel,
     b_support_check,
     kernel_dimension_formula,
     kernel_via_equations,
-    mu_eval_polynomial,
+    mu_coefficients,
 )
 from gaussmap.linalg import row_of
 from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
@@ -73,8 +63,8 @@ from gaussmap.rho import (
     _witness_values,
 )
 from gaussmap.reports import RunConfig
-from gaussmap.series import TruncatedSeries
 from gaussmap.suites import curve_panel, verify_theorem
+from series_oracle import TruncatedSeries, expand_canonical, poly, x_derivatives, x_of_z
 from test_golden import cli_stdout
 from test_linalg import naive_kernel, naive_rref, views
 
@@ -840,24 +830,27 @@ def test_the_integer_cut_equals_the_dense_route(case):
 def test_kernel_rows_and_quadrics_clear_no_denominators(monkeypatch):
     """From the elimination store to the pairings, a kernel vector, a cut
     and a quadric are integer rows: on the certificate and diagonal paths
-    `numerators` clears no denominators of theirs. The one call left is on
-    the x-jets of the reduction vector (`_reduction`)."""
+    `numerators` clears no denominators of theirs, and neither do the jets,
+    the x-jets of the reduction vector or the moduli polynomial: no call is
+    left on these paths."""
     callers = []
-    original = rationals.numerators
+    original = gaussmap.linalg.numerators
 
     def counted(values):
         callers.append(inspect.currentframe().f_back.f_code.co_name)
         return original(values)
 
-    for module in (gaussmap.quadrics, rho, gaussmap.linalg):
+    modules = (gaussmap.curve, gaussmap.quadrics, rho, gaussmap.linalg)
+    for module in modules:
         if hasattr(module, "numerators"):
             monkeypatch.setattr(module, "numerators", counted)
+    assert any(hasattr(module, "numerators") for module in modules)
     for argv in (
         ("scan", "--g", "9", "--samples", "100", "--seed", "0"),
         ("verify", "--theorem", "T6.9", "--g", "9", "--seed", "0"),
     ):
         assert cli_stdout(*argv)
-    assert callers and set(callers) == {"_reduction"}, sorted(set(callers))
+    assert not callers, sorted(set(callers))
 
 
 @pytest.mark.parametrize(
@@ -1034,7 +1027,7 @@ def fraction_mu2_cross_check(curve, order=14):
     for _ in range(2 * genus - 2):
         framed.append(framed[-1] * x)
     expansions = [
-        expand_canonical(curve, i, max(order + 2, 2 * genus + 1)).series
+        expand_canonical(curve, i, max(order + 2, 2 * genus + 1))
         for i in range(genus)
     ]
     second = [e.derivative().derivative() for e in expansions]
@@ -1049,10 +1042,10 @@ def fraction_mu2_cross_check(curve, order=14):
         labels.append(q.label())
         with _licensed():
             rho_values.append(rho_pair(q, curve, 1, 1).value)
-        poly = mu_eval_polynomial(q, 1)
+        mu2 = poly(*mu_coefficients(q, 1))
         composite = reduce(
             TruncatedSeries.__add__,
-            (framed[m].scale(c) for m, c in enumerate(poly.coeffs) if c),
+            (framed[m].scale(c) for m, c in enumerate(mu2.coeffs) if c),
         )
         zrep = TruncatedSeries.zero(truncation=order)
         for a, b, coeff in (
