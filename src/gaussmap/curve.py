@@ -23,30 +23,31 @@ becomes
 
     Y * sum_{m >= 0} c_m (s Y)^m = 1,   c_m = gh_m * gh_0^(m-1)  (c_0 = 1),
 
-so Y in Z[[s]] and Y_n = -sum_{m=1}^{min(2g+1, n)} c_m [s^(n-m)] Y^(m+1)
-(Hensel lifting). The canonical row i has w-coefficient
-2 gh_0^(i+1) lambda^(n+1) [s^(n-i)] (Y^i (sY)') at w^n. `Jets` extends Y,
-its powers and these integer rows one coefficient at a time from stored
-state, so a larger order never restarts the solve; each new coefficient
-is also checked against x * G(x) = w through a Horner evaluation that
-does not use the power table.
+so Y in Z[[s]]. With F(t) = sum c_m t^m and R^(k)_j = [t^j] F(t)^(-k),
+Lagrange inversion of sY * F(sY) = s gives (n+1) Y_n = R^(n+1)_n, and the
+canonical row i has w-coefficient 2 gh_0^(i+1) lambda^(n+1) [s^(n-i)]
+(Y^i (sY)') at w^n, with [s^n] (Y^i (sY)') = R^(n+i+1)_n. So column 2m
+reads one integer recurrence, for R^(m+1)_0..m, and no other column's
+state. Each Y_n is also checked against x * G(x) = w through a Horner
+evaluation in Ghat, which does not read the weights c_m.
 
 `Jets` holds integers only and is read three ways. `Jets.columns` is the
 integer jet store, read by every pairing and reduction vector and by
 `canonical_derivatives`: column n = 2m has entries 2 E^(m+1) n!
-row_i[m-i] gh_0^i over gh_0^(2m+1), reduced by one gcd, and its last
+R^(m+1)_(m-i) gh_0^i over gh_0^(2m+1), reduced by one gcd, and its last
 nonzero row is recorded (`Jets.last`); each odd column is checked to
 vanish. `Jets.z_rows` views it as z-coefficients over one denominator
-(`cup_rank`). `Jets.lift` hands out Y, (sY)' and the rows to the x-jets
-of the reduction vector and to the x-chart cross-check. The moduli
-polynomial reaches `Jets` as the integers Ghat over E. The one `Fraction`
-view of the store is `canonical_derivatives`, which only
-`gaussian.wronskian_rank_oracle` and the public API read.
+(`cup_rank`). `Jets.lift` hands out Y to the x-jets of the reduction
+vector, and Y, (sY)' and the rows, all read off R, to the x-chart
+cross-check. The moduli polynomial reaches `Jets` as the integers Ghat
+over E. The one `Fraction` view of the store is `canonical_derivatives`,
+which only `gaussian.wronskian_rank_oracle` and the public API read.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
@@ -176,14 +177,13 @@ def _convolve(a: list[int], b: list[int], n: int) -> int:
 class Jets:
     """Exact local expansions at p of one curve, extended on demand.
 
-    The integer state (Y, its powers Y^0..Y^(2g+2), the canonical rows
-    [s^m] Y^i (sY)' and the Horner stages of the residual check) grows one
-    coefficient at a time; a power Y^k with k >= g, read only by the lift,
-    is kept through s^(n+2-k) once Y_n is known. The reduced integer jet
-    columns (`columns`) are kept too, so each table is a prefix of any
-    later one, and with each column the last row that is nonzero in it
-    (`last`, -1 for an all-zero column), as the store shows it rather than
-    as theory bounds it (row i has order 2i). No Fraction is kept.
+    For each even column 2m it keeps the top entries R^(m+1)_(m-i), i < g,
+    of the column's recurrence (`_raw`) and Y_m, read by the Horner stages
+    of the residual check. The reduced integer jet columns (`columns`) are
+    kept too, so each table is a prefix of any later one, and with each
+    column the last row that is nonzero in it (`last`, -1 for an all-zero
+    column), as the store shows it rather than as theory bounds it (row i
+    has order 2i). No Fraction is kept.
     """
 
     def __init__(self, curve: Curve) -> None:
@@ -191,63 +191,58 @@ class Jets:
         self._ghat = ghat
         self._g0 = ghat[0]
         self._scale = scale
+        self._genus = curve.genus
         self._weights = _hensel_weights(ghat)
         self._y: list[int] = []
-        self._dy: list[int] = []  # (sY)' = sum (n+1) Y_n s^n
-        self._powers: list[list[int]] = [[] for _ in range(len(ghat) + 1)]
-        self._horner: list[list[int]] = [[] for _ in ghat]
-        self._rows: list[list[int]] = [[] for _ in range(curve.genus)]
+        self._raw: list[tuple[int, ...]] = []  # R^(m+1)_(m-i), i = 0..min(m, g-1)
+        self._horner: list[list[int]] = [[] for _ in range(len(ghat) + 1)]
         self._num: list[tuple[int, ...]] = []
         self._den: list[int] = []
         self.last: list[int] = []  # per column, its last nonzero row (-1: none)
 
     def _extend(self, count: int) -> None:
-        """Know Y_0 .. Y_(count-1), the rows as far, and the powers as far as
-        the lift reads them."""
-        y, powers, genus = self._y, self._powers, len(self._rows)
-        while len(y) < count:
-            n = len(y)
-            value = 1 if n == 0 else -sum(
-                c * powers[m + 1][n - m]
-                for m, c in enumerate(self._weights[1 : n + 1], start=1)
-            )
-            y.append(value)
-            self._dy.append((n + 1) * value)
-            powers[0].append(1 if n == 0 else 0)
-            powers[1].append(value)
-            # the rows read Y^k, k < g, in full; the lift of Y_(n+1) reads
-            # Y^k only at s^(n+2-k), so a higher power runs that far behind
-            for k in range(2, len(powers)):
-                made = len(powers[k])
-                if k < genus or made <= n + 2 - k:
-                    powers[k].append(_convolve(y, powers[k - 1], made))
-            for i, row in enumerate(self._rows):
-                row.append(_convolve(powers[i], self._dy, n))
-            self._check(n)
+        """Keep the top entries of R^(m+1) and Y_m for m < count, each Y_m checked.
+
+        R^(k)_0 = 1 and j R^(k)_j = -sum_l (j - l + k l) c_l R^(k)_(j-l),
+        from F P' = -k F' P for P = F^(-k); the division is exact.
+        """
+        while len(self._y) < count:
+            k = len(self._y) + 1
+            r = [1]
+            for j in range(1, k):
+                r.append(-sum(
+                    (j + (k - 1) * l) * c * r[j - l]
+                    for l, c in enumerate(self._weights[1 : j + 1], start=1)
+                ) // j)
+            self._raw.append(tuple(reversed(r[-self._genus :])))
+            self._y.append(r[-1] // k)
+            self._check(k - 1)
 
     def _check(self, n: int) -> None:
         """x * Ghat(x) = gh_0^2 s at s^(n+1), x = gh_0 s Y, by Horner in Ghat.
 
-        Stage m holds Ghat_m + x * (stage m+1); stage 0 is Ghat(x). This
-        reads Y and Ghat only, never the power table or the weights c_m.
+        Stage m holds Ghat_m + x * (stage m+1), the one past the top is 0,
+        and stage 0 is Ghat(x); as x has valuation 1, stage m is needed only
+        through s^(n-m). This reads Y and Ghat only, never the weights c_m.
         """
         y, g0, stages = self._y, self._g0, self._horner
-        top = len(stages) - 1
-        for m in range(top, -1, -1):
-            value = self._ghat[m] if n == 0 else 0
-            if n and m < top:
-                value += g0 * _convolve(y, stages[m + 1], n - 1)
-            stages[m].append(value)
+        for m in range(min(n, len(self._ghat) - 1), -1, -1):
+            stages[m].append(
+                g0 * _convolve(y, stages[m + 1], n - m - 1) if m < n else self._ghat[m]
+            )
         if _convolve(y, stages[0], n) != (g0 if n == 0 else 0):
             raise IdentityFailed(
                 f"x * G(x) = z^2 fails at z^{2 * n + 2}: the local solve is wrong"
             )
 
-    def lift(self, count: int) -> tuple[int, list[int], list[int], list[list[int]]]:
-        """gh_0 and the stored Y, (sY)' and rows [s^n] Y^i (sY)' (x = gh_0 s Y),
-        known through s^(count-1); the lists only grow and may run longer."""
+    def lift(self, count: int) -> tuple[int, list[int], list[int], Iterator[list[int]]]:
+        """gh_0, then Y and (sY)' through s^(count-1) (x = gh_0 s Y; the lists
+        may run longer), then the rows [s^n] Y^i (sY)' = R^(n+i+1)_n, each
+        through s^(count-1-i), each made as one pass over them reaches it."""
         self._extend(count)
-        return self._g0, self._y, self._dy, self._rows
+        raw = self._raw
+        rows = ([raw[n + i][i] for n in range(count - i)] for i in range(self._genus))
+        return self._g0, self._y, [r[0] for r in raw], rows
 
     def z_rows(self, count: int) -> tuple[list[list[int]], int]:
         """The z^0 .. z^(count-1) coefficients (jet n over n!) of x^i x'/z,
@@ -255,7 +250,7 @@ class Jets:
         num, den = self.columns(count - 1)
         evens = range(0, count, 2)
         common = lcm(*(den[n] * factorial(n) for n in evens))
-        rows = [[0] * count for _ in self._rows]
+        rows = [[0] * count for _ in range(self._genus)]
         for n in evens:
             scale = common // (den[n] * factorial(n))
             for row, c in zip(rows, num[n]):
@@ -267,15 +262,13 @@ class Jets:
         reduced (all 0 at odd n): at n = 2m, entry i is n! times the w^m
         coefficient 2 E^(m+1) [s^(m-i)] (Y^i (sY)') / gh_0^(2m+1-i) of row i."""
         if n % 2:
-            return [0] * len(self._rows), 1
+            return [0] * self._genus, 1
         m = n // 2
         self._extend(m + 1)
         g0 = self._g0
         scale = 2 * self._scale ** (m + 1) * factorial(n)
-        return [
-            scale * row[m - i] * g0**i if i <= m else 0
-            for i, row in enumerate(self._rows)
-        ], g0 ** (2 * m + 1)
+        column = [scale * r * g0**i for i, r in enumerate(self._raw[m])]
+        return column + [0] * (self._genus - len(column)), g0 ** (2 * m + 1)
 
     def columns(self, order: int) -> tuple[list[tuple[int, ...]], list[int]]:
         """Every jet column through `order`: numerators ``num[n]`` over the

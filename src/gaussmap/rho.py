@@ -1057,7 +1057,9 @@ def cup_rank(curve: Curve, n: int) -> CupRank:
     if n < 1 or n > genus:
         raise InvalidIndex(f"cup order must lie in 1..{genus}, got {n}")
     rows, _ = curve.jets.z_rows(n)
-    matrix = [[_convolve(a, b, n - 1) for b in rows] for a in rows]
+    # P is symmetric: each P_ij, i <= j, is made once and mirrored
+    upper = [[_convolve(a, b, n - 1) for b in rows[i:]] for i, a in enumerate(rows)]
+    matrix = [[upper[min(i, j)][abs(i - j)] for j in range(genus)] for i in range(genus)]
     kernel = kernel_basis([{c: x for c, x in enumerate(row) if x} for row in matrix], genus)
     rank = genus - len(kernel)
     predicted = tuple(i for i in range(genus) if 2 * i >= n)
@@ -1129,7 +1131,9 @@ def mu2_cross_check(
 
     Every series is even in z and is made in the lift's variable
     s = E w / gh_0^2, w = z^2, from `Jets.lift` (E = `Jets._scale`,
-    gh_0 = `Jets._g0`): x = gh_0 s Y, Y in Z[[s]], and R_a = Y^a (sY)'.
+    gh_0 = `Jets._g0`): x = gh_0 s Y, Y in Z[[s]], and R_a = Y^a (sY)',
+    whose s^n coefficient the lift reads off the jet recurrence as
+    R^(n+a+1)_n, the coefficient of t^n in F(t)^(-(n+a+1)) (see `curve`).
     For every e < cap = (order + 1) // 2 it checks
 
         sum_m 4 c_m gh_0^(m+2) [s^e] (s^(m+1) Y^m ((sY)')^4)

@@ -5,13 +5,17 @@ x * G(x) = z^2, where G is the branch polynomial with its root at 0
 removed.  All expansions are even in z; derivative tables list exact
 z-derivatives at 0 with odd columns identically zero.
 
-The program solves x * G(x) = z^2 over the integers by Hensel lifting.
+The program solves x * G(x) = z^2 over the integers by Lagrange inversion,
+one recurrence per jet column, with a Horner residual check as the gate.
 The independent route kept here is a Fraction Newton iteration with the
 row builder x^i * 2 dx/dw; every table must agree with it exactly. The
 program's one `Fraction` jet view is `canonical_derivatives`; the x-jets,
 the omega table and the z-series come from the test-side `series_oracle`.
+A second route, a `Fraction` series inversion of G, checks each jet column
+against its Lagrange-inversion closed form.
 """
 
+import json
 import math
 import random
 import sys
@@ -438,3 +442,80 @@ def test_a_wrong_hensel_weight_exits_one(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("gaussmap: falsified: x * G(x) = z^2 fails")
     assert "Traceback" not in err
+
+
+def _bumped_last_weight(ghat):
+    weights = list(_HENSEL_WEIGHTS(ghat))
+    weights[-1] += 1
+    return tuple(weights)
+
+
+def test_a_wrong_last_hensel_weight_fails_the_x_chart_item(monkeypatch, capsys):
+    """c_(2g+1) is first read by Y_(2g+1), and at g=3 only the x-chart
+    cross-check reads that far (z^16): the residual check reaches it there."""
+    monkeypatch.setattr(curve_module, "_hensel_weights", _bumped_last_weight)
+    code = main(["verify", "--theorem", "T6.5", "--g", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    failing = [c for c in json.loads(captured.out)["checks"] if not c["ok"]]
+    assert failing and all(
+        c["item"].startswith("g=3 x-chart cross-check of the first vanishing on ")
+        and c["got"].startswith("x * G(x) = z^2 fails at z^16")
+        for c in failing
+    )
+
+
+def test_every_order_read_is_checked_once(monkeypatch):
+    """The residual check runs at each order a column or the lift reads,
+    once, and at no order beyond."""
+    checked = []
+    original = curve_module.Jets._check
+
+    def counted(jets, n):
+        checked.append(n)
+        return original(jets, n)
+
+    monkeypatch.setattr(curve_module.Jets, "_check", counted)
+    jets = default_curve(4).jets
+    jets.columns(10)
+    assert checked == list(range(6))
+    jets.columns(7)
+    jets.lift(3)
+    assert checked == list(range(6))
+    jets.lift(9)
+    assert checked == list(range(9))
+
+
+# -- the Lagrange-inversion closed form of a jet column -------------------------------
+
+
+def _inverse_powers(coeffs, length):
+    """G^(-1) .. G^(-length) through t^(length-1), in Fractions: G^(-1) by
+    plain series inversion, each next power as a product with it."""
+    inverse = []
+    for j in range(length):
+        known = sum(coeffs[l] * inverse[j - l] for l in range(1, min(j, len(coeffs) - 1) + 1))
+        inverse.append(((1 if j == 0 else 0) - known) / coeffs[0])
+    powers = [inverse]
+    while len(powers) < length:
+        last = powers[-1]
+        powers.append(
+            [sum(last[a] * inverse[j - a] for a in range(j + 1)) for j in range(length)]
+        )
+    return powers
+
+
+@pytest.mark.parametrize("genus", range(3, 9))
+def test_jet_columns_equal_the_lagrange_inversion_closed_form(genus):
+    """By Lagrange inversion of x G(x) = w, row i of the canonical table at
+    z^(2m) (jet 2m over (2m)!) is 2 [t^(m-i)] G(t)^(-(m+1)), and 0 for i > m."""
+    top = 12
+    points = [0] + [F((-1) ** i * (3 * i + 1), i + 1) for i in range(1, 2 * genus + 2)]
+    for curve in (default_curve(genus), new_curve(points)):
+        ghat, scale = curve.moduli_polynomial()
+        powers = _inverse_powers([F(c, scale) for c in ghat], top + 1)
+        table = canonical_derivatives(curve, 2 * top)
+        for m in range(top + 1):
+            assert [row[2 * m] / math.factorial(2 * m) for row in table] == [
+                2 * powers[m][m - i] if i <= m else 0 for i in range(genus)
+            ]

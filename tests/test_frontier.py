@@ -8,9 +8,9 @@ agreement of the two kernel routes at genus 20, 30, 40 and 50, and the
 factorization (L3.4) and decomposable-support (L6.2) statements at genus 20
 and 25. T6.5 at genus 15, 20, 25, 30 and 40, T6.6 and T6.9 at genus 15,
 20 and 25, T6.9 at genus 30, L3.4 and L6.2 at genus 20, 25 and 50, L3.4 at
-genus 30 and 40, T3.1 at genus 20, 30, 40 and 50, R4.1 at genus 20, 30
-and 40, T6.12 (20 samples) at genus 15, 20, 30 and 37, and T6.12 and the
-scan (5 samples) at genus 38, whose values pass the interpreter's
+genus 30 and 40, T3.1 at genus 20, 30, 40 and 50, R4.1 at genus 20, 30,
+40 and 50, T6.12 (20 samples) at genus 15, 20, 30 and 37, T6.12 (5
+samples) at genus 45, and T6.12 and the scan (5 samples) at genus 38, whose values pass the interpreter's
 4,300-digit limit on `str` of an integer, must print a passed report with
 the bytes pinned by the stdout digests in ``golden/witness_sha256.json``;
 so must the kernel JSON of both routes at genus 25, k = 5, with the routes

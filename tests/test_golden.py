@@ -14,7 +14,8 @@ here), and of ``T6.5`` at genus 15, 20, 25, 30 and 40, ``T6.6`` and
 ``L3.4`` at genus 30, ``T3.1`` at genus 20, 30, 40 and 50, ``R4.1`` at
 genus 20, 30 and 40, ``T6.12`` (20 samples) at genus 15, 20, 30 and 37,
 ``T6.12`` and a scan (5 samples) at genus 38, ``T6.9`` at genus 30,
-``L3.4`` at genus 40, ``L3.4`` and ``L6.2`` at genus 50 and the
+``L3.4`` at genus 40, ``L3.4``, ``L6.2`` and ``R4.1`` at genus 50,
+``T6.12`` (5 samples) at genus 45 and the
 ``kernel --k 5 --method both`` JSON at genus 25 past the default cap (checked in ``test_frontier.py``; the genus-38
 digests were first written by the change that let integers of over 4,300
 digits print, since the code before it exited 1 on them). Reruns of one build are already checked to agree
@@ -94,7 +95,8 @@ DIGEST_RUNS = {
         "verify --theorem T6.12 --g 37 --samples 20",
         "kernel --g 25 --k 5 --method both",
     )
-    + tuple(f"verify --theorem {theorem} --g 50" for theorem in ("L3.4", "L6.2")),
+    + tuple(f"verify --theorem {theorem} --g 50" for theorem in ("L3.4", "L6.2", "R4.1"))
+    + ("verify --theorem T6.12 --g 45 --samples 5",),
 }
 FRONTIER_CAP = "60"
 
