@@ -10,8 +10,10 @@ a fresh process and its stdout SHA-256 compared with the pinned digest.
 Then `gaussmap.cli.parse_strict` is compared with the full argparse parser
 on `ACCEPTED` and `OTHER`: each argv of `ACCEPTED` must be read by the
 strict parser with the argparse result, and each argv of `OTHER` must give
-None or the argparse result, and None whenever argparse exits.  Standard
-library only.  Exit code 1 on any mismatch, 0 otherwise.
+None or the argparse result, and None whenever argparse exits.  An
+interpreter that cannot start is a failing line, and the next one is
+checked.  Standard library only.  Exit code 1 on any mismatch or
+interpreter that cannot start, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ def digest_mismatches(python: str) -> list[str]:
 
 
 def parser_mismatches(python: str) -> list[list[str]]:
-    """The argv on which the strict parser and argparse disagree under `python`."""
+    """The argv on which the strict parser and argparse disagree under `python`,
+    or the exit status of the comparison when it does not run to the end."""
     corpus = [[argv.split() for argv in ACCEPTED], OTHER_SPLIT]
     proc = subprocess.run(
         [python, "-c", PARSERS],
@@ -110,9 +113,22 @@ def parser_mismatches(python: str) -> list[list[str]]:
         capture_output=True,
         text=True,
         env=child_env(),
-        check=True,
     )
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout) if proc.returncode == 0 else [[f"exit {proc.returncode}"]]
+
+
+def version_of(python: str) -> tuple[str | None, str]:
+    """(the version of `python`, "") or, when it cannot start, (None, why)."""
+    try:
+        proc = subprocess.run(
+            [python, "-c", "import platform; print(platform.python_version())"],
+            capture_output=True, text=True,
+        )
+    except OSError as exc:
+        return None, exc.strerror or type(exc).__name__
+    if proc.returncode != 0:
+        return None, f"exit {proc.returncode}"
+    return proc.stdout.strip(), ""
 
 
 def main(argv: list[str]) -> int:
@@ -121,10 +137,11 @@ def main(argv: list[str]) -> int:
         return 2
     failed = False
     for python in argv:
-        version = subprocess.run(
-            [python, "-c", "import platform; print(platform.python_version())"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
+        version, why = version_of(python)
+        if version is None:
+            failed = True
+            print(f"{python}: cannot start ({why})")
+            continue
         digests, parsers = digest_mismatches(python), parser_mismatches(python)
         failed = failed or bool(digests or parsers)
         print(

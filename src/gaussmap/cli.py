@@ -246,6 +246,8 @@ def cmd_kernel(args, cap: int, out) -> int:
 
 def cmd_report(args, cap: int, out) -> int:
     """`verify` (one theorem suite) and `scan`: a report, its time on stderr."""
+    if getattr(args, "theorem", None) in ("R4.1", "T6.12") and args.k is not None:
+        raise UsageError(f"--k does not apply to --theorem {args.theorem}")
     lo, hi, curve, source = resolve_scope(args, cap)
     config = RunConfig(
         command=args.command,

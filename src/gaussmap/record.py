@@ -9,9 +9,8 @@ dataclass: its own annotations are its fields, a class attribute is a
 default; `__init__` takes the fields positionally or by keyword, raises
 `TypeError` on a missing, unknown or repeated one, then calls the class's
 `__post_init__`; setting or deleting raises `AttributeError`; `==`, `hash`
-and `repr` read the field tuple, leaving out the fields named in the class
-keyword `hidden`, and `==` needs the same class. The instance `__dict__`
-holds every field, so `cached_property` works.
+and `repr` read the field tuple, and `==` needs the same class. The instance
+`__dict__` holds every field, so `cached_property` works.
 """
 
 from operator import attrgetter
@@ -20,17 +19,16 @@ from operator import attrgetter
 class Record:
     """Base class of gaussmap's immutable records (see the module notes)."""
 
-    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(cls.__annotations__)
         cls._field_set = frozenset(fields)
         own = cls.__dict__
         cls._defaults = {name: own[name] for name in fields if name in own}
         cls._post_init = own.get("__post_init__")
-        cls._shown = shown = tuple(name for name in fields if name not in hidden)
         # attrgetter of one name returns the bare value: hash a 1-tuple instead
-        key = attrgetter(*shown)
-        cls._key = staticmethod(key if len(shown) > 1 else lambda obj: (key(obj),))
+        key = attrgetter(*fields)
+        cls._key = staticmethod(key if len(fields) > 1 else lambda obj: (key(obj),))
 
     def __init__(self, *args, **kwargs) -> None:
         if args:
@@ -62,7 +60,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
 

@@ -26,13 +26,13 @@ grouped by row once per quadric (`QuadricI2.layout`). An entry of D whose
 two columns' last nonzero rows sum to less than the quadric's least weight
 w = min(a + b) is 0 without arithmetic; that floor is read off the store,
 not off the orders of the frame functions, so a perturbed jet still shows.
-Every other entry is made once for the threshold scans and the rho
-evaluations, a watermark keeps a scanned zero prefix from being walked
-twice, and each licensed rho value is kept per (n, r) (a refused or failed
-evaluation is not kept, so it raises again on every call). The isotropy
+Every other entry is kept once, as an integer sum, for the threshold scans
+and the rho evaluations, and a watermark keeps a scanned zero prefix from
+being walked twice; a rho value is made afresh on every call. The isotropy
 suite scans a whole level's family at once for its least threshold T,
-which forces every pair with n + r <= T to 0, and writes the zero prefix
-it scanned into every pairing's watermark. The reduction vector reads the
+which forces every pair with n + r <= T to 0, writes the zero prefix it
+scanned into every pairing's watermark, and evaluates only the pairs above
+T (none, when the statement holds). The reduction vector reads the
 same store: the W(a, b) products are summed as integers over one common
 denominator, its x-jets are read off the lift's Y (`Jets.lift`), and the
 functionals check the vector against their rho values by
@@ -113,8 +113,11 @@ def _odd_order(n) -> int:
 
 class ThresholdInfo(Record):
     threshold: int
-    at_cap: bool
     first_nonzero: tuple[int, int, Fraction] | None
+
+    @property
+    def at_cap(self) -> bool:
+        return self.first_nonzero is None
 
 
 class RhoValue(Record):
@@ -175,9 +178,9 @@ class Pairing:
     S(h, l) = T_h . V_l with V_l = C T_l, over the product of the three
     denominators. S(h, l) is 0 without V_l or a dot product when the last
     nonzero rows of T_h and T_l (`Jets.last`) sum to less than the least
-    weight w of C; every other V_l and S(h, l) is made once (D is
+    weight w of C; every other V_l and S(h, l) is made once and kept (D is
     symmetric); a Fraction is made only for an entry handed out by
-    `__call__`.
+    `__call__`, and not kept.
 
     The threshold scan and the blocking scan of `rho` visit only even
     orders, totals upward and h from total/2 up, through `_scan`, the
@@ -195,8 +198,6 @@ class Pairing:
         self._last = self.jets.last
         self._vectors: dict[int, tuple[int, ...]] = {}
         self._sums: dict[tuple[int, int], int] = {}
-        self._entries: dict[tuple[int, int], Fraction] = {}
-        self._rhos: dict[tuple[int, int], RhoValue] = {}
         self._zero_through = -1
         self._first: tuple[int, int, Fraction] | None = None
 
@@ -227,15 +228,10 @@ class Pairing:
         """D(h, l): the (h, l) derivative pairing of the quadric at p."""
         if h < l:
             h, l = l, h
-        value = self._entries.get((h, l))
-        if value is not None:
-            return value
         if l < 0:
             raise InvalidIndex("derivative orders must be non-negative")
         s = self._sum(h, l)
-        value = Fraction(s, self._den * self._dens[h] * self._dens[l]) if s else ZERO
-        self._entries[(h, l)] = value
-        return value
+        return Fraction(s, self._den * self._dens[h] * self._dens[l]) if s else ZERO
 
     def _first_nonzero(self, limit: int) -> tuple[int, int, Fraction] | None:
         """The first nonzero D(h, l) with h + l <= limit in scan order, if any."""
@@ -255,10 +251,8 @@ class Pairing:
             raise InvalidIndex("threshold cap must be non-negative")
         first = self._first_nonzero(cap)
         if first is None:
-            return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
-        return ThresholdInfo(
-            threshold=first[0] + first[1] - 1, at_cap=False, first_nonzero=first
-        )
+            return ThresholdInfo(threshold=cap, first_nonzero=None)
+        return ThresholdInfo(threshold=first[0] + first[1] - 1, first_nonzero=first)
 
     def rho(self, n, r) -> RhoValue:
         """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i), licensed by the threshold.
@@ -266,16 +260,13 @@ class Pairing:
         The evaluation formula needs every pairing of total order below
         n + r to vanish; if one does not, the formula is simply not
         available and `BeyondThreshold` is raised (never silently
-        extrapolated). The sum is computed from both endpoints and must
-        agree. The total n + r is even, so only even j contribute. A value
-        is kept per (n, r) once made; a failed evaluation is not kept, so it
-        raises again on every call.
+        extrapolated). The sum is computed from both endpoints, each
+        D(m1 - j, j) read once for both, and the two must agree. The total
+        n + r is even, so only even j contribute. The value is not kept:
+        each call evaluates afresh.
         """
         n = _odd_order(n)
         r = _odd_order(r)
-        known = self._rhos.get((n, r))
-        if known is not None:
-            return known
         m1 = n + r
         first = self._first_nonzero(m1 - 1)
         if first is not None:
@@ -288,16 +279,13 @@ class Pairing:
                 value=rat_to_string(value),
             )
 
-        def one_sided(a: int) -> Fraction:
-            acc = ZERO
-            for j in range(0, a, 2):
-                d = self(m1 - j, j)
-                if d:
-                    acc += d * Fraction(a - j, factorial(j) * factorial(m1 - j))
-            return acc
-
-        value = one_sided(n)
-        other = one_sided(r)
+        value = other = ZERO
+        for j in range(0, max(n, r), 2):
+            d = self(m1 - j, j)
+            if d:
+                d /= factorial(j) * factorial(m1 - j)
+                value += max(n - j, 0) * d
+                other += max(r - j, 0) * d
         if value != other:
             raise IdentityFailed(
                 f"rho symmetry failed for orders ({n},{r}): "
@@ -309,10 +297,7 @@ class Pairing:
                 "vanishing pairings at the pair total must force a zero value"
             )
         licensing = m1 if saturated else m1 - 1
-        known = self._rhos[(n, r)] = RhoValue(
-            n=n, r=r, value=value, licensing_threshold=licensing
-        )
-        return known
+        return RhoValue(n=n, r=r, value=value, licensing_threshold=licensing)
 
 
 @contextmanager
@@ -430,19 +415,19 @@ def _require_level(genus: int, k: int) -> None:
         )
 
 
-class IsotropyResult(Record, hidden=("pairings",)):
+class IsotropyResult(Record):
     genus: int
     k: int
     curve: str
     basis_size: int
     threshold: ThresholdInfo  # the least over the basis
+    evaluations: int  # the licensed pairs checked, basis_size * (k+1)^2
+    # (index, n, r, value) of each pair above the threshold, through `rho`
     pair_values: tuple[tuple[int, int, int, Fraction], ...]
-    # one per kernel basis quadric, kept for later rho evaluations
-    pairings: tuple[Pairing, ...]
 
     @property
     def ok(self) -> bool:
-        """Every threshold reaches 4k+3 and every licensed pair vanishes."""
+        """Every threshold reaches 4k+3 and every evaluated pair vanishes."""
         return self.threshold.threshold >= 4 * self.k + 3 and not any(
             value for *_, value in self.pair_values
         )
@@ -463,35 +448,37 @@ def _family_threshold(
     for pairing in pairings:
         pairing._zero_through = max(pairing._zero_through, zero_through)
     if found is None:
-        return ThresholdInfo(threshold=cap, at_cap=True, first_nonzero=None)
+        return ThresholdInfo(threshold=cap, first_nonzero=None)
     return found[0].threshold(cap)
 
 
 def isotropy_suite(genus: int, k: int, curve: Curve) -> IsotropyResult:
     """All licensed rho pairs with odd total <= 4k+3 vanish on Ker mu_2k.
 
-    A pair at or below the family threshold is its forced zero; only the
-    pairs above it go through `Pairing.rho`, which may refuse them."""
+    A pair at or below the family threshold is its forced zero and is only
+    counted; the pairs above it go through `Pairing.rho`, which may refuse
+    them, and only their values are kept. When the statement holds, the
+    threshold is at least 4k+3 and no pair is evaluated."""
     _require_level(genus, k)
     quads = kernel_via_equations(genus).level(k).quadrics
     pairings = Pairing.family(quads, curve)
     threshold = _family_threshold(pairings, curve, k)
-    forced = threshold.threshold
-    checks = []
+    pairs = [(n, r) for n in range(1, 4 * k + 4, 2) for r in range(n, 4 * k + 4 - n, 2)]
+    above = [(n, r) for n, r in pairs if n + r > threshold.threshold]
     with _licensed():
-        for index, pairing in enumerate(pairings):
-            for n in range(1, 4 * k + 4, 2):
-                for r in range(n, 4 * k + 4 - n, 2):
-                    value = ZERO if n + r <= forced else pairing.rho(n, r).value
-                    checks.append((index, n, r, value))
+        values = tuple(
+            (index, n, r, pairing.rho(n, r).value)
+            for index, pairing in enumerate(pairings)
+            for n, r in above
+        )
     return IsotropyResult(
         genus=genus,
         k=k,
         curve=curve.label(),
         basis_size=len(quads),
         threshold=threshold,
-        pair_values=tuple(checks),
-        pairings=pairings,
+        evaluations=len(pairings) * len(pairs),
+        pair_values=values,
     )
 
 
@@ -1117,14 +1104,11 @@ def _cross_check_quadrics(genus: int) -> tuple[tuple[QuadricI2, tuple], ...]:
     return tuple(out)
 
 
-def mu2_cross_check(
-    curve: Curve, order: int = 14, pairings: tuple[Pairing, ...] | None = None
-) -> Mu2CrossCheck:
+def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     """rho(Q)(xi^1 (.) xi^1) = 0 against the x-chart value of mu_2(Q) at p.
 
-    Route one is the licensed derivative-pairing formula, on `pairings` if
-    given (the Q_ij on this curve in order, as the isotropy suite's Ker mu_0
-    family; anything else raises `InvalidIndex`). Route two composes the
+    Route one is the licensed derivative-pairing formula, on a fresh
+    `Pairing` of each basis quadric Q_ij on this curve. Route two composes the
     x-chart representative sum c_m x^m of mu_2(Q) with x, times the frame
     x'^2 (x'/z)^2; it must vanish at p and agree with sum n_ab e_a'' e_b,
     e_a = x^a x'/z (c_m and n_ab over the denominator of Q's tensor).
@@ -1165,17 +1149,11 @@ def mu2_cross_check(
     evens = [[g0**a * c for c in ([0] * a + row)[: cap + 1]] for a, row in enumerate(rows)]
     second = [[(2 * e + 2) * (2 * e + 1) * even[e + 1] for e in range(cap)] for even in evens]
     products: dict[tuple[int, int], list[int]] = {}
-    quads = _cross_check_quadrics(genus)
-    if pairings is None:
-        pairings = Pairing.family((q for q, _ in quads), curve)
-    paired = [(pairing.quadric.tensor, pairing.jets) for pairing in pairings]
-    if paired != [(q.tensor, curve.jets) for q, _ in quads]:
-        raise InvalidIndex(f"the cross-check needs the Q_ij pairings on {curve.label()}")
     labels, rho_values, vanishes, agree = [], [], [], []
-    for (q, poly), pairing in zip(quads, pairings):
+    for q, poly in _cross_check_quadrics(genus):
         labels.append(q.label())
         with _licensed():
-            rho_values.append(pairing.rho(1, 1).value)
+            rho_values.append(Pairing(q, curve).rho(1, 1).value)
         terms = []
         for a, b, coeff in q.tensor[0]:
             if a + b > cap:  # e_a'' e_b has valuation a + b - 1

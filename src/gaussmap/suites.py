@@ -197,9 +197,8 @@ def _suite_isotropy(
     genus: int, k: int | None, curves: tuple[Curve, ...]
 ) -> list[CheckItem]:
     items = []
-    level0 = [None] * len(curves)  # each curve's Ker mu_0 pairings
     for level_k in _schiffer_levels(genus, k):
-        for index, curve in enumerate(curves):
+        for curve in curves:
             vanish = (
                 f"g={genus} k={level_k} licensed odd pairs vanish on "
                 f"{curve.label()}"
@@ -209,8 +208,6 @@ def _suite_isotropy(
             )
             if result is None:
                 continue
-            if level_k == 0:
-                level0[index] = result.pairings
             min_threshold = result.threshold.threshold
             items.append(
                 check(
@@ -226,20 +223,18 @@ def _suite_isotropy(
                 check(
                     vanish,
                     "zero",
-                    f"{len(result.pair_values)} evaluations, {nonzero} nonzero",
+                    f"{result.evaluations} evaluations, {nonzero} nonzero",
                     nonzero == 0 and result.ok,
                 )
             )
     if k is None or k == 0:
-        for curve, pairings in zip(curves, level0):
+        for curve in curves:
             label = (
                 f"g={genus} x-chart cross-check of the first vanishing "
                 f"on {curve.label()}"
             )
             expected = "both routes vanish and frames agree"
-            cc = _attempt(
-                items, label, expected, lambda: mu2_cross_check(curve, pairings=pairings)
-            )
+            cc = _attempt(items, label, expected, lambda: mu2_cross_check(curve))
             if cc is None:
                 continue
             items.append(

@@ -136,6 +136,20 @@ def test_verify_unknown_theorem_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--theorem", "R4.1", "--g", "4", "--k", "7"),
+        ("verify", "--theorem", "T6.12", "--g", "5", "--k", "9"),
+    ],
+    ids=["R4.1", "T6.12"],
+)
+def test_k_is_a_usage_error_where_the_suite_has_no_levels(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"gaussmap: error: --k does not apply to --theorem {argv[2]}"]
+
+
 def test_verify_output_is_byte_identical_across_reruns(capsys):
     args = (
         "verify", "--theorem", "R4.1", "--g", "4", "--samples", "1",

@@ -574,11 +574,12 @@ def test_isotropy_holds_at_small_desk_scale():
 
 def test_isotropy_fails_on_a_short_threshold_or_a_nonzero_pair():
     result = isotropy_suite(5, 1, default_curve(5))
+    assert result.pair_values == ()
     short = replace(result.threshold, threshold=4 * result.k + 2)
     assert not replace(result, threshold=short).ok
-    index, n, r, _ = result.pair_values[0]
-    nonzero = ((index, n, r, F(1, 7)),) + result.pair_values[1:]
-    assert not replace(result, pair_values=nonzero).ok
+    # a pair evaluated above the threshold keeps its value: a nonzero one fails
+    assert replace(result, pair_values=((0, 3, 3, F(0)),)).ok
+    assert not replace(result, pair_values=((0, 3, 3, F(1, 7)),)).ok
 
 
 @pytest.mark.parametrize("genus", range(3, 10))
@@ -680,20 +681,40 @@ def test_the_isotropy_scans_keep_only_entries_above_the_floor(monkeypatch, capsy
 
 @pytest.mark.parametrize("genus", range(3, 10))
 def test_forced_pair_values_equal_fresh_rho_evaluations(genus):
-    # the suite records every pair with n + r <= the family threshold as
-    # the forced zero; fresh pairings, with no family scan, evaluate each
-    # pair through Pairing.rho
+    # the suite counts every pair with n + r <= the family threshold as the
+    # forced zero, unevaluated; fresh pairings, with no family scan,
+    # evaluate each of them through Pairing.rho to exactly 0
     curves = curve_panel(genus, 0, 2) + curve_panel(genus, 7, 2)[1:]
     for curve in curves:
         for k in range((genus - 3) // 2 + 1):
             result = isotropy_suite(genus, k, curve)
             quads = kernel_via_equations(genus).level(k).quadrics
-            fresh = [Pairing(q, curve) for q in quads]
-            assert result.pair_values == tuple(
-                (index, n, r, fresh[index].rho(n, r).value)
-                for index, n, r, _ in result.pair_values
-            )
-            assert len(result.pair_values) == len(quads) * (k + 1) ** 2
+            pairs = [(n, r) for n in range(1, 4 * k + 4, 2) for r in range(n, 4 * k + 4 - n, 2)]
+            assert result.evaluations == len(quads) * len(pairs) == len(quads) * (k + 1) ** 2
+            for q in quads:
+                fresh = Pairing(q, curve)
+                for n, r in pairs:
+                    if n + r <= result.threshold.threshold:
+                        assert fresh.rho(n, r).value == 0
+
+
+def test_a_passing_isotropy_level_stores_no_pair_values(monkeypatch, capsys):
+    # at genus 9 every level's family threshold reaches 4k+3, so every pair
+    # is a forced zero: counted, never evaluated, never kept
+    results = []
+    original = suites.isotropy_suite
+
+    def recording(genus, k, curve):
+        results.append(original(genus, k, curve))
+        return results[-1]
+
+    monkeypatch.setattr(suites, "isotropy_suite", recording)
+    assert main(["verify", "--theorem", "T6.5", "--g", "9"]) == 0
+    capsys.readouterr()
+    assert {result.k for result in results} == {0, 1, 2, 3}
+    for result in results:
+        assert result.ok and result.pair_values == ()
+        assert result.evaluations == result.basis_size * (result.k + 1) ** 2
 
 
 def test_level_quadrics_are_the_basis_vectors_built_once(monkeypatch):
@@ -1131,49 +1152,6 @@ def test_cross_check_orders_follow_the_fraction_route():
 def test_the_cross_check_quadrics_are_the_ker_mu0_basis(genus):
     quads = tuple(q for q, _ in rho._cross_check_quadrics(genus))
     assert kernel_via_equations(genus).level(0).quadrics == quads
-
-
-def test_the_cross_check_reads_the_suites_ker_mu0_pairings(monkeypatch):
-    # one family per curve for Ker mu_0, built by the isotropy suite; the
-    # cross-check evaluates rho(xi^1, xi^1) on it instead of a second one
-    genus = 7
-    level0 = kernel_via_equations(genus).level(0).quadrics
-    built = []
-    original = Pairing.family.__func__
-
-    def recorded(cls, quads, curve):
-        pairings = original(cls, quads, curve)
-        built.append((tuple(p.quadric for p in pairings), curve))
-        return pairings
-
-    monkeypatch.setattr(Pairing, "family", classmethod(recorded))
-    handed = []
-    original_check = rho.mu2_cross_check
-
-    def cross_check(curve, order=14, pairings=None):
-        handed.append(pairings)
-        return original_check(curve, order, pairings)
-
-    monkeypatch.setattr(suites, "mu2_cross_check", cross_check)
-    assert main(["verify", "--theorem", "T6.5", "--g", str(genus)]) == 0
-    curves = [curve for quads, curve in built if quads == level0]
-    assert len(curves) == len(set(curves)) == len(handed) > 1
-    assert all(pairings is not None for pairings in handed)
-
-
-def test_handed_pairings_must_be_the_basis_quadrics_on_the_curve():
-    curve = default_curve(5)
-    quads = kernel_via_equations(5).level(0).quadrics
-    pairings = Pairing.family(quads, curve)
-    assert mu2_cross_check(curve, pairings=pairings) == mu2_cross_check(curve)
-    for wrong in (
-        pairings[::-1],
-        pairings[1:],
-        Pairing.family((quads[1],) + quads[1:], curve),
-        Pairing.family(quads, random_curve(5, random.Random(3))),
-    ):
-        with pytest.raises(InvalidIndex):
-            mu2_cross_check(curve, pairings=wrong)
 
 
 def skew_lift(monkeypatch, part):
