@@ -22,12 +22,14 @@ Two independent routes compute each kernel:
 
 Both systems are graded by weight: a level equation touches only the pairs
 with i + j = l, and an identity row of x-degree e and order h + n only the
-basis quadrics with i + j = e + h + n + 1. Both are built as sparse integer
-rows (the identity rows from twice the symmetric tensor, whose entries are
-+-1/2), which ``linalg`` eliminates one weight block at a time. Both routes
-produce canonical (reduced row-echelon) bases of integer rows (`linalg.Row`),
-so agreement is literal row equality. A level's quadrics are its rows, and
-the factorization and support checks read a quadric's row.
+basis quadrics with i + j = e + h + n + 1. Each route builds its integer
+rows dense over one weight block at a time (the identity rows from twice
+the symmetric tensor, whose entries are +-1/2) and hands ``linalg`` its
+blocks, so the routes share only the fraction-free step (`linalg._blocks`
+splits only the ungraded Wronskian jets). Both give canonical (reduced
+row-echelon) bases of integer rows (`linalg.Row`), so agreement is literal
+row equality. A level's quadrics are its rows, and the factorization and
+support checks read a quadric's row.
 
 Every identity polynomial here (the oracle residuals, the mu_2k
 representatives, both sides of the factorization) is a list of integer
@@ -36,22 +38,25 @@ by cross-multiplication; a `Fraction` is made only for a value a report
 prints (the frame constant, a representative mismatch).
 
 Odd maps act on the exterior square of the canonical space and are
-handled by ``odd_kernel_and_rank`` (x-chart identities, from the same row
-builder as the oracle route with the slots (i, j, 1), (j, i, -1) of
-alpha_i ^ alpha_j, its domain and kernel read off one elimination) and
+handled by ``odd_kernel_and_rank`` (x-chart identities, from the same graded
+row builder as the oracle route with the slots (i, j, 1), (j, i, -1) of
+alpha_i ^ alpha_j, of slot sum i + j, its domain and kernel read off one
+elimination) and
 ``wronskian_rank_oracle`` (exact jets of Wronskians at the base point —
 a genuinely different computation on a concrete curve).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import starmap
 from math import comb, gcd, lcm
 
 from .curve import Curve, canonical_derivatives
 from .errors import IdentityFailed, IndexOutOfRange, InvalidIndex, NotInKernel, NotInPreviousKernel
-from .linalg import Row, SparseRow, kernel_chain, rref, sparse_row
+from .linalg import Block, Row, SparseRow, _blocks, kernel_chain, rref, sparse_row
 from .quadrics import (
     QuadricI2,
     b_pairs,
@@ -134,13 +139,13 @@ def rank_formula(genus: int, k: int) -> int:
     return 2 * genus - (4 * k + 1)
 
 
-def _kernel_off_rref(rows: list[SparseRow], dim: int) -> tuple[Row, ...]:
-    """The canonical kernel basis of ``rows``, read as `kernel_chain` reads
-    it (columns reversed), but off the rows of `rref` instead of the store:
-    free column f is 1 and -x/d at each pivot whose row (over d) has x at f,
-    each entry reduced, all over the lcm of their denominators."""
+def _kernel_off_rref(blocks: list[Block], dim: int) -> tuple[Row, ...]:
+    """The canonical kernel basis of ``blocks`` (columns reversed, c at
+    dim - 1 - c), read as `kernel_chain` reads it, but off the rows of
+    `rref`: free column f is 1 and -x/d at each pivot whose row (over d) has
+    x at f, each entry reduced, all over the lcm of their denominators."""
     last = dim - 1
-    reduced, pivots = rref([{last - c: x for c, x in r.items()} for r in rows], dim)
+    reduced, pivots = rref(blocks)
     met: dict[int, list[tuple[int, int, int]]] = {}
     for p, (entries, d) in zip(pivots, reduced):
         for c, x in entries:
@@ -160,22 +165,29 @@ def _kernel_off_rref(rows: list[SparseRow], dim: int) -> tuple[Row, ...]:
 def kernel_via_equations(genus: int) -> KernelChain:
     """Kernel chain of the even Gaussian maps, closed-form equations route.
 
-    Each level is read off a fresh `rref` of the stacked rows
-    (`_kernel_off_rref`); the oracle route reduces each identity row once
-    into one incremental store and reads it through `kernel_chain`. The
-    routes share only `linalg`'s block split and fraction-free step, and
-    differ in their rows, in a fresh store per level against one carried
-    across levels, and in the reader, so no fault in one of these can give
-    both the same wrong answer. `test_linalg` checks both readers against
-    each other and a naive `Fraction` Gauss-Jordan on the level equations."""
+    Each weight i + j is a block, its columns reversed, that gains one row
+    per level; each level is read off a fresh `rref` of the blocks
+    (`_kernel_off_rref`). The oracle route reduces each identity row once
+    into one store per slot-sum block and reads it through `kernel_chain`.
+    The routes share only `linalg`'s fraction-free step, and differ in
+    their rows, in a fresh store per level against one carried across
+    levels, and in the reader, so no fault in one of these can give both
+    the same wrong answer. `test_linalg` checks both readers against each
+    other and a naive `Fraction` Gauss-Jordan on the level equations."""
     dim = quadric_space_dimension(genus)
+    pairs, last = sym_pairs(genus), dim - 1
+    weights: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for col in range(last, -1, -1):
+        weights.setdefault(sum(pairs[col]), ([], []))[0].append(col)
+    blocks = [([last - c for c in cols], [rows]) for cols, rows in weights.values()]
     previous = genus * (genus + 1) // 2  # mu_0 is defined on Sym^2 of g sections
-    rows: list[SparseRow] = []
     levels = []
     for k in range(max_level(genus) + 1):
-        if k:
-            rows.extend(_level_rows(genus, k))
-        basis = _kernel_off_rref(rows, dim)
+        for row in _level_rows(genus, k) if k else ():
+            if row:
+                cols, rows = weights[sum(pairs[next(iter(row))])]
+                rows.append([row.get(c, 0) for c in cols])
+        basis = _kernel_off_rref(blocks, dim)
         levels.append(
             KernelLevel(
                 genus=genus,
@@ -191,57 +203,49 @@ def kernel_via_equations(genus: int) -> KernelChain:
 
 @lru_cache(maxsize=None)
 def _falling_table(genus: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """falling(a, h) at [a][h] for every row index a and order h <= bound."""
-    return tuple(tuple(falling(a, h) for h in range(bound + 1)) for a in range(genus))
+    """falling(a, h) at [h][a] for every order h <= bound and row index a."""
+    return tuple(tuple(falling(a, h) for a in range(genus)) for h in range(bound + 1))
 
 
-def _identity_rows(genus: int, bound: int, pairs, slots) -> tuple[list[SparseRow], list[int]]:
-    """Rows of the raw identity system sum c_ab f_a^(h) f_b^(n) == 0: all
-    (h, n) with h >= n, h+n <= bound, every x-degree, as sparse integer rows
-    over ``pairs``, where column (i, j) has the tensor slots
-    ``slots(i, j)`` (`pair_slots` or `wedge_slots`).
+def _identity_blocks(genus: int, levels, pairs, slots) -> list[Block]:
+    """The raw identity system sum c_ab f_a^(h) f_b^(n) == 0 over ``pairs``,
+    where column (i, j) has the tensor slots ``slots(i, j)`` (`pair_slots`
+    or `wedge_slots`): the row of x-degree e and order h+n reads only the
+    columns of slot sum e + h + n, so each slot sum is a block, whose level
+    i holds the rows of the orders in ``levels[i]`` (`_weight_rows`)."""
+    fall = _falling_table(genus, max(map(max, levels)))
+    sums: dict[int, tuple[list[int], list]] = {}
+    for col, column in enumerate(starmap(slots, pairs)):
+        cols, group = sums.setdefault(column[0][0] + column[0][1], ([], []))
+        cols.append(col)
+        group.append(column)
+    return [
+        (cols, [_weight_rows(fall, slot_sum, list(zip(*group)), orders) for orders in levels])
+        for slot_sum, (cols, group) in sums.items()
+    ]
 
-    Rows come in increasing order h+n, so the rows of any smaller bound are
-    a prefix; the second list holds, for each order, where its rows end. The
-    row of x-degree e and order h+n reads only the columns of slot sum
-    e + h + n. Zero rows are dropped, among them every row with h = n when
-    the slots are antisymmetric.
-    """
-    by_sum: dict[int, list[tuple[int, tuple[tuple[int, int, int], ...]]]] = {}
-    for col, (i, j) in enumerate(pairs):
-        column = slots(i, j)
-        by_sum.setdefault(column[0][0] + column[0][1], []).append((col, column))
-    fall = _falling_table(genus, bound)
-    rows: list[SparseRow] = []
-    ends: list[int] = []
-    for total in range(bound + 1):
-        for n in range(total // 2 + 1):
-            h = total - n
-            for e in range(0, 2 * genus - 1 - total):
-                row: SparseRow = {}
-                for col, column in by_sum.get(e + total, ()):
-                    value = sum(
-                        weight * fall[alpha][h] * fall[beta][n]
-                        for alpha, beta, weight in column
-                    )
-                    if value:
-                        row[col] = value
-                if row:
-                    rows.append(row)
-        ends.append(len(rows))
-    return rows, ends
+
+def _weight_rows(fall, slot_sum: int, slots, orders) -> Iterator[list[int]]:
+    """The nonzero rows (h, n), h >= n, h+n in ``orders``, of the columns of
+    one slot sum (``slots`` holds their slots position by position), made as
+    the elimination draws them. Row (h, n) has x-degree slot_sum - h - n:
+    none where that is negative, and never above 2g-2-h-n."""
+    for order in orders:
+        for n in range(order // 2 + 1 if order <= slot_sum else 0):
+            fh, fn = fall[order - n], fall[n]
+            row = list(map(sum, zip(*([w * fh[a] * fn[b] for a, b, w in s] for s in slots))))
+            if any(row):
+                yield row
 
 
 @lru_cache(maxsize=None)
 def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Row, ...], ...]:
-    """Oracle kernels of levels 0..k_max from one build of the identity rows:
-    level k is the kernel of the orders <= 2k+1, and since the kernels are
-    nested, `kernel_chain` reduces each identity row once."""
-    rows, ends = _identity_rows(genus, 2 * k_max + 1, sym_pairs(genus), pair_slots)
-    cuts = [0] + [ends[2 * k + 1] for k in range(k_max + 1)]
-    return kernel_chain(
-        [rows[a:b] for a, b in zip(cuts, cuts[1:])], quadric_space_dimension(genus)
-    )
+    """Oracle kernels of levels 0..k_max: level k is the kernel of the
+    identity orders <= 2k+1, so each slot-sum block keeps one store across
+    the levels (`kernel_chain`), level k adding orders 2k and 2k+1, and a
+    block whose store is full builds no more rows."""
+    levels = [(2 * k, 2 * k + 1) for k in range(k_max + 1)]
+    return kernel_chain(_identity_blocks(genus, levels, sym_pairs(genus), pair_slots))
 
 
 def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Row, ...]:
@@ -259,9 +263,9 @@ def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
     fall = _falling_table(genus, max(map(max, orders), default=0))
     out = []
     for h, n in orders:
-        coeffs = [0] * (2 * genus - 1)
+        coeffs, fh, fn = [0] * (2 * genus - 1), fall[h], fall[n]
         for alpha, beta, c in entries:
-            t = fall[alpha][h] * fall[beta][n]
+            t = fh[alpha] * fn[beta]
             if t:
                 coeffs[alpha + beta - h - n] += c * t
         out.append(coeffs)
@@ -462,10 +466,8 @@ def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
     """
     if order < 1 or order % 2 == 0:
         raise InvalidIndex(f"odd map order must be odd and positive, got {order}")
-    dim = genus * (genus - 1) // 2
-    rows, ends = _identity_rows(genus, order + 1, wedge_pairs(genus), wedge_slots)
-    cut = ends[order - 1]
-    domain, kernel = kernel_chain([rows[:cut], rows[cut:]], dim)
+    levels = [range(order), (order, order + 1)]
+    domain, kernel = kernel_chain(_identity_blocks(genus, levels, wedge_pairs(genus), wedge_slots))
     return OddMapResult(
         genus=genus,
         order=order,
@@ -500,5 +502,5 @@ def wronskian_rank_oracle(genus: int, curve: Curve) -> int:
                 )
             row.append(acc)
         rows.append(row)
-    _, pivots = rref([sparse_row(row) for row in rows], len(pairs))
+    _, pivots = rref(_blocks([[sparse_row(row) for row in rows]], len(pairs)))
     return len(pivots)

@@ -78,7 +78,7 @@ from .errors import (
     ThresholdNotExtended,
 )
 from .gaussian import KernelLevel, kernel_via_equations, mu_coefficients
-from .linalg import Row, dot, kernel_basis, rref
+from .linalg import Row, _blocks, dot, kernel_basis, rref
 from .quadrics import QuadricI2, b_pairs, basis_quadric, sym_pairs, vector_to_json
 from .rationals import rat_to_string
 from .record import Record, replace
@@ -763,7 +763,7 @@ def _restrict_to_functional_kernel(
                         combined[c] = combined.get(c, 0) - u_j * x
                 cut.append(combined)
         rows = cut
-    reduced, _ = rref(rows, ncols)
+    reduced, _ = rref(_blocks([rows], ncols))
     return reduced
 
 

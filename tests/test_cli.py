@@ -510,6 +510,59 @@ def test_a_non_proportional_factorization_is_a_failing_item(capsys, monkeypatch)
     ]
 
 
+def _failing_rank_law_items(capsys, genus):
+    """Exit code, stderr and failing items of ``verify --theorem T3.1``,
+    with both kernel routes rebuilt before and after."""
+    gaussian.kernel_via_equations.cache_clear()
+    gaussian._oracle_chain.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--theorem", "T3.1", "--g", str(genus))
+    finally:
+        gaussian.kernel_via_equations.cache_clear()
+        gaussian._oracle_chain.cache_clear()
+    return code, err, [c["item"] for c in json.loads(out)["checks"] if not c["ok"]]
+
+
+def test_a_perturbed_identity_row_fails_only_the_route_comparison(capsys, monkeypatch):
+    """The slot alpha_0 (x) alpha_3 of Q_13 is read only by the identity of
+    order (0, 0) at x-degree 3, so doubling its weight changes one
+    coefficient of one oracle row, at one weight; the equations route and
+    its rank items do not read it."""
+    original = gaussian.pair_slots
+
+    def skewed(i, j):
+        slots = original(i, j)
+        return (*slots[:3], (0, 3, -2)) if (i, j) == (1, 3) else slots
+
+    monkeypatch.setattr(gaussian, "pair_slots", skewed)
+    code, err, failing = _failing_rank_law_items(capsys, 6)
+    assert code == 1 and "Traceback" not in err
+    assert failing == ["g=6 equation kernels match the polynomial oracle"]
+
+
+def test_a_perturbed_level_equation_fails_the_rank_items(capsys, monkeypatch):
+    """The level-1 equation of weight 5 is 3 a_14 + a_23; one less at a_14
+    makes the level-2 equation of that weight, 12 a_14 + 6 a_23, a multiple
+    of it, so Ker mu_4 keeps one dimension too many."""
+    original = gaussian._level_rows
+
+    def skewed(genus, k):
+        rows = original(genus, k)
+        if k == 1:
+            rows[2] = {**rows[2], 2: rows[2][2] - 1}
+        return rows
+
+    monkeypatch.setattr(gaussian, "_level_rows", skewed)
+    code, err, failing = _failing_rank_law_items(capsys, 6)
+    assert code == 1 and "Traceback" not in err
+    assert failing == [
+        "g=6 k=2 rank(mu_4)",
+        "g=6 k=2 dim Ker mu_4",
+        "g=6 strict kernel nesting",
+        "g=6 equation kernels match the polynomial oracle",
+    ]
+
+
 class _Vanishing(Fraction):
     """A nonzero value whose multiples vanish: a broken witness value."""
 

@@ -32,7 +32,7 @@ from gaussmap.gaussian import (
     rank_table,
     wronskian_rank_oracle,
 )
-from gaussmap.linalg import kernel_basis
+from gaussmap.linalg import _blocks, kernel_basis, kernel_chain
 from gaussmap.quadrics import (
     basis_quadric,
     combine,
@@ -40,6 +40,7 @@ from gaussmap.quadrics import (
     quadric_space_dimension,
     sym_pairs,
     wedge_pairs,
+    wedge_slots,
 )
 from series_oracle import TruncatedSeries, poly
 from test_linalg import naive_kernel, views
@@ -88,18 +89,101 @@ def test_equation_kernels_match_polynomial_oracle_through_genus_seven():
             assert lv.basis == kernel_via_polynomial_oracle(genus, lv.k)
 
 
+def identity_rows(genus, bound, pairs, slots):
+    """Reference rows of the raw identity system sum c_ab f_a^(h) f_b^(n) == 0,
+    ungraded: all (h, n) with h >= n, h+n <= bound, every x-degree, as sparse
+    integer rows over ``pairs``, where column (i, j) has the tensor slots
+    ``slots(i, j)``. Rows come in increasing order h+n, and the second list
+    holds, for each order, where its rows end. Zero rows are dropped."""
+    rows, ends = [], []
+    for total in range(bound + 1):
+        for n in range(total // 2 + 1):
+            h = total - n
+            for e in range(0, 2 * genus - 1 - total):
+                row = {}
+                for col, (i, j) in enumerate(pairs):
+                    value = sum(
+                        weight * falling(alpha, h) * falling(beta, n)
+                        for alpha, beta, weight in slots(i, j)
+                        if alpha + beta == e + total
+                    )
+                    if value:
+                        row[col] = value
+                if row:
+                    rows.append(row)
+        ends.append(len(rows))
+    return rows, ends
+
+
+def union_find_chain(levels, ncols):
+    """The kernel chain of levels of sparse rows split by union-find alone."""
+    return kernel_chain(_blocks(levels, ncols))
+
+
 def test_oracle_chain_equals_one_elimination_per_prefix():
     """The old schedule, each prefix of identity rows eliminated from scratch,
     is the reference for the incremental chain."""
     for genus in range(3, 13):
         k_max = max_level(genus)
-        rows, ends = gaussian._identity_rows(
-            genus, 2 * k_max + 1, sym_pairs(genus), pair_slots
-        )
+        rows, ends = identity_rows(genus, 2 * k_max + 1, sym_pairs(genus), pair_slots)
         dim = quadric_space_dimension(genus)
         assert gaussian._oracle_chain(genus, k_max) == tuple(
             kernel_basis(rows[: ends[2 * k + 1]], dim) for k in range(k_max + 1)
         ), genus
+
+
+def test_graded_chains_equal_the_union_find_elimination_of_the_full_rows():
+    """Both routes hand over their weight blocks; the reference finds the
+    blocks of the full sparse row lists by union-find, and the oracle is
+    also asked for levels past the chain's end."""
+    for genus in range(3, 16):
+        dim = quadric_space_dimension(genus)
+        k_max = max_level(genus)
+        levels = [[]] + [gaussian._level_rows(genus, k) for k in range(1, k_max + 1)]
+        bases = [lv.basis for lv in kernel_via_equations(genus).levels]
+        assert bases == list(union_find_chain(levels, dim)), genus
+        top = k_max + 2
+        rows, ends = identity_rows(genus, 2 * top + 1, sym_pairs(genus), pair_slots)
+        cuts = [0] + [ends[2 * k + 1] for k in range(top + 1)]
+        reference = union_find_chain([rows[a:b] for a, b in zip(cuts, cuts[1:])], dim)
+        assert bases == list(reference[: k_max + 1]), genus
+        for k in range(top + 1):
+            assert kernel_via_polynomial_oracle(genus, k) == reference[k], (genus, k)
+
+
+def test_odd_maps_equal_the_union_find_elimination_of_the_full_rows():
+    for genus in range(3, 11):
+        dim = genus * (genus - 1) // 2
+        for order in (1, 3, 5):
+            rows, ends = identity_rows(genus, order + 1, wedge_pairs(genus), wedge_slots)
+            cut = ends[order - 1]
+            domain, kernel = union_find_chain([rows[:cut], rows[cut:]], dim)
+            result = odd_kernel_and_rank(genus, order)
+            assert (result.domain_dim, result.basis) == (len(domain), kernel), (genus, order)
+
+
+def test_the_oracle_builds_no_row_into_a_full_block(monkeypatch):
+    """At g=12 the ungraded system has 540 nonzero identity rows; a block
+    whose store is full draws no more, so the oracle builds 231 of them, and
+    the count repeats exactly."""
+    assert len(identity_rows(12, 11, sym_pairs(12), pair_slots)[0]) == 540
+    original = gaussian._weight_rows
+    built = []
+
+    def counted(*args):
+        for row in original(*args):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(gaussian, "_weight_rows", counted)
+    counts = []
+    for _ in range(2):
+        gaussian._oracle_chain.cache_clear()
+        built.clear()
+        assert kernel_via_polynomial_oracle(12, 0) == kernel_via_equations(12).level(0).basis
+        counts.append(len(built))
+    gaussian._oracle_chain.cache_clear()
+    assert counts == [231, 231]
 
 
 def test_known_kernel_generator_at_genus_five():

@@ -29,8 +29,18 @@ def views(rows, ncols):
     return tuple(fractions(row, ncols) for row in rows)
 
 
+def sparse_rref(rows, ncols):
+    """`rref` of sparse rows with no grading, split by `_blocks`."""
+    return rref(_blocks([rows], ncols))
+
+
+def sparse_chain(levels, ncols):
+    """`kernel_chain` of levels of sparse rows with no grading, split by `_blocks`."""
+    return kernel_chain(_blocks(levels, ncols))
+
+
 def rref_view(rows, ncols):
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots = sparse_rref(rows, ncols)
     return views(reduced, ncols), pivots
 
 
@@ -46,7 +56,7 @@ def sparse(rows):
 
 def rank(rows, ncols):
     """The rank of the rational rows: the number of pivots of their RREF."""
-    return len(rref(sparse(rows), ncols)[1])
+    return len(sparse_rref(sparse(rows), ncols)[1])
 
 
 rationals = st.fractions(
@@ -186,13 +196,13 @@ def test_explicit_zero_entries_never_merge_blocks(case, data):
         {**{c: 0 for c in data.draw(st.sets(st.integers(0, ncols - 1)))}, **row}
         for row in sparse
     ]
-    assert _blocks(padded, ncols) == _blocks(sparse, ncols)
-    assert rref(padded, ncols) == rref(sparse, ncols)
+    assert _blocks([padded], ncols) == _blocks([sparse], ncols)
+    assert sparse_rref(padded, ncols) == sparse_rref(sparse, ncols)
     assert kernel_basis(padded, ncols) == kernel_basis(sparse, ncols)
 
 
 def test_an_explicit_zero_leaves_columns_apart_and_untouched():
-    assert _blocks([{0: 2, 1: 0}, {1: 3}], 3) == [([0], [(0, [2])]), ([1], [(1, [3])])]
+    assert _blocks([[{0: 2, 1: 0}, {1: 3}]], 3) == [([0], [[[2]]]), ([1], [[[3]]]), ([2], [[]])]
     assert views(kernel_basis([{0: 2, 2: 0}], 3), 3) == (
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
@@ -229,7 +239,7 @@ def kernel_levels(draw):
 @example(([[{1: 1, 2: 1}], [], [{0: 1, 1: 0}, {3: 2, 2: 0}, {1: -2, 2: -2}, {}]], 4))
 def test_kernel_chain_gives_the_kernel_of_every_prefix(case):
     levels, ncols = case
-    chain = kernel_chain(levels, ncols)
+    chain = sparse_chain(levels, ncols)
     assert len(chain) == len(levels)
     rows = []
     for level, kernel in zip(levels, chain):
@@ -280,9 +290,9 @@ def assert_canonical(row, ncols):
 @example(([[{0: 6, 1: 4}, {1: 6, 2: 9}]], 3))  # pivots 6 and 3 over shared factors
 def test_every_row_is_canonical_and_views_as_the_plain_elimination(case):
     levels, ncols = case
-    reduced, pivots = rref([row for level in levels for row in level], ncols)
+    reduced, pivots = rref(_blocks(levels, ncols))
     rows = []
-    for level, kernel in zip(levels, kernel_chain(levels, ncols)):
+    for level, kernel in zip(levels, sparse_chain(levels, ncols)):
         rows += level
         dense = [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
         for row in kernel:
@@ -302,11 +312,11 @@ def test_row_of_is_the_canonical_row_of_any_rational_vector():
 
 def test_sparse_rows_are_checked_against_the_column_count():
     with pytest.raises(IndexOutOfRange):
-        rref([{3: 1}], 3)
+        _blocks([[{3: 1}]], 3)
     with pytest.raises(IndexOutOfRange):
         kernel_basis([{-1: 1}], 3)
-    with pytest.raises(IndexOutOfRange):
-        rref([{0: 1}])
+    with pytest.raises(TypeError):
+        _blocks([[{0: 1}]])
 
 
 def test_dense_level_equations_cut_out_the_equation_route_kernels():
@@ -376,11 +386,11 @@ def test_rank_nullity_adds_up():
 def test_rref_of_a_span_is_basis_independent():
     v1 = (F(1), F(2), F(0))
     v2 = (F(0), F(1), F(1))
-    a, _ = rref(sparse([v1, v2]), 3)
-    b, _ = rref(sparse([tuple(3 * x for x in v2),
-                        tuple(x + y for x, y in zip(v1, v2))]), 3)
+    a, _ = sparse_rref(sparse([v1, v2]), 3)
+    b, _ = sparse_rref(sparse([tuple(3 * x for x in v2),
+                               tuple(x + y for x, y in zip(v1, v2))]), 3)
     assert a == b
-    assert rref([dict(entries) for entries, _ in a], 3)[0] == a
+    assert sparse_rref([dict(entries) for entries, _ in a], 3)[0] == a
 
 
 def test_dot_is_bilinear_on_samples():
@@ -443,7 +453,7 @@ def test_kernel_dimension_complements_rank(rows):
     assert rank(rows, 5) + len(basis) == 5
     for vec in views(basis, 5):
         assert all(x == 0 for x in mat_vec(rows, vec))
-    assert rref([dict(entries) for entries, _ in basis], 5)[0] == basis
+    assert sparse_rref([dict(entries) for entries, _ in basis], 5)[0] == basis
 
 
 def test_sparse_row_drops_zeros_over_one_common_denominator():
