@@ -107,13 +107,15 @@ def random_direction(rng: random.Random, length: int) -> tuple[Fraction, ...]:
 
     Numerators are uniform on [-20, 20] and denominators on [1, 10];
     all-zero draws are rejected and redrawn so the result is a usable
-    direction.
+    direction. `randrange(a, b + 1)` is what `randint(a, b)` calls, so the
+    draws are those of `randint(-20, 20)` and `randint(1, 10)`.
     """
     if length < 1:
         raise InvalidIndex("direction length must be at least 1")
     while True:
         vec = tuple(
-            Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(length)
+            Fraction(rng.randrange(-20, 21), rng.randrange(1, 11))
+            for _ in range(length)
         )
         if any(vec):
             return vec

@@ -47,7 +47,8 @@ routine. The hyperplane A_{k,0} is cut from the witness values alone; the
 reduction vector, closed form, display form and b-support check (made
 once per level) are read only by the witness report. One `Certifier` per
 curve builds each level's certificate table once, with the witness's
-cross terms, and reads every certificate from it. The only
+cross terms, and reads every certificate from it, keeping each support's
+verified cross terms (never a failing one). The only
 module-level cache is the basis quadric data of the x-chart cross-check,
 keyed on the genus alone; no cache is keyed on a curve or a quadric.
 
@@ -80,7 +81,7 @@ from .errors import (
 from .gaussian import KernelLevel, kernel_via_equations, mu_coefficients
 from .linalg import Row, _blocks, dot, kernel_basis, rref
 from .quadrics import QuadricI2, b_pairs, basis_quadric, sym_pairs, vector_to_json
-from .rationals import rat_to_string
+from .rationals import as_rational, rat_to_string
 from .record import Record, replace
 
 ZERO = Fraction(0)
@@ -889,13 +890,18 @@ class Certifier:
     A direction of top order 2k+3 reads its present pairs from level k's
     table, built once from A_{k,0} and its diagonal values alone; a level
     whose build raises a `Falsified` error keeps it for all its directions.
-    The Q_ij pairings that certify a pure xi^1 direction are built once too.
+    The cross terms a direction reads depend only on its support (the
+    indices of its nonzero coefficients), so each support's verified tuple
+    is kept, keyed by that support; the pure xi^1 directions keep their
+    basis count. Only a check that passed is kept: a support or a pure
+    xi^1 check that fails is never stored, and raises again on every call.
     """
 
     def __init__(self, curve: Curve) -> None:
         self.curve = curve
         self._tables: dict[int, tuple | Falsified] = {}
-        self._basis: tuple[Pairing, ...] = ()
+        self._cross: dict[tuple[int, ...], tuple[tuple[int, int, Fraction], ...]] = {}
+        self._basis_count: int | None = None
 
     def table(self, k: int) -> tuple[QuadricI2, Fraction, dict]:
         """Level k's (witness, value, cross): the first A_{k,0} basis quadric
@@ -945,30 +951,35 @@ class Certifier:
         not_asymptotic through its level's witness quadric in A_{k-1,0}:
         all its licensed cross pairs are exact zeros and the
         (2k+1, 2k+1) value is exactly nonzero, so the full evaluation is
-        lambda_top^2 times it.
+        lambda_top^2 times it. A coefficient is a `Fraction`, an `int` or
+        a ``"p/q"`` string (`as_rational`); a float or a bool is refused.
         """
         curve = self.curve
         genus = curve.genus
         expected = direction_length(genus)
-        direction = tuple(Fraction(c) for c in lambdas)
+        direction = tuple(
+            c if isinstance(c, Fraction) else as_rational(c) for c in lambdas
+        )
         if len(direction) != expected:
             raise InvalidIndex(
                 f"direction for genus {genus} needs {expected} odd coefficients"
             )
-        if not any(direction):
+        present = tuple(idx for idx, c in enumerate(direction) if c)
+        if not present:
             raise InvalidIndex("the zero direction has no classification")
-        top = max(idx for idx, c in enumerate(direction) if c)
+        top = present[-1]
         if top == 0:
-            if not self._basis:
-                self._basis = Pairing.family(
+            if self._basis_count is None:
+                family = Pairing.family(
                     (basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus)), curve
                 )
-            with _licensed():
-                checks = [pairing.rho(1, 1).value for pairing in self._basis]
-            if any(checks):
-                raise IdentityFailed(
-                    "rho(Q)(xi^1 (.) xi^1) must vanish at a Weierstrass point"
-                )
+                with _licensed():
+                    checks = [pairing.rho(1, 1).value for pairing in family]
+                if any(checks):
+                    raise IdentityFailed(
+                        "rho(Q)(xi^1 (.) xi^1) must vanish at a Weierstrass point"
+                    )
+                self._basis_count = len(checks)
             return AsymptoticCertificate(
                 genus=genus,
                 curve=curve.label(),
@@ -979,35 +990,35 @@ class Certifier:
                 witness_pair_value=None,
                 total_value=None,
                 cross_terms=(),
-                basis_zero_count=len(checks),
+                basis_zero_count=self._basis_count,
             )
 
-        k = top
-        witness, pair_value, table = self.table(k - 1)
-        present = [idx for idx, c in enumerate(direction) if c]
-        cross = []
-        for pos, i in enumerate(present[:-1]):  # (k, k) is the witness value
-            for j in present[pos:]:
-                value = table[(i, j)]
-                if isinstance(value, Falsified):
-                    raise type(value)(*value.args)
-                cross.append((2 * i + 1, 2 * j + 1, value))
-                if value:
-                    raise IdentityFailed(
-                        f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
-                        "must vanish below the witness threshold"
-                    )
-        total = direction[top] ** 2 * pair_value
+        witness, pair_value, table = self.table(top - 1)
+        cross = self._cross.get(present)
+        if cross is None:
+            cross = []
+            for pos, i in enumerate(present[:-1]):  # (top, top) is the witness value
+                for j in present[pos:]:
+                    value = table[(i, j)]
+                    if isinstance(value, Falsified):
+                        raise type(value)(*value.args)
+                    cross.append((2 * i + 1, 2 * j + 1, value))
+                    if value:
+                        raise IdentityFailed(
+                            f"licensed cross pair (xi^{2 * i + 1}, xi^{2 * j + 1}) "
+                            "must vanish below the witness threshold"
+                        )
+            cross = self._cross[present] = tuple(cross)
         return AsymptoticCertificate(
             genus=genus,
             curve=curve.label(),
             direction=direction,
             verdict="not_asymptotic",
-            top_order=2 * k + 1,
+            top_order=2 * top + 1,
             witness=witness,
             witness_pair_value=pair_value,
-            total_value=total,
-            cross_terms=tuple(cross),
+            total_value=direction[top] ** 2 * pair_value,
+            cross_terms=cross,
             basis_zero_count=None,
         )
 

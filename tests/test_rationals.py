@@ -1,5 +1,6 @@
 """Decimal strings of integers and rationals of any size, and long literals."""
 
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gaussmap.errors import InvalidIndex
-from gaussmap.rationals import int_to_string, rat_from_string, rat_to_string
+from gaussmap.rationals import int_to_string, random_direction, rat_from_string, rat_to_string
 
 LIMIT = 10**4300
 HUGE = (
@@ -70,3 +71,24 @@ def test_an_over_long_literal_is_refused_by_its_digit_count():
     with pytest.raises(InvalidIndex, match="not a rational literal: '1/x'"):
         rat_from_string("1/x")
     assert rat_from_string(" 12/8 ") == Fraction(3, 2)
+
+
+def randint_direction(rng, length, redraws):
+    """The draw with `randint`, as documented: numerators on [-20, 20],
+    denominators on [1, 10], an all-zero vector drawn again."""
+    while True:
+        vec = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(length))
+        if any(vec):
+            return vec
+        redraws.append(length)
+
+
+def test_random_direction_draws_the_randint_stream():
+    redraws = []
+    for seed in range(5):
+        for length in range(1, 7):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                assert random_direction(ours, length) == randint_direction(theirs, length, redraws)
+            assert ours.getstate() == theirs.getstate()
+    assert 1 in redraws  # a length-1 draw was all zero and drawn again

@@ -62,6 +62,7 @@ from gaussmap.rho import (
     _restrict_to_functional_kernel,
     _witness_values,
 )
+from gaussmap.rationals import random_direction
 from gaussmap.reports import RunConfig
 from gaussmap.suites import curve_panel, verify_theorem
 from series_oracle import TruncatedSeries, expand_canonical, poly, x_derivatives, x_of_z
@@ -981,6 +982,77 @@ def test_a_perturbed_table_entry_fails_the_verdict(monkeypatch):
     monkeypatch.setattr(rho.Certifier, "_build", perturbed)
     certifier = Certifier(default_curve(6))
     assert [certifier.universal(k) for k, _ in _levels(6)] == [False, False]
+
+
+def _scan_directions(genus):
+    """The sampled directions of `scan --g genus` at the default seed and
+    sample count: the draws of top order 3 or more, in order."""
+    rng = random.Random(suites._mix_seed(0, genus))
+    directions = []
+    while len(directions) < suites.DEFAULT_DIRECTION_SAMPLES:
+        direction = random_direction(rng, direction_length(genus))
+        if max(i for i, c in enumerate(direction) if c):
+            directions.append(direction)
+    return directions
+
+
+@pytest.mark.parametrize("genus", range(4, 10))
+def test_the_support_memo_is_invisible(genus):
+    directions = _scan_directions(genus)
+    supports = {tuple(i for i, c in enumerate(d) if c) for d in directions}
+    assert len(supports) < len(directions)  # some support is read again
+    for curve in (default_curve(genus), random_curve(genus, random.Random(3))):
+        shared = Certifier(curve)
+        for direction in directions:
+            cert = shared.classify(direction)
+            fresh = Certifier(curve).classify(direction)
+            assert cert == fresh and cert.cross_terms == fresh.cross_terms, direction
+
+
+def test_a_failing_support_raises_on_every_call(monkeypatch):
+    original = rho.Certifier._build
+
+    def perturbed(self, k):
+        witness, value, cross = original(self, k)
+        if k == 1:
+            cross = {**cross, (0, 1): cross[(0, 1)] + F(1, 7)}
+        return witness, value, cross
+
+    monkeypatch.setattr(rho.Certifier, "_build", perturbed)
+    certifier = Certifier(default_curve(6))
+    # top order 5 is level 1; the support (0, 1, 2) reads its pair (0, 1)
+    for _ in range(2):
+        with pytest.raises(IdentityFailed, match=r"\(xi\^1, xi\^3\)"):
+            certifier.classify((F(2), F(-1, 3), F(5)))
+    for _ in range(2):  # the support (1, 2) does not read it
+        assert certifier.classify((0, F(1, 2), 1)).verdict == "not_asymptotic"
+
+
+def test_a_failing_pure_first_order_check_raises_on_every_call(monkeypatch):
+    original = rho.Pairing.rho
+
+    def perturbed(self, n, r):
+        value = original(self, n, r)
+        return replace(value, value=value.value + F(1, 7)) if (n, r) == (1, 1) else value
+
+    certifier = Certifier(default_curve(5))
+    with monkeypatch.context() as patch:
+        patch.setattr(rho.Pairing, "rho", perturbed)
+        for _ in range(2):
+            with pytest.raises(IdentityFailed, match="must vanish at a Weierstrass point"):
+                certifier.classify((1, 0))
+    assert certifier.classify((1, 0)).basis_zero_count == 6
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+def test_a_float_or_bool_coefficient_is_refused(bad):
+    with pytest.raises(InvalidIndex, match="not an exact rational"):
+        asymptotic_classify(default_curve(5), (bad, 1))
+    with pytest.raises(InvalidIndex, match="not an exact rational"):
+        Certifier(default_curve(5)).classify((1, bad))
+    exact = asymptotic_classify(default_curve(5), (F(1, 10), 1))
+    assert exact.direction == (F(1, 10), F(1))
+    assert asymptotic_classify(default_curve(5), ("1/10", 1)) == exact
 
 
 def test_direction_vector_length_is_validated():
