@@ -23,27 +23,26 @@ Two independent routes compute each kernel:
 Both systems are graded by weight: a level equation touches only the pairs
 with i + j = l, and an identity row of x-degree e and order h + n only the
 basis quadrics with i + j = e + h + n + 1. Each route builds its integer
-rows dense over one weight block at a time (the identity rows from twice
-the symmetric tensor, whose entries are +-1/2) and hands ``linalg`` its
-blocks, so the routes share only the fraction-free step (`linalg._blocks`
-splits only the ungraded Wronskian jets). Both give canonical (reduced
-row-echelon) bases of integer rows (`linalg.Row`), so agreement is literal
-row equality. A level's quadrics are its rows, and the factorization and
-support checks read a quadric's row.
+rows dense over one weight block at a time and hands ``linalg`` its blocks,
+so the routes share only the fraction-free step. Both give canonical
+(reduced row-echelon) bases of integer rows (`linalg.Row`), so agreement is
+literal row equality. A level's quadrics are its rows.
 
-Every identity polynomial here (the oracle residuals, the mu_2k
-representatives, both sides of the factorization) is a list of integer
-x-coefficients over one denominator. The factorization compares its sides
-by cross-multiplication; a `Fraction` is made only for a value a report
-prints (the frame constant, a representative mismatch).
+One function, `_weight_rows`, forms the identity rows, from twice the
+symmetric tensor (whose entries are +-1/2), each with its order (h, n), and
+one table per genus lays out their blocks. The oracle chain draws only the
+rows its stores still need, and keeps none. Membership, `oracle_residuals`
+and the mu_2k representatives dot a quadric's row with the rows of the
+blocks it meets, which the table builds once per order and keeps: integer
+x-coefficients over the tensor's denominator. A `Fraction` is made only for
+a value a report prints.
 
 Odd maps act on the exterior square of the canonical space and are
-handled by ``odd_kernel_and_rank`` (x-chart identities, from the same graded
-row builder as the oracle route with the slots (i, j, 1), (j, i, -1) of
-alpha_i ^ alpha_j, of slot sum i + j, its domain and kernel read off one
-elimination) and
-``wronskian_rank_oracle`` (exact jets of Wronskians at the base point —
-a genuinely different computation on a concrete curve).
+handled by ``odd_kernel_and_rank`` (x-chart identity rows from the same
+builder, with the slots (i, j, 1), (j, i, -1) of alpha_i ^ alpha_j, of slot
+sum i + j, its domain and kernel read off one elimination) and
+``wronskian_rank_oracle`` (exact jets of Wronskians at the base point — a
+genuinely different computation on a concrete curve).
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import starmap
 from math import comb, gcd, lcm
+from operator import itemgetter, mul
 
 from .curve import Curve, canonical_derivatives
 from .errors import IdentityFailed, IndexOutOfRange, InvalidIndex, NotInKernel, NotInPreviousKernel
@@ -188,54 +188,67 @@ def kernel_via_equations(genus: int) -> KernelChain:
                 cols, rows = weights[sum(pairs[next(iter(row))])]
                 rows.append([row.get(c, 0) for c in cols])
         basis = _kernel_off_rref(blocks, dim)
-        levels.append(
-            KernelLevel(
-                genus=genus,
-                k=k,
-                dimension=len(basis),
-                rank=previous - len(basis),
-                basis=basis,
-            )
-        )
+        rank = previous - len(basis)
+        levels.append(KernelLevel(genus=genus, k=k, dimension=len(basis), rank=rank, basis=basis))
         previous = len(basis)
     return KernelChain(genus=genus, method="equations", levels=tuple(levels))
 
 
+class _Identities:
+    """The identity rows of the columns ``pairs`` of one genus, where column
+    (i, j) has the tensor slots ``slots(i, j)`` (`pair_slots` or
+    `wedge_slots`), by slot-sum block and order (`_weight_rows`). `blocks`
+    hands them to one elimination as it draws them, and keeps none; `rows`
+    builds each order's rows of a block once, for every reader of a quadric."""
+
+    def __init__(self, genus: int, pairs, slots) -> None:
+        self.fall = [[1] * genus]  # falling(a, h) at [h][a], h up to the largest slot sum
+        for h in range(1, 2 * genus - 2):
+            self.fall.append([x * (a - h + 1) for a, x in enumerate(self.fall[-1])])
+        groups: dict[int, tuple[list[int], list]] = {}
+        self.place: list[tuple[int, int]] = []  # each column's slot sum and position
+        for col, column in enumerate(starmap(slots, pairs)):
+            cols, group = groups.setdefault(column[0][0] + column[0][1], ([], []))
+            self.place.append((column[0][0] + column[0][1], len(cols)))
+            cols.append(col)
+            group.append(column)
+        self.groups = {s: (cols, list(zip(*group))) for s, (cols, group) in groups.items()}
+        self.kept: dict[tuple[int, int], list] = {}
+
+    def rows(self, s: int, orders) -> Iterator[tuple[int, int, list[int]]]:
+        """The rows (h, n, row) of block s of the orders in ``orders``, kept."""
+        for order in orders:
+            if (s, order) not in self.kept:
+                self.kept[s, order] = list(_weight_rows(self.fall, s, self.groups[s][1], order))
+            yield from self.kept[s, order]
+
+    def _draw(self, s: int, orders) -> Iterator[list[int]]:
+        for order in orders:
+            yield from map(itemgetter(2), _weight_rows(self.fall, s, self.groups[s][1], order))
+
+    def blocks(self, levels) -> list[Block]:
+        """The blocks of `kernel_chain`, level i drawing the orders in ``levels[i]``:
+        the row of x-degree e and order h + n reads the columns of slot sum e + h + n."""
+        return [(cols, [self._draw(s, t) for t in levels]) for s, (cols, _) in self.groups.items()]
+
+
+def _weight_rows(fall, slot_sum: int, slots, order: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The nonzero rows (h, n, row), h >= n, of the identity sum c_ab f_a^(h)
+    f_b^(n) of order h + n over the columns of one slot sum (``slots`` holds
+    their slots position by position), made as they are drawn. Row (h, n)
+    reads x^(slot_sum - h - n): none where that is negative."""
+    for n in range(order // 2 + 1 if order <= slot_sum else 0):
+        fh, fn = fall[order - n], fall[n]
+        row = list(map(sum, zip(*([w * fh[a] * fn[b] for a, b, w in s] for s in slots))))
+        if any(row):
+            yield order - n, n, row
+
+
 @lru_cache(maxsize=None)
-def _falling_table(genus: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """falling(a, h) at [h][a] for every order h <= bound and row index a."""
-    return tuple(tuple(falling(a, h) for a in range(genus)) for h in range(bound + 1))
-
-
-def _identity_blocks(genus: int, levels, pairs, slots) -> list[Block]:
-    """The raw identity system sum c_ab f_a^(h) f_b^(n) == 0 over ``pairs``,
-    where column (i, j) has the tensor slots ``slots(i, j)`` (`pair_slots`
-    or `wedge_slots`): the row of x-degree e and order h+n reads only the
-    columns of slot sum e + h + n, so each slot sum is a block, whose level
-    i holds the rows of the orders in ``levels[i]`` (`_weight_rows`)."""
-    fall = _falling_table(genus, max(map(max, levels)))
-    sums: dict[int, tuple[list[int], list]] = {}
-    for col, column in enumerate(starmap(slots, pairs)):
-        cols, group = sums.setdefault(column[0][0] + column[0][1], ([], []))
-        cols.append(col)
-        group.append(column)
-    return [
-        (cols, [_weight_rows(fall, slot_sum, list(zip(*group)), orders) for orders in levels])
-        for slot_sum, (cols, group) in sums.items()
-    ]
-
-
-def _weight_rows(fall, slot_sum: int, slots, orders) -> Iterator[list[int]]:
-    """The nonzero rows (h, n), h >= n, h+n in ``orders``, of the columns of
-    one slot sum (``slots`` holds their slots position by position), made as
-    the elimination draws them. Row (h, n) has x-degree slot_sum - h - n:
-    none where that is negative, and never above 2g-2-h-n."""
-    for order in orders:
-        for n in range(order // 2 + 1 if order <= slot_sum else 0):
-            fh, fn = fall[order - n], fall[n]
-            row = list(map(sum, zip(*([w * fh[a] * fn[b] for a, b, w in s] for s in slots))))
-            if any(row):
-                yield row
+def _identity_table(genus: int) -> _Identities:
+    """The identity rows of the basis quadrics Q_ij, one table per genus, read by the
+    oracle chain, membership, the residuals and the mu representatives."""
+    return _Identities(genus, sym_pairs(genus), pair_slots)
 
 
 @lru_cache(maxsize=None)
@@ -243,9 +256,9 @@ def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Row, ...], ...]:
     """Oracle kernels of levels 0..k_max: level k is the kernel of the
     identity orders <= 2k+1, so each slot-sum block keeps one store across
     the levels (`kernel_chain`), level k adding orders 2k and 2k+1, and a
-    block whose store is full builds no more rows."""
+    block whose store is full draws no more rows."""
     levels = [(2 * k, 2 * k + 1) for k in range(k_max + 1)]
-    return kernel_chain(_identity_blocks(genus, levels, sym_pairs(genus), pair_slots))
+    return kernel_chain(_identity_table(genus).blocks(levels))
 
 
 def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Row, ...]:
@@ -255,34 +268,33 @@ def kernel_via_polynomial_oracle(genus: int, k: int) -> tuple[Row, ...]:
     return _oracle_chain(genus, max(k, max_level(genus)))[k]
 
 
-def _identity_coeffs(q: QuadricI2, orders) -> tuple[list[list[int]], int]:
-    """The x-coefficients (lowest first) of sum c_ab f_a^(h) f_b^(n) for each
-    (h, n) in ``orders``, as integers over the tensor's denominator."""
-    genus = q.genus
-    entries, den = q.tensor
-    fall = _falling_table(genus, max(map(max, orders), default=0))
-    out = []
-    for h, n in orders:
-        coeffs, fh, fn = [0] * (2 * genus - 1), fall[h], fall[n]
-        for alpha, beta, c in entries:
-            t = fh[alpha] * fn[beta]
-            if t:
-                coeffs[alpha + beta - h - n] += c * t
-        out.append(coeffs)
-    return out, den
+def _identity_values(q: QuadricI2, orders, only=None) -> Iterator[tuple[int, int, int, int]]:
+    """(h, n, e, x) for each nonzero coefficient x of x^e in sum c_ab f_a^(h)
+    f_b^(n), h + n in ``orders`` (n == ``only`` if given): q's row dotted with
+    the identity rows of each block it meets. The rows are made from twice
+    the tensor, so x is over 2E = q.tensor[1], E the row's denominator."""
+    table, parts = _identity_table(q.genus), {}
+    for c, x in q.row[0]:
+        s, position = table.place[c]
+        parts.setdefault(s, [0] * len(table.groups[s][0]))[position] = x
+    for s, part in parts.items():
+        for h, n, row in table.rows(s, orders):
+            if (only is None or n == only) and (x := sum(map(mul, part, row))):
+                yield h, n, s - h - n, x
 
 
 def oracle_residuals(q: QuadricI2, bound: int) -> list[tuple[int, int, list[int]]]:
     """Nonzero identity polynomials sum c_ab f^(h) f^(n) for h+n <= bound, as
     (h, n, x-coefficients) over the tensor's denominator."""
-    orders = [(t - n, n) for t in range(bound + 1) for n in range(t // 2 + 1)]
-    identities, _ = _identity_coeffs(q, orders)
-    return [(h, n, coeffs) for (h, n), coeffs in zip(orders, identities) if any(coeffs)]
+    found: dict[tuple[int, int], list[int]] = {}
+    for h, n, e, x in _identity_values(q, range(bound + 1)):
+        found.setdefault((h, n), [0] * (2 * q.genus - 1))[e] = x
+    return [(h, n, found[h, n]) for h, n in sorted(found, key=lambda o: (sum(o), o[1]))]
 
 
 def is_in_kernel(q: QuadricI2, k: int) -> bool:
     """Membership in Ker mu_2k via the raw identities (route-independent)."""
-    return not oracle_residuals(q, 2 * k + 1)
+    return next(_identity_values(q, range(2 * k + 2)), None) is None
 
 
 # -- rank table --------------------------------------------------------------
@@ -310,15 +322,7 @@ def rank_table(g_min: int, g_max: int, k_filter: int | None = None) -> RankTable
             if k_filter is not None and lv.k != k_filter:
                 continue
             ok = lv.rank == rank_formula(genus, lv.k) and lv.dimension == kernel_dimension_formula(genus, lv.k)
-            rows.append(
-                RankRow(
-                    genus=genus,
-                    k=lv.k,
-                    rank=lv.rank,
-                    dim_ker=lv.dimension,
-                    rank_formula_ok=ok,
-                )
-            )
+            rows.append(RankRow(genus=genus, k=lv.k, rank=lv.rank, dim_ker=lv.dimension, rank_formula_ok=ok))
     return RankTable(rows=tuple(rows))
 
 
@@ -328,9 +332,12 @@ def rank_table(g_min: int, g_max: int, k_filter: int | None = None) -> RankTable
 def _mu_representative(q: QuadricI2, k: int, n: int) -> list[int]:
     """(-1)^n sum c_ab f_a^(2k-n) f_b^(n): the representative with n
     derivatives on the second factor, as integer x-coefficients over the
-    tensor's denominator."""
-    (coeffs,), _ = _identity_coeffs(q, [(2 * k - n, n)])
-    return [-c for c in coeffs] if n % 2 else coeffs
+    tensor's denominator. The tensor is symmetric, so it is the identity
+    (h, m) of order 2k with m = min(n, 2k - n)."""
+    coeffs = [0] * (2 * q.genus - 1)
+    for *_, e, x in _identity_values(q, (2 * k,), min(n, 2 * k - n)):
+        coeffs[e] = -x if n % 2 else x
+    return coeffs
 
 
 def mu_coefficients(
@@ -346,7 +353,7 @@ def mu_coefficients(
     """
     if k < 0:
         raise IndexOutOfRange(f"level must be nonnegative, got {k}")
-    if check_membership and k >= 1 and oracle_residuals(q, 2 * k - 1):
+    if check_membership and k >= 1 and not is_in_kernel(q, k - 1):
         raise NotInPreviousKernel(
             f"quadric is not in the level-{k - 1} kernel; mu_{2 * k} undefined on it"
         )
@@ -390,11 +397,9 @@ def factorization_check(q: QuadricI2, k: int) -> FactorizationCheck:
     """
     if not is_in_kernel(q, k):
         raise NotInKernel(f"quadric is not in Ker mu_{2 * k}")
-    genus = q.genus
+    genus, pairs, (entries, rhs_den) = q.genus, sym_pairs(q.genus), q.row
     mu, lhs_den = mu_coefficients(q, k + 1, check_membership=False)
     lhs = [0, 0, *mu]
-    pairs = sym_pairs(genus)
-    entries, rhs_den = q.row
     rhs = [0] * len(lhs)
     for c, x in entries:
         i, j = pairs[c]
@@ -437,9 +442,8 @@ def b_support_check(q: QuadricI2, k: int) -> BSupportCheck:
     """
     if not is_in_kernel(q, k):
         raise NotInKernel(f"quadric is not in Ker mu_{2 * k}")
-    genus = q.genus
+    genus, pairs = q.genus, b_pairs(q.genus)
     bound = 2 * genus - 2 * k - 3
-    pairs = b_pairs(genus)
     offenders = tuple(sorted(pairs[c] for c, _ in q.row[0] if sum(pairs[c]) > bound))
     return BSupportCheck(genus=genus, k=k, bound=bound, offenders=offenders)
 
@@ -466,16 +470,10 @@ def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
     """
     if order < 1 or order % 2 == 0:
         raise InvalidIndex(f"odd map order must be odd and positive, got {order}")
-    levels = [range(order), (order, order + 1)]
-    domain, kernel = kernel_chain(_identity_blocks(genus, levels, wedge_pairs(genus), wedge_slots))
-    return OddMapResult(
-        genus=genus,
-        order=order,
-        domain_dim=len(domain),
-        kernel_dim=len(kernel),
-        rank=len(domain) - len(kernel),
-        basis=kernel,
-    )
+    table = _Identities(genus, wedge_pairs(genus), wedge_slots)
+    domain, kernel = kernel_chain(table.blocks([range(order), (order, order + 1)]))
+    d, n = len(domain), len(kernel)
+    return OddMapResult(genus=genus, order=order, domain_dim=d, kernel_dim=n, rank=d - n, basis=kernel)
 
 
 def wronskian_rank_oracle(genus: int, curve: Curve) -> int:

@@ -5,7 +5,9 @@ requested desk scale and emits one deterministic `VerificationReport`.
 Failures are reported as failing items, never masked. A `Falsified`
 signal raised by the factorization, isotropy, cross-check, witness,
 diagonal or certificate computations becomes the failing item of the
-statement it refutes.
+statement it refutes, and so does a failed membership (`NotInKernel`,
+`NotInPreviousKernel`): every quadric a suite checks is one it computed
+as a kernel member.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 import time
 
 from .curve import Curve, default_curve, random_curve
-from .errors import Falsified
+from .errors import Falsified, NotInKernel, NotInPreviousKernel
 from .gaussian import (
     b_support_check,
     factorization_check,
@@ -60,11 +62,14 @@ def curve_panel(
     )
 
 
+_REFUTED = (Falsified, NotInKernel, NotInPreviousKernel)
+
+
 def _attempt(items: list[CheckItem], label: str, expected: str, compute):
-    """compute(), or None once the `Falsified` it raised is a failing item."""
+    """compute(), or None once the refutation it raised is a failing item."""
     try:
         return compute()
-    except Falsified as exc:
+    except _REFUTED as exc:
         items.append(check(label, expected, str(exc), False))
         return None
 
@@ -149,7 +154,7 @@ def _suite_factorization(
         quads = chain.level(level_k).quadrics
         try:
             results = [factorization_check(q, level_k) for q in quads]
-        except Falsified as exc:
+        except _REFUTED as exc:
             ok, got = False, str(exc)
         else:
             constants = {fc.constant for fc in results if fc.constant is not None}
@@ -174,22 +179,14 @@ def _suite_factorization(
 def _suite_b_support(genus: int, k: int | None) -> list[CheckItem]:
     items = []
     chain = kernel_via_equations(genus)
-    levels = (
-        tuple(range(0, max_level(genus) + 1)) if k is None else (k,)
-    )
-    for level_k in levels:
+    for level_k in range(max_level(genus) + 1) if k is None else (k,):
         quads = chain.level(level_k).quadrics
-        checks_ = [b_support_check(q, level_k) for q in quads]
-        offenders = sum(len(c.offenders) for c in checks_)
-        items.append(
-            check(
-                f"g={genus} k={level_k} b-coordinates above sum "
-                f"{2 * genus - 2 * level_k - 3} vanish",
-                "no offenders",
-                f"{len(checks_)} basis elements, {offenders} offenders",
-                offenders == 0,
-            )
-        )
+        label = f"g={genus} k={level_k} b-coordinates above sum {2 * genus - 2 * level_k - 3} vanish"
+        checks_ = _attempt(items, label, "no offenders", lambda: [b_support_check(q, level_k) for q in quads])
+        if checks_ is not None:
+            offenders = sum(len(c.offenders) for c in checks_)
+            got = f"{len(checks_)} basis elements, {offenders} offenders"
+            items.append(check(label, "no offenders", got, offenders == 0))
     return items
 
 

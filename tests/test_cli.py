@@ -513,13 +513,14 @@ def test_a_non_proportional_factorization_is_a_failing_item(capsys, monkeypatch)
 def _failing_rank_law_items(capsys, genus):
     """Exit code, stderr and failing items of ``verify --theorem T3.1``,
     with both kernel routes rebuilt before and after."""
-    gaussian.kernel_via_equations.cache_clear()
-    gaussian._oracle_chain.cache_clear()
+    caches = (gaussian.kernel_via_equations, gaussian._oracle_chain, gaussian._identity_table)
+    for cache in caches:
+        cache.cache_clear()
     try:
         code, out, err = run(capsys, "verify", "--theorem", "T3.1", "--g", str(genus))
     finally:
-        gaussian.kernel_via_equations.cache_clear()
-        gaussian._oracle_chain.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     return code, err, [c["item"] for c in json.loads(out)["checks"] if not c["ok"]]
 
 
@@ -538,6 +539,61 @@ def test_a_perturbed_identity_row_fails_only_the_route_comparison(capsys, monkey
     code, err, failing = _failing_rank_law_items(capsys, 6)
     assert code == 1 and "Traceback" not in err
     assert failing == ["g=6 equation kernels match the polynomial oracle"]
+
+
+def test_a_perturbed_identity_row_fails_the_membership_items(capsys, monkeypatch):
+    """At genus 5 the identity row (2, 0) of slot sum 4 is -6 a_14 - 2 a_23,
+    and Ker mu_2 is spanned by Q_14 - 3 Q_23; one more at a_14 takes that
+    quadric out of Ker mu_2 by the oracle's rows, and makes the n = 0
+    representative of mu_2 differ from the n = 1 one on Q_14."""
+    original = gaussian._weight_rows
+
+    def skewed(fall, slot_sum, slots, order):
+        for h, n, row in original(fall, slot_sum, slots, order):
+            yield h, n, [row[0] + 1, *row[1:]] if (slot_sum, h, n) == (4, 2, 0) else row
+
+    monkeypatch.setattr(gaussian, "_weight_rows", skewed)
+    gaussian._identity_table.cache_clear()
+    try:
+        failing = {}
+        for theorem in ("L6.2", "L3.4"):
+            code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "5", "--samples", "0")
+            assert code == 1 and "Traceback" not in err
+            failing[theorem] = [(c["item"], c["got"]) for c in json.loads(out)["checks"] if not c["ok"]]
+    finally:
+        gaussian._identity_table.cache_clear()
+    curve = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"
+    assert failing == {
+        "L6.2": [("g=5 k=1 b-coordinates above sum 5 vanish", "quadric is not in Ker mu_2")],
+        "L3.4": [
+            (f"g=5 k=0 factorization on {curve}",
+             "representative mismatch for mu_2: n=0 gives -5/2*x^2, n=1 gives -3*x^2"),
+            (f"g=5 k=1 factorization on {curve}", "quadric is not in Ker mu_2"),
+        ],
+    }
+
+
+@pytest.mark.parametrize("theorem, failing", [
+    ("T6.5", ["quadric is not in the level-0 kernel; mu_2 undefined on it"]),
+    ("T6.6", ["quadric is not in Ker mu_0", "quadric is not in Ker mu_2"]),
+])
+def test_a_computed_quadric_that_fails_membership_is_a_failing_item(
+    capsys, monkeypatch, theorem, failing
+):
+    """The cross-check's basis quadrics and the witness levels' kernel
+    quadrics are computed, never supplied, so a refused membership refutes
+    the statement instead of ending the run as a usage error."""
+    monkeypatch.setattr(gaussian, "is_in_kernel", lambda q, k: False)
+    caches = (gaussian.kernel_via_equations, rho._cross_check_quadrics)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "5", "--samples", "0")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 1 and "Traceback" not in err
+    assert [c["got"] for c in json.loads(out)["checks"] if not c["ok"]] == failing
 
 
 def test_a_perturbed_level_equation_fails_the_rank_items(capsys, monkeypatch):

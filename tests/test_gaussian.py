@@ -217,7 +217,8 @@ def test_oracle_residuals_vanish_exactly_on_kernel_members():
 def fraction_identity_polynomial(q, h, n):
     """sum c_ab f_a^(h) f_b^(n) in Fraction arithmetic over the tensor slots
     of each Q_ij, with their weights +-1/2: the reference for the integer
-    builder behind oracle_residuals and the mu representatives."""
+    identity rows (`_weight_rows`) that oracle_residuals, membership and the
+    mu representatives read."""
     genus = q.genus
     half = F(1, 2)
     coeffs = [F(0)] * (2 * genus - 1)
@@ -245,7 +246,8 @@ def fraction_oracle_residuals(q, bound):
 @st.composite
 def kernel_combinations(draw):
     """A genus, a level k and a random rational combination of the level-k
-    kernel basis, perturbed off the kernel by a multiple of one Q_ij or not."""
+    kernel basis, perturbed off the kernel by a multiple of one Q_ij or not:
+    membership is then read across the weight blocks the mixture meets."""
     genus = draw(st.integers(3, 9))
     k = draw(st.integers(0, max_level(genus)))
     quads = kernel_quadrics(genus, k)
@@ -264,6 +266,7 @@ def test_integer_identities_equal_the_fraction_route(case, extra):
     bound = 2 * k + 1 + extra
     residuals = [(h, n, poly(coeffs, q.tensor[1])) for h, n, coeffs in oracle_residuals(q, bound)]
     assert residuals == fraction_oracle_residuals(q, bound)
+    assert is_in_kernel(q, k) == (fraction_oracle_residuals(q, 2 * k + 1) == [])
     level = k + 1
     for n in range(2 * level + 1):
         sign = -1 if n % 2 else 1
