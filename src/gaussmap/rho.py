@@ -38,8 +38,10 @@ denominator, its x-jets are read off the lift's Y (`Jets.lift`), and the
 functionals check the vector against their rho values by
 cross-multiplying. The closed and display forms read their entries off
 the jet columns and make one `Fraction` per printed entry. The x-chart
-cross-check reads the lift's series. `derivative_sum`, `threshold_info`
-and `rho_pair` are one-call wrappers that build a fresh `Pairing`.
+cross-check reads the lift's series, and one scan of its basis family
+through total 2, which makes each rho(xi^1 (.) xi^1) the forced zero (or,
+at a nonzero entry, hands them all to `Pairing.rho`). `derivative_sum`,
+`threshold_info` and `rho_pair` are one-call wrappers over a fresh `Pairing`.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
@@ -1094,35 +1096,50 @@ class Mu2CrossCheck(Record):
         )
 
 
-def _product(a: list[int], b: list[int], width: int) -> list[int]:
-    """The first `width` coefficients of a * b, both known that far."""
-    return [_convolve(a, b, n) for n in range(width)]
+def _product(a: list[int], b: list[int], width: int, va: int = 0, vb: int = 0) -> list[int]:
+    """a * b through s^(width-1), both known that far, a 0 below s^va, b below s^vb."""
+    a, b = a[va:], b[vb:]
+    return [0] * (va + vb) + [_convolve(a, b, n) for n in range(width - va - vb)]
+
+
+def _combination(terms, width: int) -> list[int]:
+    """sum c * series over the (c, series) terms, as one list of `width`."""
+    out = [0] * width
+    for c, series in terms:
+        out = [x + c * y for x, y in zip(out, series)]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _cross_check_quadrics(genus: int) -> tuple[tuple[QuadricI2, tuple], ...]:
+def _cross_check_quadrics(genus: int) -> tuple[tuple, tuple, tuple]:
     """The curve-independent half of the cross-check, built once per genus:
-    each basis quadric Q with mu_2(Q) as its nonzero integer coefficients
-    (m, numerator) over the denominator of Q's tensor.
+    the basis quadrics Q, their labels, and each mu_2(Q) as its nonzero
+    integer coefficients (m, numerator) over the denominator of Q's tensor,
+    where `mu_coefficients` makes its membership and representative checks."""
+    quads = tuple(basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus))
+    polys = tuple(tuple((m, c) for m, c in enumerate(mu_coefficients(q, 1)[0]) if c) for q in quads)
+    return quads, tuple(q.label() for q in quads), polys
 
-    `mu_coefficients` makes its membership and representative checks here.
-    """
-    out = []
-    for (i, j) in sym_pairs(genus):
-        q = basis_quadric(genus, i, j)
-        poly, _ = mu_coefficients(q, 1)
-        out.append((q, tuple((m, c) for m, c in enumerate(poly) if c)))
-    return tuple(out)
+
+def _first_vanishing(quads, curve: Curve) -> tuple[Fraction, ...]:
+    """Each rho(Q)(xi^1 (.) xi^1) = D(2, 0)/2, licensed by D(0, 0) = 0:
+    the forced zero if one family scan finds no nonzero entry of total <= 2,
+    otherwise each pairing's `rho`, in family order, as on a fresh pairing."""
+    family = Pairing.family(quads, curve)
+    if _scan(family, curve.jets, 0, 2) is None:
+        return (ZERO,) * len(family)
+    with _licensed():
+        return tuple(pairing.rho(1, 1).value for pairing in family)
 
 
 def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     """rho(Q)(xi^1 (.) xi^1) = 0 against the x-chart value of mu_2(Q) at p.
 
-    Route one is the licensed derivative-pairing formula, on a fresh
-    `Pairing` of each basis quadric Q_ij on this curve. Route two composes the
-    x-chart representative sum c_m x^m of mu_2(Q) with x, times the frame
-    x'^2 (x'/z)^2; it must vanish at p and agree with sum n_ab e_a'' e_b,
-    e_a = x^a x'/z (c_m and n_ab over the denominator of Q's tensor).
+    Route one is the licensed derivative-pairing formula on the basis
+    quadrics Q_ij, read off one family scan (`_first_vanishing`). Route two
+    composes the x-chart representative sum c_m x^m of mu_2(Q) with x, times
+    the frame x'^2 (x'/z)^2; it must vanish at p and agree with the sum
+    n_ab e_a'' e_b, e_a = x^a x'/z (c_m, n_ab over Q's tensor denominator).
 
     Every series is even in z and is made in the lift's variable
     s = E w / gh_0^2, w = z^2, from `Jets.lift` (E = `Jets._scale`,
@@ -1139,15 +1156,19 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     nonzero constant (gh_0^2 / E)^e gh_0^4 / (4 E^3), so each verdict is the
     same; the odd z-coefficients, 0 by construction, are not compared. The
     x side reads Y and (sY)', the z side the rows; the columns x^m * frame
-    and the products e_a'' e_b are made once per curve, all at width cap,
-    except those whose valuation puts them at 0 there.
+    and the products e_a'' e_b are made once per curve from their valuation,
+    all at width cap, except those whose valuation puts them at 0 there.
     `compared_orders` counts z-orders.
     """
     genus = curve.genus
     if order < 2:
         raise IndexOutOfRange(f"x'/z is not known at truncation order {order}")
+    if order < 5:
+        raise InvalidIndex("cross-check order too small to be meaningful")
     cap = (order + 1) // 2  # s^e is z^(2e), compared for 2e < order
     curve.jets.columns(order + 1)  # checks the odd jet columns this far
+    quads, labels, polys = _cross_check_quadrics(genus)
+    rho_values = _first_vanishing(quads, curve)
     g0, y, dy, rows = curve.jets.lift(cap + 1)
     # x = gh_0 s Y and x^m * frame, frame = 4 gh_0^2 s (sY)'^4, for every
     # exponent of a mu_2 polynomial (degree <= 2g-2)
@@ -1155,34 +1176,28 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     square = _product(dy, dy, cap - 1)
     columns = [[0] + [4 * g0 * g0 * c for c in _product(square, square, cap - 1)]]
     for m in range(1, 2 * genus - 1):  # x^m * frame has valuation m + 1
-        columns.append(_product(columns[-1], xs, cap) if m < cap - 1 else [0] * cap)
+        columns.append(_product(columns[-1], xs, cap, m, 1) if m < cap - 1 else [0] * cap)
     # e_a = (gh_0 s)^a R_a through s^cap (up to 2 gh_0 lambda), and e_a''
-    evens = [[g0**a * c for c in ([0] * a + row)[: cap + 1]] for a, row in enumerate(rows)]
+    evens = [[scale * c for c in ([0] * a + row)[: cap + 1]]
+             for a, row in enumerate(rows) for scale in [g0**a]]
     second = [[(2 * e + 2) * (2 * e + 1) * even[e + 1] for e in range(cap)] for even in evens]
     products: dict[tuple[int, int], list[int]] = {}
-    labels, rho_values, vanishes, agree = [], [], [], []
-    for q, poly in _cross_check_quadrics(genus):
-        labels.append(q.label())
-        with _licensed():
-            rho_values.append(Pairing(q, curve).rho(1, 1).value)
+    vanishes, agree = [], []
+    for q, poly in zip(quads, polys):
         terms = []
         for a, b, coeff in q.tensor[0]:
-            if a + b > cap:  # e_a'' e_b has valuation a + b - 1
-                continue
-            term = products.get((a, b))
-            if term is None:
-                term = products[(a, b)] = _product(second[a], evens[b], cap)
-            terms.append((coeff, term))
-        composite = [sum(c * columns[m][e] for m, c in poly) for e in range(cap)]
+            if a + b <= cap:  # e_a'' e_b has valuation a + b - 1
+                if (a, b) not in products:
+                    products[(a, b)] = _product(second[a], evens[b], cap, max(a - 1, 0), b)
+                terms.append((coeff, products[(a, b)]))
+        composite = _combination(((c, columns[m]) for m, c in poly), cap)
         vanishes.append(composite[0] == 0)
-        agree.append(composite == [sum(c * term[e] for c, term in terms) for e in range(cap)])
-    if order < 5:
-        raise InvalidIndex("cross-check order too small to be meaningful")
+        agree.append(composite == _combination(terms, cap))
     return Mu2CrossCheck(
         genus=genus,
         curve=curve.label(),
-        quadrics=tuple(labels),
-        rho_values=tuple(rho_values),
+        quadrics=labels,
+        rho_values=rho_values,
         x_chart_vanishes=tuple(vanishes),
         frames_agree=tuple(agree),
         compared_orders=order,

@@ -1222,8 +1222,57 @@ def test_cross_check_orders_follow_the_fraction_route():
 
 @pytest.mark.parametrize("genus", range(3, 13))
 def test_the_cross_check_quadrics_are_the_ker_mu0_basis(genus):
-    quads = tuple(q for q, _ in rho._cross_check_quadrics(genus))
+    quads, _, _ = rho._cross_check_quadrics(genus)
     assert kernel_via_equations(genus).level(0).quadrics == quads
+
+
+@pytest.mark.parametrize("genus", range(3, 10))
+def test_cross_check_zeros_equal_fresh_rho_evaluations(genus):
+    # route one reads every rho(Q)(xi^1 (.) xi^1) off one family scan as the
+    # forced zero; fresh pairings, with no family scan, evaluate each of
+    # them through Pairing.rho to exactly 0
+    quads, _, _ = rho._cross_check_quadrics(genus)
+    curves = curve_panel(genus, 0, 2) + curve_panel(genus, 7, 2)[1:]
+    for curve in curves:
+        result = mu2_cross_check(curve)
+        fresh = tuple(Pairing(q, curve).rho(1, 1).value for q in quads)
+        assert result.rho_values == fresh == (0,) * len(quads)
+
+
+@pytest.fixture
+def nonzero_first_vanishing(monkeypatch):
+    """S(2, 0) of one genus-5 cross-check quadric gains 1/7: its D(0, 0)
+    stays 0, so rho(xi^1 (.) xi^1) is licensed, and D(2, 0)/2 is not 0."""
+    target = rho._cross_check_quadrics(5)[0][2]
+    original = Pairing._sum
+
+    def skewed(self, h, l):
+        value = original(self, h, l)
+        return value + F(1, 7) if (h, l) == (2, 0) and self.quadric == target else value
+
+    monkeypatch.setattr(Pairing, "_sum", skewed)
+    return target
+
+
+def test_a_nonzero_first_vanishing_is_a_failing_item(nonzero_first_vanishing, capsys):
+    code = main(["verify", "--theorem", "T6.5", "--g", "5", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    failing = [c["item"] for c in json.loads(captured.out)["checks"] if not c["ok"]]
+    label = default_curve(5).label()
+    assert f"g=5 x-chart cross-check of the first vanishing on {label}" in failing
+
+
+def test_a_nonzero_first_vanishing_equals_the_fresh_rho_values(nonzero_first_vanishing):
+    # the family scan finds the entry, so every value goes through
+    # Pairing.rho, exactly as on a fresh pairing of each quadric
+    curve = default_curve(5)
+    quads, _, _ = rho._cross_check_quadrics(5)
+    assert Pairing(nonzero_first_vanishing, curve)(0, 0) == 0
+    result = mu2_cross_check(curve)
+    fresh = tuple(Pairing(q, curve).rho(1, 1).value for q in quads)
+    assert result.rho_values == fresh and not result.ok
+    assert [q for q, value in zip(quads, fresh) if value] == [nonzero_first_vanishing]
 
 
 def skew_lift(monkeypatch, part):
