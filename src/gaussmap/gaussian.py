@@ -58,6 +58,7 @@ from .curve import Curve, canonical_derivatives
 from .errors import IdentityFailed, IndexOutOfRange, InvalidIndex, NotInKernel, NotInPreviousKernel
 from .linalg import Block, Row, SparseRow, _blocks, kernel_chain, rref, sparse_row
 from .quadrics import (
+    GENERA_KEPT,
     QuadricI2,
     b_pairs,
     pair_slots,
@@ -104,8 +105,7 @@ class KernelLevel(Record):
 
     @cached_property
     def quadrics(self) -> tuple[QuadricI2, ...]:
-        """The basis rows as quadrics, made once per level (the chain is
-        held per genus by `kernel_via_equations`)."""
+        """The basis rows as quadrics, kept with the chain (the last GENERA_KEPT genera)."""
         return tuple(QuadricI2(self.genus, row) for row in self.basis)
 
     @cached_property
@@ -161,7 +161,7 @@ def _kernel_off_rref(blocks: list[Block], dim: int) -> tuple[Row, ...]:
     return tuple(vectors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERA_KEPT)
 def kernel_via_equations(genus: int) -> KernelChain:
     """Kernel chain of the even Gaussian maps, closed-form equations route.
 
@@ -244,14 +244,14 @@ def _weight_rows(fall, slot_sum: int, slots, order: int) -> Iterator[tuple[int, 
             yield order - n, n, row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERA_KEPT)
 def _identity_table(genus: int) -> _Identities:
     """The identity rows of the basis quadrics Q_ij, one table per genus, read by the
     oracle chain, membership, the residuals and the mu representatives."""
     return _Identities(genus, sym_pairs(genus), pair_slots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERA_KEPT)
 def _oracle_chain(genus: int, k_max: int) -> tuple[tuple[Row, ...], ...]:
     """Oracle kernels of levels 0..k_max: level k is the kernel of the
     identity orders <= 2k+1, so each slot-sum block keeps one store across

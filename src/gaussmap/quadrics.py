@@ -41,9 +41,10 @@ from .linalg import Row, fractions, row_of
 from .rationals import as_rational, rat_to_string
 from .record import Record
 
+GENERA_KEPT = 2  # genera kept by each genus-keyed module cache; suites walk genera upward
 
-# sym_pairs and wedge_pairs are made once per genus; the genus cap bounds both
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=GENERA_KEPT)
 def sym_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j), 1 <= i < j <= g-1, in lexicographic order."""
     if genus < 3:
@@ -53,7 +54,6 @@ def sym_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def wedge_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (i, j), 0 <= i < j <= g-1, for the exterior square."""
     if genus < 3:
@@ -79,7 +79,7 @@ def quadric_space_dimension(genus: int) -> int:
     return (genus - 1) * (genus - 2) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERA_KEPT)
 def b_pairs(genus: int) -> tuple[tuple[int, int], ...]:
     """The b-pair of each a-column: (g-j, g-i) for the pair (i, j)."""
     return tuple((genus - j, genus - i) for i, j in sym_pairs(genus))

@@ -82,7 +82,7 @@ from .errors import (
 )
 from .gaussian import KernelLevel, kernel_via_equations, mu_coefficients
 from .linalg import Row, _blocks, dot, kernel_basis, rref
-from .quadrics import QuadricI2, b_pairs, basis_quadric, sym_pairs, vector_to_json
+from .quadrics import GENERA_KEPT, QuadricI2, b_pairs, basis_quadric, sym_pairs, vector_to_json
 from .rationals import as_rational, rat_to_string
 from .record import Record, replace
 
@@ -1110,7 +1110,7 @@ def _combination(terms, width: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERA_KEPT)
 def _cross_check_quadrics(genus: int) -> tuple[tuple, tuple, tuple]:
     """The curve-independent half of the cross-check, built once per genus:
     the basis quadrics Q, their labels, and each mu_2(Q) as its nonzero

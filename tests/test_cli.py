@@ -20,6 +20,7 @@ import gaussmap.gaussian as gaussian
 import gaussmap.rho as rho
 from gaussmap.cli import main
 from gaussmap.curve import Jets
+from conftest import clear_caches
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -481,12 +482,15 @@ def test_a_representative_mismatch_is_a_failing_item(capsys, monkeypatch):
 
     monkeypatch.setattr(gaussian, "_mu_representative", skewed)
     # the cross-check builds mu_2 of the basis quadrics once per genus
-    rho._cross_check_quadrics.cache_clear()
-    for theorem in ("L3.4", "T6.5"):
-        code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "4", "--samples", "0")
-        assert code == 1 and "Traceback" not in err
-        failing = [c["got"] for c in json.loads(out)["checks"] if not c["ok"]]
-        assert failing == ["representative mismatch for mu_2: n=0 gives -1, n=1 gives 0"]
+    clear_caches()
+    try:
+        for theorem in ("L3.4", "T6.5"):
+            code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "4", "--samples", "0")
+            assert code == 1 and "Traceback" not in err
+            failing = [c["got"] for c in json.loads(out)["checks"] if not c["ok"]]
+            assert failing == ["representative mismatch for mu_2: n=0 gives -1, n=1 gives 0"]
+    finally:
+        clear_caches()
 
 
 def test_a_non_proportional_factorization_is_a_failing_item(capsys, monkeypatch):
@@ -513,14 +517,11 @@ def test_a_non_proportional_factorization_is_a_failing_item(capsys, monkeypatch)
 def _failing_rank_law_items(capsys, genus):
     """Exit code, stderr and failing items of ``verify --theorem T3.1``,
     with both kernel routes rebuilt before and after."""
-    caches = (gaussian.kernel_via_equations, gaussian._oracle_chain, gaussian._identity_table)
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
     try:
         code, out, err = run(capsys, "verify", "--theorem", "T3.1", "--g", str(genus))
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        clear_caches()
     return code, err, [c["item"] for c in json.loads(out)["checks"] if not c["ok"]]
 
 
@@ -553,7 +554,7 @@ def test_a_perturbed_identity_row_fails_the_membership_items(capsys, monkeypatch
             yield h, n, [row[0] + 1, *row[1:]] if (slot_sum, h, n) == (4, 2, 0) else row
 
     monkeypatch.setattr(gaussian, "_weight_rows", skewed)
-    gaussian._identity_table.cache_clear()
+    clear_caches()
     try:
         failing = {}
         for theorem in ("L6.2", "L3.4"):
@@ -561,7 +562,7 @@ def test_a_perturbed_identity_row_fails_the_membership_items(capsys, monkeypatch
             assert code == 1 and "Traceback" not in err
             failing[theorem] = [(c["item"], c["got"]) for c in json.loads(out)["checks"] if not c["ok"]]
     finally:
-        gaussian._identity_table.cache_clear()
+        clear_caches()
     curve = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"
     assert failing == {
         "L6.2": [("g=5 k=1 b-coordinates above sum 5 vanish", "quadric is not in Ker mu_2")],
@@ -584,14 +585,11 @@ def test_a_computed_quadric_that_fails_membership_is_a_failing_item(
     quadrics are computed, never supplied, so a refused membership refutes
     the statement instead of ending the run as a usage error."""
     monkeypatch.setattr(gaussian, "is_in_kernel", lambda q, k: False)
-    caches = (gaussian.kernel_via_equations, rho._cross_check_quadrics)
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
     try:
         code, out, err = run(capsys, "verify", "--theorem", theorem, "--g", "5", "--samples", "0")
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        clear_caches()
     assert code == 1 and "Traceback" not in err
     assert [c["got"] for c in json.loads(out)["checks"] if not c["ok"]] == failing
 

@@ -14,7 +14,8 @@ samples) at genus 45, and T6.12 and the scan (5 samples) at genus 38, whose valu
 4,300-digit limit on `str` of an integer, must print a passed report with
 the bytes pinned by the stdout digests in ``golden/witness_sha256.json``;
 so must the kernel JSON of both routes at genus 25, k = 5, with the routes
-agreeing.
+agreeing. T3.1 then L6.2 over genus 3..25 in one process must keep no more
+memory than genus 24 and 25 alone do, to within a quarter.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from gaussmap.gaussian import (
 )
 from gaussmap.reports import RunConfig
 from gaussmap.suites import verify_theorem
+from test_gaussian import assert_a_sweep_holds_only_the_last_genera
 from test_golden import DIGEST_RUNS, FRONTIER_CAP, cli_stdout, pinned_digest
 
 pytestmark = pytest.mark.frontier
@@ -55,6 +57,10 @@ def test_kernel_statements_hold_against_their_closed_forms(theorem, genus):
     report = verify_theorem(theorem, config)
     failing = [f"{c.item}: {c.got}" for c in report.checks if not c.ok]
     assert report.checks and not failing, failing
+
+
+def test_a_sweep_to_genus_twenty_five_holds_only_the_last_genera():
+    assert_a_sweep_holds_only_the_last_genera(25)
 
 
 @pytest.mark.parametrize("command", DIGEST_RUNS["frontier"])

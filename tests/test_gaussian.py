@@ -1,6 +1,8 @@
 """Even and odd Gaussian maps: ranks, kernels, and the two independent routes."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from gaussmap.gaussian import (
 )
 from gaussmap.linalg import _blocks, kernel_basis, kernel_chain
 from gaussmap.quadrics import (
+    GENERA_KEPT,
     basis_quadric,
     combine,
     pair_slots,
@@ -42,6 +45,9 @@ from gaussmap.quadrics import (
     wedge_pairs,
     wedge_slots,
 )
+from gaussmap.reports import RunConfig
+from gaussmap.suites import verify_theorem
+from conftest import clear_caches
 from series_oracle import TruncatedSeries, poly
 from test_linalg import naive_kernel, views
 
@@ -178,12 +184,53 @@ def test_the_oracle_builds_no_row_into_a_full_block(monkeypatch):
     monkeypatch.setattr(gaussian, "_weight_rows", counted)
     counts = []
     for _ in range(2):
-        gaussian._oracle_chain.cache_clear()
+        clear_caches()
         built.clear()
         assert kernel_via_polynomial_oracle(12, 0) == kernel_via_equations(12).level(0).basis
         counts.append(len(built))
-    gaussian._oracle_chain.cache_clear()
+    clear_caches()
     assert counts == [231, 231]
+
+
+def held_after(theorems, genera):
+    """Bytes that `tracemalloc` still holds after each theorem's suite ran
+    over ``genera``, one genus at a time, from cleared caches."""
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for theorem in theorems:
+            for genus in genera:
+                config = RunConfig(command="verify", genus_min=genus, genus_max=genus, samples=0)
+                assert verify_theorem(theorem, config).passed, (theorem, genus)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+
+
+def assert_a_sweep_holds_only_the_last_genera(top):
+    """T3.1 then L6.2 over g=3..top keep no more than the last GENERA_KEPT
+    genera alone do (to within a quarter): nothing of an earlier genus stays."""
+    theorems = ("T3.1", "L6.2")
+    sweep = held_after(theorems, range(3, top + 1))
+    last = held_after(theorems, range(top + 1 - GENERA_KEPT, top + 1))
+    assert sweep <= 1.25 * last, (sweep, last)
+
+
+def test_a_sweep_of_genera_holds_only_the_last_genera():
+    assert_a_sweep_holds_only_the_last_genera(16)
+
+
+def test_an_ordered_walk_builds_each_genus_once():
+    clear_caches()
+    config = RunConfig(command="verify", genus_min=3, genus_max=8)
+    assert verify_theorem("T3.1", config).passed
+    caches = (kernel_via_equations, gaussian._identity_table, gaussian._oracle_chain)
+    misses = [cache.cache_info().misses for cache in caches]
+    clear_caches()
+    assert misses == [6, 6, 6]
 
 
 def test_known_kernel_generator_at_genus_five():

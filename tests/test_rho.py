@@ -8,10 +8,8 @@ raised instead.
 """
 
 import gc
-import importlib
 import inspect
 import json
-import pkgutil
 import random
 from fractions import Fraction
 from functools import reduce
@@ -35,7 +33,7 @@ from gaussmap.gaussian import (
     mu_coefficients,
 )
 from gaussmap.linalg import row_of
-from gaussmap.quadrics import basis_quadric, quadric_from_vector, sym_pairs
+from gaussmap.quadrics import GENERA_KEPT, basis_quadric, quadric_from_vector, sym_pairs
 from gaussmap.record import replace
 from gaussmap.rho import (
     Certifier,
@@ -65,6 +63,7 @@ from gaussmap.rho import (
 from gaussmap.rationals import random_direction
 from gaussmap.reports import RunConfig
 from gaussmap.suites import curve_panel, verify_theorem
+from conftest import module_caches
 from series_oracle import TruncatedSeries, expand_canonical, poly, x_derivatives, x_of_z
 from test_golden import cli_stdout
 from test_linalg import naive_kernel, naive_rref, views
@@ -234,30 +233,24 @@ def test_a_nonzero_odd_jet_column_fails_the_reduction_vector(odd_column_fault):
             rho_reduction_vector(default_curve(genus), genus, n, r)
 
 
-def _module_caches():
-    """(module, name, wrapped function) for every lru_cache in gaussmap."""
-    for info in pkgutil.iter_modules(gaussmap.__path__):
-        module = importlib.import_module(f"gaussmap.{info.name}")
-        owners = [module] + [
-            v for v in vars(module).values() if inspect.isclass(v)
-        ]
-        for owner in owners:
-            for name, value in vars(owner).items():
-                if hasattr(value, "cache_info"):
-                    yield module.__name__, name, value.__wrapped__
-
-
 def test_pairing_layer_keeps_no_module_cache_keyed_on_quadrics():
     assert not hasattr(derivative_sum, "cache_info")
-    for module, name, function in _module_caches():
-        for param in inspect.signature(function).parameters.values():
-            assert "QuadricI2" not in str(param.annotation), (module, name)
     with pytest.raises(InvalidIndex):
         Pairing(basis_quadric(4, 1, 3), default_curve(4))(-1, 2)
-    caches = list(_module_caches())
-    assert ("gaussmap.rho", "_cross_check_quadrics") in [c[:2] for c in caches]
-    for module, name, function in caches:
-        for param in inspect.signature(function).parameters.values():
+    caches = list(module_caches())
+    # a new cache must be added here, with the genus bound, or this fails
+    assert {c[:2] for c in caches} == {
+        ("gaussmap.gaussian", "kernel_via_equations"),
+        ("gaussmap.gaussian", "_identity_table"),
+        ("gaussmap.gaussian", "_oracle_chain"),
+        ("gaussmap.quadrics", "sym_pairs"),
+        ("gaussmap.quadrics", "b_pairs"),
+        ("gaussmap.rho", "_cross_check_quadrics"),
+    }
+    for module, name, cache in caches:
+        assert cache.cache_parameters()["maxsize"] == GENERA_KEPT, (module, name)
+        for param in inspect.signature(cache.__wrapped__).parameters.values():
+            assert "QuadricI2" not in str(param.annotation), (module, name)
             assert param.name != "curve", (module, name)
             assert "Curve" not in str(param.annotation), (module, name)
 
