@@ -9,7 +9,6 @@ the second fundamental form pairing on higher Schiffer variations.
 
 from .curve import (
     Curve,
-    canonical_derivatives,
     curve_from_json,
     default_curve,
     new_curve,
@@ -49,7 +48,6 @@ from .gaussian import (
     oracle_residuals,
     rank_formula,
     rank_table,
-    wronskian_rank_oracle,
 )
 from .linalg import kernel_basis, rref
 from .quadrics import (
@@ -84,17 +82,12 @@ from .rho import (  # noqa: E402
     Mu2CrossCheck,
     Pairing,
     RhoValue,
-    SchifferIndex,
     ThresholdInfo,
-    asymptotic_classify,
     cup_rank,
-    derivative_sum,
     diagonal_functional,
     direction_length,
     isotropy_suite,
     mu2_cross_check,
-    rho_pair,
-    rho_reduction_vector,
     witness_functional,
     witness_hyperplane,
 )

@@ -38,7 +38,7 @@ from .reports import (
     check,
     rank_table_csv,
 )
-from .rho import rho_pair
+from .rho import Pairing
 from .suites import THEOREM_IDS, scan_report, verify_theorem
 
 DEFAULT_MAX_GENUS = 12
@@ -313,7 +313,7 @@ def cmd_rho(args, cap: int, out) -> int:
         "curve_source": source,
     }
     try:
-        base.update(rho_pair(quadric, curve, n, r).to_json())
+        base.update(Pairing(quadric, curve).rho(n, r).to_json())
     except BeyondThreshold as exc:
         base["error"] = exc.payload()
     out.write(canonical_json_bytes(base).decode())

@@ -32,16 +32,14 @@ state. Each Y_n is also checked against x * G(x) = w through a Horner
 evaluation in Ghat, which does not read the weights c_m.
 
 `Jets` holds integers only and is read three ways. `Jets.columns` is the
-integer jet store, read by every pairing and reduction vector and by
-`canonical_derivatives`: column n = 2m has entries 2 E^(m+1) n!
-R^(m+1)_(m-i) gh_0^i over gh_0^(2m+1), reduced by one gcd, and its last
-nonzero row is recorded (`Jets.last`); each odd column is checked to
-vanish. `Jets.z_rows` views it as z-coefficients over one denominator
-(`cup_rank`). `Jets.lift` hands out Y to the x-jets of the reduction
-vector, and Y, (sY)' and the rows, all read off R, to the x-chart
-cross-check. The moduli polynomial reaches `Jets` as the integers Ghat
-over E. The one `Fraction` view of the store is `canonical_derivatives`,
-which only `gaussian.wronskian_rank_oracle` and the public API read.
+integer jet store, read by every pairing and reduction vector: column
+n = 2m has entries 2 E^(m+1) n! R^(m+1)_(m-i) gh_0^i over gh_0^(2m+1),
+reduced by one gcd, and its last nonzero row is recorded (`Jets.last`);
+each odd column is checked to vanish. `Jets.z_rows` views it as
+z-coefficients over one denominator (`cup_rank`). `Jets.lift` hands out Y
+to the x-jets of the reduction vector, and Y, (sY)' and the rows, all read
+off R, to the x-chart cross-check. The moduli polynomial reaches `Jets` as
+the integers Ghat over E, and no `Fraction` is made from the store.
 """
 
 from __future__ import annotations
@@ -291,16 +289,3 @@ class Jets:
             last.append(max((i for i, c in enumerate(column) if c), default=-1))
         return num, den
 
-
-def canonical_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact jets: row i, column h holds d^h/dz^h at 0 of x^i x'/z, read
-    from the jet store.
-
-    Odd columns vanish identically (the functions are even); they are
-    stored anyway so callers can index by derivative order directly.
-    """
-    num, den = curve.jets.columns(max_order)
-    return tuple(
-        tuple(Fraction(t[i], d) for t, d in zip(num[: max_order + 1], den))
-        for i in range(curve.genus)
-    )

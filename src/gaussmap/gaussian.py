@@ -38,11 +38,9 @@ x-coefficients over the tensor's denominator. A `Fraction` is made only for
 a value a report prints.
 
 Odd maps act on the exterior square of the canonical space and are
-handled by ``odd_kernel_and_rank`` (x-chart identity rows from the same
+handled by ``odd_kernel_and_rank``: x-chart identity rows from the same
 builder, with the slots (i, j, 1), (j, i, -1) of alpha_i ^ alpha_j, of slot
-sum i + j, its domain and kernel read off one elimination) and
-``wronskian_rank_oracle`` (exact jets of Wronskians at the base point — a
-genuinely different computation on a concrete curve).
+sum i + j, its domain and kernel read off one elimination.
 """
 
 from __future__ import annotations
@@ -51,12 +49,11 @@ from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import starmap
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .curve import Curve, canonical_derivatives
 from .errors import IdentityFailed, IndexOutOfRange, InvalidIndex, NotInKernel, NotInPreviousKernel
-from .linalg import Block, Row, SparseRow, _blocks, kernel_chain, rref, sparse_row
+from .linalg import Block, Row, SparseRow, kernel_chain, rref
 from .quadrics import (
     GENERA_KEPT,
     QuadricI2,
@@ -475,30 +472,3 @@ def odd_kernel_and_rank(genus: int, order: int) -> OddMapResult:
     d, n = len(domain), len(kernel)
     return OddMapResult(genus=genus, order=order, domain_dim=d, kernel_dim=n, rank=d - n, basis=kernel)
 
-
-def wronskian_rank_oracle(genus: int, curve: Curve) -> int:
-    """Rank of the first odd map from exact Wronskian jets on a curve.
-
-    The images W(alpha_i, alpha_j) are sections of a bundle of degree
-    6g-6, so jets at the base point through order 6g-1 separate them;
-    the rank of the jet matrix is the rank of the map.
-    """
-    if curve.genus != genus:
-        raise IndexOutOfRange("curve genus does not match")
-    top = 6 * genus - 1
-    table = canonical_derivatives(curve, top + 1)
-    pairs = wedge_pairs(genus)
-    rows: list[list[Fraction]] = []
-    for e in range(1, top + 1, 2):
-        row = []
-        for (i, j) in pairs:
-            acc = Fraction(0)
-            for c in range(e + 1):
-                acc += comb(e, c) * (
-                    table[i][c + 1] * table[j][e - c]
-                    - table[i][c] * table[j][e - c + 1]
-                )
-            row.append(acc)
-        rows.append(row)
-    _, pivots = rref(_blocks([[sparse_row(row) for row in rows]], len(pairs)))
-    return len(pivots)

@@ -12,8 +12,8 @@ it is nonzero. Every vector comes out as a `Row`: its sorted nonzero
 (column, numerator) entries over one positive denominator, primitive, so
 that the denominator is the lcm of the entries' denominators and equal rows
 are equal vectors. Each leads with its denominator, an entry of 1. `row_of`
-is the row of a rational vector, `sparse_row` its entries, `fractions` its
-dense view. The rank is the number of pivots.
+is the row of a rational vector, `fractions` its dense view. The rank is
+the number of pivots.
 
 There is one exact elimination: each block keeps its RREF as a store of
 primitive integer rows with a positive pivot, which a row joins by the
@@ -53,11 +53,6 @@ def row_of(vector: Sequence[Fraction]) -> Row:
     """The nonzero numerators of ``vector`` over the lcm of its denominators."""
     ints, den = numerators(vector)
     return tuple((c, x) for c, x in enumerate(ints) if x), den
-
-
-def sparse_row(vector: Sequence[Fraction]) -> SparseRow:
-    """The entries of `row_of` as an input row."""
-    return dict(row_of(vector)[0])
 
 
 def fractions(row: Row, ncols: int) -> Vector:

@@ -16,7 +16,7 @@ Conventions («z» is the local coordinate with z**2 = x * G(x)):
   when n + r <= threshold + 1, otherwise `BeyondThreshold` is raised.
 * W(a, b) is the antisymmetrised pairing of the omega-frame functions; the
   product rule for g_{alpha} = x * (omega part) (`_product_rule`) turns
-  the rho formula into a vector in b-coordinates (`rho_reduction_vector`).
+  the rho formula into a vector in b-coordinates (`_reduction`).
 
 The jet columns are integers over one denominator per column, read from
 the curve's one jet store (`curve.Jets.columns`), which checks every odd
@@ -38,10 +38,10 @@ denominator, its x-jets are read off the lift's Y (`Jets.lift`), and the
 functionals check the vector against their rho values by
 cross-multiplying. The closed and display forms read their entries off
 the jet columns and make one `Fraction` per printed entry. The x-chart
-cross-check reads the lift's series, and one scan of its basis family
-through total 2, which makes each rho(xi^1 (.) xi^1) the forced zero (or,
-at a nonzero entry, hands them all to `Pairing.rho`). `derivative_sum`,
-`threshold_info` and `rho_pair` are one-call wrappers over a fresh `Pairing`.
+cross-check and the pure xi^1 certificate share one scan of the basis
+family through total 2 (`_first_vanishing`), which makes each
+rho(xi^1 (.) xi^1) the forced zero (or, at a nonzero entry, hands them all
+to `Pairing.rho`); only the cross-check reads the lift's series.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
@@ -89,25 +89,10 @@ from .record import Record, replace
 ZERO = Fraction(0)
 
 
-# -- Schiffer indices -------------------------------------------------------------
-
-
-class SchifferIndex(Record):
-    """Order of an invariant higher Schiffer variation xi_p^n (n odd)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _odd_order(self.n)
-
-
 def _odd_order(n) -> int:
-    """The order of a `SchifferIndex`, or int(n) checked to be odd and positive."""
-    if isinstance(n, SchifferIndex):
-        return n.n
-    n = int(n)
-    if n < 1 or n % 2 == 0:
-        raise InvalidIndex(f"Schiffer order must be an odd positive integer, got {n}")
+    """n, checked to be an odd positive int; a float or a bool is refused."""
+    if type(n) is not int or n < 1 or n % 2 == 0:
+        raise InvalidIndex(f"Schiffer order must be an odd positive integer, got {n!r}")
     return n
 
 
@@ -313,19 +298,16 @@ def _licensed():
         raise PairNotLicensed(str(exc)) from None
 
 
-def derivative_sum(q: QuadricI2, curve: Curve, h: int, l: int) -> Fraction:
-    """D(h, l): the (h, l) derivative pairing of the quadric at p."""
-    return Pairing(q, curve)(h, l)
-
-
-def threshold_info(q: QuadricI2, curve: Curve, cap: int) -> ThresholdInfo:
-    """Largest m <= cap with D(h, l) = 0 for all h + l <= m."""
-    return Pairing(q, curve).threshold(cap)
-
-
-def rho_pair(q: QuadricI2, curve: Curve, n, r) -> RhoValue:
-    """rho(Q)(xi_p^n (.) xi_p^r) / (2*pi*i); see `Pairing.rho`."""
-    return Pairing(q, curve).rho(n, r)
+def _first_vanishing(quads, curve: Curve) -> tuple[Fraction, ...]:
+    """Each rho(Q)(xi^1 (.) xi^1) = D(2, 0)/2, licensed by D(0, 0) = 0:
+    the forced zero if one family scan finds no nonzero entry of total <= 2,
+    otherwise each pairing's `rho`, in family order, as on a fresh pairing.
+    The x-chart cross-check and the pure xi^1 certificate both read it."""
+    family = Pairing.family(quads, curve)
+    if _scan(family, curve.jets, 0, 2) is None:
+        return (ZERO,) * len(family)
+    with _licensed():
+        return tuple(pairing.rho(1, 1).value for pairing in family)
 
 
 # -- omega-frame pairings and the exact reduction of D(h, l) -------------------
@@ -349,15 +331,19 @@ def _product_rule(sigma, h: int, l: int):
 def _reduction(
     curve: Curve, genus: int, n: int, r: int
 ) -> tuple[dict[tuple[int, int], int], int]:
-    """`rho_reduction_vector` as integer numerators over one denominator.
+    """The rho(., xi^n (.) xi^r) formula as an exact vector in b-coordinates:
+    integer numerators over one denominator.
 
-    Only even j contribute: at odd j each W(a, b) pairs two odd jet
-    columns, which the jet store checks to vanish. Each weight
-    w_j sigma_c / (den_a den_b) goes onto one common denominator. As
-    t * omega_m = alpha_{g-m-1} on the nose, W(a, b) at pair (i, j) reads
-    rows s = g-1-i and t = g-1-j of the jet columns T, and the weighted sum
-    of every W(a, b) there is sum_a T_a[s] V_a[t] - T_a[t] V_a[s], with V_a
-    the weighted sum of the T_b paired with T_a.
+    Valid on all of I_2 (it is the pairing identity summed with the rho
+    weights); restricting to a kernel merely kills the spillover entries.
+    The shorter endpoint of the evaluation formula is used. Only even j
+    contribute: at odd j each W(a, b) pairs two odd jet columns, which the
+    jet store checks to vanish. Each weight w_j sigma_c / (den_a den_b)
+    goes onto one common denominator. As t * omega_m = alpha_{g-m-1} on the
+    nose, W(a, b) at pair (i, j) reads rows s = g-1-i and t = g-1-j of the
+    jet columns T, and the weighted sum of every W(a, b) there is
+    sum_a T_a[s] V_a[t] - T_a[t] V_a[s], with V_a the weighted sum of the
+    T_b paired with T_a.
     """
     m1 = n + r
     a_end = min(n, r)
@@ -393,19 +379,6 @@ def _reduction(
         s, t = genus - 1 - i, genus - 1 - j
         vec[(i, j)] = sum(num[a][s] * v[t] - num[a][t] * v[s] for a, v in inner.items())
     return vec, 2 * sigma_den * common
-
-
-def rho_reduction_vector(
-    curve: Curve, genus: int, n: int, r: int
-) -> dict[tuple[int, int], Fraction]:
-    """The rho(., xi^n (.) xi^r) formula as an exact vector in b-coordinates.
-
-    Valid on all of I_2 (it is the pairing identity summed with the rho
-    weights); restricting to a kernel merely kills the spillover entries.
-    The shorter endpoint of the evaluation formula is used.
-    """
-    vec, den = _reduction(curve, genus, n, r)
-    return {pair: Fraction(v, den) if v else ZERO for pair, v in vec.items()}
 
 
 # -- isotropy ------------------------------------------------------------------
@@ -948,7 +921,8 @@ class Certifier:
         """Certify a direction sum(lambda_i xi^{2i+1}) asymptotic or not.
 
         A pure xi^1 direction is certified asymptotic by checking the
-        licensed zero rho(Q)(xi^1 (.) xi^1) = 0 on every basis quadric.
+        licensed zero rho(Q)(xi^1 (.) xi^1) = 0 on every basis quadric,
+        read off one family scan (`_first_vanishing`).
         Any direction with top odd order 2k+1 >= 3 is certified
         not_asymptotic through its level's witness quadric in A_{k-1,0}:
         all its licensed cross pairs are exact zeros and the
@@ -972,11 +946,8 @@ class Certifier:
         top = present[-1]
         if top == 0:
             if self._basis_count is None:
-                family = Pairing.family(
-                    (basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus)), curve
-                )
-                with _licensed():
-                    checks = [pairing.rho(1, 1).value for pairing in family]
+                quads = [basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus)]
+                checks = _first_vanishing(quads, curve)
                 if any(checks):
                     raise IdentityFailed(
                         "rho(Q)(xi^1 (.) xi^1) must vanish at a Weierstrass point"
@@ -1023,11 +994,6 @@ class Certifier:
             cross_terms=cross,
             basis_zero_count=None,
         )
-
-
-def asymptotic_classify(curve: Curve, lambdas) -> AsymptoticCertificate:
-    """One direction's certificate; see `Certifier.classify`."""
-    return Certifier(curve).classify(lambdas)
 
 
 # -- cup products with Schiffer variations --------------------------------------
@@ -1119,17 +1085,6 @@ def _cross_check_quadrics(genus: int) -> tuple[tuple, tuple, tuple]:
     quads = tuple(basis_quadric(genus, i, j) for (i, j) in sym_pairs(genus))
     polys = tuple(tuple((m, c) for m, c in enumerate(mu_coefficients(q, 1)[0]) if c) for q in quads)
     return quads, tuple(q.label() for q in quads), polys
-
-
-def _first_vanishing(quads, curve: Curve) -> tuple[Fraction, ...]:
-    """Each rho(Q)(xi^1 (.) xi^1) = D(2, 0)/2, licensed by D(0, 0) = 0:
-    the forced zero if one family scan finds no nonzero entry of total <= 2,
-    otherwise each pairing's `rho`, in family order, as on a fresh pairing."""
-    family = Pairing.family(quads, curve)
-    if _scan(family, curve.jets, 0, 2) is None:
-        return (ZERO,) * len(family)
-    with _licensed():
-        return tuple(pairing.rho(1, 1).value for pairing in family)
 
 
 def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:

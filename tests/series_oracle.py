@@ -13,18 +13,26 @@ against this module, which does the same mathematics the plain way:
   a coefficient at or beyond the truncation order is a hard error, and a
   product carries the exact truncation order
   min(N_a + val(b), N_b + val(a)).
-* `x_derivatives`, `omega_derivatives`, `x_of_z`, `expand_canonical` and
-  `expand_omega` are `Fraction` views of a curve's jets: the x-jets off the
-  lift's Y (`Jets.lift`), the rest off `curve.canonical_derivatives`.
+* `canonical_derivatives`, `x_derivatives`, `omega_derivatives`, `x_of_z`,
+  `expand_canonical` and `expand_omega` are `Fraction` views of a curve's
+  jets: the x-jets off the lift's Y (`Jets.lift`), the rest off the integer
+  jet store (`Jets.columns`).
+* `rho_reduction_vector` is the `Fraction` dict of the program's integer
+  reduction vector (`rho._reduction`), and `wronskian_rank_oracle` the rank
+  of the first odd map from exact Wronskian jets on a curve, a route
+  independent of `gaussian.odd_kernel_and_rank`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from gaussmap.curve import Curve, canonical_derivatives
+from gaussmap.curve import Curve
 from gaussmap.errors import IndexOutOfRange
+from gaussmap.linalg import _blocks, row_of, rref
+from gaussmap.quadrics import wedge_pairs
+from gaussmap.rho import _reduction
 from gaussmap.rationals import rat_to_string
 from gaussmap.record import Record
 
@@ -233,6 +241,20 @@ def poly(coeffs, den: int = 1) -> TruncatedSeries:
 # -- Fraction views of a curve's jets ------------------------------------------------
 
 
+def canonical_derivatives(curve: Curve, max_order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact jets: row i, column h holds d^h/dz^h at 0 of x^i x'/z, read
+    from the jet store.
+
+    Odd columns vanish identically (the functions are even); they are
+    stored anyway so callers can index by derivative order directly.
+    """
+    num, den = curve.jets.columns(max_order)
+    return tuple(
+        tuple(Fraction(t[i], d) for t, d in zip(num[: max_order + 1], den))
+        for i in range(curve.genus)
+    )
+
+
 def _from_jets(jets, order: int) -> TruncatedSeries:
     """The z-series with these jets at 0, truncated at z^order."""
     return TruncatedSeries.make((jets[h] / factorial(h) for h in range(order)), order)
@@ -288,3 +310,43 @@ def expand_omega(curve: Curve, k: int, order: int) -> TruncatedSeries:
     if order < 2 * genus - 2 * k - 1:
         raise IndexOutOfRange("order too small to exhibit the vanishing order")
     return _from_jets(omega_derivatives(curve, order - 1)[k - 1], order)
+
+
+# -- Fraction views of the rho and odd-map computations ------------------------------
+
+
+def rho_reduction_vector(
+    curve: Curve, genus: int, n: int, r: int
+) -> dict[tuple[int, int], Fraction]:
+    """The rho(., xi^n (.) xi^r) formula as an exact vector in b-coordinates:
+    `rho._reduction`'s integers over its denominator."""
+    vec, den = _reduction(curve, genus, n, r)
+    return {pair: Fraction(v, den) for pair, v in vec.items()}
+
+
+def wronskian_rank_oracle(genus: int, curve: Curve) -> int:
+    """Rank of the first odd map from exact Wronskian jets on a curve.
+
+    The images W(alpha_i, alpha_j) are sections of a bundle of degree
+    6g-6, so jets at the base point through order 6g-1 separate them;
+    the rank of the jet matrix is the rank of the map.
+    """
+    if curve.genus != genus:
+        raise IndexOutOfRange("curve genus does not match")
+    top = 6 * genus - 1
+    table = canonical_derivatives(curve, top + 1)
+    pairs = wedge_pairs(genus)
+    rows: list[list[Fraction]] = []
+    for e in range(1, top + 1, 2):
+        row = []
+        for (i, j) in pairs:
+            acc = Fraction(0)
+            for c in range(e + 1):
+                acc += comb(e, c) * (
+                    table[i][c + 1] * table[j][e - c]
+                    - table[i][c] * table[j][e - c + 1]
+                )
+            row.append(acc)
+        rows.append(row)
+    _, pivots = rref(_blocks([[dict(row_of(row)[0]) for row in rows]], len(pairs)))
+    return len(pivots)

@@ -7,11 +7,16 @@ the factorization/isotropy/witness/hyperplane statements to genus 9 on the
 default curve plus three seeded random curves per genus, the certificate
 scan for genus 4..9, the cup-rank law to genus 12 on the default curve and
 one seeded random curve per genus, the cross-chart comparison to genus 9,
-and byte-identical rerun determinism for the report layer.
+byte-identical rerun determinism for the report layer, and the desk-scale
+script `scripts/verify_all.py`.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from gaussmap.cli import main
 from gaussmap.curve import default_curve, random_curve
@@ -25,9 +30,9 @@ from gaussmap.gaussian import (
     rank_table,
 )
 from gaussmap.reports import RunConfig, rank_table_csv
-from gaussmap.rho import Certifier, asymptotic_classify, cup_rank, direction_length, mu2_cross_check
+from gaussmap.rho import Certifier, cup_rank, direction_length, mu2_cross_check
 from gaussmap.rationals import random_direction
-from gaussmap.suites import scan_report, verify_theorem
+from gaussmap.suites import THEOREM_IDS, scan_report, verify_theorem
 
 F = Fraction
 SEED = 0
@@ -140,7 +145,7 @@ def test_asymptotic_certificates_for_sampled_directions():
         curve = default_curve(genus)
         length = direction_length(genus)
         pure = tuple(F(1 if i == 0 else 0) for i in range(length))
-        cert = asymptotic_classify(curve, pure)
+        cert = Certifier(curve).classify(pure)
         assert cert.verdict == "asymptotic", genus
         assert cert.basis_zero_count == (genus - 1) * (genus - 2) // 2
         # one certifier per curve builds each diagonal functional once
@@ -205,3 +210,18 @@ def test_certificate_scan_suite_passes_at_desk_scale():
     )
     report = verify_theorem("T6.12", config)
     assert report.passed, failing_items(report)
+
+
+def test_the_desk_scale_script_passes_every_suite():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "verify_all.py")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[0] for line in lines] == list(THEOREM_IDS)
+    assert [line[4] for line in lines] == ["pass"] * 8

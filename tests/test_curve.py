@@ -9,8 +9,9 @@ The program solves x * G(x) = z^2 over the integers by Lagrange inversion,
 one recurrence per jet column, with a Horner residual check as the gate.
 The independent route kept here is a Fraction Newton iteration with the
 row builder x^i * 2 dx/dw; every table must agree with it exactly. The
-program's one `Fraction` jet view is `canonical_derivatives`; the x-jets,
-the omega table and the z-series come from the test-side `series_oracle`.
+program keeps no `Fraction` view of its jets: the canonical and x-jet
+tables, the omega table and the z-series come from the test-side
+`series_oracle`.
 A second route, a `Fraction` series inversion of G, checks each jet column
 against its Lagrange-inversion closed form.
 """
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 import gaussmap.curve as curve_module
 from gaussmap.cli import main
 from gaussmap.curve import (
-    canonical_derivatives,
     curve_from_json,
     default_curve,
     new_curve,
@@ -42,9 +42,10 @@ from gaussmap.errors import (
     InvalidIndex,
     TooFewBranchPoints,
 )
-from test_golden import cli_stdout
+import series_oracle
 from series_oracle import (
     TruncatedSeries,
+    canonical_derivatives,
     expand_canonical,
     expand_omega,
     omega_derivatives,
@@ -52,6 +53,7 @@ from series_oracle import (
     x_derivatives,
     x_of_z,
 )
+from test_golden import cli_stdout
 
 F = Fraction
 
@@ -397,26 +399,31 @@ def test_the_jet_state_holds_integers_only():
 
 
 def test_the_suites_read_no_fraction_jet_view(monkeypatch):
-    """`canonical_derivatives`, the one `Fraction` view of the jets left in
-    `curve`, stays off the computing paths: with it raising wherever it is
-    bound, the witness and factorization runs print the same bytes."""
+    """The `Fraction` views of the jets live in `series_oracle` and stay off
+    the computing paths: no gaussmap module binds one, and with each raising
+    wherever it is bound, the witness and factorization runs print the same
+    bytes."""
     runs = (
         ("verify", "--theorem", "T6.9", "--g", "9", "--seed", "0"),
         ("verify", "--theorem", "L3.4", "--g", "9"),
     )
+    views = ("canonical_derivatives", "x_derivatives", "omega_derivatives")
 
     def refused(*args):
         raise AssertionError("a Fraction jet view was read")
 
+    def package_modules():
+        return [m for name, m in sys.modules.items() if name.split(".")[0] == "gaussmap"]
+
     with monkeypatch.context() as patch:
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "gaussmap" and (
-                getattr(module, "canonical_derivatives", None) is canonical_derivatives
-            ):
-                patch.setattr(module, "canonical_derivatives", refused)
-        assert curve_module.canonical_derivatives is refused
+        for module in [series_oracle, *package_modules()]:
+            for view in views:
+                if getattr(module, view, None) is getattr(series_oracle, view):
+                    patch.setattr(module, view, refused)
+        assert series_oracle.canonical_derivatives is refused
         patched = [cli_stdout(*argv) for argv in runs]
     assert patched == [cli_stdout(*argv) for argv in runs]
+    assert not [(m, view) for m in package_modules() for view in views if hasattr(m, view)]
     assert "gaussmap.series" not in sys.modules
 
 

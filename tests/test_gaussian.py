@@ -32,7 +32,6 @@ from gaussmap.gaussian import (
     oracle_residuals,
     rank_formula,
     rank_table,
-    wronskian_rank_oracle,
 )
 from gaussmap.linalg import _blocks, kernel_basis, kernel_chain
 from gaussmap.quadrics import (
@@ -48,7 +47,7 @@ from gaussmap.quadrics import (
 from gaussmap.reports import RunConfig
 from gaussmap.suites import verify_theorem
 from conftest import clear_caches
-from series_oracle import TruncatedSeries, poly
+from series_oracle import TruncatedSeries, poly, wronskian_rank_oracle
 from test_linalg import naive_kernel, views
 
 F = Fraction

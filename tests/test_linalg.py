@@ -18,7 +18,6 @@ from gaussmap.linalg import (
     kernel_chain,
     row_of,
     rref,
-    sparse_row,
 )
 
 F = Fraction
@@ -48,6 +47,11 @@ def mat_vec(rows, v):
     """The product of the rational rows with v, entry by entry."""
     assert all(len(row) == len(v) for row in rows)
     return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in rows)
+
+
+def sparse_row(vector):
+    """The entries of `row_of` as an input row."""
+    return dict(row_of(vector)[0])
 
 
 def sparse(rows):

@@ -23,7 +23,7 @@ import gaussmap
 import gaussmap.rho as rho
 import gaussmap.suites as suites
 from gaussmap.cli import main
-from gaussmap.curve import Jets, canonical_derivatives, default_curve, new_curve, random_curve
+from gaussmap.curve import Jets, default_curve, new_curve, random_curve
 from gaussmap.errors import BeyondThreshold, GaussmapError, IdentityFailed, InvalidIndex
 from gaussmap.gaussian import (
     KernelLevel,
@@ -40,17 +40,11 @@ from gaussmap.rho import (
     Mu2CrossCheck,
     Pairing,
     RhoValue,
-    SchifferIndex,
-    asymptotic_classify,
     cup_rank,
-    derivative_sum,
     diagonal_functional,
     direction_length,
     isotropy_suite,
     mu2_cross_check,
-    rho_pair,
-    rho_reduction_vector,
-    threshold_info,
     witness_functional,
     witness_hyperplane,
 )
@@ -64,7 +58,15 @@ from gaussmap.rationals import random_direction
 from gaussmap.reports import RunConfig
 from gaussmap.suites import curve_panel, verify_theorem
 from conftest import module_caches
-from series_oracle import TruncatedSeries, expand_canonical, poly, x_derivatives, x_of_z
+from series_oracle import (
+    TruncatedSeries,
+    canonical_derivatives,
+    expand_canonical,
+    poly,
+    rho_reduction_vector,
+    x_derivatives,
+    x_of_z,
+)
 from test_golden import cli_stdout
 from test_linalg import naive_kernel, naive_rref, views
 
@@ -77,16 +79,6 @@ def genus5_kernel_generator():
     return kernel_via_equations(5).level(1).quadrics[0]
 
 
-# -- Schiffer indices ---------------------------------------------------------------
-
-
-def test_schiffer_indices_must_be_odd_and_positive():
-    assert SchifferIndex(3).n == 3
-    for bad in (0, -1, 2, 4):
-        with pytest.raises(InvalidIndex):
-            SchifferIndex(bad)
-
-
 # -- derivative pairings -------------------------------------------------------------
 
 
@@ -95,8 +87,8 @@ def test_pairing_is_symmetric_and_even_supported():
     q = basis_quadric(4, 1, 3)
     for h in range(7):
         for l in range(7):
-            value = derivative_sum(q, c, h, l)
-            assert value == derivative_sum(q, c, l, h)
+            value = Pairing(q, c)(h, l)
+            assert value == Pairing(q, c)(l, h)
             if h % 2 or l % 2:
                 assert value == 0
 
@@ -125,7 +117,7 @@ def test_pairing_matrix_equals_the_plain_double_sum(coords, requests):
             ),
             F(0),
         )
-        assert pairing(h, l) == expected == derivative_sum(q, c, l, h)
+        assert pairing(h, l) == expected == Pairing(q, c)(l, h)
 
 
 def _non_integer_curve(genus, rng, positive):
@@ -234,7 +226,7 @@ def test_a_nonzero_odd_jet_column_fails_the_reduction_vector(odd_column_fault):
 
 
 def test_pairing_layer_keeps_no_module_cache_keyed_on_quadrics():
-    assert not hasattr(derivative_sum, "cache_info")
+    assert not hasattr(Pairing.__call__, "cache_info")
     with pytest.raises(InvalidIndex):
         Pairing(basis_quadric(4, 1, 3), default_curve(4))(-1, 2)
     caches = list(module_caches())
@@ -404,13 +396,13 @@ def test_pairing_reduction_identity_on_arbitrary_quadrics(coords, hh, ll):
     c = default_curve(5)
     q = quadric_from_vector(5, [F(x) for x in coords])
     h, l = 2 * hh, 2 * ll
-    assert pairing_reduction(q, c, h, l) == derivative_sum(q, c, h, l)
+    assert pairing_reduction(q, c, h, l) == Pairing(q, c)(h, l)
 
 
 def test_pairing_reduction_identity_at_a_nonzero_deep_cell():
     c = default_curve(5)
     q = genus5_kernel_generator()
-    value = derivative_sum(q, c, 8, 4)
+    value = Pairing(q, c)(8, 4)
     assert value != 0
     assert pairing_reduction(q, c, 8, 4) == value
 
@@ -447,7 +439,7 @@ def test_threshold_of_the_genus_five_kernel_generator():
 
 def test_threshold_respects_the_cap_and_flags_it():
     c3 = default_curve(3)
-    info = threshold_info(basis_quadric(3, 1, 2), c3, 2)
+    info = Pairing(basis_quadric(3, 1, 2), c3).threshold(2)
     assert info.threshold == 2 and info.at_cap and info.first_nonzero is None
     assert Pairing(basis_quadric(5, 1, 2), default_curve(5)).threshold(4).threshold == 3
 
@@ -458,19 +450,19 @@ def test_threshold_respects_the_cap_and_flags_it():
 def test_known_values_on_the_genus_three_quadric():
     c = default_curve(3)
     q = basis_quadric(3, 1, 2)
-    assert rho_pair(q, c, 1, 1).value == 0
-    v = rho_pair(q, c, 1, 3)
+    assert Pairing(q, c).rho(1, 1).value == 0
+    v = Pairing(q, c).rho(1, 3)
     assert v.value == F(-1, 322620641280000)
     assert v.licensing_threshold == 3
     assert v.to_json()["unit"] == "2*pi*i"
-    assert rho_pair(q, c, 3, 1).value == v.value
+    assert Pairing(q, c).rho(3, 1).value == v.value
 
 
 def test_value_beyond_threshold_is_refused_with_the_obstruction():
     c = default_curve(3)
     q = basis_quadric(3, 1, 2)
     with pytest.raises(BeyondThreshold) as excinfo:
-        rho_pair(q, c, 3, 3)
+        Pairing(q, c).rho(3, 3)
     payload = excinfo.value.payload()
     assert payload["error"] == "BeyondThreshold"
     assert payload["first_nonzero"]["h"] == 2
@@ -487,7 +479,17 @@ def test_even_or_negative_orders_are_rejected():
     q = basis_quadric(3, 1, 2)
     for n, r in ((2, 2), (1, 2), (0, 1), (-1, 3)):
         with pytest.raises(InvalidIndex):
-            rho_pair(q, c, n, r)
+            Pairing(q, c).rho(n, r)
+
+
+@pytest.mark.parametrize("bad", [1.5, 3.0, True])
+def test_a_float_or_bool_order_is_refused(bad):
+    # neither truncated nor coerced: 1.5 and True are not order 1
+    pairing = Pairing(basis_quadric(5, 1, 2), default_curve(5))
+    for n, r in ((bad, 1), (1, bad)):
+        with pytest.raises(InvalidIndex, match="odd positive integer, got"):
+            pairing.rho(n, r)
+    assert pairing.rho(1, 1).value == 0
 
 
 def test_a_second_rho_call_returns_an_equal_value():
@@ -496,7 +498,6 @@ def test_a_second_rho_call_returns_an_equal_value():
     pairing = Pairing(q, c)
     first = pairing.rho(3, 5)
     assert pairing.rho(3, 5) == first == Pairing(q, c).rho(3, 5)
-    assert pairing.rho(SchifferIndex(3), 5) == first
     assert pairing.rho(5, 3) == Pairing(q, c).rho(5, 3)
 
 
@@ -523,8 +524,8 @@ def test_even_or_negative_orders_are_rejected_once_values_are_kept():
 def test_zero_verdicts_are_curve_independent(seed):
     curve = random_curve(3, random.Random(seed))
     q = basis_quadric(3, 1, 2)
-    assert rho_pair(q, curve, 1, 1).value == 0
-    assert rho_pair(q, curve, 1, 3).value != 0
+    assert Pairing(q, curve).rho(1, 1).value == 0
+    assert Pairing(q, curve).rho(1, 3).value != 0
 
 
 # -- the functional written in reflected coordinates ---------------------------------
@@ -534,7 +535,7 @@ def raw_endpoint_sum(q, curve, n, r):
     total = n + r
     acc = F(0)
     for j in range(n):
-        d = derivative_sum(q, curve, total - j, j)
+        d = Pairing(q, curve)(total - j, j)
         acc += F(n - j) * d / (
             F(1)
             * __import__("math").factorial(j)
@@ -908,24 +909,24 @@ def test_direction_length_counts_odd_orders():
 
 def test_pure_first_order_direction_is_asymptotic():
     c = default_curve(5)
-    cert = asymptotic_classify(c, (F(1), F(0)))
+    cert = Certifier(c).classify((F(1), F(0)))
     assert cert.verdict == "asymptotic"
     assert cert.top_order == 1
     assert cert.basis_zero_count == 6
-    scaled = asymptotic_classify(c, (F(1, 2), F(0)))
+    scaled = Certifier(c).classify((F(1, 2), F(0)))
     assert scaled.verdict == "asymptotic"
 
 
 def test_higher_top_order_direction_carries_a_nonzero_witness():
     c = default_curve(5)
-    cert = asymptotic_classify(c, (F(0), F(1)))
+    cert = Certifier(c).classify((F(0), F(1)))
     assert cert.verdict == "not_asymptotic"
     assert cert.witness_pair_value == F(
         1, 25334865257073401648822353920000000000
     )
     assert cert.total_value == cert.witness_pair_value
     assert cert.cross_terms == ()
-    mixed = asymptotic_classify(c, (F(2), F(-1, 3)))
+    mixed = Certifier(c).classify((F(2), F(-1, 3)))
     assert mixed.verdict == "not_asymptotic"
     assert mixed.total_value == F(1, 9) * cert.witness_pair_value
     assert all(v == 0 for (_, _, v) in mixed.cross_terms)
@@ -1022,35 +1023,31 @@ def test_a_failing_support_raises_on_every_call(monkeypatch):
 
 
 def test_a_failing_pure_first_order_check_raises_on_every_call(monkeypatch):
-    original = rho.Pairing.rho
-
-    def perturbed(self, n, r):
-        value = original(self, n, r)
-        return replace(value, value=value.value + F(1, 7)) if (n, r) == (1, 1) else value
-
+    # the fault is in S(2, 0), which the family scan and Pairing.rho both read
     certifier = Certifier(default_curve(5))
     with monkeypatch.context() as patch:
-        patch.setattr(rho.Pairing, "rho", perturbed)
+        skew_first_vanishing(patch)
         for _ in range(2):
             with pytest.raises(IdentityFailed, match="must vanish at a Weierstrass point"):
                 certifier.classify((1, 0))
+        assert certifier._basis_count is None
     assert certifier.classify((1, 0)).basis_zero_count == 6
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
 def test_a_float_or_bool_coefficient_is_refused(bad):
     with pytest.raises(InvalidIndex, match="not an exact rational"):
-        asymptotic_classify(default_curve(5), (bad, 1))
+        Certifier(default_curve(5)).classify((bad, 1))
     with pytest.raises(InvalidIndex, match="not an exact rational"):
         Certifier(default_curve(5)).classify((1, bad))
-    exact = asymptotic_classify(default_curve(5), (F(1, 10), 1))
+    exact = Certifier(default_curve(5)).classify((F(1, 10), 1))
     assert exact.direction == (F(1, 10), F(1))
-    assert asymptotic_classify(default_curve(5), ("1/10", 1)) == exact
+    assert Certifier(default_curve(5)).classify(("1/10", 1)) == exact
 
 
 def test_direction_vector_length_is_validated():
     with pytest.raises(InvalidIndex):
-        asymptotic_classify(default_curve(5), (F(1),))
+        Certifier(default_curve(5)).classify((F(1),))
 
 
 # -- cup products of one higher variation --------------------------------------------
@@ -1127,7 +1124,7 @@ def fraction_mu2_cross_check(curve, order=14):
         q = basis_quadric(genus, i, j)
         labels.append(q.label())
         with _licensed():
-            rho_values.append(rho_pair(q, curve, 1, 1).value)
+            rho_values.append(Pairing(q, curve).rho(1, 1).value)
         mu2 = poly(*mu_coefficients(q, 1))
         composite = reduce(
             TruncatedSeries.__add__,
@@ -1232,18 +1229,24 @@ def test_cross_check_zeros_equal_fresh_rho_evaluations(genus):
         assert result.rho_values == fresh == (0,) * len(quads)
 
 
-@pytest.fixture
-def nonzero_first_vanishing(monkeypatch):
-    """S(2, 0) of one genus-5 cross-check quadric gains 1/7: its D(0, 0)
-    stays 0, so rho(xi^1 (.) xi^1) is licensed, and D(2, 0)/2 is not 0."""
-    target = rho._cross_check_quadrics(5)[0][2]
+def skew_first_vanishing(patch):
+    """S(2, 0) of one genus-5 basis quadric gains 1/7: its D(0, 0) stays 0,
+    so rho(xi^1 (.) xi^1) is licensed, and D(2, 0)/2 is not 0."""
+    target = basis_quadric(5, 1, 4)
     original = Pairing._sum
 
     def skewed(self, h, l):
         value = original(self, h, l)
         return value + F(1, 7) if (h, l) == (2, 0) and self.quadric == target else value
 
-    monkeypatch.setattr(Pairing, "_sum", skewed)
+    patch.setattr(Pairing, "_sum", skewed)
+    return target
+
+
+@pytest.fixture
+def nonzero_first_vanishing(monkeypatch):
+    target = skew_first_vanishing(monkeypatch)
+    assert target == rho._cross_check_quadrics(5)[0][2]
     return target
 
 
@@ -1254,6 +1257,18 @@ def test_a_nonzero_first_vanishing_is_a_failing_item(nonzero_first_vanishing, ca
     failing = [c["item"] for c in json.loads(captured.out)["checks"] if not c["ok"]]
     label = default_curve(5).label()
     assert f"g=5 x-chart cross-check of the first vanishing on {label}" in failing
+
+
+def test_a_nonzero_first_vanishing_fails_the_pure_first_order_items(
+    nonzero_first_vanishing, capsys
+):
+    # the certificate reads the same family scan as the cross-check
+    code = main(["scan", "--g", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    pure = [c for c in json.loads(captured.out)["checks"] if "direction (1,0)" in c["item"]]
+    assert pure and not any(c["ok"] for c in pure)
+    assert all("must vanish at a Weierstrass point" in c["got"] for c in pure)
 
 
 def test_a_nonzero_first_vanishing_equals_the_fresh_rho_values(nonzero_first_vanishing):
