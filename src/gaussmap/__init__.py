@@ -60,7 +60,7 @@ from .quadrics import (
     sym_pairs,
     wedge_pairs,
 )
-from .rationals import Rational, rat_from_string, rat_to_string
+from .rationals import rat_from_string, rat_to_string
 
 __version__ = "0.1.0"
 

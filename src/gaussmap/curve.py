@@ -35,11 +35,12 @@ evaluation in Ghat, which does not read the weights c_m.
 integer jet store, read by every pairing and reduction vector: column
 n = 2m has entries 2 E^(m+1) n! R^(m+1)_(m-i) gh_0^i over gh_0^(2m+1),
 reduced by one gcd, and its last nonzero row is recorded (`Jets.last`);
-each odd column is checked to vanish. `Jets.z_rows` views it as
-z-coefficients over one denominator (`cup_rank`). `Jets.lift` hands out Y
-to the x-jets of the reduction vector, and Y, (sY)' and the rows, all read
-off R, to the x-chart cross-check. The moduli polynomial reaches `Jets` as
-the integers Ghat over E, and no `Fraction` is made from the store.
+each odd column is checked to vanish (`Jets.checked_column`). `Jets.z_rows`
+views it as z-coefficients over one denominator (`cup_rank`). `Jets.lift`
+hands out Y to the x-jets of the reduction vector, and Y, (sY)' and the
+rows, all read off R, to the x-chart cross-check. The moduli polynomial
+reaches `Jets` as the integers Ghat over E, and no `Fraction` is made from
+the store.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ def new_curve(points) -> Curve:
         raise FirstBranchPointNotZero(
             f"first branch point must be 0, got {rat_to_string(values[0])}"
         )
-    seen: set[Fraction] = set()
+    seen: set[tuple[int, int]] = set()  # lowest terms, hashed without a Fraction
     for v in values:
-        if v in seen:
+        if (key := (v.numerator, v.denominator)) in seen:
             raise DuplicateBranchPoint(f"branch point {rat_to_string(v)} repeated")
-        seen.add(v)
+        seen.add(key)
     return Curve(branch_points=values)
 
 
@@ -268,6 +269,14 @@ class Jets:
         column = [scale * r * g0**i for i, r in enumerate(self._raw[m])]
         return column + [0] * (self._genus - len(column)), g0 ** (2 * m + 1)
 
+    def checked_column(self, n: int) -> tuple[list[int], int]:
+        """`_column(n)`, raising `IdentityFailed` at odd n if an entry is nonzero;
+        `columns` makes every column through it, the x-chart cross-check odd ones."""
+        column, d = self._column(n)
+        if n % 2 and any(column):
+            raise IdentityFailed(f"jet column {n} is nonzero: the frame functions are not even")
+        return column, d
+
     def columns(self, order: int) -> tuple[list[tuple[int, ...]], list[int]]:
         """Every jet column through `order`: numerators ``num[n]`` over the
         positive denominator ``den[n]``, in lowest terms (all 0 at odd n).
@@ -278,11 +287,7 @@ class Jets:
         """
         num, den, last = self._num, self._den, self.last
         for n in range(len(num), order + 1):
-            column, d = self._column(n)
-            if n % 2 and any(column):
-                raise IdentityFailed(
-                    f"jet column {n} is nonzero: the frame functions are not even"
-                )
+            column, d = self.checked_column(n)
             common = gcd(d, *column) if d > 0 else -gcd(d, *column)
             num.append(tuple(c // common for c in column))
             den.append(d // common)

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import InvalidIndex
 
-Rational = Fraction
-
 
 def int_to_string(n: int) -> str:
     """`str(n)` for an integer of any size: `str` refuses more digits than
@@ -129,10 +127,10 @@ def random_branch_points(rng: random.Random, genus: int) -> tuple[Fraction, ...]
     non-integral branch points.
     """
     points: list[Fraction] = [Fraction(0)]
-    seen = {Fraction(0)}
+    seen = {(0, 1)}  # lowest terms, hashed without a Fraction
     while len(points) < 2 * genus + 2:
         cand = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        if cand not in seen:
-            seen.add(cand)
+        if (key := (cand.numerator, cand.denominator)) not in seen:
+            seen.add(key)
             points.append(cand)
     return tuple(points)

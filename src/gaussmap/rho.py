@@ -41,7 +41,8 @@ the jet columns and make one `Fraction` per printed entry. The x-chart
 cross-check and the pure xi^1 certificate share one scan of the basis
 family through total 2 (`_first_vanishing`), which makes each
 rho(xi^1 (.) xi^1) the forced zero (or, at a nonzero entry, hands them all
-to `Pairing.rho`); only the cross-check reads the lift's series.
+to `Pairing.rho`); only the cross-check reads the lift's series, and it
+checks odd jet columns alone (`Jets.checked_column`), adding none to the store.
 
 The witness functional (xi^{2k+3} (.) xi^{2k+1} on Ker mu_2k) and the
 diagonal functional (xi^{2k+3} (.) xi^{2k+3} on A_{k,0}) are built by one
@@ -1055,25 +1056,13 @@ class Mu2CrossCheck(Record):
 
     @property
     def ok(self) -> bool:
-        return (
-            not any(self.rho_values)
-            and all(self.x_chart_vanishes)
-            and all(self.frames_agree)
-        )
+        return not any(self.rho_values) and all(self.x_chart_vanishes) and all(self.frames_agree)
 
 
 def _product(a: list[int], b: list[int], width: int, va: int = 0, vb: int = 0) -> list[int]:
     """a * b through s^(width-1), both known that far, a 0 below s^va, b below s^vb."""
     a, b = a[va:], b[vb:]
     return [0] * (va + vb) + [_convolve(a, b, n) for n in range(width - va - vb)]
-
-
-def _combination(terms, width: int) -> list[int]:
-    """sum c * series over the (c, series) terms, as one list of `width`."""
-    out = [0] * width
-    for c, series in terms:
-        out = [x + c * y for x, y in zip(out, series)]
-    return out
 
 
 @lru_cache(maxsize=GENERA_KEPT)
@@ -1109,11 +1098,12 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     A_a[e] = (2e+2)(2e+1) R_a[e+1-a], B_b[e] = R_b[e-b] (0 at a negative
     index). This is the w^e coefficient of the x-chart identity times the
     nonzero constant (gh_0^2 / E)^e gh_0^4 / (4 E^3), so each verdict is the
-    same; the odd z-coefficients, 0 by construction, are not compared. The
+    same; the odd z-coefficients are not compared, but the odd jet columns
+    through order + 1 are checked to vanish, with no even column made. The
     x side reads Y and (sY)', the z side the rows; the columns x^m * frame
-    and the products e_a'' e_b are made once per curve from their valuation,
-    all at width cap, except those whose valuation puts them at 0 there.
-    `compared_orders` counts z-orders.
+    and the products e_a'' e_b are made once per curve, and each quadric's
+    two sides are summed in place at width cap, every term from its
+    valuation (m + 1 and max(a - 1, 0) + b). `compared_orders` counts z-orders.
     """
     genus = curve.genus
     if order < 2:
@@ -1121,17 +1111,18 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     if order < 5:
         raise InvalidIndex("cross-check order too small to be meaningful")
     cap = (order + 1) // 2  # s^e is z^(2e), compared for 2e < order
-    curve.jets.columns(order + 1)  # checks the odd jet columns this far
+    for n in range(1, order + 2, 2):  # the odd jet columns through order + 1
+        curve.jets.checked_column(n)
     quads, labels, polys = _cross_check_quadrics(genus)
     rho_values = _first_vanishing(quads, curve)
     g0, y, dy, rows = curve.jets.lift(cap + 1)
-    # x = gh_0 s Y and x^m * frame, frame = 4 gh_0^2 s (sY)'^4, for every
-    # exponent of a mu_2 polynomial (degree <= 2g-2)
+    # x = gh_0 s Y and x^m * frame, frame = 4 gh_0^2 s (sY)'^4, for each m
+    # < cap - 1 (x^m * frame has valuation m + 1) of a mu_2 polynomial
     xs = [0] + [g0 * c for c in y[: cap - 1]]
     square = _product(dy, dy, cap - 1)
     columns = [[0] + [4 * g0 * g0 * c for c in _product(square, square, cap - 1)]]
-    for m in range(1, 2 * genus - 1):  # x^m * frame has valuation m + 1
-        columns.append(_product(columns[-1], xs, cap, m, 1) if m < cap - 1 else [0] * cap)
+    for m in range(1, min(2 * genus - 1, cap - 1)):
+        columns.append(_product(columns[-1], xs, cap, m, 1))
     # e_a = (gh_0 s)^a R_a through s^cap (up to 2 gh_0 lambda), and e_a''
     evens = [[scale * c for c in ([0] * a + row)[: cap + 1]]
              for a, row in enumerate(rows) for scale in [g0**a]]
@@ -1139,15 +1130,20 @@ def mu2_cross_check(curve: Curve, order: int = 14) -> Mu2CrossCheck:
     products: dict[tuple[int, int], list[int]] = {}
     vanishes, agree = [], []
     for q, poly in zip(quads, polys):
-        terms = []
+        x_side, z_side = [0] * cap, [0] * cap
+        for m, c in poly:
+            for e in range(m + 1, cap):  # empty for m >= cap - 1, past the columns made
+                x_side[e] += c * columns[m][e]
         for a, b, coeff in q.tensor[0]:
-            if a + b <= cap:  # e_a'' e_b has valuation a + b - 1
-                if (a, b) not in products:
-                    products[(a, b)] = _product(second[a], evens[b], cap, max(a - 1, 0), b)
-                terms.append((coeff, products[(a, b)]))
-        composite = _combination(((c, columns[m]) for m, c in poly), cap)
-        vanishes.append(composite[0] == 0)
-        agree.append(composite == _combination(terms, cap))
+            low = max(a - 1, 0) + b  # the valuation of e_a'' e_b
+            if low < cap:
+                product = products.get((a, b))
+                if product is None:
+                    product = products[(a, b)] = _product(second[a], evens[b], cap, low - b, b)
+                for e in range(low, cap):
+                    z_side[e] += coeff * product[e]
+        vanishes.append(x_side[0] == 0)
+        agree.append(x_side == z_side)
     return Mu2CrossCheck(
         genus=genus,
         curve=curve.label(),

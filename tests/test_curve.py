@@ -72,6 +72,13 @@ def test_curve_construction_validates_branch_points():
         new_curve([0, 1, 2, 3, 4, 5, 6, 7, 8])  # odd count
 
 
+@pytest.mark.parametrize("form", ["1/2", "2/4", F(1, 2)], ids=str)
+def test_a_branch_point_is_refused_in_any_form_of_its_value(form):
+    with pytest.raises(DuplicateBranchPoint) as refused:
+        new_curve([0, "1/2", 1, 2, 3, 4, form, 5])
+    assert str(refused.value) == "branch point 1/2 repeated"
+
+
 def test_default_curve_has_consecutive_integer_branch_points():
     c = default_curve(4)
     assert c.genus == 4

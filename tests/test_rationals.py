@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from gaussmap.errors import InvalidIndex
-from gaussmap.rationals import int_to_string, random_direction, rat_from_string, rat_to_string
+from gaussmap.rationals import (
+    int_to_string,
+    random_branch_points,
+    random_direction,
+    rat_from_string,
+    rat_to_string,
+)
 
 LIMIT = 10**4300
 HUGE = (
@@ -92,3 +98,18 @@ def test_random_direction_draws_the_randint_stream():
                 assert random_direction(ours, length) == randint_direction(theirs, length, redraws)
             assert ours.getstate() == theirs.getstate()
     assert 1 in redraws  # a length-1 draw was all zero and drawn again
+
+
+@pytest.mark.parametrize(
+    ("seed", "genus", "drawn"),
+    [
+        (55, 3, "0 -3 -31/48 -2 15/4 -5/47 34/31 19/25"),  # -12/6 = -2 redrawn
+        (96, 3, "0 -1/7 18/13 -24/7 -1 -48/11 1/21 -5/3"),  # -7/49 = -1/7 redrawn
+        (1, 4, "0 -33/37 47/5 -9/4 13/49 7/31 33/25 25/7 -19/16 -47/25"),
+        (2, 5, "0 -43/6 -5/3 -29/48 7/4 -6/13 -23/39 -23/19 37/11 5/41 5/8 19/29"),
+    ],
+)
+def test_seeded_branch_points_are_pinned(seed, genus, drawn):
+    points = random_branch_points(random.Random(seed), genus)
+    assert all(type(t) is Fraction for t in points)
+    assert " ".join(map(rat_to_string, points)) == drawn

@@ -194,20 +194,25 @@ def test_threshold_and_rho_do_not_depend_on_the_call_order():
             assert [_scan_outcome(pairing, n, r) for n, r in pairs] == outcomes
 
 
-@pytest.fixture
-def odd_column_fault(monkeypatch):
-    """The jet store's source gives a nonzero entry in odd column 3."""
+def skew_odd_column(monkeypatch, odd):
+    """The jet store's source gives 1/7 in row 1 of odd column `odd`."""
     original = Jets._column
 
     def patched(jets, n):
         column, den = original(jets, n)
-        if n == 3:
+        if n == odd:
             column = [7 * x for x in column]
             column[1] += den
             den *= 7
         return column, den
 
     monkeypatch.setattr(Jets, "_column", patched)
+
+
+@pytest.fixture
+def odd_column_fault(monkeypatch):
+    """The jet store's source gives a nonzero entry in odd column 3."""
+    skew_odd_column(monkeypatch, 3)
 
 
 def test_a_nonzero_odd_jet_column_fails_the_pairing(odd_column_fault):
@@ -1229,6 +1234,17 @@ def test_cross_check_zeros_equal_fresh_rho_evaluations(genus):
         assert result.rho_values == fresh == (0,) * len(quads)
 
 
+@pytest.mark.parametrize("genus", range(3, 9))
+def test_the_cross_check_adds_no_jet_column(genus):
+    # route one's scan reads columns 0..2; the odd columns through 15 are
+    # checked without making the even ones between them
+    for curve in curve_panel(genus, 0, 1):
+        curve.jets.columns(2)
+        assert len(curve.jets.columns(-1)[0]) == 3
+        assert mu2_cross_check(curve).ok
+        assert len(curve.jets.columns(-1)[0]) == 3
+
+
 def skew_first_vanishing(patch):
     """S(2, 0) of one genus-5 basis quadric gains 1/7: its D(0, 0) stays 0,
     so rho(xi^1 (.) xi^1) is licensed, and D(2, 0)/2 is not 0."""
@@ -1324,6 +1340,7 @@ def assert_only_the_cross_check_item_fails(capsys):
         "g=4 x-chart cross-check of the first vanishing on "
         "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
     ]
+    return failing[0]
 
 
 def test_a_skewed_canonical_coefficient_breaks_the_frame_agreement(skewed_expansion):
@@ -1340,3 +1357,11 @@ def test_a_skewed_x_side_series_breaks_the_frame_agreement(skewed_x_side):
 
 def test_a_skewed_x_side_series_is_a_failing_item(skewed_x_side, capsys):
     assert_only_the_cross_check_item_fails(capsys)
+
+
+def test_a_nonzero_odd_jet_column_past_the_scans_fails_the_cross_check(monkeypatch, capsys):
+    # the isotropy scans at genus 4 stop below column 13, so only the
+    # cross-check's odd-column check can see it
+    skew_odd_column(monkeypatch, 13)
+    failing = assert_only_the_cross_check_item_fails(capsys)
+    assert failing["got"] == "jet column 13 is nonzero: the frame functions are not even"
